@@ -1,23 +1,37 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The networks simulated in this package are small fully connected stacks, so
-the engine favors clarity and determinism over throughput: every value is a
+the engine favors determinism and a low per-node cost: every value is a
 float64 numpy array, every differentiable operation records a backward
-closure over its parents, and gradients are resolved by one topological walk
-from a scalar loss. The op set is deliberately small; anything not listed
-here does not exist.
+closure over its parents, and gradients are resolved by one depth-first
+topological walk from a scalar loss. A node's gradient is the sum of its
+consumers' contributions, added in the order the walk visits those
+consumers; float addition is not associative, so that order is part of the
+result. The op set is deliberately small; anything not listed here does not
+exist.
+
+What the generator step runs many times is built from fused nodes:
+``linear`` and ``batchnorm_forward`` here, and the cross-entropy, entropy,
+KL and batch-norm statistics losses. A fused node repeats, in the same
+order, the numpy arithmetic of the primitive ops it replaces, and inside
+itself sums gradients in the order the walk would have summed them over
+those ops, so every float matches the composed graph bit for bit. Where a
+value has consumers outside the fused node (the batch statistics), it stays
+a node of its own and the walk keeps ordering its gradient. The composed
+graphs live on in the tests as references.
 
 Numerical conventions, all of which tests rely on:
 - ``log`` clamps its argument to >= 1e-12 and passes zero gradient below the
   clamp point.
 - softmax is row-wise and max-stabilized.
-- batch normalization is built from primitive ops so the reported batch mean
-  and variance are themselves graph nodes (losses differentiate through
-  them); the running statistics are plain arrays updated by EMA with
+- batch normalization reports the batch mean and variance as graph nodes of
+  their own (losses differentiate through them); the running statistics are
+  plain arrays updated by EMA with
   ``running = (1 - momentum) * running + momentum * batch``.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -46,7 +60,10 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False,
                  parents: tuple["Tensor", ...] = (),
                  bw: Callable[[Array], tuple] | None = None):
-        self.data = _as_f64(data)
+        # every op output is already a float64 ndarray; asarray would return
+        # the same object, so skip the call on the hot path
+        self.data = (data if type(data) is np.ndarray and data.dtype == np.float64
+                     else _as_f64(data))
         self.requires_grad = bool(requires_grad)
         self._parents = parents
         self._bw = bw
@@ -126,9 +143,8 @@ class Tensor:
         Below the clamp the forward value is constant, so the gradient there
         is exactly zero.
         """
-        clamped = np.maximum(self.data, LOG_CLAMP)
-        above = self.data > LOG_CLAMP
-        return _node(np.log(clamped), (self,), lambda g: (g * above / clamped,))
+        out, above, clamped = _clamped_log(self.data)
+        return _node(out, (self,), lambda g: (g * above / clamped,))
 
     def sum(self, axis: int | None = None) -> "Tensor":
         shape = self.data.shape
@@ -144,7 +160,8 @@ class Tensor:
     def mean(self, axis: int | None = None) -> "Tensor":
         shape = self.data.shape
         count = self.data.size if axis is None else shape[axis]
-        out = self.data.mean(axis=axis)
+        # what ndarray.mean computes, without its Python-level wrapper
+        out = np.add.reduce(self.data, axis=axis) / count
 
         def bw(g: Array):
             if axis is None:
@@ -157,15 +174,26 @@ class Tensor:
         """Row-wise softmax of a (b, c) tensor."""
         if self.ndim != 2:
             raise ContractError("softmax expects a 2-d (batch, classes) tensor")
-        shifted = self.data - self.data.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        p = e / e.sum(axis=1, keepdims=True)
+        p = _softmax_rows(self.data)
+        return _node(p, (self,), lambda g: (_softmax_rows_bw(p, g),))
 
-        def bw(g: Array):
-            inner = (g * p).sum(axis=1, keepdims=True)
-            return (p * (g - inner),)
 
-        return _node(p, (self,), bw)
+# Array-level forms of log and softmax, shared with the fused loss nodes.
+
+def _clamped_log(a: Array) -> tuple[Array, Array, Array]:
+    """(log of a clamped to >= LOG_CLAMP, mask above the clamp, clamped a)."""
+    clamped = np.maximum(a, LOG_CLAMP)
+    return np.log(clamped), a > LOG_CLAMP, clamped
+
+
+def _softmax_rows(a: Array) -> Array:
+    e = np.exp(a - a.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_rows_bw(p: Array, g: Array) -> Array:
+    """Input gradient of a row-wise softmax with output p."""
+    return p * (g - (g * p).sum(axis=1, keepdims=True))
 
 
 def _wrap(value) -> Tensor:
@@ -173,13 +201,16 @@ def _wrap(value) -> Tensor:
 
 
 def _node(data: Array, parents: tuple[Tensor, ...], bw) -> Tensor:
-    needs = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=needs, parents=parents if needs else (),
-                  bw=bw if needs else None)
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(data, True, parents, bw)
+    return Tensor(data)
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     """Sum a gradient back down to the shape it was broadcast from."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for i, n in enumerate(shape):
@@ -188,9 +219,13 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     return g
 
 
+# The binary ops compute no gradient for a parent that does not need one
+# (a constant, or a parameter frozen for the call).
+
 def _add(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data + b.data, (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+                 lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                            _unbroadcast(g, b.shape) if b.requires_grad else None))
 
 
 def _neg(a: Tensor) -> Tensor:
@@ -199,14 +234,15 @@ def _neg(a: Tensor) -> Tensor:
 
 def _mul(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data * b.data, (a, b),
-                 lambda g: (_unbroadcast(g * b.data, a.shape),
-                            _unbroadcast(g * a.data, b.shape)))
+                 lambda g: (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
 
 
 def _div(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data / b.data, (a, b),
-                 lambda g: (_unbroadcast(g / b.data, a.shape),
-                            _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
+                 lambda g: (_unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+                            _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+                            if b.requires_grad else None))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -221,6 +257,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return (ga, gb)
 
     return _node(a.data @ b.data, (a, b), bw)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node: matmul, then the broadcast bias add."""
+    if x.ndim != 2 or w.ndim != 2:
+        raise ContractError("matmul expects 2-d operands")
+    if x.shape[1] != w.shape[0]:
+        raise ContractError(f"matmul shape mismatch {x.shape} @ {w.shape}")
+
+    def bw(g: Array):
+        return (g @ w.data.T if x.requires_grad else None,
+                x.data.T @ g if w.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
+
+    return _node(x.data @ w.data + b.data, (x, w, b), bw)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
@@ -377,6 +428,25 @@ def backprop(loss: Tensor, params: Sequence[Parameter]) -> None:
         p.grad = grads[p.name]
 
 
+@contextmanager
+def frozen(params: Iterable[Parameter]):
+    """Parameters that need no gradient inside the block.
+
+    Graphs built and differentiated inside the block treat the parameters as
+    constants, so no gradient is computed for them. Each parameter's
+    trainability is restored on exit, whatever it was before.
+    """
+    saved = [(p.value, p.value.requires_grad) for p in params]
+    for value, _ in saved:
+        value.requires_grad = False
+    try:
+        yield
+    finally:
+        # reversed, so a parameter listed twice gets its first saved flag
+        for value, flag in reversed(saved):
+            value.requires_grad = flag
+
+
 # -- batch normalization ------------------------------------------------------
 
 
@@ -401,6 +471,14 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     statistics-matching loss through them while the teacher itself stays
     frozen (its running stats are only mutated in train mode with
     update_running=True).
+
+    ``y`` is one fused node over x, gamma and beta; in train mode it also
+    carries the gradient through the batch statistics it normalized by. The
+    returned statistics are nodes of their own (the mean over x, then the
+    variance over x and the mean) that carry what their consumers send, so
+    the walk sums their gradients into x in the same order as over the
+    composed graph ``mu = x.mean(0); c = x - mu; var = (c * c).mean(0);
+    y = gamma * normed + beta``.
     """
     if mode not in ("train", "eval"):
         raise ContractError(f"unknown batchnorm mode {mode!r}")
@@ -408,23 +486,52 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
         raise ContractError("batchnorm expects a 2-d (batch, channels) tensor")
     if x.shape[1] != state.running_mean.shape[0]:
         raise ContractError("channel count does not match running statistics")
+    if mode == "train" and x.shape[0] < 2:
+        raise DegenerateBatchError("batch statistics need at least 2 samples")
 
+    count = x.shape[0]
     mu = x.mean(axis=0)
-    centered = x - mu
-    var = (centered * centered).mean(axis=0)  # biased, matches normalization
+    centered = x.data - mu.data
+    # biased, matches normalization; add.reduce / count is ndarray.mean
+    var_data = np.add.reduce(centered * centered, axis=0) / count
 
+    def var_bw(g: Array):
+        g_c = g / count * centered
+        g_c = g_c + g_c  # c * c sends one share per operand
+        return (g_c, -g_c.sum(axis=0))
+
+    var = _node(var_data, (x, mu), var_bw)
+
+    g_data, b_data = gamma.data, beta.data
     if mode == "train":
-        if x.shape[0] < 2:
-            raise DegenerateBatchError("batch statistics need at least 2 samples")
-        normed = centered / (var + state.epsilon).sqrt()
+        std = np.sqrt(var_data + state.epsilon)
+        normed = centered / std
+
+        def bw(g: Array):
+            g_n = g * g_data
+            g_std = (-g_n * centered / (std * std)).sum(axis=0)
+            g_sq = g_std * 0.5 / np.maximum(std, 1e-150) / count * centered
+            # into c: the normalization's share first, then c * c's two;
+            # into x: c's gradient, then the mean's share through c = x - mu
+            g_c = g_n / std + g_sq + g_sq
+            return (g_c + -g_c.sum(axis=0) / count,
+                    (g * normed).sum(axis=0) if gamma.requires_grad else None,
+                    g.sum(axis=0) if beta.requires_grad else None)
+
         if update_running:
             m = state.momentum
             state.running_mean = (1.0 - m) * state.running_mean + m * mu.data
-            state.running_var = (1.0 - m) * state.running_var + m * var.data
+            state.running_var = (1.0 - m) * state.running_var + m * var_data
     else:
         inv = 1.0 / np.sqrt(state.running_var + state.epsilon)
-        normed = (x - Tensor(state.running_mean)) * Tensor(inv)
-    y = gamma * normed + beta
+        normed = (x.data - state.running_mean) * inv
+
+        def bw(g: Array):
+            return (g * g_data * inv if x.requires_grad else None,
+                    (g * normed).sum(axis=0) if gamma.requires_grad else None,
+                    g.sum(axis=0) if beta.requires_grad else None)
+
+    y = _node(g_data * normed + b_data, (x, gamma, beta), bw)
     return y, mu, var
 
 

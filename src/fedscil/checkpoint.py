@@ -4,7 +4,9 @@ A checkpoint is a zip file holding one raw little-endian float64 blob per
 named tensor plus ``manifest.json`` describing names, shapes, group tags and
 any extra metadata the owner wants to carry (models store their architecture
 and session-to-column map there). Blobs are written with ZIP_STORED so the
-bytes on disk are exactly ``array.astype('<f8').tobytes()``.
+bytes on disk are exactly ``array.astype('<f8').tobytes()``. Every member
+carries the same fixed timestamp, so saving the same entries twice gives the
+same file bytes.
 """
 from __future__ import annotations
 
@@ -19,6 +21,15 @@ from .errors import ContractError
 Array = np.ndarray
 
 FORMAT_VERSION = 1
+
+# the earliest time a zip header can hold
+_MEMBER_TIME = (1980, 1, 1, 0, 0, 0)
+
+
+def _member(name: str) -> zipfile.ZipInfo:
+    info = zipfile.ZipInfo(name, date_time=_MEMBER_TIME)
+    info.external_attr = 0o600 << 16  # what writestr gives a named member
+    return info
 
 
 def save_state(path, entries: Iterable[tuple[str, Array, str]],
@@ -37,9 +48,11 @@ def save_state(path, entries: Iterable[tuple[str, Array, str]],
         "extra": extra or {},
     }
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
-        zf.writestr("manifest.json", json.dumps(manifest, sort_keys=True, indent=1))
+        zf.writestr(_member("manifest.json"),
+                    json.dumps(manifest, sort_keys=True, indent=1))
         for record, (_, arr, _) in zip(manifest["entries"], entries):
-            zf.writestr(record["file"], np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            zf.writestr(_member(record["file"]),
+                        np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_state(path) -> tuple[dict[str, Array], dict[str, str], dict]:

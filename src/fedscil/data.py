@@ -69,12 +69,22 @@ def make_blobs(classes: int, dim: int, per_class_train: int, per_class_test: int
 
 def load_csv_dataset(path, class_count: int | None = None) -> LabeledDataset:
     """Reads rows of ``feature, ..., feature, label``."""
-    rows = []
+    rows, line_numbers = [], []
     with open(path, newline="") as fh:
-        for line in csv.reader(fh):
+        reader = csv.reader(fh)
+        for line in reader:
             if not line:
                 continue
-            rows.append([float(v) for v in line])
+            try:
+                values = [float(v) for v in line]
+            except ValueError:
+                raise ConfigError(f"{path}: row {reader.line_num}: "
+                                  "non-numeric field") from None
+            if rows and len(values) != len(rows[0]):
+                raise ConfigError(f"{path}: row {reader.line_num}: {len(values)} "
+                                  f"fields, expected {len(rows[0])}")
+            rows.append(values)
+            line_numbers.append(reader.line_num)
     if not rows:
         raise ConfigError(f"{path}: empty dataset")
     arr = np.asarray(rows)
@@ -82,6 +92,11 @@ def load_csv_dataset(path, class_count: int | None = None) -> LabeledDataset:
     if np.any(arr[:, -1] != y):
         raise ConfigError(f"{path}: labels must be integers")
     count = class_count if class_count is not None else int(y.max()) + 1
+    outside = np.flatnonzero((y < 0) | (y >= count))
+    if outside.size:
+        i = int(outside[0])
+        raise ConfigError(f"{path}: row {line_numbers[i]}: label {y[i]} "
+                          f"outside [0, {count})")
     return LabeledDataset(x, y, count)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Optimizer, OptimizerConfig, Tensor, backprop, concat
+from .autodiff import Optimizer, OptimizerConfig, Tensor, backprop, frozen
 from .errors import BufferGapError, ContractError, EmptyBufferError
 from .losses import (LossWeights, bn_stat_loss, generator_entropy_loss,
                      generator_fidelity_loss, generator_total_loss,
@@ -72,35 +72,53 @@ class SyntheticPool:
 
 
 def teacher_logits(x: Tensor | Array, teachers: list[Classifier],
-                   session: int) -> Tensor:
-    """Mean over teachers of the session-slice logits.
+                   session: int, capture_bn: bool = False):
+    """Mean over teachers of the session-slice logits; with capture_bn, also
+    each teacher's per-layer batch statistics.
 
     One teacher degenerates to its own slice. Gradients flow through to x;
-    teacher parameters receive none (they are frozen by construction: only
-    generator and student optimizers ever step).
+    teacher parameters get none when the caller freezes them.
     """
     if not teachers:
         raise ContractError("need at least one teacher")
     if not isinstance(x, Tensor):
         x = Tensor(x)
     total: Tensor | None = None
+    stats = []
     for model in teachers:
-        part = model.logits_slice(model.forward(x, mode="eval"), session)
+        part = model.forward(x, mode="eval", capture_bn=capture_bn,
+                             session=session)
+        if capture_bn:
+            part, layer_stats = part
+            stats.append(layer_stats)
         total = part if total is None else total + part
-    return total * (1.0 / len(teachers))
+    ensemble = total * (1.0 / len(teachers))
+    return (ensemble, stats) if capture_bn else ensemble
 
 
-def _teacher_forward(x: Tensor, teachers: list[Classifier], session: int):
-    """Ensemble slice logits plus each teacher's captured batch statistics."""
-    slices, stats = [], []
-    for model in teachers:
-        logits, layer_stats = model.forward(x, mode="eval", capture_bn=True)
-        slices.append(model.logits_slice(logits, session))
-        stats.append(layer_stats)
-    total = slices[0]
-    for part in slices[1:]:
-        total = total + part
-    return total * (1.0 / len(teachers)), stats
+def generator_loss(generator: ConditionalGenerator, student: Classifier,
+                   teachers: list[Classifier], session: int, running: list,
+                   z: Array, labels: Array, weights: LossWeights):
+    """The generator objective on one noise batch.
+
+    Returns (loss, synthetic batch, teacher ensemble logits). ``running`` is
+    each teacher's ``bn_running_stats()``. The teachers run in eval mode and
+    the student is the opponent of the disagreement term.
+    """
+    fake = generator.forward(z, labels, mode="train")
+    ensemble, stats = teacher_logits(fake, teachers, session, capture_bn=True)
+    fidelity = generator_fidelity_loss(ensemble, labels)
+    entropy = generator_entropy_loss(ensemble)
+    stat_term = bn_stat_loss(stats, running) if weights.lambda3 != 0 else 0.0
+    if weights.lambda4 != 0:
+        opponent = student.forward(fake, mode="eval")
+        disagreement = transferability_loss(ensemble, opponent,
+                                            weights.kl_temperature)
+    else:
+        disagreement = 0.0
+    loss = generator_total_loss(fidelity, entropy, stat_term, disagreement,
+                                weights)
+    return loss, fake, ensemble
 
 
 def train_generator_session(teachers: list[Classifier], session: int,
@@ -142,37 +160,30 @@ def train_generator_session(teachers: list[Classifier], session: int,
                                         momentum=cfg.student_momentum))
 
     running = [model.bn_running_stats() for model in teachers]
+    # the generator step differentiates through the teachers and the
+    # opponent student but updates neither
+    opponents = [p for model in teachers for p in model.parameters()]
+    opponents += student.parameters()
     rng = np.random.default_rng(derive_seed(seed, "draws"))
     banked_x, banked_y = [], []
-    temperature = weights.kl_temperature
 
     for _ in range(cfg.epochs):
         for _ in range(cfg.rounds_per_epoch):
             z = rng.standard_normal((cfg.batch_size, cfg.noise_dim))
             labels = rng.integers(0, c, size=cfg.batch_size)
 
-            # generator step; teachers in eval mode, student a frozen opponent
-            fake = generator.forward(z, labels, mode="train")
-            ensemble, stats = _teacher_forward(fake, teachers, session)
-            fidelity = generator_fidelity_loss(ensemble, labels)
-            entropy = generator_entropy_loss(ensemble)
-            stat_term = (bn_stat_loss(stats, running)
-                         if weights.lambda3 != 0 else 0.0)
-            if weights.lambda4 != 0:
-                opponent = student.forward(fake, mode="eval")
-                disagreement = transferability_loss(ensemble, opponent, temperature)
-            else:
-                disagreement = 0.0
-            backprop(generator_total_loss(fidelity, entropy, stat_term,
-                                          disagreement, weights),
-                     generator.parameters())
+            with frozen(opponents):
+                loss, fake, ensemble = generator_loss(
+                    generator, student, teachers, session, running, z, labels,
+                    weights)
+                backprop(loss, generator.parameters())
             gen_opt.step()
 
             # student step on the same batch, detached from the generator
             if cfg.student_lr > 0:
                 student_logits = student.forward(fake.data, mode="train")
                 backprop(student_loss(ensemble.detach(), student_logits,
-                                      temperature),
+                                      weights.kl_temperature),
                          student.parameters())
                 stu_opt.step()
 
@@ -192,8 +203,7 @@ def relabel(pool: SyntheticPool, model: Classifier) -> SyntheticPool:
     Samples whose pseudo-label disagrees with their condition are kept; they
     are the hard examples. Relabeling twice with the same model is a no-op.
     """
-    logits = model.logits_slice(model.forward(pool.samples, mode="eval"),
-                                pool.session)
+    logits = model.forward(pool.samples, mode="eval", session=pool.session)
     pseudo = logits.data.argmax(axis=1) + pool.class_lo
     return SyntheticPool(pool.session, pool.class_lo, pool.class_hi,
                          pool.samples, pool.condition, pseudo.astype(np.int64))

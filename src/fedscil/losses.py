@@ -1,4 +1,9 @@
-"""Every training objective in the simulator, composed from autodiff ops.
+"""Every training objective in the simulator, as autodiff graphs.
+
+The objectives of the generator step (cross entropy, the entropy term, the
+batch-norm statistics term, and the plain and gated KL) are fused nodes that
+repeat the arithmetic of their composed form; the rest are composed from
+autodiff ops.
 
 All losses are batch means and return scalar graph tensors. Conventions:
 
@@ -14,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Array, Tensor, col_slice, gather_rows, l2_norm, one_hot
+from .autodiff import (Array, Tensor, _clamped_log, _node, _softmax_rows,
+                       _softmax_rows_bw, _unbroadcast, col_slice, gather_rows,
+                       one_hot)
 from .errors import ContractError
 
 
@@ -53,9 +60,21 @@ def _check_batch(logits: Tensor, labels: Array) -> Array:
 
 
 def cross_entropy(logits: Tensor, labels: Array) -> Tensor:
+    """One node: ``-gather_rows(logits.softmax(), labels).log().mean()``."""
     labels = _check_batch(logits, labels)
-    p_y = gather_rows(logits.softmax(), labels)
-    return -(p_y.log().mean())
+    n, classes = logits.shape
+    if labels.min() < 0 or labels.max() >= classes:
+        raise ContractError("gather index out of range")
+    p = _softmax_rows(logits.data)
+    rows = np.arange(n)
+    logs, above, clamped = _clamped_log(p[rows, labels])
+
+    def bw(g: Array):
+        full = np.zeros_like(p)
+        np.add.at(full, (rows, labels), -g / n * above / clamped)
+        return (_softmax_rows_bw(p, full),)
+
+    return _node(-(np.add.reduce(logs, axis=None) / n), (logits,), bw)
 
 
 def reverse_cross_entropy(probs: Tensor, labels: Array,
@@ -147,24 +166,62 @@ def generator_fidelity_loss(teacher_logits: Tensor, condition: Array) -> Tensor:
 
 
 def generator_entropy_loss(teacher_logits: Tensor) -> Tensor:
-    """Negated prediction entropy: minimizing it favors hard samples."""
-    return -info_entropy(teacher_logits.softmax())
+    """Negated prediction entropy: minimizing it favors hard samples.
+
+    One node: ``-info_entropy(teacher_logits.softmax())``.
+    """
+    if teacher_logits.ndim != 2 or teacher_logits.shape[0] == 0:
+        raise ContractError("info_entropy expects a nonempty (batch, classes) tensor")
+    n, c = teacher_logits.shape
+    p = _softmax_rows(teacher_logits.data)
+    logs, above, clamped = _clamped_log(p)
+    per_sample = -((p * logs).sum(axis=1))
+
+    def bw(g: Array):
+        g_terms = -(-g * (1.0 / c) / n)
+        return (_softmax_rows_bw(p, g_terms * logs + g_terms * p * above / clamped),)
+
+    return _node(-(np.add.reduce(per_sample, axis=None) / n * (1.0 / c)),
+                 (teacher_logits,), bw)
 
 
 def bn_stat_loss(batch_stats: list[list[tuple[Tensor, Tensor]]],
                  running_stats: list[list[tuple[Array, Array]]]) -> Tensor:
     """Mean over teachers of the summed L2 distances between the synthetic
-    batch's per-layer statistics and that teacher's running statistics."""
+    batch's per-layer statistics and that teacher's running statistics.
+
+    One node over every statistic. It repeats the arithmetic of
+    ``l2_norm(mu - r_mu) + l2_norm(var - r_var)`` summed layer by layer,
+    teacher by teacher, then scaled by 1 / teachers.
+    """
     if len(batch_stats) != len(running_stats) or not batch_stats:
         raise ContractError("need matching, nonempty per-teacher statistics")
-    total: Tensor | None = None
+    stats: list[Tensor] = []
+    diffs: list[Array] = []
+    norms: list[Array] = []
+    total = None
     for per_layer, per_layer_running in zip(batch_stats, running_stats):
         if len(per_layer) != len(per_layer_running):
             raise ContractError("teacher layer counts do not match")
         for (mu, var), (r_mu, r_var) in zip(per_layer, per_layer_running):
-            term = l2_norm(mu - Tensor(r_mu)) + l2_norm(var - Tensor(r_var))
+            for stat, ref in ((mu, r_mu), (var, r_var)):
+                d = stat.data - ref
+                stats.append(stat)
+                diffs.append(d)
+                norms.append(np.sqrt((d * d).sum()))
+            term = norms[-2] + norms[-1]
             total = term if total is None else total + term
-    return total * (1.0 / len(batch_stats))
+    scale = 1.0 / len(batch_stats)
+
+    def bw(g: Array):
+        g_total = g * scale
+        grads = []
+        for stat, d, norm in zip(stats, diffs, norms):
+            g_d = g_total * 0.5 / np.maximum(norm, 1e-150) * d
+            grads.append(_unbroadcast(g_d + g_d, stat.shape))
+        return tuple(grads)
+
+    return _node(total * scale, tuple(stats), bw)
 
 
 def _kl_rows(p: Tensor, q: Tensor) -> Tensor:
@@ -174,12 +231,44 @@ def _kl_rows(p: Tensor, q: Tensor) -> Tensor:
     return (p * (p.log() - q.log())).sum(axis=1)
 
 
+def _kl_loss(teacher_logits: Tensor, student_logits: Tensor,
+             temperature: float, gate: Array | None = None) -> Tensor:
+    """One node for the batch mean of row-wise KL(p || q), with
+    ``p = (teacher_logits * (1 / T)).softmax()`` and q likewise; with a gate,
+    the negated batch mean of the gated rows."""
+    if teacher_logits.shape != student_logits.shape:
+        raise ContractError("KL needs distributions of identical shape")
+    scale = 1.0 / temperature
+    p = _softmax_rows(teacher_logits.data * scale)
+    q = _softmax_rows(student_logits.data * scale)
+    log_p, above_p, clamped_p = _clamped_log(p)
+    log_q, above_q, clamped_q = _clamped_log(q)
+    diff = log_p + -log_q
+    rows = (p * diff).sum(axis=1)
+    n = rows.shape[0]
+    if gate is None:
+        value = np.add.reduce(rows, axis=None) / n
+    else:
+        value = -(np.add.reduce(rows * gate, axis=None) / n)
+
+    def bw(g: Array):
+        g_terms = g / n if gate is None else (-g / n * gate)[:, None]
+        g_diff = g_terms * p
+        g_t = g_s = None
+        if teacher_logits.requires_grad:
+            g_p = g_terms * diff + g_diff * above_p / clamped_p
+            g_t = _softmax_rows_bw(p, g_p) * scale
+        if student_logits.requires_grad:
+            g_s = _softmax_rows_bw(q, -g_diff * above_q / clamped_q) * scale
+        return (g_t, g_s)
+
+    return _node(value, (teacher_logits, student_logits), bw)
+
+
 def student_loss(teacher_logits: Tensor, student_logits: Tensor,
                  temperature: float = 1.0) -> Tensor:
     """Batch-mean KL(teacher || student) between tempered softmaxes."""
-    p = (teacher_logits * (1.0 / temperature)).softmax()
-    q = (student_logits * (1.0 / temperature)).softmax()
-    return _kl_rows(p, q).mean()
+    return _kl_loss(teacher_logits, student_logits, temperature)
 
 
 def distillation_loss_subset(teacher_logits: Tensor, full_logits: Tensor,
@@ -198,7 +287,7 @@ def distillation_loss_subset(teacher_logits: Tensor, full_logits: Tensor,
         raise ContractError("teacher must cover exactly the old classes")
     p = (teacher_logits * (1.0 / temperature)).softmax()
     q = col_slice((full_logits * (1.0 / temperature)).softmax(), 0, old_count)
-    return (p * (p.log() - q.log())).sum(axis=1).mean()
+    return _kl_rows(p, q).mean()
 
 
 def transferability_loss(teacher_logits: Tensor, student_logits: Tensor,
@@ -212,9 +301,7 @@ def transferability_loss(teacher_logits: Tensor, student_logits: Tensor,
     """
     gate = (teacher_logits.data.argmax(axis=1)
             != student_logits.data.argmax(axis=1)).astype(np.float64)
-    p = (teacher_logits * (1.0 / temperature)).softmax()
-    q = (student_logits * (1.0 / temperature)).softmax()
-    return -((_kl_rows(p, q) * Tensor(gate)).mean())
+    return _kl_loss(teacher_logits, student_logits, temperature, gate)
 
 
 def generator_total_loss(fidelity: Tensor | float, entropy: Tensor | float,

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (Array, BatchNormState, Parameter, Tensor,
-                       batchnorm_forward, col_slice, concat, matmul, one_hot)
+                       batchnorm_forward, concat, linear, one_hot)
 from .errors import ContractError
 
 
@@ -31,7 +31,7 @@ class Linear:
                               group)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return matmul(x, self.weight.value) + self.bias.value
+        return linear(x, self.weight.value, self.bias.value)
 
     def parameters(self) -> list[Parameter]:
         return [self.weight, self.bias]
@@ -138,30 +138,30 @@ class Classifier:
         return out
 
     def forward(self, x: Tensor | Array, mode: str = "eval",
-                capture_bn: bool = False, update_running: bool | None = None):
-        """Logits over every class seen; optionally also the per-layer batch
+                capture_bn: bool = False, update_running: bool | None = None,
+                session: int | None = None):
+        """Logits over every class seen, or only over the columns added in
+        ``session`` when one is given; optionally also the per-layer batch
         statistics of the backbone's batch-norm inputs."""
         if not isinstance(x, Tensor):
             x = Tensor(x)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ContractError(
                 f"expected input of shape (batch, {self.in_dim}), got {x.shape}")
+        blocks = self.head_blocks
+        if session is not None:
+            blocks = [b for b in blocks if b.session == session]
+            if not blocks:
+                raise ContractError(f"model has no head block for session {session}")
         if update_running is None:
             update_running = mode == "train"
         stats: list | None = [] if capture_bn else None
         h = self.backbone.forward(x, mode, update_running, stats)
-        logits = concat([block.linear(h) for block in self.head_blocks], axis=1)
+        parts = [block.linear(h) for block in blocks]
+        logits = parts[0] if len(parts) == 1 else concat(parts, axis=1)
         if capture_bn:
             return logits, stats
         return logits
-
-    def logits_slice(self, logits: Tensor, session: int) -> Tensor:
-        """The columns added in the given session."""
-        try:
-            lo, hi = self.session_map[session]
-        except KeyError:
-            raise ContractError(f"model has no head block for session {session}")
-        return col_slice(logits, lo, hi)
 
     def expand_head(self, session: int, classes: int, seed: int) -> None:
         """Append a block of freshly initialized columns for a new session.

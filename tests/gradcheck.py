@@ -20,7 +20,9 @@ from fedscil import (ClientConfig, LossWeights, Parameter, Tensor,
                      reverse_cross_entropy, student_loss,
                      transferability_loss)
 from fedscil.autodiff import (batchnorm_forward, BatchNormState, col_slice,
-                              concat, gather_rows, l2_norm, matmul, row_slice)
+                              concat, gather_rows, l2_norm, linear, matmul,
+                              row_slice)
+from fedscil.generation import teacher_logits
 from fedscil.losses import distillation_loss_subset
 from fedscil.models import Classifier, ConditionalGenerator
 
@@ -109,6 +111,14 @@ def _case_matmul(rng):
     return (lambda: matmul(a.value, b.value).sum()), [a, b]
 
 
+def _case_linear(rng):
+    x = _param("p0", rng.uniform(-1, 1, (4, 3)))
+    w = _param("p1", rng.uniform(-1, 1, (3, 2)))
+    b = _param("p2", rng.uniform(-1, 1, (2,)))
+    target = Tensor(rng.uniform(-1, 1, (4, 2)))
+    return (lambda: (linear(x.value, w.value, b.value) * target).sum()), [x, w, b]
+
+
 def _case_concat_slices(rng):
     a = _param("p0", rng.uniform(-1, 1, (3, 2)))
     b = _param("p1", rng.uniform(-1, 1, (3, 3)))
@@ -187,6 +197,43 @@ def _case_batchnorm_eval(rng):
         return (y * y).mean()
 
     return build, [x, gamma, beta]
+
+
+def _case_batchnorm_eval_statistics(rng):
+    """Eval mode with the batch statistics consumed, as teachers run."""
+    x = _param("p0", rng.uniform(-1, 1, (5, 3)))
+    gamma = _param("p1", rng.uniform(0.5, 1.5, (3,)))
+    beta = _param("p2", rng.uniform(-0.5, 0.5, (3,)))
+    state = BatchNormState(rng.uniform(-0.5, 0.5, 3), rng.uniform(0.5, 1.5, 3))
+    w = Tensor(rng.uniform(-1, 1, (5, 3)))
+
+    def build():
+        y, mu, var = batchnorm_forward(x.value, gamma.value, beta.value,
+                                       state, "eval")
+        return (y * w).sum() + (mu * mu).sum() + (var * var).sum()
+
+    return build, [x, gamma, beta]
+
+
+def _case_teacher_ensemble(rng):
+    """Session-head teacher forward with captured statistics, as the
+    generator objective uses it."""
+    teachers = []
+    for _ in range(2):
+        model = Classifier(in_dim=3, base_classes=2, seed=int(rng.integers(2**31)),
+                           hidden=5, feature_dim=4)
+        model.expand_head(1, 2, seed=int(rng.integers(2**31)))
+        teachers.append(model)
+    x = _param("p0", rng.uniform(-1, 1, (6, 3)))
+    y = rng.integers(0, 2, size=6)
+    running = [m.bn_running_stats() for m in teachers]
+    params = [x] + teachers[0].parameters()
+
+    def build():
+        ensemble, stats = teacher_logits(x.value, teachers, 1, capture_bn=True)
+        return cross_entropy(ensemble, y) + bn_stat_loss(stats, running)
+
+    return build, params
 
 
 def _case_cross_entropy(rng):
@@ -350,6 +397,7 @@ def _case_student_model(rng):
 CASES = [
     ("arithmetic", _case_arithmetic),
     ("matmul", _case_matmul),
+    ("linear", _case_linear),
     ("concat_and_slices", _case_concat_slices),
     ("gather_rows", _case_gather),
     ("relu_tanh", _case_relu_tanh),
@@ -359,6 +407,7 @@ CASES = [
     ("l2_norm", _case_l2_norm),
     ("batchnorm_train", _case_batchnorm_train),
     ("batchnorm_eval", _case_batchnorm_eval),
+    ("batchnorm_eval_statistics", _case_batchnorm_eval_statistics),
     ("cross_entropy", _case_cross_entropy),
     ("reverse_cross_entropy", _case_reverse_cross_entropy),
     ("noise_robust_loss", _case_noise_robust),
@@ -375,6 +424,7 @@ CASES = [
     ("classifier_forward_chain", _case_classifier_forward),
     ("generator_forward_chain", _case_generator_forward),
     ("student_forward_chain", _case_student_model),
+    ("teacher_ensemble", _case_teacher_ensemble),
 ]
 
 

@@ -1,17 +1,26 @@
-"""Independent dense reference for the aggregation pipeline.
+"""Independent references for tests.
 
-Expected values are computed with einsum over stacked state arrays, a
-different code path from the per-client accumulation loops in the package,
-so agreement is evidence rather than tautology.
+- Aggregation: expected values are computed with einsum over stacked state
+  arrays, a different code path from the per-client accumulation loops in
+  the package, so agreement is evidence rather than tautology.
+- Fused autodiff nodes: the composed graphs the fused nodes replace, built
+  from primitive ops. Under ``composed_graphs()`` the package runs on them,
+  so a test can demand bit-identical values and gradients.
 """
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
+
 import numpy as np
 
-from fedscil import Classifier
+from fedscil import Classifier, autodiff, generation, losses
 from fedscil.aggregation import (AccuracyMatrix, aggregate_old,
                                  assemble_global, cswa_aggregate_new,
                                  cswa_weights, fedavg_full)
+from fedscil.autodiff import (BatchNormState, Tensor, col_slice, gather_rows,
+                              l2_norm, matmul)
+from fedscil.errors import ContractError, DegenerateBatchError
 
 OLD_GROUPS = ("backbone", "head_old", "bn_stats")
 
@@ -115,3 +124,119 @@ def check_aggregation_against_dense(rng: np.random.Generator,
         assert np.array_equal(final[head.weight.name], w_out)
         assert np.array_equal(final[head.bias.name], b_out)
     return trials
+
+
+# -- composed references for the fused autodiff nodes --------------------------
+
+
+def composed_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return matmul(x, w) + b
+
+
+def composed_batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
+                       state: BatchNormState, mode: str,
+                       update_running: bool = True):
+    """Batch norm from primitive ops; returns (y, batch_mean, batch_var)."""
+    if mode not in ("train", "eval"):
+        raise ContractError(f"unknown batchnorm mode {mode!r}")
+    mu = x.mean(axis=0)
+    centered = x - mu
+    var = (centered * centered).mean(axis=0)
+    if mode == "train":
+        if x.shape[0] < 2:
+            raise DegenerateBatchError("batch statistics need at least 2 samples")
+        normed = centered / (var + state.epsilon).sqrt()
+        if update_running:
+            m = state.momentum
+            state.running_mean = (1.0 - m) * state.running_mean + m * mu.data
+            state.running_var = (1.0 - m) * state.running_var + m * var.data
+    else:
+        inv = 1.0 / np.sqrt(state.running_var + state.epsilon)
+        normed = (x - Tensor(state.running_mean)) * Tensor(inv)
+    y = gamma * normed + beta
+    return y, mu, var
+
+
+def composed_bn_stat_loss(batch_stats, running_stats) -> Tensor:
+    total = None
+    for per_layer, per_layer_running in zip(batch_stats, running_stats):
+        for (mu, var), (r_mu, r_var) in zip(per_layer, per_layer_running):
+            term = l2_norm(mu - Tensor(r_mu)) + l2_norm(var - Tensor(r_var))
+            total = term if total is None else total + term
+    return total * (1.0 / len(batch_stats))
+
+
+def composed_teacher_logits(x, teachers, session, capture_bn=False):
+    """Full-head forward of every teacher, then the session's columns."""
+    if not isinstance(x, Tensor):
+        x = Tensor(x)
+    slices, stats = [], []
+    for model in teachers:
+        logits, layer_stats = model.forward(x, mode="eval", capture_bn=True)
+        lo, hi = model.session_map[session]
+        slices.append(col_slice(logits, lo, hi))
+        stats.append(layer_stats)
+    total = slices[0]
+    for part in slices[1:]:
+        total = total + part
+    ensemble = total * (1.0 / len(teachers))
+    return (ensemble, stats) if capture_bn else ensemble
+
+
+def composed_cross_entropy(logits: Tensor, labels) -> Tensor:
+    p_y = gather_rows(logits.softmax(), np.asarray(labels, dtype=np.int64))
+    return -(p_y.log().mean())
+
+
+def composed_entropy_loss(teacher_logits: Tensor) -> Tensor:
+    return -losses.info_entropy(teacher_logits.softmax())
+
+
+def _composed_kl_rows(teacher_logits, student_logits, temperature):
+    p = (teacher_logits * (1.0 / temperature)).softmax()
+    q = (student_logits * (1.0 / temperature)).softmax()
+    return (p * (p.log() - q.log())).sum(axis=1)
+
+
+def composed_student_loss(teacher_logits, student_logits, temperature=1.0):
+    return _composed_kl_rows(teacher_logits, student_logits, temperature).mean()
+
+
+def composed_transferability_loss(teacher_logits, student_logits,
+                                  temperature=1.0):
+    gate = (teacher_logits.data.argmax(axis=1)
+            != student_logits.data.argmax(axis=1)).astype(np.float64)
+    rows = _composed_kl_rows(teacher_logits, student_logits, temperature)
+    return -((rows * Tensor(gate)).mean())
+
+
+COMPOSED = [
+    (autodiff.linear, composed_linear),
+    (autodiff.batchnorm_forward, composed_batchnorm),
+    (losses.bn_stat_loss, composed_bn_stat_loss),
+    (generation.teacher_logits, composed_teacher_logits),
+    (losses.cross_entropy, composed_cross_entropy),
+    (losses.generator_entropy_loss, composed_entropy_loss),
+    (losses.student_loss, composed_student_loss),
+    (losses.transferability_loss, composed_transferability_loss),
+]
+
+
+@contextmanager
+def composed_graphs():
+    """Run the package on the composed graphs: every fedscil module that
+    holds a fused function by name gets its composed reference instead."""
+    modules = [m for name, m in sorted(sys.modules.items())
+               if name == "fedscil" or name.startswith("fedscil.")]
+    saved = []
+    for fused, ref in COMPOSED:
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if value is fused:
+                    saved.append((module, name, value))
+                    setattr(module, name, ref)
+    try:
+        yield
+    finally:
+        for module, name, value in saved:
+            setattr(module, name, value)

@@ -222,3 +222,24 @@ def test_criterion_8_manifest_determinism(capsys, tmp_path, monkeypatch):
     _verdict(capsys, 8, ok,
              f"manifest replay reproduced metrics.jsonl byte for byte "
              f"({sessions} session records, {len(original)} bytes)")
+
+
+def test_manifest_rerun_reproduces_checkpoints_and_synthetics(tmp_path,
+                                                              monkeypatch):
+    """Next to criterion 8: the other deterministic artifacts of a manifest
+    rerun are byte-identical too."""
+    monkeypatch.setenv("FEDSCIL_RUN_ROOT", str(tmp_path))
+    assert main(["run", "--preset", "desk", "--quiet", "--save-checkpoints",
+                 "--export-synthetics"]) == 0
+    run_dir = next(p for p in tmp_path.iterdir() if p.is_dir())
+    replay = tmp_path / "replay"
+    assert main(["run", "--from-manifest", str(run_dir / "manifest.json"),
+                 "--out", str(replay), "--quiet"]) == 0
+    names = sorted(p.name for p in (run_dir / "checkpoints").iterdir())
+    assert names == [f"session_{t}.ckpt" for t in range(5)]
+    assert names == sorted(p.name for p in (replay / "checkpoints").iterdir())
+    for name in names:
+        assert (run_dir / "checkpoints" / name).read_bytes() == \
+            (replay / "checkpoints" / name).read_bytes(), name
+    synthetics = (run_dir / "synthetics.csv").read_bytes()
+    assert synthetics and synthetics == (replay / "synthetics.csv").read_bytes()

@@ -288,6 +288,26 @@ def test_missing_csv_exits_two(run_root, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("0.1,0.2,0\n\n0.3,0.4,1\n0.5,0.6,25\n0.7,0.8,2\n",
+     "row 4: label 25 outside [0, 20)"),
+    ("0.1,0.2,0\nabc,0.4,1\n", "row 2: non-numeric field"),
+    ("0.1,0.2,0\n0.3,1\n", "row 2: 2 fields, expected 3"),
+])
+def test_csv_dataset_faults_exit_one(run_root, tmp_path, capsys, rows, message):
+    train = tmp_path / "train.csv"
+    train.write_text(rows)
+    test = tmp_path / "test.csv"
+    test.write_text("0.1,0.2,0\n")
+    rc = main(["run", "--preset", "desk", "--set", f"data.csv_train={train}",
+               "--set", f"data.csv_test={test}", "--set", "data.classes=20",
+               "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert f"{train}: {message}" in err
+
+
 def test_report_matches_metrics(first_run, capsys):
     rc = main(["report", str(first_run.dir)])
     assert rc == 0

@@ -1,4 +1,6 @@
 """Classifier head growth, the conditional generator, and checkpoints."""
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -92,8 +94,9 @@ def test_session_slice_widths_and_concatenation(rng):
     model.expand_head(1, 2, seed=1)
     model.expand_head(2, 3, seed=2)
     assert model.session_map == {0: (0, 3), 1: (3, 5), 2: (5, 8)}
-    logits = model.forward(rng.standard_normal((4, 4)), mode="eval")
-    parts = [model.logits_slice(logits, t).data for t in (0, 1, 2)]
+    x = rng.standard_normal((4, 4))
+    logits = model.forward(x, mode="eval")
+    parts = [model.forward(x, mode="eval", session=t).data for t in (0, 1, 2)]
     assert parts[0].shape == (4, 3)
     assert np.array_equal(np.concatenate(parts, axis=1), logits.data)
     # hand-built column selection for the middle session
@@ -102,9 +105,8 @@ def test_session_slice_widths_and_concatenation(rng):
 
 def test_logits_slice_rejects_unknown_session(rng):
     model = Classifier(in_dim=4, base_classes=3, seed=0)
-    logits = model.forward(rng.standard_normal((2, 4)), mode="eval")
     with pytest.raises(ContractError):
-        model.logits_slice(logits, 1)
+        model.forward(rng.standard_normal((2, 4)), mode="eval", session=1)
 
 
 # -- clone and state ----------------------------------------------------------------
@@ -164,6 +166,17 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, rng):
     assert np.array_equal(rebuilt.forward(x, mode="eval").data,
                           model.forward(x, mode="eval").data)
     assert rebuilt.session_map == model.session_map
+
+
+def test_checkpoint_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
+    model = Classifier(in_dim=4, base_classes=3, seed=0)
+    saved = []
+    for clock in (1.0e9, 1.5e9):
+        monkeypatch.setattr(zipfile.time, "time", lambda: clock)
+        path = tmp_path / f"model-{clock:.0f}.ckpt"
+        save_state(path, model.state_entries(), extra={"arch": model.arch()})
+        saved.append(path.read_bytes())
+    assert saved[0] == saved[1]
 
 
 def test_checkpoint_rejects_duplicate_names(tmp_path):
