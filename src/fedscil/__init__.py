@@ -1,59 +1,42 @@
 """Deterministic simulator for federated few-shot class-incremental learning
 with synthetic-data replay, noise-aware local training, and class-specific
-weighted head aggregation."""
+weighted head aggregation.
+
+The package root re-exports the names the tests, the README and the
+benchmark import; everything else imports from its submodule.
+"""
 
 __version__ = "0.1.0"
 
-from .aggregation import (AccuracyMatrix, aggregate_old, assemble_global,
-                          build_accuracy_matrix, cswa_aggregate_new,
-                          cswa_weights, eval_class_accuracy, fedavg_full)
-from .autodiff import (Optimizer, OptimizerConfig, Parameter, Tensor, backprop,
-                       batchnorm_forward, grad)
+from .autodiff import Parameter, Tensor, backprop, grad
 from .client import ClientConfig, local_update_baseline_kd, local_update_nagr
-from .config import (ExperimentConfig, build_config, from_flat_dict, run_id,
-                     set_key, to_flat_dict, validate_config)
-from .data import (ClientShard, DatasetSplits, LabeledDataset, SessionSchedule,
-                   build_schedule, dirichlet_partition, load_csv_dataset,
-                   make_blobs, partition_summary)
-from .errors import (BufferGapError, ConfigError, ContractError,
-                     DegenerateBatchError, EmptyBufferError)
-from .generation import (GenLabConfig, ReplayBuffer, SyntheticPool, relabel,
-                         replay_sample, teacher_logits, train_generator_session)
+from .config import ExperimentConfig, build_config
+from .data import (LabeledDataset, build_schedule, dirichlet_partition,
+                   load_csv_dataset, make_blobs, partition_summary)
+from .errors import ConfigError
+from .generation import GenLabConfig, ReplayBuffer, train_generator_session
 from .losses import (LossWeights, bn_stat_loss, client_loss, cross_entropy,
                      generator_entropy_loss, generator_fidelity_loss,
                      generator_total_loss, info_entropy, noise_robust_loss,
                      replay_loss_subset, reverse_cross_entropy, student_loss,
                      transferability_loss)
 from .models import Classifier, ConditionalGenerator, make_student
-from .orchestrator import (RunResult, SessionMetrics, evaluate,
-                           run_base_session, run_experiment,
-                           run_incremental_session)
-from .seeding import derive_seed, rng_for
+from .orchestrator import run_experiment
 
 __all__ = [
-    "AccuracyMatrix", "aggregate_old", "assemble_global",
-    "build_accuracy_matrix", "cswa_aggregate_new", "cswa_weights",
-    "eval_class_accuracy", "fedavg_full",
-    "Optimizer", "OptimizerConfig", "Parameter", "Tensor", "backprop",
-    "batchnorm_forward", "grad",
+    "Parameter", "Tensor", "backprop", "grad",
     "ClientConfig", "local_update_baseline_kd", "local_update_nagr",
-    "ExperimentConfig", "build_config", "from_flat_dict", "run_id", "set_key",
-    "to_flat_dict", "validate_config",
-    "ClientShard", "DatasetSplits", "LabeledDataset", "SessionSchedule",
-    "build_schedule", "dirichlet_partition", "load_csv_dataset", "make_blobs",
-    "partition_summary",
-    "BufferGapError", "ConfigError", "ContractError", "DegenerateBatchError",
-    "EmptyBufferError",
-    "GenLabConfig", "ReplayBuffer", "SyntheticPool", "relabel",
-    "replay_sample", "teacher_logits", "train_generator_session",
+    "ExperimentConfig", "build_config",
+    "LabeledDataset", "build_schedule", "dirichlet_partition",
+    "load_csv_dataset", "make_blobs", "partition_summary",
+    "ConfigError",
+    "GenLabConfig", "ReplayBuffer", "train_generator_session",
     "LossWeights", "bn_stat_loss", "client_loss", "cross_entropy",
     "generator_entropy_loss", "generator_fidelity_loss",
     "generator_total_loss", "info_entropy", "noise_robust_loss",
     "replay_loss_subset", "reverse_cross_entropy", "student_loss",
     "transferability_loss",
     "Classifier", "ConditionalGenerator", "make_student",
-    "RunResult", "SessionMetrics", "evaluate", "run_base_session",
-    "run_experiment", "run_incremental_session",
-    "derive_seed", "rng_for",
+    "run_experiment",
     "__version__",
 ]

@@ -24,7 +24,7 @@ import sys
 from . import __version__
 from .checkpoint import save_state
 from .config import (ExperimentConfig, build_config, from_flat_dict, run_id,
-                     to_flat_dict, validate_config)
+                     to_flat_dict)
 from .errors import ConfigError
 from .generation import export_synthetics_csv
 from .orchestrator import inspect_partitions, run_experiment
@@ -119,7 +119,13 @@ def _claim_run_dir(cfg: ExperimentConfig, out: str | None) -> str:
 
 
 def _resolved_seeds(cfg: ExperimentConfig) -> dict:
-    """Every derived stream seed, for audit and component replay."""
+    """Every stream seed derived from the master seed, keyed by path; the one
+    list of those paths, for audit and component replay.
+
+    ``("genlab", t)`` is keyed by session, not by round: each round of a
+    session continues training the same generator and student, so every
+    round restarts their noise stream from the same seed.
+    """
     seeds: dict = {
         "data": derive_seed(cfg.seed, "data"),
         "schedule": derive_seed(cfg.seed, "schedule"),
@@ -169,7 +175,6 @@ def _cmd_run(args) -> int:
         with open(args.from_manifest, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
         cfg = from_flat_dict(manifest["config"])
-        validate_config(cfg)
     else:
         cfg = _load_config(args)
     if args.save_checkpoints:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (Optimizer, OptimizerConfig, Tensor, backprop,
-                       col_slice, row_slice)
+                       col_slice, frozen, row_slice)
 from .errors import ContractError
 from .generation import ReplayBuffer
 from .losses import (LossWeights, client_loss, cross_entropy,
@@ -134,7 +134,7 @@ def local_update_baseline_kd(model: Classifier, prev_model: Classifier,
         loss = cross_entropy(new_logits, new_labels)
         if replay_logits is None:
             return loss
-        teacher = prev_model.forward(Tensor(xr), mode="eval").detach()
+        teacher = prev_model.forward(Tensor(xr), mode="eval")
         if cfg.replay_loss == "subset":
             kd = distillation_loss_subset(teacher, replay_logits, old_count,
                                           weights.kl_temperature)
@@ -143,4 +143,6 @@ def local_update_baseline_kd(model: Classifier, prev_model: Classifier,
                               weights.kl_temperature)
         return loss + weights.k * kd
 
-    return _run_local(model, x, y, buffer, cfg, weights, seed, loss_fn)
+    # the teacher's forward pass needs no graph
+    with frozen(prev_model.parameters()):
+        return _run_local(model, x, y, buffer, cfg, weights, seed, loss_fn)

@@ -5,12 +5,8 @@ comments allowed. Values are coerced to the type of the field they target;
 tuples are comma-separated. Precedence, lowest to highest: dataclass
 defaults, preset, config file, command-line overrides.
 
-Seed derivation: a run has one master seed (``seed``). Component streams are
-derived from it with stable string paths: ``("data",)`` for the dataset,
-``("schedule",)`` for class order and shot selection, ``("init",)`` for the
-initial model, ``("base",)`` for base-session batching, ``("partition", t)``,
-``("head", t)``, ``("client", t, r, m)``, ``("genlab", t)``, and
-``("buffer", t)``, so any component can be reproduced in isolation.
+A run has one master seed (``seed``); every component stream is derived from
+it by a stable path, and ``cli._resolved_seeds`` lists every path a run draws.
 """
 from __future__ import annotations
 
@@ -26,7 +22,20 @@ from .errors import ConfigError
 from .generation import GenLabConfig
 from .losses import LossWeights
 
-METHODS = ("finetune", "baseline_kd", "sdd", "sdd_nagr_only", "sdd_cswa_only")
+# method -> (local rule, head rule). The local rule adds a replay term to the
+# clients' cross-entropy: None (session data only), "replay" (noise-aware
+# replay of pseudo-labeled synthetic samples) or "distill" (distillation of
+# the previous global model on them); the generator and the replay buffer run
+# exactly when it is not None. The head rule combines the session's new head
+# columns by client sample count ("count") or by per-class accuracy on the
+# synthetic pool ("cswa"); inherited parameters are always count-weighted.
+METHODS = {
+    "finetune": (None, "count"),
+    "baseline_kd": ("distill", "count"),
+    "sdd": ("replay", "cswa"),
+    "sdd_nagr_only": ("replay", "count"),
+    "sdd_cswa_only": ("distill", "cswa"),
+}
 
 CSWA_MODES = ("normalized", "paper_exact")
 
@@ -42,7 +51,7 @@ class DataConfig:
     sessions: int = 4
     way: int = 2
     shot: int = 5
-    csv_train: str = ""   # optional: load train split from CSV instead of blobs
+    csv_train: str = ""   # optional pair: load both splits from CSV, not blobs
     csv_test: str = ""
 
 
@@ -225,6 +234,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"schedule needs {d.base_classes + d.sessions * d.way} classes,"
             f" data.classes is only {d.classes}")
+    if bool(d.csv_train) != bool(d.csv_test):
+        raise ConfigError("data.csv_train and data.csv_test must be set together")
     if not d.csv_train and d.shot > d.per_class_train:
         raise ConfigError("data.shot exceeds data.per_class_train")
     if cfg.base.epochs < 1 or cfg.base.batch_size < 2:

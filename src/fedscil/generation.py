@@ -286,12 +286,6 @@ class ReplayBuffer:
         return rows
 
 
-def replay_sample(buffer: ReplayBuffer, count: int,
-                  seed: int | np.random.Generator) -> tuple[Array, Array]:
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return buffer.sample(count, rng)
-
-
 def export_synthetics_csv(path, rows) -> None:
     """Rows of (sample, condition_label, pseudo_label, session)."""
     with open(path, "w", newline="") as fh:
@@ -299,12 +293,6 @@ def export_synthetics_csv(path, rows) -> None:
         for sample, condition, pseudo, session in rows:
             writer.writerow([repr(float(v)) for v in sample]
                             + [int(condition), int(pseudo), int(session)])
-
-
-def pool_rows(pool: SyntheticPool) -> list[tuple]:
-    pseudo = pool.pseudo if pool.pseudo is not None else pool.condition
-    return [(pool.samples[i], int(pool.condition[i]), int(pseudo[i]), pool.session)
-            for i in range(len(pool))]
 
 
 def teacher_confidence(teachers: list[Classifier], session: int,

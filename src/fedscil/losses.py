@@ -1,7 +1,7 @@
 """Every training objective in the simulator, as autodiff graphs.
 
-The objectives of the generator step (cross entropy, the entropy term, the
-batch-norm statistics term, and the plain and gated KL) are fused nodes that
+Cross entropy, the entropy term, the batch-norm statistics term and every
+KL term (plain, gated, and old-class distillation) are fused nodes that
 repeat the arithmetic of their composed form; the rest are composed from
 autodiff ops.
 
@@ -224,23 +224,22 @@ def bn_stat_loss(batch_stats: list[list[tuple[Tensor, Tensor]]],
     return _node(total * scale, tuple(stats), bw)
 
 
-def _kl_rows(p: Tensor, q: Tensor) -> Tensor:
-    """Row-wise KL(p || q) for two (b, c) probability tensors."""
-    if p.shape != q.shape:
-        raise ContractError("KL needs distributions of identical shape")
-    return (p * (p.log() - q.log())).sum(axis=1)
-
-
 def _kl_loss(teacher_logits: Tensor, student_logits: Tensor,
-             temperature: float, gate: Array | None = None) -> Tensor:
+             temperature: float, gate: Array | None = None,
+             old_count: int | None = None) -> Tensor:
     """One node for the batch mean of row-wise KL(p || q), with
     ``p = (teacher_logits * (1 / T)).softmax()`` and q likewise; with a gate,
-    the negated batch mean of the gated rows."""
-    if teacher_logits.shape != student_logits.shape:
+    the negated batch mean of the gated rows. With ``old_count``, q is the
+    first ``old_count`` entries of the student's full-width softmax, and the
+    gradient into them is zero-padded to the full width before the softmax
+    backward pass."""
+    width = student_logits.shape[1] if old_count is None else old_count
+    if teacher_logits.shape != (student_logits.shape[0], width):
         raise ContractError("KL needs distributions of identical shape")
     scale = 1.0 / temperature
     p = _softmax_rows(teacher_logits.data * scale)
-    q = _softmax_rows(student_logits.data * scale)
+    q_full = _softmax_rows(student_logits.data * scale)
+    q = q_full[:, :width]
     log_p, above_p, clamped_p = _clamped_log(p)
     log_q, above_q, clamped_q = _clamped_log(q)
     diff = log_p + -log_q
@@ -259,7 +258,9 @@ def _kl_loss(teacher_logits: Tensor, student_logits: Tensor,
             g_p = g_terms * diff + g_diff * above_p / clamped_p
             g_t = _softmax_rows_bw(p, g_p) * scale
         if student_logits.requires_grad:
-            g_s = _softmax_rows_bw(q, -g_diff * above_q / clamped_q) * scale
+            g_q = np.zeros_like(q_full)
+            g_q[:, :width] = -g_diff * above_q / clamped_q
+            g_s = _softmax_rows_bw(q_full, g_q) * scale
         return (g_t, g_s)
 
     return _node(value, (teacher_logits, student_logits), bw)
@@ -285,9 +286,8 @@ def distillation_loss_subset(teacher_logits: Tensor, full_logits: Tensor,
         raise ContractError("old_count outside the head's width")
     if teacher_logits.shape != (full_logits.shape[0], old_count):
         raise ContractError("teacher must cover exactly the old classes")
-    p = (teacher_logits * (1.0 / temperature)).softmax()
-    q = col_slice((full_logits * (1.0 / temperature)).softmax(), 0, old_count)
-    return _kl_rows(p, q).mean()
+    return _kl_loss(teacher_logits, full_logits, temperature,
+                    old_count=old_count)
 
 
 def transferability_loss(teacher_logits: Tensor, student_logits: Tensor,

@@ -5,16 +5,10 @@ followed by T incremental sessions. Each incremental session partitions the
 session's few-shot data across clients with a per-class Dirichlet draw, runs
 local updates, trains the session's generator against the local models,
 aggregates, then relabels and banks the session's synthetic pool for future
-replay. Methods:
-
-- sdd            noise-aware replay clients + class-weighted head aggregation
-- sdd_nagr_only  noise-aware replay clients + plain weighted averaging
-- sdd_cswa_only  distillation clients + class-weighted head aggregation
-- baseline_kd    distillation clients + plain weighted averaging
-- finetune       no replay, no generator, plain weighted averaging
+replay. ``config.METHODS`` maps each method to its local and head rules.
 
 Everything is deterministic given the config: every random stream is derived
-from the master seed (see the config module docstring for the path scheme),
+from the master seed (``cli._resolved_seeds`` lists the paths),
 clients consume independent streams so results do not depend on iteration
 order, and metrics records carry no wall-clock fields (timings travel in a
 separate stream).
@@ -32,11 +26,10 @@ from .aggregation import (aggregate_old, assemble_global, build_accuracy_matrix,
 from .autodiff import Optimizer, OptimizerConfig, backprop
 from .client import (_epoch_batches, local_update_baseline_kd,
                      local_update_nagr)
-from .config import ExperimentConfig, run_id, validate_config
+from .config import METHODS, ExperimentConfig, run_id, validate_config
 from .data import (DatasetSplits, LabeledDataset, SessionSchedule,
                    build_schedule, dirichlet_partition, load_csv_dataset,
                    make_blobs, partition_summary)
-from .errors import ContractError
 from .generation import (ReplayBuffer, relabel, train_generator_session)
 from .losses import cross_entropy
 from .models import Classifier
@@ -83,8 +76,6 @@ class RunResult:
 def prepare_data(cfg: ExperimentConfig) -> DatasetSplits:
     d = cfg.data
     if d.csv_train:
-        if not d.csv_test:
-            raise ContractError("csv_train requires csv_test")
         train = load_csv_dataset(d.csv_train, d.classes)
         test = load_csv_dataset(d.csv_test, d.classes)
         return DatasetSplits(train, test)
@@ -174,8 +165,9 @@ def _train_base(model: Classifier, ds: LabeledDataset,
 
 def run_base_session(cfg: ExperimentConfig,
                      sched: SessionSchedule | None = None) -> BaseResult:
-    """Centralized training on the data-rich classes, then (for replay-based
-    methods) generator training against the fresh model and buffer seeding."""
+    """Centralized training on the data-rich classes, then (for methods with
+    a local replay rule) generator training against the fresh model and
+    buffer seeding."""
     if sched is None:
         sched = prepare_schedule(cfg)
     started = time.perf_counter()
@@ -186,7 +178,8 @@ def run_base_session(cfg: ExperimentConfig,
     _train_base(model, sched.train_by_session[0], cfg)
 
     buffer = ReplayBuffer(cfg.generator.buffer_capacity, cfg.replay_label_noise)
-    if cfg.method != "finetune":
+    local_rule, _ = METHODS[cfg.method]
+    if local_rule is not None:
         _, _, pool = train_generator_session(
             [model], 0, sched.session_range(0),
             (sched.envelope_low, sched.envelope_high), cfg.generator,
@@ -199,8 +192,9 @@ def run_base_session(cfg: ExperimentConfig,
     return BaseResult(model, buffer, metrics)
 
 
-def _local_models(cfg: ExperimentConfig, sched: SessionSchedule, t: int, r: int,
-                  current: Classifier, prev_global: Classifier, shards,
+def _local_models(cfg: ExperimentConfig, local_rule: str | None,
+                  sched: SessionSchedule, t: int, r: int, current: Classifier,
+                  prev_global: Classifier, shards,
                   buffer: ReplayBuffer) -> tuple[list[Classifier], list[int]]:
     data_t = sched.train_by_session[t]
     old_count = sched.session_range(t)[0]
@@ -208,14 +202,14 @@ def _local_models(cfg: ExperimentConfig, sched: SessionSchedule, t: int, r: int,
     for m, shard in enumerate(shards):
         x, y = data_t.x[shard.indices], data_t.y[shard.indices]
         seed = derive_seed(cfg.seed, "client", t, r, m)
-        if cfg.method in ("sdd", "sdd_nagr_only"):
+        if local_rule == "replay":
             local, n = local_update_nagr(current, x, y, buffer, cfg.weights,
                                          cfg.client, old_count, seed)
-        elif cfg.method in ("baseline_kd", "sdd_cswa_only"):
+        elif local_rule == "distill":
             local, n = local_update_baseline_kd(current, prev_global, x, y,
                                                 buffer, cfg.weights, cfg.client,
                                                 old_count, seed)
-        else:  # finetune: session data only
+        else:  # session data only
             no_replay = dataclasses.replace(cfg.weights, k=0.0)
             local, n = local_update_nagr(current, x, y, None, no_replay,
                                          cfg.client, old_count, seed)
@@ -231,7 +225,8 @@ def run_incremental_session(cfg: ExperimentConfig, sched: SessionSchedule,
     generator training and aggregation, then buffer growth and evaluation."""
     started = time.perf_counter()
     lo, hi = sched.session_range(t)
-    needs_replay = cfg.method != "finetune"
+    local_rule, head_rule = METHODS[cfg.method]
+    needs_replay = local_rule is not None
     if needs_replay:
         buffer.require(range(0, lo))
     current = prev_global.clone()
@@ -240,15 +235,15 @@ def run_incremental_session(cfg: ExperimentConfig, sched: SessionSchedule,
     generator = student = pool = None
     audit: dict | None = None
     for r in range(cfg.rounds):
-        locals_, counts = _local_models(cfg, sched, t, r, current, prev_global,
-                                        shards, buffer)
+        locals_, counts = _local_models(cfg, local_rule, sched, t, r, current,
+                                        prev_global, shards, buffer)
         if needs_replay:
             generator, student, pool = train_generator_session(
                 locals_, t, (lo, hi),
                 (sched.envelope_low, sched.envelope_high), cfg.generator,
                 cfg.weights, derive_seed(cfg.seed, "genlab", t),
                 generator=generator, student=student)
-        if cfg.method in ("sdd", "sdd_cswa_only"):
+        if head_rule == "cswa":
             matrix = build_accuracy_matrix(locals_, pool)
             blocks = [(m.head_blocks[-1].linear.weight.value.data,
                        m.head_blocks[-1].linear.bias.value.data)

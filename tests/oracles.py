@@ -192,21 +192,32 @@ def composed_entropy_loss(teacher_logits: Tensor) -> Tensor:
     return -losses.info_entropy(teacher_logits.softmax())
 
 
-def _composed_kl_rows(teacher_logits, student_logits, temperature):
+def composed_kl_rows(teacher_logits, student_logits, temperature,
+                     old_count=None):
+    """Row-wise KL(p || q) of the tempered softmaxes; with old_count, q is the
+    first old_count entries of the student's full-width softmax."""
     p = (teacher_logits * (1.0 / temperature)).softmax()
     q = (student_logits * (1.0 / temperature)).softmax()
+    if old_count is not None:
+        q = col_slice(q, 0, old_count)
     return (p * (p.log() - q.log())).sum(axis=1)
 
 
 def composed_student_loss(teacher_logits, student_logits, temperature=1.0):
-    return _composed_kl_rows(teacher_logits, student_logits, temperature).mean()
+    return composed_kl_rows(teacher_logits, student_logits, temperature).mean()
+
+
+def composed_distillation_loss_subset(teacher_logits, full_logits, old_count,
+                                      temperature=1.0):
+    return composed_kl_rows(teacher_logits, full_logits, temperature,
+                            old_count).mean()
 
 
 def composed_transferability_loss(teacher_logits, student_logits,
                                   temperature=1.0):
     gate = (teacher_logits.data.argmax(axis=1)
             != student_logits.data.argmax(axis=1)).astype(np.float64)
-    rows = _composed_kl_rows(teacher_logits, student_logits, temperature)
+    rows = composed_kl_rows(teacher_logits, student_logits, temperature)
     return -((rows * Tensor(gate)).mean())
 
 
@@ -218,6 +229,7 @@ COMPOSED = [
     (losses.cross_entropy, composed_cross_entropy),
     (losses.generator_entropy_loss, composed_entropy_loss),
     (losses.student_loss, composed_student_loss),
+    (losses.distillation_loss_subset, composed_distillation_loss_subset),
     (losses.transferability_loss, composed_transferability_loss),
 ]
 

@@ -145,6 +145,39 @@ def test_baseline_kd_checks_previous_model_width(rng):
                                  _fast_cfg(), 4, seed=5)
 
 
+@pytest.mark.parametrize("replay_loss", ["subset", "sliced"])
+def test_baseline_kd_teacher_builds_no_graph_and_is_left_as_it_was(rng,
+                                                                   replay_loss):
+    from fedscil.generation import ReplayBuffer, SyntheticPool
+    model = _expanded_model()
+    prev = Classifier(in_dim=4, base_classes=4, seed=9, hidden=16,
+                      feature_dim=8)
+    prev.parameters()[0].value.requires_grad = False
+    flags = [p.value.requires_grad for p in prev.parameters()]
+    values = _params(prev)
+    labels = np.tile(np.arange(4), 4)
+    buffer = ReplayBuffer(10)
+    buffer.add_pool(SyntheticPool(0, 0, 4, rng.standard_normal((16, 4)),
+                                  labels, labels), rng)
+    outputs = []
+
+    def spy(*args, **kwargs):
+        out = Classifier.forward(prev, *args, **kwargs)
+        outputs.append(out)
+        return out
+
+    prev.forward = spy
+    x, y = _shard(rng)
+    trained, _ = local_update_baseline_kd(
+        model, prev, x, y, buffer, LossWeights(k=1.0),
+        _fast_cfg(replay_loss=replay_loss), 4, seed=5)
+    assert outputs and not any(out.requires_grad for out in outputs)
+    assert [p.value.requires_grad for p in prev.parameters()] == flags
+    after = _params(prev)
+    assert all(np.array_equal(values[k], after[k]) for k in values)
+    assert all(p.value.requires_grad for p in trained.parameters())
+
+
 def test_replay_without_buffer_is_rejected(rng):
     from fedscil.generation import ReplayBuffer
     model = _expanded_model()

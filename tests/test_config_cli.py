@@ -308,6 +308,89 @@ def test_csv_dataset_faults_exit_one(run_root, tmp_path, capsys, rows, message):
     assert f"{train}: {message}" in err
 
 
+@pytest.mark.parametrize("half", ["csv_train", "csv_test"])
+def test_csv_path_without_its_pair_exits_one(run_root, tmp_path, capsys, half):
+    path = tmp_path / "data.csv"
+    path.write_text("0.1,0.2,0\n")
+    rc = main(["run", "--preset", "desk", "--set", f"data.{half}={path}",
+               "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "data.csv_train and data.csv_test must be set together" in err
+
+
+def _seed_paths(seeds: dict) -> dict:
+    """The manifest's seeds block as {path tuple: seed}."""
+    out = {}
+    for key, value in seeds.items():
+        if isinstance(value, dict):
+            for sub, seed in value.items():
+                out[(key, *(int(i) for i in sub.split(",")))] = seed
+        else:
+            out[(key,)] = value
+    return out
+
+
+def test_manifest_seeds_are_exactly_the_paths_drawn(run_root, tmp_path,
+                                                   monkeypatch):
+    """Every stream a run draws from the master seed is in the manifest, and
+    every manifest stream is drawn by some method.
+
+    ``("genlab", t)`` is keyed by session: every round of a session draws it
+    again and continues the generator and student of the round before.
+    """
+    from fedscil import orchestrator
+    from fedscil.config import METHODS
+    from fedscil.seeding import derive_seed, rng_for
+    drawn, generator_calls = [], []
+
+    def spy_derive_seed(master, *path):
+        drawn.append((master, path))
+        return derive_seed(master, *path)
+
+    def spy_rng_for(master, *path):
+        drawn.append((master, path))
+        return rng_for(master, *path)
+
+    train = orchestrator.train_generator_session
+
+    def spy_train(teachers, session, *args, generator=None, student=None):
+        generator_calls.append((session, generator is not None,
+                                student is not None))
+        return train(teachers, session, *args, generator=generator,
+                     student=student)
+
+    monkeypatch.setattr(orchestrator, "derive_seed", spy_derive_seed)
+    monkeypatch.setattr(orchestrator, "rng_for", spy_rng_for)
+    monkeypatch.setattr(orchestrator, "train_generator_session", spy_train)
+    cfg_file = tmp_path / "light.cfg"
+    cfg_file.write_text(LIGHT_FILE)
+    union = set()
+    for method, (local_rule, _) in METHODS.items():
+        drawn.clear()
+        generator_calls.clear()
+        out = tmp_path / method
+        rc = main(["run", "--config", str(cfg_file), "--method", method,
+                   "--set", "rounds=2", "--set", "clients=2",
+                   "--out", str(out), "--quiet"])
+        assert rc == 0
+        with open(out / "manifest.json", encoding="utf-8") as fh:
+            manifest = _seed_paths(json.load(fh)["seeds"])
+        assert {master for master, _ in drawn} == {0}
+        for _, path in drawn:
+            assert manifest.get(path) == derive_seed(0, *path), path
+        union |= {path for _, path in drawn}
+        genlab = [path for _, path in drawn if path[0] == "genlab"]
+        if local_rule is None:
+            assert genlab == [] and generator_calls == []
+        else:
+            assert genlab == [("genlab", 0), ("genlab", 1), ("genlab", 1)]
+            assert generator_calls == [(0, False, False), (1, False, False),
+                                       (1, True, True)]
+    assert union == set(manifest)
+
+
 def test_report_matches_metrics(first_run, capsys):
     rc = main(["report", str(first_run.dir)])
     assert rc == 0

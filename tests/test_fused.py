@@ -12,9 +12,9 @@ from fedscil.autodiff import BatchNormState, batchnorm_forward, frozen, row_slic
 from fedscil.generation import GenLabConfig, generator_loss, teacher_logits
 from fedscil.models import make_student
 from oracles import (composed_batchnorm, composed_cross_entropy,
-                     composed_entropy_loss, composed_graphs,
-                     composed_student_loss, composed_teacher_logits,
-                     composed_transferability_loss)
+                     composed_distillation_loss_subset, composed_entropy_loss,
+                     composed_graphs, composed_student_loss,
+                     composed_teacher_logits, composed_transferability_loss)
 
 IN_DIM, SESSION, CLASSES = 6, 2, 2
 
@@ -181,6 +181,23 @@ def test_fused_loss_matches_composed_graph(name):
     a, b = fused(t.value, s.value, y), composed(t.value, s.value, y)
     assert np.array_equal(a.data, b.data)
     _assert_grads_equal(grad(a * 0.7, [t, s]), grad(b * 0.7, [t, s]))
+
+
+@pytest.mark.parametrize("new_columns", [0, 1, 3])
+def test_distillation_subset_matches_composed_graph(new_columns):
+    # the old-class width is the whole head when there are no new columns
+    rng = np.random.default_rng(14 + new_columns)
+    for _ in range(25):
+        n, old = int(rng.integers(1, 20)), int(rng.integers(1, 7))
+        temperature = float(rng.uniform(0.5, 3.0))
+        t = Parameter("t", Tensor(rng.uniform(-4, 4, (n, old))), "backbone")
+        s = Parameter("s", Tensor(rng.uniform(-4, 4, (n, old + new_columns))),
+                      "backbone")
+        a = losses.distillation_loss_subset(t.value, s.value, old, temperature)
+        b = composed_distillation_loss_subset(t.value, s.value, old,
+                                              temperature)
+        assert np.array_equal(a.data, b.data)
+        _assert_grads_equal(grad(a * 0.7, [t, s]), grad(b * 0.7, [t, s]))
 
 
 def test_frozen_restores_trainability_exactly():

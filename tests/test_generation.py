@@ -10,9 +10,9 @@ from fedscil import (Classifier, LossWeights, ReplayBuffer, Tensor,
 from fedscil.autodiff import Parameter, grad
 from fedscil.errors import BufferGapError, ContractError, EmptyBufferError
 from fedscil.generation import (GenLabConfig, SyntheticPool,
-                                export_synthetics_csv, pool_rows, relabel,
-                                replay_sample, teacher_confidence,
-                                teacher_logits, teacher_pool_entropy)
+                                export_synthetics_csv, relabel,
+                                teacher_confidence, teacher_logits,
+                                teacher_pool_entropy)
 from fedscil.models import make_student
 
 
@@ -257,23 +257,15 @@ def test_buffer_rejects_out_of_range_pseudo(rng):
         buffer.add_pool(pool, rng)
 
 
-def test_replay_sample_seed_matches_generator():
-    buffer = ReplayBuffer(10)
-    buffer.add_pool(_labeled_pool(np.arange(6.0).reshape(6, 1), [0, 0, 1, 1, 2, 2]),
-                    np.random.default_rng(0))
-    x_a, y_a = replay_sample(buffer, 9, 42)
-    x_b, y_b = replay_sample(buffer, 9, np.random.default_rng(42))
-    assert np.array_equal(x_a, x_b)
-    assert np.array_equal(y_a, y_b)
-
-
 # -- export ---------------------------------------------------------------------------
 
 def test_synthetics_csv_round_trip(tmp_path, rng):
     pool = SyntheticPool(1, 3, 5, rng.standard_normal((4, 3)),
                          np.array([3, 4, 3, 4]), np.array([4, 4, 3, 3]))
     path = tmp_path / "synthetics.csv"
-    export_synthetics_csv(path, pool_rows(pool))
+    export_synthetics_csv(path, [
+        (pool.samples[i], pool.condition[i], pool.pseudo[i], pool.session)
+        for i in range(len(pool))])
     with open(path, newline="") as fh:
         parsed = list(csv.reader(fh))
     assert len(parsed) == 4
@@ -283,13 +275,6 @@ def test_synthetics_csv_round_trip(tmp_path, rng):
         assert int(row[3]) == pool.condition[i]
         assert int(row[4]) == pool.pseudo[i]
         assert int(row[5]) == 1
-
-
-def test_pool_rows_fall_back_to_condition(rng):
-    pool = SyntheticPool(0, 0, 2, rng.standard_normal((3, 2)),
-                         np.array([0, 1, 0]))
-    rows = pool_rows(pool)
-    assert [r[2] for r in rows] == [0, 1, 0]
 
 
 # -- configuration and pool diagnostics -------------------------------------------------

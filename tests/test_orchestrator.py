@@ -9,7 +9,7 @@ import pytest
 from conftest import desk_config
 from fedscil import Classifier, ReplayBuffer, run_experiment
 from fedscil.data import LabeledDataset
-from fedscil.errors import BufferGapError, ContractError
+from fedscil.errors import BufferGapError, ConfigError
 from fedscil.orchestrator import (evaluate, inspect_partitions, prepare_data,
                                   prepare_partitions, run_incremental_session)
 
@@ -185,9 +185,8 @@ def test_inspect_partitions_is_json_ready():
 # -- failure paths -----------------------------------------------------------------------------------
 
 def test_csv_train_without_test_is_rejected():
-    cfg = light_config("data.csv_train=somewhere.csv")
-    with pytest.raises(ContractError):
-        prepare_data(cfg)
+    with pytest.raises(ConfigError, match="set together"):
+        light_config("data.csv_train=somewhere.csv")
 
 
 def test_replay_session_requires_a_seeded_buffer(desk_base):
