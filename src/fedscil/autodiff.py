@@ -20,13 +20,24 @@ value has consumers outside the fused node (the batch statistics), it stays
 a node of its own and the walk keeps ordering its gradient. The composed
 graphs live on in the tests as references.
 
+``linear`` and ``batchnorm_forward`` also take a leading model axis, so
+several models of one architecture run as one chain of nodes (the generator
+step's teachers and its opponent student). Stacking keeps every float of the
+per-model graphs under two rules. Backward multiplies by transposed views
+(``swapaxes``), never by contiguous copies, which BLAS may sum in another
+order. A shared input's gradient is ``np.add.reduce`` over the model axis,
+((g0 + g1) + g2) + ..., the order in which the walk summed the per-model
+graphs of the generator objective: teachers in list order, then the
+opponent. What differs is the sign of a zero at most: the reduction starts
+from 0.0, and a model slot's gradient arrives zero-padded to the stack.
+
 Numerical conventions, all of which tests rely on:
 - ``log`` clamps its argument to >= 1e-12 and passes zero gradient below the
   clamp point.
 - softmax is row-wise and max-stabilized.
-- batch normalization reports the batch mean and variance as graph nodes of
-  their own (losses differentiate through them); the running statistics are
-  plain arrays updated by EMA with
+- batch normalization reports the batch mean and variance, when the caller
+  captures them, as graph nodes of their own (losses differentiate through
+  them); the running statistics are plain arrays updated by EMA with
   ``running = (1 - momentum) * running + momentum * batch``.
 """
 from __future__ import annotations
@@ -260,18 +271,60 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` as one node: matmul, then the broadcast bias add."""
-    if x.ndim != 2 or w.ndim != 2:
-        raise ContractError("matmul expects 2-d operands")
-    if x.shape[1] != w.shape[0]:
-        raise ContractError(f"matmul shape mismatch {x.shape} @ {w.shape}")
+    """``x @ w + b`` as one node: matmul, then the broadcast bias add.
+
+    With stacked weights, ``w`` (models, d, h) and ``b`` (models, 1, h), every
+    model reads either one shared (batch, d) input or its own slice of a
+    stacked (models, batch, d) one; the output is (models, batch, h), and a
+    shared input's gradient is the sum over models in model order.
+    """
+    if (not 2 <= x.ndim <= w.ndim <= 3 or x.shape[-1] != w.shape[-2]
+            or x.shape[:-2] not in ((), w.shape[:-2])):
+        raise ContractError(f"linear shape mismatch {x.shape} @ {w.shape}")
+    shared = x.ndim < w.ndim
 
     def bw(g: Array):
-        return (g @ w.data.T if x.requires_grad else None,
-                x.data.T @ g if w.requires_grad else None,
-                _unbroadcast(g, b.shape) if b.requires_grad else None)
+        g_x = g_w = None
+        if x.requires_grad:
+            # a transposed view, not a copy: BLAS then takes the same path
+            # for each model as for a single weight matrix
+            g_x = g @ w.data.swapaxes(-1, -2)
+            if shared:
+                g_x = np.add.reduce(g_x, axis=0)
+        if w.requires_grad:
+            g_w = x.data.swapaxes(-1, -2) @ g
+        return (g_x, g_w, _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _node(x.data @ w.data + b.data, (x, w, b), bw)
+
+
+def model_mean(t: Tensor, count: int) -> Tensor:
+    """Mean of the first ``count`` models of a stacked tensor: their sum in
+    model order, then times ``1 / count``, as an add chain over the models
+    followed by one scaling computes it."""
+    if not 1 <= count <= t.shape[0]:
+        raise ContractError(f"cannot average {count} of {t.shape[0]} models")
+    scale = 1.0 / count
+
+    def bw(g: Array):
+        full = np.zeros_like(t.data)
+        full[:count] = g * scale
+        return (full,)
+
+    return _node(np.add.reduce(t.data[:count], axis=0) * scale, (t,), bw)
+
+
+def model_slot(t: Tensor, index: int) -> Tensor:
+    """Model ``index`` of a stacked tensor."""
+    if not 0 <= index < t.shape[0]:
+        raise ContractError(f"model {index} outside a stack of {t.shape[0]}")
+
+    def bw(g: Array):
+        full = np.zeros_like(t.data)
+        full[index] = g
+        return (full,)
+
+    return _node(t.data[index], (t,), bw)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
@@ -462,15 +515,24 @@ class BatchNormState:
 
 def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
                       state: BatchNormState, mode: str,
-                      update_running: bool = True) -> tuple[Tensor, Tensor, Tensor]:
-    """Returns (y, batch_mean, batch_var).
+                      update_running: bool = True,
+                      capture: bool = True,
+                      ) -> tuple[Tensor, Tensor | None, Tensor | None]:
+    """Returns (y, batch_mean, batch_var); the statistics are None unless
+    ``capture``.
 
     Train mode normalizes by batch statistics and EMA-updates the running
-    ones; eval mode normalizes by running statistics. The batch statistics
-    are graph nodes in both modes: generator training differentiates a
-    statistics-matching loss through them while the teacher itself stays
-    frozen (its running stats are only mutated in train mode with
-    update_running=True).
+    ones; eval mode normalizes by running statistics. Captured batch
+    statistics are graph nodes in both modes: generator training
+    differentiates a statistics-matching loss through them while the teacher
+    itself stays frozen (its running stats are only mutated in train mode
+    with update_running=True). Eval mode without capture computes no batch
+    statistics at all.
+
+    With a leading model axis, x is (models, batch, channels), gamma, beta
+    and the running statistics are (models, 1, channels), each model
+    normalizes its own slice, and the statistics come out (models, 1,
+    channels).
 
     ``y`` is one fused node over x, gamma and beta; in train mode it also
     carries the gradient through the batch statistics it normalized by. The
@@ -482,25 +544,38 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     """
     if mode not in ("train", "eval"):
         raise ContractError(f"unknown batchnorm mode {mode!r}")
-    if x.ndim != 2:
-        raise ContractError("batchnorm expects a 2-d (batch, channels) tensor")
-    if x.shape[1] != state.running_mean.shape[0]:
+    if x.ndim not in (2, 3):
+        raise ContractError("batchnorm expects a (batch, channels) or "
+                            "(models, batch, channels) tensor")
+    if x.shape[-1] != state.running_mean.shape[-1]:
         raise ContractError("channel count does not match running statistics")
-    if mode == "train" and x.shape[0] < 2:
+    if mode == "train" and x.shape[-2] < 2:
         raise DegenerateBatchError("batch statistics need at least 2 samples")
 
-    count = x.shape[0]
-    mu = x.mean(axis=0)
-    centered = x.data - mu.data
-    # biased, matches normalization; add.reduce / count is ndarray.mean
-    var_data = np.add.reduce(centered * centered, axis=0) / count
+    axis = x.ndim - 2  # the batch axis
+    stacked = x.ndim == 3
+    count = x.shape[axis]
 
-    def var_bw(g: Array):
-        g_c = g / count * centered
-        g_c = g_c + g_c  # c * c sends one share per operand
-        return (g_c, -g_c.sum(axis=0))
+    def batch_sum(a: Array) -> Array:
+        # what ndarray.sum(axis=0) computes for one model
+        return np.add.reduce(a, axis=axis, keepdims=stacked)
 
-    var = _node(var_data, (x, mu), var_bw)
+    mu = var = None
+    if mode == "train" or capture:
+        mu_data = batch_sum(x.data) / count
+        centered = x.data - mu_data
+        # biased, matches normalization; add.reduce / count is ndarray.mean
+        var_data = batch_sum(centered * centered) / count
+    if capture:
+        mu = _node(mu_data, (x,),
+                   lambda g: (np.broadcast_to(g / count, x.shape).copy(),))
+
+        def var_bw(g: Array):
+            g_c = g / count * centered
+            g_c = g_c + g_c  # c * c sends one share per operand
+            return (g_c, -batch_sum(g_c))
+
+        var = _node(var_data, (x, mu), var_bw)
 
     g_data, b_data = gamma.data, beta.data
     if mode == "train":
@@ -509,18 +584,18 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
 
         def bw(g: Array):
             g_n = g * g_data
-            g_std = (-g_n * centered / (std * std)).sum(axis=0)
+            g_std = batch_sum(-g_n * centered / (std * std))
             g_sq = g_std * 0.5 / np.maximum(std, 1e-150) / count * centered
             # into c: the normalization's share first, then c * c's two;
             # into x: c's gradient, then the mean's share through c = x - mu
             g_c = g_n / std + g_sq + g_sq
-            return (g_c + -g_c.sum(axis=0) / count,
-                    (g * normed).sum(axis=0) if gamma.requires_grad else None,
-                    g.sum(axis=0) if beta.requires_grad else None)
+            return (g_c + -batch_sum(g_c) / count,
+                    batch_sum(g * normed) if gamma.requires_grad else None,
+                    batch_sum(g) if beta.requires_grad else None)
 
         if update_running:
             m = state.momentum
-            state.running_mean = (1.0 - m) * state.running_mean + m * mu.data
+            state.running_mean = (1.0 - m) * state.running_mean + m * mu_data
             state.running_var = (1.0 - m) * state.running_var + m * var_data
     else:
         inv = 1.0 / np.sqrt(state.running_var + state.epsilon)
@@ -528,8 +603,8 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
 
         def bw(g: Array):
             return (g * g_data * inv if x.requires_grad else None,
-                    (g * normed).sum(axis=0) if gamma.requires_grad else None,
-                    g.sum(axis=0) if beta.requires_grad else None)
+                    batch_sum(g * normed) if gamma.requires_grad else None,
+                    batch_sum(g) if beta.requires_grad else None)
 
     y = _node(g_data * normed + b_data, (x, gamma, beta), bw)
     return y, mu, var

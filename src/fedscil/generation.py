@@ -19,12 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Optimizer, OptimizerConfig, Tensor, backprop, frozen
+from .autodiff import (Optimizer, OptimizerConfig, Tensor, backprop,
+                       model_mean, model_slot)
 from .errors import BufferGapError, ContractError, EmptyBufferError
 from .losses import (LossWeights, bn_stat_loss, generator_entropy_loss,
                      generator_fidelity_loss, generator_total_loss,
                      info_entropy, student_loss, transferability_loss)
-from .models import Classifier, ConditionalGenerator, make_student
+from .models import Classifier, ConditionalGenerator, ModelStack, make_student
 from .seeding import derive_seed
 
 Array = np.ndarray
@@ -71,47 +72,43 @@ class SyntheticPool:
         return int(self.samples.shape[0])
 
 
-def teacher_logits(x: Tensor | Array, teachers: list[Classifier],
-                   session: int, capture_bn: bool = False):
-    """Mean over teachers of the session-slice logits; with capture_bn, also
-    each teacher's per-layer batch statistics.
+def teacher_logits(x: Tensor | Array, stack: ModelStack,
+                   capture_bn: bool = False):
+    """One stacked pass: (ensemble, opponent, stats).
 
-    One teacher degenerates to its own slice. Gradients flow through to x;
-    teacher parameters get none when the caller freezes them.
+    ``ensemble`` is the mean over the stack's teachers of their session
+    logits; ``opponent`` the opponent slot's logits, None when the stack has
+    none; ``stats`` every slot's per-layer batch statistics with capture_bn,
+    else None. Gradients flow through to x; the stack's parameters are
+    constants.
     """
-    if not teachers:
-        raise ContractError("need at least one teacher")
     if not isinstance(x, Tensor):
         x = Tensor(x)
-    total: Tensor | None = None
-    stats = []
-    for model in teachers:
-        part = model.forward(x, mode="eval", capture_bn=capture_bn,
-                             session=session)
-        if capture_bn:
-            part, layer_stats = part
-            stats.append(layer_stats)
-        total = part if total is None else total + part
-    ensemble = total * (1.0 / len(teachers))
-    return (ensemble, stats) if capture_bn else ensemble
+    logits, stats = stack.forward(x, capture_bn)
+    teachers = len(stack.teachers)
+    ensemble = model_mean(logits, teachers)
+    opponent = None if stack.opponent is None else model_slot(logits, teachers)
+    return ensemble, opponent, stats
 
 
-def generator_loss(generator: ConditionalGenerator, student: Classifier,
-                   teachers: list[Classifier], session: int, running: list,
+def generator_loss(generator: ConditionalGenerator, stack: ModelStack,
                    z: Array, labels: Array, weights: LossWeights):
     """The generator objective on one noise batch.
 
-    Returns (loss, synthetic batch, teacher ensemble logits). ``running`` is
-    each teacher's ``bn_running_stats()``. The teachers run in eval mode and
-    the student is the opponent of the disagreement term.
+    Returns (loss, synthetic batch, teacher ensemble logits). The stack's
+    teachers and its opponent slot, the student of the disagreement term,
+    run in eval mode as one pass.
     """
     fake = generator.forward(z, labels, mode="train")
-    ensemble, stats = teacher_logits(fake, teachers, session, capture_bn=True)
+    ensemble, opponent, stats = teacher_logits(fake, stack,
+                                               capture_bn=weights.lambda3 != 0)
     fidelity = generator_fidelity_loss(ensemble, labels)
     entropy = generator_entropy_loss(ensemble)
-    stat_term = bn_stat_loss(stats, running) if weights.lambda3 != 0 else 0.0
+    stat_term = (bn_stat_loss(stats, stack.running_stats())
+                 if weights.lambda3 != 0 else 0.0)
     if weights.lambda4 != 0:
-        opponent = student.forward(fake, mode="eval")
+        if opponent is None:
+            raise ContractError("the disagreement term needs an opponent slot")
         disagreement = transferability_loss(ensemble, opponent,
                                             weights.kl_temperature)
     else:
@@ -159,11 +156,10 @@ def train_generator_session(teachers: list[Classifier], session: int,
                         OptimizerConfig("sgd_momentum", stu_rates,
                                         momentum=cfg.student_momentum))
 
-    running = [model.bn_running_stats() for model in teachers]
-    # the generator step differentiates through the teachers and the
-    # opponent student but updates neither
-    opponents = [p for model in teachers for p in model.parameters()]
-    opponents += student.parameters()
+    # the generator step reads copies of the teachers and of the opponent
+    # student, so it updates neither
+    stack = ModelStack(teachers, session,
+                       student if weights.lambda4 != 0 else None)
     rng = np.random.default_rng(derive_seed(seed, "draws"))
     banked_x, banked_y = [], []
 
@@ -172,11 +168,10 @@ def train_generator_session(teachers: list[Classifier], session: int,
             z = rng.standard_normal((cfg.batch_size, cfg.noise_dim))
             labels = rng.integers(0, c, size=cfg.batch_size)
 
-            with frozen(opponents):
-                loss, fake, ensemble = generator_loss(
-                    generator, student, teachers, session, running, z, labels,
-                    weights)
-                backprop(loss, generator.parameters())
+            stack.load_opponent()
+            loss, fake, ensemble = generator_loss(generator, stack, z, labels,
+                                                  weights)
+            backprop(loss, generator.parameters())
             gen_opt.step()
 
             # student step on the same batch, detached from the generator
@@ -298,7 +293,7 @@ def export_synthetics_csv(path, rows) -> None:
 def teacher_confidence(teachers: list[Classifier], session: int,
                        pool: SyntheticPool) -> float:
     """Mean ensemble softmax probability of each sample's condition class."""
-    logits = teacher_logits(pool.samples, teachers, session)
+    logits, _, _ = teacher_logits(pool.samples, ModelStack(teachers, session))
     probs = logits.softmax().data
     local = pool.condition - pool.class_lo
     return float(probs[np.arange(len(pool)), local].mean())
@@ -307,5 +302,5 @@ def teacher_confidence(teachers: list[Classifier], session: int,
 def teacher_pool_entropy(teachers: list[Classifier], session: int,
                          pool: SyntheticPool) -> float:
     """Mean scaled prediction entropy of the ensemble over the pool."""
-    logits = teacher_logits(pool.samples, teachers, session)
+    logits, _, _ = teacher_logits(pool.samples, ModelStack(teachers, session))
     return float(info_entropy(logits.softmax()).data)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (Array, Tensor, _clamped_log, _node, _softmax_rows,
-                       _softmax_rows_bw, _unbroadcast, col_slice, gather_rows,
+                       _softmax_rows_bw, col_slice, gather_rows,
                        one_hot)
 from .errors import ContractError
 
@@ -185,40 +185,52 @@ def generator_entropy_loss(teacher_logits: Tensor) -> Tensor:
                  (teacher_logits,), bw)
 
 
-def bn_stat_loss(batch_stats: list[list[tuple[Tensor, Tensor]]],
-                 running_stats: list[list[tuple[Array, Array]]]) -> Tensor:
-    """Mean over teachers of the summed L2 distances between the synthetic
-    batch's per-layer statistics and that teacher's running statistics.
+def bn_stat_loss(batch_stats: list[tuple[Tensor, Tensor]],
+                 running_stats: list[tuple[Array, Array]]) -> Tensor:
+    """Mean over models of the summed L2 distances between the synthetic
+    batch's per-layer statistics and that model's running statistics.
+
+    Both lists hold one (mean, var) pair per layer, each with a leading model
+    axis. The running statistics belong to the M models compared; batch
+    statistics may carry further models after those (the opponent slot of
+    the generator step), which take no part and get zero gradient.
 
     One node over every statistic. It repeats the arithmetic of
-    ``l2_norm(mu - r_mu) + l2_norm(var - r_var)`` summed layer by layer,
-    teacher by teacher, then scaled by 1 / teachers.
+    ``l2_norm(mu[m] - r_mu[m]) + l2_norm(var[m] - r_var[m])`` summed layer by
+    layer, model by model, then scaled by 1 / M.
     """
     if len(batch_stats) != len(running_stats) or not batch_stats:
-        raise ContractError("need matching, nonempty per-teacher statistics")
+        raise ContractError("need matching, nonempty per-layer statistics")
+    models = running_stats[0][0].shape[0]
     stats: list[Tensor] = []
     diffs: list[Array] = []
     norms: list[Array] = []
+    for (mu, var), (r_mu, r_var) in zip(batch_stats, running_stats):
+        for stat, ref in ((mu, r_mu), (var, r_var)):
+            if ref.shape != (models,) + stat.shape[1:] or stat.shape[0] < models:
+                raise ContractError(f"batch statistics {stat.shape} do not "
+                                    f"match running statistics {ref.shape}")
+            d = stat.data[:models] - ref
+            stats.append(stat)
+            diffs.append(d)
+            # one row sum per model, as over that model's statistic alone
+            norms.append(np.sqrt((d * d).reshape(models, -1).sum(axis=1)))
     total = None
-    for per_layer, per_layer_running in zip(batch_stats, running_stats):
-        if len(per_layer) != len(per_layer_running):
-            raise ContractError("teacher layer counts do not match")
-        for (mu, var), (r_mu, r_var) in zip(per_layer, per_layer_running):
-            for stat, ref in ((mu, r_mu), (var, r_var)):
-                d = stat.data - ref
-                stats.append(stat)
-                diffs.append(d)
-                norms.append(np.sqrt((d * d).sum()))
-            term = norms[-2] + norms[-1]
+    for m in range(models):
+        for k in range(0, len(norms), 2):
+            term = norms[k][m] + norms[k + 1][m]
             total = term if total is None else total + term
-    scale = 1.0 / len(batch_stats)
+    scale = 1.0 / models
 
     def bw(g: Array):
         g_total = g * scale
         grads = []
         for stat, d, norm in zip(stats, diffs, norms):
-            g_d = g_total * 0.5 / np.maximum(norm, 1e-150) * d
-            grads.append(_unbroadcast(g_d + g_d, stat.shape))
+            safe = np.maximum(norm, 1e-150).reshape((models,) + (1,) * (d.ndim - 1))
+            g_d = g_total * 0.5 / safe * d
+            full = np.zeros_like(stat.data)
+            full[:models] = g_d + g_d
+            grads.append(full)
         return tuple(grads)
 
     return _node(total * scale, tuple(stats), bw)

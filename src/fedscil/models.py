@@ -50,10 +50,10 @@ class BatchNorm:
         self.state = BatchNormState(np.zeros(channels), np.ones(channels),
                                     momentum, epsilon)
 
-    def __call__(self, x: Tensor, mode: str,
-                 update_running: bool = True) -> tuple[Tensor, Tensor, Tensor]:
+    def __call__(self, x: Tensor, mode: str, update_running: bool = True,
+                 capture: bool = True):
         return batchnorm_forward(x, self.gamma.value, self.beta.value,
-                                 self.state, mode, update_running)
+                                 self.state, mode, update_running, capture)
 
     def parameters(self) -> list[Parameter]:
         return [self.gamma, self.beta]
@@ -78,9 +78,10 @@ class _Backbone:
     def forward(self, x: Tensor, mode: str, update_running: bool,
                 stats: list | None) -> Tensor:
         h = x
+        capture = stats is not None
         for fc, bn in ((self.fc1, self.bn1), (self.fc2, self.bn2)):
-            h, mu, var = bn(fc(h), mode, update_running)
-            if stats is not None:
+            h, mu, var = bn(fc(h), mode, update_running, capture)
+            if capture:
                 stats.append((mu, var))
             h = h.relu()
         return h
@@ -148,11 +149,8 @@ class Classifier:
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ContractError(
                 f"expected input of shape (batch, {self.in_dim}), got {x.shape}")
-        blocks = self.head_blocks
-        if session is not None:
-            blocks = [b for b in blocks if b.session == session]
-            if not blocks:
-                raise ContractError(f"model has no head block for session {session}")
+        blocks = (self.head_blocks if session is None
+                  else [self.session_block(session)])
         if update_running is None:
             update_running = mode == "train"
         stats: list | None = [] if capture_bn else None
@@ -162,6 +160,12 @@ class Classifier:
         if capture_bn:
             return logits, stats
         return logits
+
+    def session_block(self, session: int) -> HeadBlock:
+        for block in self.head_blocks:
+            if block.session == session:
+                return block
+        raise ContractError(f"model has no head block for session {session}")
 
     def expand_head(self, session: int, classes: int, seed: int) -> None:
         """Append a block of freshly initialized columns for a new session.
@@ -190,10 +194,6 @@ class Classifier:
 
     def bn_layers(self) -> list[BatchNorm]:
         return self.backbone.layers()
-
-    def bn_running_stats(self) -> list[tuple[Array, Array]]:
-        return [(bn.state.running_mean, bn.state.running_var)
-                for bn in self.bn_layers()]
 
     def state_entries(self) -> list[tuple[str, Array, str]]:
         entries = [(p.name, p.value.data, p.group) for p in self.parameters()]
@@ -243,6 +243,84 @@ class Classifier:
         return copy.deepcopy(self)
 
 
+def _session_arrays(model: Classifier, session: int) -> list[tuple[str, Array]]:
+    """Everything an eval-mode forward over one session's head reads, in
+    stack order: per backbone layer the weight, bias, gamma, beta and running
+    statistics, then the session block's weight and bias."""
+    out = []
+    for fc, bn in ((model.backbone.fc1, model.backbone.bn1),
+                   (model.backbone.fc2, model.backbone.bn2)):
+        out += [(p.name, p.value.data) for p in fc.parameters() + bn.parameters()]
+        out += [(name, arr) for name, arr, _ in bn.stat_entries()]
+    out += [(p.name, p.value.data)
+            for p in model.session_block(session).linear.parameters()]
+    return out
+
+
+class ModelStack:
+    """Classifiers of one architecture evaluated as one model.
+
+    Each layer's weights are stacked along a leading model axis as (models,
+    fan_in, fan_out), its bias, batch-norm affine and running statistics as
+    (models, 1, width); the head is every model's block for one session. The
+    teachers fill the first slots and an optional opponent the last one. The
+    stack holds copies, constants to autodiff: ``load_opponent`` refreshes
+    the opponent's slot after it trained.
+    """
+
+    def __init__(self, teachers: list[Classifier], session: int,
+                 opponent: Classifier | None = None):
+        if not teachers:
+            raise ContractError("need at least one teacher")
+        self.teachers = list(teachers)
+        self.session = session
+        self.opponent = opponent
+        models = self.teachers + ([] if opponent is None else [opponent])
+        arrays = [_session_arrays(model, session) for model in models]
+        for i, model_arrays in enumerate(arrays):
+            for (name, arr), (_, ref) in zip(model_arrays, arrays[0]):
+                if arr.shape != ref.shape:
+                    who = f"teacher {i}" if i < len(teachers) else "the opponent"
+                    raise ContractError(f"{who}: {name} has shape {arr.shape}, "
+                                        f"teacher 0 has {ref.shape}")
+        self._slots = [np.stack([np.atleast_2d(arr) for _, arr in column])
+                       for column in zip(*arrays)]
+        epsilon = teachers[0].bn_layers()[0].state.epsilon
+        self._layers = []
+        for k in range(0, len(self._slots) - 2, 6):
+            w, b, gamma, beta, mean, var = self._slots[k:k + 6]
+            self._layers.append((Tensor(w), Tensor(b), Tensor(gamma), Tensor(beta),
+                                 BatchNormState(mean, var, epsilon=epsilon)))
+        self._head = (Tensor(self._slots[-2]), Tensor(self._slots[-1]))
+
+    def load_opponent(self) -> None:
+        """Copy the opponent's current parameters and running statistics
+        into its slot; a stack without an opponent has nothing to copy."""
+        if self.opponent is not None:
+            for slot, (_, arr) in zip(self._slots,
+                                      _session_arrays(self.opponent, self.session)):
+                slot[-1] = arr
+
+    def running_stats(self) -> list[tuple[Array, Array]]:
+        """Per layer, the teachers' running mean and variance."""
+        m = len(self.teachers)
+        return [(state.running_mean[:m], state.running_var[:m])
+                for *_, state in self._layers]
+
+    def forward(self, x: Tensor, capture_bn: bool = False):
+        """Eval-mode session logits of every model, (models, batch, classes),
+        and the per-layer batch statistics with capture_bn (else None)."""
+        stats: list | None = [] if capture_bn else None
+        h = x
+        for w, b, gamma, beta, state in self._layers:
+            h, mu, var = batchnorm_forward(linear(h, w, b), gamma, beta, state,
+                                           "eval", capture=capture_bn)
+            if capture_bn:
+                stats.append((mu, var))
+            h = h.relu()
+        return linear(h, *self._head), stats
+
+
 class ConditionalGenerator:
     """Maps (noise, one-hot label) to a sample inside the data envelope.
 
@@ -282,7 +360,7 @@ class ConditionalGenerator:
             raise ContractError(f"condition label outside [0, {self.classes})")
         h = concat([z, one_hot(labels, self.classes)], axis=1)
         for fc, bn in ((self.fc1, self.bn1), (self.fc2, self.bn2)):
-            h, _, _ = bn(fc(h), mode)
+            h, _, _ = bn(fc(h), mode, capture=False)
             h = h.relu()
         raw = self.out(h).tanh()
         return raw * Tensor(self._half) + Tensor(self._mid)

@@ -24,7 +24,7 @@ from fedscil.autodiff import (batchnorm_forward, BatchNormState, col_slice,
                               row_slice)
 from fedscil.generation import teacher_logits
 from fedscil.losses import distillation_loss_subset
-from fedscil.models import Classifier, ConditionalGenerator
+from fedscil.models import Classifier, ConditionalGenerator, ModelStack
 
 STEP = 1e-5
 TOL = 1e-4
@@ -116,6 +116,24 @@ def _case_linear(rng):
     w = _param("p1", rng.uniform(-1, 1, (3, 2)))
     b = _param("p2", rng.uniform(-1, 1, (2,)))
     target = Tensor(rng.uniform(-1, 1, (4, 2)))
+    return (lambda: (linear(x.value, w.value, b.value) * target).sum()), [x, w, b]
+
+
+def _case_linear_stacked_shared_input(rng):
+    """Three models' weights over one (batch, d) input."""
+    x = _param("p0", rng.uniform(-1, 1, (4, 3)))
+    w = _param("p1", rng.uniform(-1, 1, (3, 3, 2)))
+    b = _param("p2", rng.uniform(-1, 1, (3, 1, 2)))
+    target = Tensor(rng.uniform(-1, 1, (3, 4, 2)))
+    return (lambda: (linear(x.value, w.value, b.value) * target).sum()), [x, w, b]
+
+
+def _case_linear_stacked_input(rng):
+    """Each of three models reads its own slice of a stacked input."""
+    x = _param("p0", rng.uniform(-1, 1, (3, 4, 3)))
+    w = _param("p1", rng.uniform(-1, 1, (3, 3, 2)))
+    b = _param("p2", rng.uniform(-1, 1, (3, 1, 2)))
+    target = Tensor(rng.uniform(-1, 1, (3, 4, 2)))
     return (lambda: (linear(x.value, w.value, b.value) * target).sum()), [x, w, b]
 
 
@@ -215,25 +233,44 @@ def _case_batchnorm_eval_statistics(rng):
     return build, [x, gamma, beta]
 
 
+def _case_batchnorm_eval_stacked_statistics(rng):
+    """Eval mode over three stacked models, the statistics of the first two
+    feeding the statistics loss, as the generator step runs it."""
+    x = _param("p0", rng.uniform(-1, 1, (3, 5, 4)))
+    gamma = _param("p1", rng.uniform(0.5, 1.5, (3, 1, 4)))
+    beta = _param("p2", rng.uniform(-0.5, 0.5, (3, 1, 4)))
+    state = BatchNormState(rng.uniform(-0.5, 0.5, (3, 1, 4)),
+                           rng.uniform(0.5, 1.5, (3, 1, 4)))
+    running = [(rng.uniform(-0.5, 0.5, (2, 1, 4)), rng.uniform(0.5, 1.5, (2, 1, 4)))]
+    w = Tensor(rng.uniform(-1, 1, (3, 5, 4)))
+
+    def build():
+        y, mu, var = batchnorm_forward(x.value, gamma.value, beta.value,
+                                       state, "eval")
+        return (y * w).sum() + bn_stat_loss([(mu, var)], running)
+
+    return build, [x, gamma, beta]
+
+
 def _case_teacher_ensemble(rng):
-    """Session-head teacher forward with captured statistics, as the
-    generator objective uses it."""
-    teachers = []
-    for _ in range(2):
+    """Stacked session-head forward of two teachers and an opponent with
+    captured statistics, as the generator objective uses it."""
+    models = []
+    for _ in range(3):
         model = Classifier(in_dim=3, base_classes=2, seed=int(rng.integers(2**31)),
                            hidden=5, feature_dim=4)
         model.expand_head(1, 2, seed=int(rng.integers(2**31)))
-        teachers.append(model)
+        models.append(model)
+    stack = ModelStack(models[:2], 1, opponent=models[2])
     x = _param("p0", rng.uniform(-1, 1, (6, 3)))
     y = rng.integers(0, 2, size=6)
-    running = [m.bn_running_stats() for m in teachers]
-    params = [x] + teachers[0].parameters()
 
     def build():
-        ensemble, stats = teacher_logits(x.value, teachers, 1, capture_bn=True)
-        return cross_entropy(ensemble, y) + bn_stat_loss(stats, running)
+        ensemble, opponent, stats = teacher_logits(x.value, stack, capture_bn=True)
+        return (cross_entropy(ensemble, y) + cross_entropy(opponent, y)
+                + bn_stat_loss(stats, stack.running_stats()))
 
-    return build, params
+    return build, [x]
 
 
 def _case_cross_entropy(rng):
@@ -291,15 +328,16 @@ def _case_generator_entropy(rng):
 
 
 def _case_bn_stat_loss(rng):
-    mu1 = _param("p0", rng.uniform(-1, 1, (3,)))
-    var1 = _param("p1", rng.uniform(0.5, 1.5, (3,)))
-    mu2 = _param("p2", rng.uniform(-1, 1, (4,)))
-    var2 = _param("p3", rng.uniform(0.5, 1.5, (4,)))
-    running = [[(rng.uniform(-1, 1, 3), rng.uniform(0.5, 1.5, 3)),
-                (rng.uniform(-1, 1, 4), rng.uniform(0.5, 1.5, 4))]]
+    """Two models, two layers of different widths."""
+    mu1 = _param("p0", rng.uniform(-1, 1, (2, 3)))
+    var1 = _param("p1", rng.uniform(0.5, 1.5, (2, 3)))
+    mu2 = _param("p2", rng.uniform(-1, 1, (2, 4)))
+    var2 = _param("p3", rng.uniform(0.5, 1.5, (2, 4)))
+    running = [(rng.uniform(-1, 1, (2, 3)), rng.uniform(0.5, 1.5, (2, 3))),
+               (rng.uniform(-1, 1, (2, 4)), rng.uniform(0.5, 1.5, (2, 4)))]
 
     def build():
-        stats = [[(mu1.value, var1.value), (mu2.value, var2.value)]]
+        stats = [(mu1.value, var1.value), (mu2.value, var2.value)]
         return bn_stat_loss(stats, running)
 
     return build, [mu1, var1, mu2, var2]
@@ -335,15 +373,15 @@ def _case_generator_total(rng):
     logits = _param("p0", rng.uniform(-2, 2, (4, 3)))
     s = _param("p1", _separated_logits(rng, (4, 3)))
     y = rng.integers(0, 3, size=4)
-    mu = _param("p2", rng.uniform(-1, 1, (3,)))
+    mu = _param("p2", rng.uniform(-1, 1, (1, 3)))
     teacher = Tensor(_separated_logits(rng, (4, 3)))  # frozen opponent side
-    running = [[(rng.uniform(-1, 1, 3), np.ones(3))]]
+    running = [(rng.uniform(-1, 1, (1, 3)), np.ones((1, 3)))]
     weights = LossWeights(lambda1=2.0, lambda2=0.5, lambda3=1.5, lambda4=0.7)
 
     def build():
         fidelity = generator_fidelity_loss(logits.value, y)
         entropy = generator_entropy_loss(logits.value)
-        stats = bn_stat_loss([[(mu.value, Tensor(np.ones(3)))]], running)
+        stats = bn_stat_loss([(mu.value, Tensor(np.ones((1, 3))))], running)
         disagreement = transferability_loss(teacher, s.value)
         return generator_total_loss(fidelity, entropy, stats, disagreement, weights)
 
@@ -398,6 +436,8 @@ CASES = [
     ("arithmetic", _case_arithmetic),
     ("matmul", _case_matmul),
     ("linear", _case_linear),
+    ("linear_stacked_shared_input", _case_linear_stacked_shared_input),
+    ("linear_stacked_input", _case_linear_stacked_input),
     ("concat_and_slices", _case_concat_slices),
     ("gather_rows", _case_gather),
     ("relu_tanh", _case_relu_tanh),
@@ -408,6 +448,7 @@ CASES = [
     ("batchnorm_train", _case_batchnorm_train),
     ("batchnorm_eval", _case_batchnorm_eval),
     ("batchnorm_eval_statistics", _case_batchnorm_eval_statistics),
+    ("batchnorm_eval_stacked_statistics", _case_batchnorm_eval_stacked_statistics),
     ("cross_entropy", _case_cross_entropy),
     ("reverse_cross_entropy", _case_reverse_cross_entropy),
     ("noise_robust_loss", _case_noise_robust),

@@ -135,8 +135,10 @@ def composed_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def composed_batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
                        state: BatchNormState, mode: str,
-                       update_running: bool = True):
-    """Batch norm from primitive ops; returns (y, batch_mean, batch_var)."""
+                       update_running: bool = True, capture: bool = True):
+    """Batch norm from primitive ops; returns (y, batch_mean, batch_var), the
+    statistics None unless captured. The statistics nodes are built either
+    way; unconsumed, they take no part in the walk."""
     if mode not in ("train", "eval"):
         raise ContractError(f"unknown batchnorm mode {mode!r}")
     mu = x.mean(axis=0)
@@ -154,10 +156,16 @@ def composed_batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
         inv = 1.0 / np.sqrt(state.running_var + state.epsilon)
         normed = (x - Tensor(state.running_mean)) * Tensor(inv)
     y = gamma * normed + beta
-    return y, mu, var
+    return (y, mu, var) if capture else (y, None, None)
+
+
+def bn_running_stats(model: Classifier) -> list[tuple[np.ndarray, np.ndarray]]:
+    return [(bn.state.running_mean, bn.state.running_var)
+            for bn in model.bn_layers()]
 
 
 def composed_bn_stat_loss(batch_stats, running_stats) -> Tensor:
+    """Per teacher, per layer (mean, var) pairs without a model axis."""
     total = None
     for per_layer, per_layer_running in zip(batch_stats, running_stats):
         for (mu, var), (r_mu, r_var) in zip(per_layer, per_layer_running):
@@ -181,6 +189,30 @@ def composed_teacher_logits(x, teachers, session, capture_bn=False):
         total = total + part
     ensemble = total * (1.0 / len(teachers))
     return (ensemble, stats) if capture_bn else ensemble
+
+
+def composed_generator_loss(generator, stack, z, labels, weights):
+    """The generator objective with one forward per teacher and one for the
+    opponent, read from the models the stack was built from."""
+    fake = generator.forward(z, labels, mode="train")
+    ensemble, stats = composed_teacher_logits(fake, stack.teachers, stack.session,
+                                              capture_bn=True)
+    fidelity = losses.generator_fidelity_loss(ensemble, labels)
+    entropy = losses.generator_entropy_loss(ensemble)
+    if weights.lambda3 != 0:
+        running = [bn_running_stats(model) for model in stack.teachers]
+        stat_term = composed_bn_stat_loss(stats, running)
+    else:
+        stat_term = 0.0
+    if weights.lambda4 != 0:
+        opponent = stack.opponent.forward(fake, mode="eval")
+        disagreement = losses.transferability_loss(ensemble, opponent,
+                                                   weights.kl_temperature)
+    else:
+        disagreement = 0.0
+    loss = losses.generator_total_loss(fidelity, entropy, stat_term,
+                                       disagreement, weights)
+    return loss, fake, ensemble
 
 
 def composed_cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -224,8 +256,7 @@ def composed_transferability_loss(teacher_logits, student_logits,
 COMPOSED = [
     (autodiff.linear, composed_linear),
     (autodiff.batchnorm_forward, composed_batchnorm),
-    (losses.bn_stat_loss, composed_bn_stat_loss),
-    (generation.teacher_logits, composed_teacher_logits),
+    (generation.generator_loss, composed_generator_loss),
     (losses.cross_entropy, composed_cross_entropy),
     (losses.generator_entropy_loss, composed_entropy_loss),
     (losses.student_loss, composed_student_loss),

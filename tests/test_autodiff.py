@@ -2,10 +2,10 @@
 import numpy as np
 import pytest
 
-from fedscil import Parameter, Tensor, backprop, grad
+from fedscil import Classifier, Parameter, Tensor, autodiff, backprop, grad
 from fedscil.autodiff import (BatchNormState, Optimizer, OptimizerConfig,
                               batchnorm_forward, col_slice, concat,
-                              gather_rows, l2_norm, one_hot, row_slice)
+                              gather_rows, l2_norm, linear, one_hot, row_slice)
 from fedscil.errors import ContractError, DegenerateBatchError
 
 from gradcheck import TOL, run_suite
@@ -165,6 +165,69 @@ def test_batchnorm_rejects_unknown_mode():
     with pytest.raises(ContractError):
         batchnorm_forward(Tensor(np.ones((3, 2))), Tensor(np.ones(2)),
                           Tensor(np.zeros(2)), state, "test")
+
+
+def _count_nodes(monkeypatch) -> list:
+    """Every graph node built from here on, as (shape, parent count)."""
+    built = []
+    make = autodiff._node
+
+    def counting(data, parents, bw):
+        built.append((np.shape(data), len(parents)))
+        return make(data, parents, bw)
+
+    monkeypatch.setattr(autodiff, "_node", counting)
+    return built
+
+
+def test_eval_forward_without_capture_builds_no_statistics(rng, monkeypatch):
+    model = Classifier(in_dim=4, base_classes=3, seed=1, hidden=6, feature_dim=5)
+    x = _p(rng.standard_normal((7, 4)), "x")
+    captured = model.forward(x.value, mode="eval", capture_bn=True)[0]
+    built = _count_nodes(monkeypatch)
+    plain = model.forward(x.value, mode="eval")
+    # two linear, batch-norm and relu nodes each, then the head: no mean or
+    # variance node (the only nodes of their (channels,) shape)
+    assert len(built) == 7
+    assert not any(shape in ((6,), (5,)) for shape, _ in built)
+    assert np.array_equal(plain.data, captured.data)
+    assert np.array_equal(grad((plain * plain).sum(), [x])["x"],
+                          grad((captured * captured).sum(), [x])["x"])
+
+    built.clear()
+    y, mu, var = batchnorm_forward(x.value, Tensor(np.ones(4)), Tensor(np.zeros(4)),
+                                   BatchNormState(np.zeros(4), np.ones(4)), "eval",
+                                   capture=False)
+    assert mu is None and var is None and built == [((7, 4), 3)]
+
+
+def test_batchnorm_with_a_model_axis_normalizes_each_model_alone(rng):
+    x = rng.standard_normal((3, 6, 4)) * 2.0 + 1.0
+    gamma, beta = rng.uniform(0.5, 1.5, (3, 1, 4)), rng.uniform(-0.5, 0.5, (3, 1, 4))
+    means, variances = rng.uniform(-0.5, 0.5, (3, 1, 4)), rng.uniform(0.5, 1.5, (3, 1, 4))
+    for mode in ("train", "eval"):
+        state = BatchNormState(means.copy(), variances.copy())
+        y, mu, var = batchnorm_forward(Tensor(x), Tensor(gamma), Tensor(beta),
+                                       state, mode)
+        for m in range(3):
+            alone = BatchNormState(means[m, 0].copy(), variances[m, 0].copy())
+            y_m, mu_m, var_m = batchnorm_forward(Tensor(x[m]), Tensor(gamma[m, 0]),
+                                                 Tensor(beta[m, 0]), alone, mode)
+            assert np.array_equal(y.data[m], y_m.data)
+            assert np.array_equal(mu.data[m, 0], mu_m.data)
+            assert np.array_equal(var.data[m, 0], var_m.data)
+            assert np.array_equal(state.running_mean[m, 0], alone.running_mean)
+            assert np.array_equal(state.running_var[m, 0], alone.running_var)
+
+
+def test_linear_rejects_mismatched_model_axes():
+    w, b = Tensor(np.ones((3, 2, 4))), Tensor(np.ones((3, 1, 4)))
+    with pytest.raises(ContractError):
+        linear(Tensor(np.ones((2, 5, 2))), w, b)
+    with pytest.raises(ContractError):
+        linear(Tensor(np.ones((3, 5, 2))), Tensor(np.ones((2, 4))), Tensor(np.ones(4)))
+    with pytest.raises(ContractError):
+        linear(Tensor(np.ones((5, 3))), w, b)
 
 
 # -- optimizers ------------------------------------------------------------------

@@ -7,24 +7,32 @@ import numpy as np
 import pytest
 
 from fedscil import (Classifier, ConditionalGenerator, LossWeights, Parameter,
-                     Tensor, client_loss, grad, losses, train_generator_session)
+                     Tensor, bn_stat_loss, client_loss, generation, grad, losses,
+                     train_generator_session)
 from fedscil.autodiff import BatchNormState, batchnorm_forward, frozen, row_slice
-from fedscil.generation import GenLabConfig, generator_loss, teacher_logits
-from fedscil.models import make_student
-from oracles import (composed_batchnorm, composed_cross_entropy,
+from fedscil.errors import ContractError
+from fedscil.generation import GenLabConfig, teacher_logits
+from fedscil.models import ModelStack, make_student
+from oracles import (bn_running_stats, composed_batchnorm,
+                     composed_bn_stat_loss, composed_cross_entropy,
                      composed_distillation_loss_subset, composed_entropy_loss,
                      composed_graphs, composed_student_loss,
                      composed_teacher_logits, composed_transferability_loss)
 
 IN_DIM, SESSION, CLASSES = 6, 2, 2
+# (input, hidden, feature) widths; the desk preset's make BLAS take the paths
+# where a contiguous copy of transposed weights changes bits
+SMALL, DESK = (IN_DIM, 12, 10), (16, 64, 64)
 
 
-def _teachers(n: int = 3) -> list[Classifier]:
+def _teachers(n: int = 3, widths: tuple = SMALL) -> list[Classifier]:
     """Clients at session 2: base block plus two session blocks, running
     statistics away from the (0, 1) initialization."""
+    in_dim, hidden, feature = widths
     out = []
     for m in range(n):
-        model = Classifier(IN_DIM, 4, seed=10 + m, hidden=12, feature_dim=10)
+        model = Classifier(in_dim, 4, seed=10 + m, hidden=hidden,
+                           feature_dim=feature)
         model.expand_head(1, CLASSES, seed=20 + m)
         model.expand_head(SESSION, CLASSES, seed=30 + m)
         rng = np.random.default_rng(40 + m)
@@ -41,28 +49,31 @@ def _assert_grads_equal(a: dict, b: dict) -> None:
         assert np.array_equal(a[name], b[name]), name
 
 
-def _generator_step(weights: LossWeights, freeze: bool):
+def _models(teachers: int, widths: tuple = SMALL):
+    in_dim, hidden, feature = widths
+    generator = ConditionalGenerator(4, CLASSES, -np.ones(in_dim), np.ones(in_dim),
+                                     seed=5, hidden=hidden)
+    student = make_student(in_dim, CLASSES, SESSION, seed=6, hidden=hidden,
+                           feature_dim=feature)
+    return _teachers(teachers, widths), generator, student
+
+
+def _generator_step(teachers: int, weights: LossWeights, widths: tuple):
     """Generator loss and gradients, then the student loss and gradients on
     the same batch, the way train_generator_session takes one step."""
-    teachers = _teachers()
-    generator = ConditionalGenerator(4, CLASSES, -np.ones(IN_DIM), np.ones(IN_DIM),
-                                     seed=5, hidden=12)
-    student = make_student(IN_DIM, CLASSES, SESSION, seed=6, hidden=12,
-                           feature_dim=10)
+    teacher_models, generator, student = _models(teachers, widths)
+    stack = ModelStack(teacher_models, SESSION,
+                       student if weights.lambda4 != 0 else None)
     rng = np.random.default_rng(7)
     # batch sizes and weights avoid powers of two, whose divisions and
     # products are exact under any association
     z = rng.standard_normal((12, 4))
     labels = rng.integers(0, CLASSES, size=12)
-    running = [model.bn_running_stats() for model in teachers]
-    opponents = [p for model in teachers for p in model.parameters()]
-    opponents += student.parameters() if freeze else []
-    with frozen(opponents):
-        loss, fake, ensemble = generator_loss(generator, student, teachers,
-                                              SESSION, running, z, labels, weights)
-        gen_grads = grad(loss, generator.parameters())
+    # looked up at call time, so composed_graphs() can substitute them
+    loss, fake, ensemble = generation.generator_loss(generator, stack, z, labels,
+                                                     weights)
+    gen_grads = grad(loss, generator.parameters())
     logits = student.forward(fake.data, mode="train")
-    # looked up at call time, so composed_graphs() can substitute it
     s_loss = losses.student_loss(ensemble.detach(), logits,
                                  weights.kl_temperature)
     stu_grads = grad(s_loss, student.parameters())
@@ -71,38 +82,135 @@ def _generator_step(weights: LossWeights, freeze: bool):
             stu_grads, running_after)
 
 
+def _weights(lambda3: float, lambda4: float) -> LossWeights:
+    return LossWeights(lambda1=2.0, lambda2=0.7, lambda3=lambda3, lambda4=lambda4,
+                       kl_temperature=1.5)
+
+
+# (teachers, lambda3, widths) per lambda4; lambda4 = 0 builds no opponent slot
+STEP_CASES = {0.7: [(1, 1.3, SMALL), (3, 1.3, SMALL), (8, 1.3, SMALL),
+                    (3, 0.0, SMALL), (3, 1.3, DESK)],
+              0.0: [(3, 1.3, SMALL), (1, 0.0, SMALL)]}
+
+
 @pytest.mark.parametrize("lambda4", [0.7, 0.0])
 def test_generator_step_matches_composed_graph(lambda4):
-    weights = LossWeights(lambda1=2.0, lambda2=0.7, lambda3=1.3, lambda4=lambda4,
-                          kl_temperature=1.5)
-    fused = _generator_step(weights, freeze=True)
-    with composed_graphs():
-        composed = _generator_step(weights, freeze=False)
-    for name, a, b in zip(("loss", "fake", "ensemble"), fused[:3], composed[:3]):
-        assert np.array_equal(a, b), name
-    _assert_grads_equal(fused[3], composed[3])
-    assert np.array_equal(fused[4], composed[4])
-    _assert_grads_equal(fused[5], composed[5])
-    for a, b in zip(fused[6], composed[6]):
-        assert np.array_equal(a, b)
-    assert any(np.abs(g).sum() > 0 for g in fused[3].values())
+    for teachers, lambda3, widths in STEP_CASES[lambda4]:
+        case = f"{teachers} teachers, lambda3 {lambda3}, widths {widths}"
+        weights = _weights(lambda3, lambda4)
+        fused = _generator_step(teachers, weights, widths)
+        with composed_graphs():
+            composed = _generator_step(teachers, weights, widths)
+        for name, a, b in zip(("loss", "fake", "ensemble"), fused[:3], composed[:3]):
+            assert np.array_equal(a, b), (case, name)
+        _assert_grads_equal(fused[3], composed[3])
+        assert np.array_equal(fused[4], composed[4]), case
+        _assert_grads_equal(fused[5], composed[5])
+        for a, b in zip(fused[6], composed[6]):
+            assert np.array_equal(a, b), case
+        assert any(np.abs(g).sum() > 0 for g in fused[3].values()), case
 
 
 @pytest.mark.parametrize("session", [0, 1, 2])
 def test_teacher_logits_match_full_head_slice(session):
-    teachers = _teachers()
+    """The stacked pass against one full-head forward per model, then the
+    session's columns; 1, 3 and 8 teachers plus an opponent."""
+    for teachers in (1, 3, 8):
+        _check_stacked_pass(teachers, session)
+
+
+def _check_stacked_pass(teachers: int, session: int):
+    teacher_models = _teachers(teachers)
+    opponent = make_student(IN_DIM, 4 if session == 0 else CLASSES, session,
+                            seed=6, hidden=12, feature_dim=10)
     x = Parameter("x", Tensor(np.random.default_rng(8).standard_normal((9, IN_DIM))),
                   "backbone")
-    fused, fused_stats = teacher_logits(x.value, teachers, session, capture_bn=True)
-    ref, ref_stats = composed_teacher_logits(x.value, teachers, session,
+    stack = ModelStack(teacher_models, session, opponent)
+    ensemble, opp, stats = teacher_logits(x.value, stack, capture_bn=True)
+    ref, ref_stats = composed_teacher_logits(x.value, teacher_models, session,
                                              capture_bn=True)
-    assert np.array_equal(fused.data, ref.data)
-    for per_fused, per_ref in zip(fused_stats, ref_stats):
-        for (mu_a, var_a), (mu_b, var_b) in zip(per_fused, per_ref):
-            assert np.array_equal(mu_a.data, mu_b.data)
-            assert np.array_equal(var_a.data, var_b.data)
-    _assert_grads_equal(grad((fused * fused).sum(), [x]),
-                        grad((ref * ref).sum(), [x]))
+    ref_opp, ref_opp_stats = opponent.forward(x.value, mode="eval",
+                                              capture_bn=True)
+    assert np.array_equal(ensemble.data, ref.data)
+    assert np.array_equal(opp.data, ref_opp.data)
+    for m, per_model in enumerate(ref_stats + [ref_opp_stats]):
+        for (mu, var), (mu_ref, var_ref) in zip(stats, per_model):
+            assert np.array_equal(mu.data[m, 0], mu_ref.data)
+            assert np.array_equal(var.data[m, 0], var_ref.data)
+
+    # shaped like the generator objective, whose last term reads the
+    # ensemble and the opponent: the walk then reaches every model's layers
+    # before their statistics and sums the gradients into x teachers first,
+    # in list order, then the opponent
+    running = [bn_running_stats(model) for model in teacher_models]
+    fused = ((ensemble * ensemble).sum()
+             + bn_stat_loss(stats, stack.running_stats()) * 1.3
+             + (ensemble * opp).sum() * 0.7)
+    composed = ((ref * ref).sum() + composed_bn_stat_loss(ref_stats, running) * 1.3
+                + (ref * ref_opp).sum() * 0.7)
+    assert np.array_equal(fused.data, composed.data)
+    _assert_grads_equal(grad(fused, [x]), grad(composed, [x]))
+
+
+@pytest.mark.parametrize("student_lr, lambda4", [(0.2, 0.7), (0.0, 0.7),
+                                                 (0.2, 0.0)])
+def test_generator_session_matches_composed_graph(student_lr, lambda4):
+    """20 generator and student steps; a stale opponent slot would part the
+    two runs after the first student step."""
+    cfg = GenLabConfig(epochs=2, rounds_per_epoch=10, batch_size=12, noise_dim=4,
+                       hidden=12, student_lr=student_lr, bank_per_epoch=6)
+    weights = _weights(1.3, lambda4)
+
+    def run():
+        teacher_models, _, student = _models(3)
+        generator, student, pool = train_generator_session(
+            teacher_models, SESSION, (8, 10), (-np.ones(IN_DIM), np.ones(IN_DIM)),
+            cfg, weights, 3, student=student)
+        return ([p.value.data for p in generator.parameters()],
+                [p.value.data for p in student.parameters()],
+                [a for pair in bn_running_stats(student) for a in pair],
+                [pool.samples])
+
+    fused = run()
+    with composed_graphs():
+        composed = run()
+    for part_a, part_b in zip(fused, composed):
+        assert len(part_a) == len(part_b)
+        for a, b in zip(part_a, part_b):
+            assert np.array_equal(a, b)
+    initial = [p.value.data for p in _models(3)[2].parameters()]
+    moved = [not np.array_equal(a, b) for a, b in zip(initial, fused[1])]
+    assert any(moved) == (student_lr > 0)
+
+
+def test_stack_rejects_teachers_of_another_shape():
+    teachers = _teachers(2)
+    wide = Classifier(IN_DIM, 4, seed=1, hidden=13, feature_dim=10)
+    wide.expand_head(1, CLASSES, seed=2)
+    wide.expand_head(SESSION, CLASSES, seed=3)
+    with pytest.raises(ContractError, match=r"teacher 2: backbone\.fc1\.weight "
+                                            r"has shape \(6, 13\)"):
+        ModelStack(teachers + [wide], SESSION)
+    narrow = Classifier(IN_DIM, 4, seed=1, hidden=12, feature_dim=9)
+    narrow.expand_head(1, CLASSES, seed=2)
+    narrow.expand_head(SESSION, CLASSES, seed=3)
+    with pytest.raises(ContractError, match=r"teacher 1: backbone\.fc2\.weight "
+                                            r"has shape \(12, 9\)"):
+        ModelStack([teachers[0], narrow], SESSION)
+    broad_head = Classifier(IN_DIM, 4, seed=1, hidden=12, feature_dim=10)
+    broad_head.expand_head(1, CLASSES, seed=2)
+    broad_head.expand_head(SESSION, CLASSES + 1, seed=3)
+    with pytest.raises(ContractError, match=r"teacher 1: head\.s2\.weight "
+                                            r"has shape \(10, 3\)"):
+        ModelStack([teachers[0], broad_head], SESSION)
+    student = make_student(IN_DIM, CLASSES + 1, SESSION, seed=6, hidden=12,
+                           feature_dim=10)
+    with pytest.raises(ContractError, match="the opponent: head"):
+        ModelStack(teachers, SESSION, student)
+    with pytest.raises(ContractError, match="no head block for session 3"):
+        ModelStack(teachers, 3)
+    with pytest.raises(ContractError, match="at least one teacher"):
+        ModelStack([], SESSION)
 
 
 @pytest.mark.parametrize("mode", ["subset", "sliced"])
@@ -119,7 +227,7 @@ def test_client_loss_matches_composed_graph(mode):
         loss = client_loss(row_slice(joint, 0, 5), yb, row_slice(joint, 5, 12), yr,
                            weights, old_count=6, replay_mode=mode)
         params = model.parameters()
-        return loss.data, grad(loss, params), model.bn_running_stats()
+        return loss.data, grad(loss, params), bn_running_stats(model)
 
     fused = run()
     with composed_graphs():

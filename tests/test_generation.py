@@ -13,7 +13,7 @@ from fedscil.generation import (GenLabConfig, SyntheticPool,
                                 export_synthetics_csv, relabel,
                                 teacher_confidence, teacher_logits,
                                 teacher_pool_entropy)
-from fedscil.models import make_student
+from fedscil.models import ModelStack, make_student
 
 
 def _bias_teacher(bias, seed: int = 0) -> Classifier:
@@ -37,19 +37,22 @@ def _envelope(dim: int = 4):
 
 # -- ensemble logits ---------------------------------------------------------------
 
+def _ensemble(x, teachers, session):
+    return teacher_logits(x, ModelStack(teachers, session))[0].data
+
+
 def test_teacher_logits_single_teacher_is_its_slice(rng):
     model = _toy_teacher()
     x = rng.standard_normal((5, 4))
     direct = model.forward(x, mode="eval").data[:, 0:3]
-    ensemble = teacher_logits(x, [model], 0).data
-    assert np.array_equal(direct, ensemble)
+    assert np.array_equal(direct, _ensemble(x, [model], 0))
 
 
 def test_teacher_logits_duplicated_teacher_changes_nothing(rng):
     model = _toy_teacher()
     x = rng.standard_normal((5, 4))
-    one = teacher_logits(x, [model], 0).data
-    two = teacher_logits(x, [model, model.clone()], 0).data
+    one = _ensemble(x, [model], 0)
+    two = _ensemble(x, [model, model.clone()], 0)
     assert np.allclose(one, two, atol=1e-12)
 
 
@@ -57,21 +60,40 @@ def test_teacher_logits_averages_disagreeing_teachers(rng):
     a = _bias_teacher([4.0, 0.0], seed=0)
     b = _bias_teacher([0.0, 4.0], seed=1)
     x = rng.standard_normal((6, 3))
-    out = teacher_logits(x, [a, b], 0).data
-    assert np.array_equal(out, np.full((6, 2), 2.0))
+    assert np.array_equal(_ensemble(x, [a, b], 0), np.full((6, 2), 2.0))
 
 
 def test_teacher_logits_requires_a_teacher(rng):
     with pytest.raises(ContractError):
-        teacher_logits(rng.standard_normal((2, 4)), [], 0)
+        _ensemble(rng.standard_normal((2, 4)), [], 0)
 
 
 def test_teacher_logits_gradient_reaches_input(rng):
     model = _toy_teacher()
     x = Parameter("x", Tensor(rng.standard_normal((3, 4))), "backbone")
-    loss = teacher_logits(x.value, [model], 0).sum()
-    grads = grad(loss, [x])
+    ensemble, opponent, stats = teacher_logits(x.value, ModelStack([model], 0))
+    assert opponent is None and stats is None
+    grads = grad(ensemble.sum(), [x])
     assert float(np.abs(grads["x"]).sum()) > 0
+
+
+def test_stack_reads_teachers_and_opponent_when_built_and_loaded(rng):
+    teacher, student = _toy_teacher(), _toy_teacher(seed=3)
+    x = rng.standard_normal((4, 4))
+    stack = ModelStack([teacher], 0, opponent=student)
+    as_built = teacher.clone()
+    # the stack keeps copies: moving a teacher afterwards changes nothing,
+    # moving the opponent shows once its slot is loaded again
+    teacher.head_blocks[0].linear.bias.value.data += 1.0
+    student.head_blocks[0].linear.bias.value.data += 1.0
+    state = student.bn_layers()[0].state
+    state.running_var = state.running_var * 2.0
+    before = teacher_logits(x, stack)[1].data
+    stack.load_opponent()
+    ensemble, opponent, _ = teacher_logits(x, stack)
+    assert np.array_equal(ensemble.data, as_built.forward(x).data)
+    assert not np.array_equal(before, opponent.data)
+    assert np.array_equal(opponent.data, student.forward(x).data)
 
 
 # -- generator training -------------------------------------------------------------

@@ -8,7 +8,7 @@ from fedscil import (LossWeights, Tensor, bn_stat_loss, client_loss,
                      info_entropy, noise_robust_loss, replay_loss_subset,
                      reverse_cross_entropy, student_loss,
                      transferability_loss)
-from fedscil.autodiff import col_slice
+from fedscil.autodiff import Parameter, col_slice, grad
 from fedscil.errors import ContractError
 from fedscil.losses import distillation_loss_subset
 from oracles import composed_kl_rows
@@ -233,35 +233,54 @@ def test_generator_fidelity_is_cross_entropy_on_condition():
 # -- batch-norm statistics loss ---------------------------------------------------------
 
 def test_bn_stat_loss_zero_when_stats_match(rng):
-    mu = rng.standard_normal(3)
-    var = rng.uniform(0.5, 1.5, 3)
-    stats = [[(Tensor(mu), Tensor(var))]]
-    running = [[(mu.copy(), var.copy())]]
+    mu = rng.standard_normal((1, 3))
+    var = rng.uniform(0.5, 1.5, (1, 3))
+    stats = [(Tensor(mu), Tensor(var))]
+    running = [(mu.copy(), var.copy())]
     assert abs(float(bn_stat_loss(stats, running).data)) <= 1e-12
 
 
 def test_bn_stat_loss_scalar_mean_shift():
-    stats = [[(Tensor(np.array([1.0])), Tensor(np.array([2.0])))]]
-    running = [[(np.array([0.5]), np.array([2.0]))]]
+    stats = [(Tensor(np.array([[1.0]])), Tensor(np.array([[2.0]])))]
+    running = [(np.array([[0.5]]), np.array([[2.0]]))]
     assert abs(float(bn_stat_loss(stats, running).data) - 0.5) <= 1e-12
 
 
 def test_bn_stat_loss_invariant_to_duplicated_teachers(rng):
-    mu, var = rng.standard_normal(4), rng.uniform(0.5, 1.5, 4)
-    r_mu, r_var = rng.standard_normal(4), rng.uniform(0.5, 1.5, 4)
-    one = [[(Tensor(mu), Tensor(var))]]
-    one_running = [[(r_mu, r_var)]]
-    two = one + [[(Tensor(mu.copy()), Tensor(var.copy()))]]
-    two_running = one_running + [[(r_mu.copy(), r_var.copy())]]
-    assert abs(float(bn_stat_loss(one, one_running).data)
-               - float(bn_stat_loss(two, two_running).data)) <= 1e-12
+    mu, var = rng.standard_normal((1, 4)), rng.uniform(0.5, 1.5, (1, 4))
+    r_mu, r_var = rng.standard_normal((1, 4)), rng.uniform(0.5, 1.5, (1, 4))
+    one = bn_stat_loss([(Tensor(mu), Tensor(var))], [(r_mu, r_var)])
+    two = bn_stat_loss([(Tensor(np.concatenate([mu, mu])),
+                         Tensor(np.concatenate([var, var])))],
+                       [(np.concatenate([r_mu, r_mu]),
+                         np.concatenate([r_var, r_var]))])
+    assert abs(float(one.data) - float(two.data)) <= 1e-12
+
+
+def test_bn_stat_loss_ignores_models_past_the_running_statistics(rng):
+    mu = Parameter("mu", Tensor(rng.standard_normal((3, 1, 4))), "backbone")
+    var = Parameter("var", Tensor(rng.uniform(0.5, 1.5, (3, 1, 4))), "backbone")
+    r_mu, r_var = rng.standard_normal((2, 1, 4)), rng.uniform(0.5, 1.5, (2, 1, 4))
+    loss = bn_stat_loss([(mu.value, var.value)], [(r_mu, r_var)])
+    alone = bn_stat_loss([(Tensor(mu.value.data[:2]), Tensor(var.value.data[:2]))],
+                         [(r_mu, r_var)])
+    assert float(loss.data) == float(alone.data)
+    for g in grad(loss, [mu, var]).values():
+        assert np.all(g[2] == 0.0) and np.all(g[:2] != 0.0)
 
 
 def test_bn_stat_loss_validation():
     with pytest.raises(ContractError):
         bn_stat_loss([], [])
     with pytest.raises(ContractError):
-        bn_stat_loss([[(Tensor(np.ones(2)), Tensor(np.ones(2)))]], [[]])
+        bn_stat_loss([(Tensor(np.ones((1, 2))), Tensor(np.ones((1, 2))))], [])
+    with pytest.raises(ContractError):
+        # fewer batch statistics than models with running statistics
+        bn_stat_loss([(Tensor(np.ones((1, 2))), Tensor(np.ones((1, 2))))],
+                     [(np.ones((2, 2)), np.ones((2, 2)))])
+    with pytest.raises(ContractError):
+        bn_stat_loss([(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 3))))],
+                     [(np.ones((1, 2)), np.ones((1, 2)))])
 
 
 # -- distillation KL terms ----------------------------------------------------------------
