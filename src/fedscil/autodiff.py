@@ -7,8 +7,10 @@ closure over its parents, and gradients are resolved by one depth-first
 topological walk from a scalar loss. A node's gradient is the sum of its
 consumers' contributions, added in the order the walk visits those
 consumers; float addition is not associative, so that order is part of the
-result. The op set is deliberately small; anything not listed here does not
-exist.
+result. The walk keys its visited set and its gradients on the tensors
+themselves, which compare and hash by identity (``Tensor`` must not define
+``__eq__`` or ``__hash__``). The op set is deliberately small; anything not
+listed here does not exist.
 
 What the generator step runs many times is built from fused nodes:
 ``linear`` and ``batchnorm_forward`` here, and the cross-entropy, entropy,
@@ -17,8 +19,9 @@ order, the numpy arithmetic of the primitive ops it replaces, and inside
 itself sums gradients in the order the walk would have summed them over
 those ops, so every float matches the composed graph bit for bit. Where a
 value has consumers outside the fused node (the batch statistics), it stays
-a node of its own and the walk keeps ordering its gradient. The composed
-graphs live on in the tests as references.
+a node of its own and the walk keeps ordering its gradient. The generator's
+output, ``tanh(pre) * half + mid``, is one node (``scaled_tanh``). The
+composed graphs live on in the tests as references.
 
 ``linear`` and ``batchnorm_forward`` also take a leading model axis, so
 several models of one architecture run as one chain of nodes (the generator
@@ -39,6 +42,14 @@ Numerical conventions, all of which tests rely on:
   captures them, as graph nodes of their own (losses differentiate through
   them); the running statistics are plain arrays updated by EMA with
   ``running = (1 - momentum) * running + momentum * batch``.
+
+An optimizer step is one elementwise update of a flat vector: the live
+parameters' values and gradients are concatenated, the update rule runs
+once over them, and each parameter's value is rebound to a view of the
+fresh result. Values are never updated in place, so an array taken from a
+parameter before a step keeps its contents. The rule's operations are
+elementwise and in the per-parameter order, so every float is what a loop
+over the parameters gives.
 """
 from __future__ import annotations
 
@@ -137,10 +148,6 @@ class Tensor:
     def relu(self) -> "Tensor":
         mask = self.data > 0.0
         return _node(self.data * mask, (self,), lambda g: (g * mask,))
-
-    def tanh(self) -> "Tensor":
-        out = np.tanh(self.data)
-        return _node(out, (self,), lambda g: (g * (1.0 - out * out),))
 
     def sqrt(self) -> "Tensor":
         out = np.sqrt(self.data)
@@ -400,9 +407,12 @@ def one_hot(labels: Array, classes: int) -> Tensor:
     return Tensor(out)
 
 
-def l2_norm(t: Tensor) -> Tensor:
-    """Euclidean norm over all entries; zero input gives zero gradient."""
-    return (t * t).sum().sqrt()
+def scaled_tanh(t: Tensor, half: Array, mid: Array) -> Tensor:
+    """``tanh(t) * half + mid`` as one node; ``half`` and ``mid`` are
+    constants broadcast along the last axis."""
+    out = np.tanh(t.data)
+    return _node(out * half + mid, (t,),
+                 lambda g: ((g * half) * (1.0 - out * out),))
 
 
 # -- backward pass -----------------------------------------------------------
@@ -410,39 +420,38 @@ def l2_norm(t: Tensor) -> Tensor:
 
 def _toposort(root: Tensor) -> list[Tensor]:
     order: list[Tensor] = []
-    seen: set[int] = set()
+    seen: set[Tensor] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+            if p.requires_grad and p not in seen:
                 stack.append((p, False))
     return order
 
 
-def _compute_grads(loss: Tensor) -> dict[int, Array]:
+def _compute_grads(loss: Tensor) -> dict[Tensor, Array]:
     if loss.size != 1:
         raise ContractError("backward requires a scalar loss")
-    grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[Tensor, Array] = {loss: np.ones_like(loss.data)}
     for node in reversed(_toposort(loss)):
         if node._bw is None:
             continue
-        g = grads[id(node)]
+        g = grads[node]
         for parent, pg in zip(node._parents, node._bw(g)):
             if pg is None or not parent.requires_grad:
                 continue
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + pg
+            if parent in grads:
+                grads[parent] = grads[parent] + pg
             else:
-                grads[key] = pg
+                grads[parent] = pg
     return grads
 
 
@@ -469,7 +478,7 @@ def grad(loss: Tensor, params: Sequence[Parameter]) -> dict[str, Array]:
     grads = _compute_grads(loss)
     out: dict[str, Array] = {}
     for p in params:
-        g = grads.get(id(p.value))
+        g = grads.get(p.value)
         out[p.name] = np.zeros_like(p.value.data) if g is None else g
     return out
 
@@ -635,8 +644,21 @@ class OptimizerConfig:
 class Optimizer:
     """Stateful SGD-with-momentum or Adam over named parameters.
 
-    Groups with rate exactly 0 are skipped entirely, so their parameters are
-    bit-identical after any number of steps.
+    A step is one elementwise update of a flat vector: the live parameters'
+    values and gradients, concatenated in parameter order, run through the
+    update rule once. The state (the SGD velocity, Adam's m and v) is one
+    flat array over every parameter. Each live parameter's value is then
+    rebound to a view of the step's fresh result, never written in place, so
+    an array taken from a parameter before a step keeps its contents.
+
+    Groups with rate exactly 0 are skipped entirely: neither their values nor
+    their state change, so their parameters are bit-identical after any
+    number of steps, and a group switched back on resumes its state. A
+    velocity starts as the parameter's first live gradient, Adam's moments
+    start at zero, and Adam's step count is shared by all parameters. Which
+    parameters are live, and at what rate (one scalar, or one rate per
+    element when live groups differ), is read from the groups and rates at
+    the first step and again whenever ``set_rate`` changes a rate.
     """
 
     def __init__(self, params: Sequence[Parameter], cfg: OptimizerConfig):
@@ -645,34 +667,89 @@ class Optimizer:
         for p in self.params:
             if p.group not in cfg.rates:
                 raise ContractError(f"no learning rate for group {p.group!r}")
-        self._vel: dict[str, Array] = {}
-        self._m: dict[str, Array] = {}
-        self._v: dict[str, Array] = {}
+        self._bounds = [0]
+        for p in self.params:
+            self._bounds.append(self._bounds[-1] + p.value.data.size)
+        if cfg.kind == "sgd_momentum":
+            self._vel = np.zeros(self._bounds[-1])
+            self._fresh = [True] * len(self.params)  # no velocity yet
+        else:
+            self._m = np.zeros(self._bounds[-1])
+            self._v = np.zeros(self._bounds[-1])
         self._t = 0
+        self._plan: tuple | None = None
 
     def set_rate(self, group: str, rate: float) -> None:
-        self.cfg.rates[group] = float(rate)
+        rate = float(rate)
+        if self.cfg.rates.get(group) != rate:
+            self._plan = None
+        self.cfg.rates[group] = rate
+
+    def _make_plan(self) -> tuple:
+        """(live parameters, their (start, stop, shape) in the step's vector,
+        the rate, their positions in the state (None when all are live), and
+        the (parameter, start, stop) of velocities not started yet)."""
+        live, spans, rates, index, fresh = [], [], [], [], []
+        size = 0
+        for i, p in enumerate(self.params):
+            rate = self.cfg.rates[p.group]
+            if rate == 0.0:
+                continue
+            lo, hi = self._bounds[i], self._bounds[i + 1]
+            live.append(p)
+            spans.append((size, size + hi - lo, p.value.data.shape))
+            rates.append((rate, hi - lo))
+            index.append(np.arange(lo, hi))
+            if self.cfg.kind == "sgd_momentum" and self._fresh[i]:
+                fresh.append((i, size, size + hi - lo))
+            size += hi - lo
+        if len({rate for rate, _ in rates}) == 1:
+            rate = rates[0][0]
+        else:
+            rate = np.repeat([r for r, _ in rates], [n for _, n in rates])
+        state_index = (None if len(live) == len(self.params)
+                       else np.concatenate(index) if index else None)
+        return live, spans, rate, state_index, fresh
 
     def step(self) -> None:
         cfg = self.cfg
+        if self._plan is None:
+            self._plan = self._make_plan()
+        live, spans, rate, index, fresh = self._plan
         self._t += 1
-        for p in self.params:
-            rate = cfg.rates[p.group]
-            if rate == 0.0:
-                continue
-            if p.grad is None:
+        if not live:
+            return
+        grads = [p.grad for p in live]
+        for p, g in zip(live, grads):
+            if g is None:
                 raise ContractError(f"parameter {p.name} has no gradient")
-            g = p.grad
-            if cfg.kind == "sgd_momentum":
-                v = self._vel.get(p.name)
-                v = g if v is None else cfg.momentum * v + g
-                self._vel[p.name] = v
-                p.value.data = p.value.data - rate * v
+        g = np.concatenate(grads, axis=None)
+        x = np.concatenate([p.value.data for p in live], axis=None)
+        if g.size != x.size:
+            raise ContractError("gradients do not match their parameters' sizes")
+        if cfg.kind == "sgd_momentum":
+            v = cfg.momentum * (self._vel if index is None else self._vel[index]) + g
+            for i, lo, hi in fresh:
+                v[lo:hi] = g[lo:hi]
+                self._fresh[i] = False
+            if fresh:
+                self._plan = None
+            if index is None:
+                self._vel = v
             else:
-                m = self._m.get(p.name, 0.0) * cfg.beta1 + (1 - cfg.beta1) * g
-                v = self._v.get(p.name, 0.0) * cfg.beta2 + (1 - cfg.beta2) * g * g
-                self._m[p.name] = m
-                self._v[p.name] = v
-                m_hat = m / (1 - cfg.beta1 ** self._t)
-                v_hat = v / (1 - cfg.beta2 ** self._t)
-                p.value.data = p.value.data - rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+                self._vel[index] = v
+            new = x - rate * v
+        else:
+            m = (self._m if index is None else self._m[index]) * cfg.beta1 \
+                + (1 - cfg.beta1) * g
+            v = (self._v if index is None else self._v[index]) * cfg.beta2 \
+                + (1 - cfg.beta2) * g * g
+            if index is None:
+                self._m, self._v = m, v
+            else:
+                self._m[index], self._v[index] = m, v
+            m_hat = m / (1 - cfg.beta1 ** self._t)
+            v_hat = v / (1 - cfg.beta2 ** self._t)
+            new = x - rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        for p, (lo, hi, shape) in zip(live, spans):
+            p.value.data = new[lo:hi].reshape(shape)

@@ -319,9 +319,19 @@ def transferability_loss(teacher_logits: Tensor, student_logits: Tensor,
 def generator_total_loss(fidelity: Tensor | float, entropy: Tensor | float,
                          stats: Tensor | float, disagreement: Tensor | float,
                          weights: LossWeights) -> Tensor:
-    """Weighted sum of the four generator terms; weight-0 terms may be 0.0."""
-    total = (weights.lambda1 * fidelity + weights.lambda2 * entropy
-             + weights.lambda3 * stats + weights.lambda4 * disagreement)
-    if not isinstance(total, Tensor):
-        total = Tensor(float(total))
-    return total
+    """Weighted sum of the four generator terms; weight-0 terms may be 0.0.
+
+    One node over the Tensor terms: the value is
+    ((l1 * F + l2 * E) + l3 * S) + l4 * D and each term's gradient is
+    ``g * l``, as over the composed chain of products and sums.
+    """
+    pairs = ((weights.lambda1, fidelity), (weights.lambda2, entropy),
+             (weights.lambda3, stats), (weights.lambda4, disagreement))
+    total = None
+    for lam, term in pairs:
+        part = lam * (term.data if isinstance(term, Tensor) else term)
+        total = part if total is None else total + part
+    terms = [(lam, term) for lam, term in pairs if isinstance(term, Tensor)]
+    return _node(np.asarray(total, dtype=np.float64),
+                 tuple(term for _, term in terms),
+                 lambda g: tuple(g * lam for lam, _ in terms))

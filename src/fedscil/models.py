@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (Array, BatchNormState, Parameter, Tensor,
-                       batchnorm_forward, concat, linear, one_hot)
+                       batchnorm_forward, concat, linear, one_hot, scaled_tanh)
 from .errors import ContractError
 
 
@@ -50,10 +50,10 @@ class BatchNorm:
         self.state = BatchNormState(np.zeros(channels), np.ones(channels),
                                     momentum, epsilon)
 
-    def __call__(self, x: Tensor, mode: str, update_running: bool = True,
-                 capture: bool = True):
+    def __call__(self, x: Tensor, mode: str, update_running: bool = True) -> Tensor:
         return batchnorm_forward(x, self.gamma.value, self.beta.value,
-                                 self.state, mode, update_running, capture)
+                                 self.state, mode, update_running,
+                                 capture=False)[0]
 
     def parameters(self) -> list[Parameter]:
         return [self.gamma, self.beta]
@@ -75,15 +75,10 @@ class _Backbone:
         self.fc2 = Linear(f"{prefix}.fc2", hidden, feature_dim, rng)
         self.bn2 = BatchNorm(f"{prefix}.bn2", feature_dim)
 
-    def forward(self, x: Tensor, mode: str, update_running: bool,
-                stats: list | None) -> Tensor:
+    def forward(self, x: Tensor, mode: str, update_running: bool) -> Tensor:
         h = x
-        capture = stats is not None
         for fc, bn in ((self.fc1, self.bn1), (self.fc2, self.bn2)):
-            h, mu, var = bn(fc(h), mode, update_running, capture)
-            if capture:
-                stats.append((mu, var))
-            h = h.relu()
+            h = bn(fc(h), mode, update_running).relu()
         return h
 
     def layers(self) -> list[BatchNorm]:
@@ -139,11 +134,10 @@ class Classifier:
         return out
 
     def forward(self, x: Tensor | Array, mode: str = "eval",
-                capture_bn: bool = False, update_running: bool | None = None,
-                session: int | None = None):
+                update_running: bool | None = None,
+                session: int | None = None) -> Tensor:
         """Logits over every class seen, or only over the columns added in
-        ``session`` when one is given; optionally also the per-layer batch
-        statistics of the backbone's batch-norm inputs."""
+        ``session`` when one is given."""
         if not isinstance(x, Tensor):
             x = Tensor(x)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
@@ -153,13 +147,9 @@ class Classifier:
                   else [self.session_block(session)])
         if update_running is None:
             update_running = mode == "train"
-        stats: list | None = [] if capture_bn else None
-        h = self.backbone.forward(x, mode, update_running, stats)
+        h = self.backbone.forward(x, mode, update_running)
         parts = [block.linear(h) for block in blocks]
-        logits = parts[0] if len(parts) == 1 else concat(parts, axis=1)
-        if capture_bn:
-            return logits, stats
-        return logits
+        return parts[0] if len(parts) == 1 else concat(parts, axis=1)
 
     def session_block(self, session: int) -> HeadBlock:
         for block in self.head_blocks:
@@ -360,10 +350,8 @@ class ConditionalGenerator:
             raise ContractError(f"condition label outside [0, {self.classes})")
         h = concat([z, one_hot(labels, self.classes)], axis=1)
         for fc, bn in ((self.fc1, self.bn1), (self.fc2, self.bn2)):
-            h, _, _ = bn(fc(h), mode, capture=False)
-            h = h.relu()
-        raw = self.out(h).tanh()
-        return raw * Tensor(self._half) + Tensor(self._mid)
+            h = bn(fc(h), mode).relu()
+        return scaled_tanh(self.out(h), self._half, self._mid)
 
     def parameters(self) -> list[Parameter]:
         return (self.fc1.parameters() + self.bn1.parameters()

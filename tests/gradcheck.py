@@ -20,11 +20,12 @@ from fedscil import (ClientConfig, LossWeights, Parameter, Tensor,
                      reverse_cross_entropy, student_loss,
                      transferability_loss)
 from fedscil.autodiff import (batchnorm_forward, BatchNormState, col_slice,
-                              concat, gather_rows, l2_norm, linear, matmul,
-                              row_slice)
+                              concat, gather_rows, linear, matmul, row_slice,
+                              scaled_tanh)
 from fedscil.generation import teacher_logits
 from fedscil.losses import distillation_loss_subset
 from fedscil.models import Classifier, ConditionalGenerator, ModelStack
+from oracles import l2_norm, tanh
 
 STEP = 1e-5
 TOL = 1e-4
@@ -159,7 +160,14 @@ def _case_gather(rng):
 
 def _case_relu_tanh(rng):
     a = _param("p0", away_from_zero(rng, (4, 3)))
-    return (lambda: (a.value.relu() + a.value.tanh()).sum()), [a]
+    return (lambda: (a.value.relu() + tanh(a.value)).sum()), [a]
+
+
+def _case_scaled_tanh(rng):
+    a = _param("p0", rng.uniform(-2, 2, (4, 3)))
+    half, mid = rng.uniform(0.1, 2.0, 3), rng.uniform(-1, 1, 3)
+    w = Tensor(rng.uniform(-1, 1, (4, 3)))
+    return (lambda: (scaled_tanh(a.value, half, mid) * w).sum()), [a]
 
 
 def _case_sqrt_log(rng):
@@ -388,6 +396,21 @@ def _case_generator_total(rng):
     return build, [logits, s, mu]
 
 
+def _case_generator_total_float_terms(rng):
+    """The generator objective with its statistics and disagreement terms
+    switched off, as 0.0 floats."""
+    logits = _param("p0", rng.uniform(-2, 2, (4, 3)))
+    y = rng.integers(0, 3, size=4)
+    weights = LossWeights(lambda1=2.0, lambda2=0.5, lambda3=0.0, lambda4=0.0)
+
+    def build():
+        return generator_total_loss(generator_fidelity_loss(logits.value, y),
+                                    generator_entropy_loss(logits.value),
+                                    0.0, 0.0, weights)
+
+    return build, [logits]
+
+
 def _case_classifier_forward(rng):
     """Composite chain: linear -> batchnorm -> relu twice, concat head, CE."""
     model = Classifier(in_dim=3, base_classes=2, seed=int(rng.integers(2**31)),
@@ -441,6 +464,7 @@ CASES = [
     ("concat_and_slices", _case_concat_slices),
     ("gather_rows", _case_gather),
     ("relu_tanh", _case_relu_tanh),
+    ("scaled_tanh", _case_scaled_tanh),
     ("sqrt_log", _case_sqrt_log),
     ("reductions", _case_reductions),
     ("softmax", _case_softmax),
@@ -462,6 +486,7 @@ CASES = [
     ("distillation_loss_subset", _case_distillation_subset),
     ("transferability_loss", _case_transferability),
     ("generator_total_loss", _case_generator_total),
+    ("generator_total_loss_float_terms", _case_generator_total_float_terms),
     ("classifier_forward_chain", _case_classifier_forward),
     ("generator_forward_chain", _case_generator_forward),
     ("student_forward_chain", _case_student_model),

@@ -6,6 +6,7 @@
 - Fused autodiff nodes: the composed graphs the fused nodes replace, built
   from primitive ops. Under ``composed_graphs()`` the package runs on them,
   so a test can demand bit-identical values and gradients.
+- Optimizer: the per-parameter update loop the flat step replaces.
 """
 from __future__ import annotations
 
@@ -18,8 +19,8 @@ from fedscil import Classifier, autodiff, generation, losses
 from fedscil.aggregation import (AccuracyMatrix, aggregate_old,
                                  assemble_global, cswa_aggregate_new,
                                  cswa_weights, fedavg_full)
-from fedscil.autodiff import (BatchNormState, Tensor, col_slice, gather_rows,
-                              l2_norm, matmul)
+from fedscil.autodiff import (BatchNormState, Tensor, _node, col_slice,
+                              concat, gather_rows, matmul)
 from fedscil.errors import ContractError, DegenerateBatchError
 
 OLD_GROUPS = ("backbone", "head_old", "bn_stats")
@@ -129,6 +130,29 @@ def check_aggregation_against_dense(rng: np.random.Generator,
 # -- composed references for the fused autodiff nodes --------------------------
 
 
+def tanh(t: Tensor) -> Tensor:
+    out = np.tanh(t.data)
+    return _node(out, (t,), lambda g: (g * (1.0 - out * out),))
+
+
+def l2_norm(t: Tensor) -> Tensor:
+    """Euclidean norm over all entries; zero input gives zero gradient."""
+    return (t * t).sum().sqrt()
+
+
+def composed_scaled_tanh(t: Tensor, half, mid) -> Tensor:
+    return tanh(t) * Tensor(half) + Tensor(mid)
+
+
+def composed_generator_total_loss(fidelity, entropy, stats, disagreement,
+                                  weights) -> Tensor:
+    total = (weights.lambda1 * fidelity + weights.lambda2 * entropy
+             + weights.lambda3 * stats + weights.lambda4 * disagreement)
+    if not isinstance(total, Tensor):
+        total = Tensor(float(total))
+    return total
+
+
 def composed_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return matmul(x, w) + b
 
@@ -174,13 +198,30 @@ def composed_bn_stat_loss(batch_stats, running_stats) -> Tensor:
     return total * (1.0 / len(batch_stats))
 
 
+def captured_forward(model: Classifier, x: Tensor):
+    """Eval-mode full-head logits of a classifier and, per backbone layer,
+    the (mean, var) batch statistics of its batch-norm input."""
+    h, stats = x, []
+    backbone = model.backbone
+    for fc, bn in ((backbone.fc1, backbone.bn1), (backbone.fc2, backbone.bn2)):
+        # looked up at call time, so composed_graphs() can substitute it
+        h, mu, var = autodiff.batchnorm_forward(fc(h), bn.gamma.value,
+                                                bn.beta.value, bn.state, "eval",
+                                                update_running=False)
+        stats.append((mu, var))
+        h = h.relu()
+    parts = [block.linear(h) for block in model.head_blocks]
+    logits = parts[0] if len(parts) == 1 else concat(parts, axis=1)
+    return logits, stats
+
+
 def composed_teacher_logits(x, teachers, session, capture_bn=False):
     """Full-head forward of every teacher, then the session's columns."""
     if not isinstance(x, Tensor):
         x = Tensor(x)
     slices, stats = [], []
     for model in teachers:
-        logits, layer_stats = model.forward(x, mode="eval", capture_bn=True)
+        logits, layer_stats = captured_forward(model, x)
         lo, hi = model.session_map[session]
         slices.append(col_slice(logits, lo, hi))
         stats.append(layer_stats)
@@ -256,12 +297,14 @@ def composed_transferability_loss(teacher_logits, student_logits,
 COMPOSED = [
     (autodiff.linear, composed_linear),
     (autodiff.batchnorm_forward, composed_batchnorm),
+    (autodiff.scaled_tanh, composed_scaled_tanh),
     (generation.generator_loss, composed_generator_loss),
     (losses.cross_entropy, composed_cross_entropy),
     (losses.generator_entropy_loss, composed_entropy_loss),
     (losses.student_loss, composed_student_loss),
     (losses.distillation_loss_subset, composed_distillation_loss_subset),
     (losses.transferability_loss, composed_transferability_loss),
+    (losses.generator_total_loss, composed_generator_total_loss),
 ]
 
 
@@ -283,3 +326,43 @@ def composed_graphs():
     finally:
         for module, name, value in saved:
             setattr(module, name, value)
+
+
+# -- the per-parameter optimizer step -------------------------------------------
+
+
+class LoopOptimizer:
+    """SGD with momentum or Adam, one parameter at a time, with state keyed
+    by parameter name: the update ``autodiff.Optimizer`` makes in one flat
+    pass."""
+
+    def __init__(self, params, cfg: autodiff.OptimizerConfig):
+        self.params = list(params)
+        self.cfg = cfg
+        self._vel, self._m, self._v = {}, {}, {}
+        self._t = 0
+
+    def set_rate(self, group: str, rate: float) -> None:
+        self.cfg.rates[group] = float(rate)
+
+    def step(self) -> None:
+        cfg = self.cfg
+        self._t += 1
+        for p in self.params:
+            rate = cfg.rates[p.group]
+            if rate == 0.0:
+                continue
+            g = p.grad
+            if cfg.kind == "sgd_momentum":
+                v = self._vel.get(p.name)
+                v = g if v is None else cfg.momentum * v + g
+                self._vel[p.name] = v
+                p.value.data = p.value.data - rate * v
+            else:
+                m = self._m.get(p.name, 0.0) * cfg.beta1 + (1 - cfg.beta1) * g
+                v = self._v.get(p.name, 0.0) * cfg.beta2 + (1 - cfg.beta2) * g * g
+                self._m[p.name] = m
+                self._v[p.name] = v
+                m_hat = m / (1 - cfg.beta1 ** self._t)
+                v_hat = v / (1 - cfg.beta2 ** self._t)
+                p.value.data = p.value.data - rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)

@@ -5,10 +5,11 @@ import pytest
 from fedscil import Classifier, Parameter, Tensor, autodiff, backprop, grad
 from fedscil.autodiff import (BatchNormState, Optimizer, OptimizerConfig,
                               batchnorm_forward, col_slice, concat,
-                              gather_rows, l2_norm, linear, one_hot, row_slice)
+                              gather_rows, linear, one_hot, row_slice)
 from fedscil.errors import ContractError, DegenerateBatchError
 
 from gradcheck import TOL, run_suite
+from oracles import captured_forward, l2_norm
 
 
 def _p(data, name="p"):
@@ -183,7 +184,7 @@ def _count_nodes(monkeypatch) -> list:
 def test_eval_forward_without_capture_builds_no_statistics(rng, monkeypatch):
     model = Classifier(in_dim=4, base_classes=3, seed=1, hidden=6, feature_dim=5)
     x = _p(rng.standard_normal((7, 4)), "x")
-    captured = model.forward(x.value, mode="eval", capture_bn=True)[0]
+    captured = captured_forward(model, x.value)[0]
     built = _count_nodes(monkeypatch)
     plain = model.forward(x.value, mode="eval")
     # two linear, batch-norm and relu nodes each, then the head: no mean or

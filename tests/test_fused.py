@@ -9,14 +9,16 @@ import pytest
 from fedscil import (Classifier, ConditionalGenerator, LossWeights, Parameter,
                      Tensor, bn_stat_loss, client_loss, generation, grad, losses,
                      train_generator_session)
-from fedscil.autodiff import BatchNormState, batchnorm_forward, frozen, row_slice
+from fedscil.autodiff import (BatchNormState, batchnorm_forward, frozen, row_slice,
+                              scaled_tanh)
 from fedscil.errors import ContractError
 from fedscil.generation import GenLabConfig, teacher_logits
 from fedscil.models import ModelStack, make_student
-from oracles import (bn_running_stats, composed_batchnorm,
+from oracles import (bn_running_stats, captured_forward, composed_batchnorm,
                      composed_bn_stat_loss, composed_cross_entropy,
                      composed_distillation_loss_subset, composed_entropy_loss,
-                     composed_graphs, composed_student_loss,
+                     composed_generator_total_loss, composed_graphs,
+                     composed_scaled_tanh, composed_student_loss,
                      composed_teacher_logits, composed_transferability_loss)
 
 IN_DIM, SESSION, CLASSES = 6, 2, 2
@@ -129,8 +131,7 @@ def _check_stacked_pass(teachers: int, session: int):
     ensemble, opp, stats = teacher_logits(x.value, stack, capture_bn=True)
     ref, ref_stats = composed_teacher_logits(x.value, teacher_models, session,
                                              capture_bn=True)
-    ref_opp, ref_opp_stats = opponent.forward(x.value, mode="eval",
-                                              capture_bn=True)
+    ref_opp, ref_opp_stats = captured_forward(opponent, x.value)
     assert np.array_equal(ensemble.data, ref.data)
     assert np.array_equal(opp.data, ref_opp.data)
     for m, per_model in enumerate(ref_stats + [ref_opp_stats]):
@@ -306,6 +307,54 @@ def test_distillation_subset_matches_composed_graph(new_columns):
                                               temperature)
         assert np.array_equal(a.data, b.data)
         _assert_grads_equal(grad(a * 0.7, [t, s]), grad(b * 0.7, [t, s]))
+
+
+# which of the four generator terms are Tensors; the others are 0.0 floats,
+# as generator_loss passes a switched-off term
+TERM_CASES = [(True, True, True, True), (True, True, False, True),
+              (True, True, True, False), (True, True, False, False),
+              (False, True, False, True), (False, False, False, False)]
+
+
+@pytest.mark.parametrize("tensors", TERM_CASES)
+def test_generator_total_matches_composed_graph(tensors):
+    rng = np.random.default_rng(15)
+    weights = LossWeights(lambda1=2.0, lambda2=0.7,
+                          lambda3=1.3 if tensors[2] else 0.0,
+                          lambda4=0.3 if tensors[3] else 0.0)
+    for _ in range(20):
+        t = Parameter("t", Tensor(rng.uniform(-3, 3, (7, 3))), "backbone")
+        s = Parameter("s", Tensor(rng.uniform(-3, 3, (7, 3))), "backbone")
+        y = rng.integers(0, 3, size=7)
+
+        def terms():
+            # every term reads t, so the walk sums four gradients into it
+            built = [losses.cross_entropy(t.value, y),
+                     losses.generator_entropy_loss(t.value),
+                     (t.value * s.value).mean(),
+                     losses.transferability_loss(t.value, s.value, 1.5)]
+            return [term if keep else 0.0 for term, keep in zip(built, tensors)]
+
+        a = losses.generator_total_loss(*terms(), weights)
+        b = composed_generator_total_loss(*terms(), weights)
+        assert np.array_equal(a.data, b.data)
+        assert a.requires_grad == b.requires_grad == any(tensors)
+        if any(tensors):
+            _assert_grads_equal(grad(a, [t, s]), grad(b, [t, s]))
+
+
+def test_generator_output_matches_composed_graph():
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        pre = Parameter("pre", Tensor(rng.uniform(-4, 4, (9, 5))), "backbone")
+        low = rng.uniform(-3, 0, 5)
+        high = low + rng.uniform(0, 3, 5)
+        half, mid = (high - low) / 2.0, (high + low) / 2.0
+        w = Tensor(rng.standard_normal((9, 5)))
+        a = scaled_tanh(pre.value, half, mid)
+        b = composed_scaled_tanh(pre.value, half, mid)
+        assert np.array_equal(a.data, b.data)
+        _assert_grads_equal(grad((a * w).sum(), [pre]), grad((b * w).sum(), [pre]))
 
 
 def test_frozen_restores_trainability_exactly():
