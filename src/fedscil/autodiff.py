@@ -644,12 +644,9 @@ class OptimizerConfig:
 class Optimizer:
     """Stateful SGD-with-momentum or Adam over named parameters.
 
-    A step is one elementwise update of a flat vector: the live parameters'
-    values and gradients, concatenated in parameter order, run through the
-    update rule once. The state (the SGD velocity, Adam's m and v) is one
-    flat array over every parameter. Each live parameter's value is then
-    rebound to a view of the step's fresh result, never written in place, so
-    an array taken from a parameter before a step keeps its contents.
+    Each step is one flat update that rebinds the values (see the module
+    docstring). The state (the SGD velocity, Adam's m and v) is one flat
+    array over every parameter.
 
     Groups with rate exactly 0 are skipped entirely: neither their values nor
     their state change, so their parameters are bit-identical after any
@@ -716,13 +713,13 @@ class Optimizer:
         if self._plan is None:
             self._plan = self._make_plan()
         live, spans, rate, index, fresh = self._plan
-        self._t += 1
-        if not live:
-            return
         grads = [p.grad for p in live]
         for p, g in zip(live, grads):
             if g is None:
                 raise ContractError(f"parameter {p.name} has no gradient")
+        self._t += 1
+        if not live:
+            return
         g = np.concatenate(grads, axis=None)
         x = np.concatenate([p.value.data for p in live], axis=None)
         if g.size != x.size:

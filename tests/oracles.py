@@ -6,7 +6,8 @@
 - Fused autodiff nodes: the composed graphs the fused nodes replace, built
   from primitive ops. Under ``composed_graphs()`` the package runs on them,
   so a test can demand bit-identical values and gradients.
-- Optimizer: the per-parameter update loop the flat step replaces.
+- Optimizer: a loop over the parameters with the same update rules and
+  per-name state, the reference for the flat step.
 """
 from __future__ import annotations
 

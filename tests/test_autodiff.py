@@ -305,6 +305,13 @@ def test_optimizer_rejects_missing_gradient():
     opt = Optimizer([p], OptimizerConfig("sgd_momentum", {"backbone": 0.1}))
     with pytest.raises(ContractError):
         opt.step()
+    # nothing is updated when a later parameter lacks its gradient
+    q = _p([2.0], "q")
+    p.grad = np.array([0.5])
+    opt = Optimizer([p, q], OptimizerConfig("sgd_momentum", {"backbone": 0.1}))
+    with pytest.raises(ContractError, match="parameter q has no gradient"):
+        opt.step()
+    assert np.array_equal(p.value.data, [1.0])
 
 
 def test_optimizer_config_validation():
