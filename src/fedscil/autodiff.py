@@ -17,31 +17,33 @@ What the generator step runs many times is built from fused nodes:
 KL and batch-norm statistics losses. A fused node repeats, in the same
 order, the numpy arithmetic of the primitive ops it replaces, and inside
 itself sums gradients in the order the walk would have summed them over
-those ops, so every float matches the composed graph bit for bit. Where a
-value has consumers outside the fused node (the batch statistics), it stays
-a node of its own and the walk keeps ordering its gradient. The generator's
-output, ``tanh(pre) * half + mid``, is one node (``scaled_tanh``). The
-composed graphs live on in the tests as references.
+those ops, so every float matches the composed graph bit for bit. The
+batch statistics that the statistics loss reads are an op of their own,
+``batch_statistics``: two nodes (mean, then variance) beside the
+normalization, whose gradients the walk orders as over the composed graph.
+The generator's output, ``tanh(pre) * half + mid``, is one node
+(``scaled_tanh``). The composed graphs live on in the tests as references.
 
-``linear`` and ``batchnorm_forward`` also take a leading model axis, so
-several models of one architecture run as one chain of nodes (the generator
-step's teachers and its opponent student). Stacking keeps every float of the
-per-model graphs under two rules. Backward multiplies by transposed views
-(``swapaxes``), never by contiguous copies, which BLAS may sum in another
-order. A shared input's gradient is ``np.add.reduce`` over the model axis,
-((g0 + g1) + g2) + ..., the order in which the walk summed the per-model
-graphs of the generator objective: teachers in list order, then the
-opponent. What differs is the sign of a zero at most: the reduction starts
-from 0.0, and a model slot's gradient arrives zero-padded to the stack.
+``linear``, ``batchnorm_forward`` and ``batch_statistics`` also take a
+leading model axis, so several models of one architecture run as one chain
+of nodes (the generator step's teachers and its opponent student). Stacking
+keeps every float of the per-model graphs under two rules. Backward
+multiplies by transposed views (``swapaxes``), never by contiguous copies,
+which BLAS may sum in another order. A shared input's gradient is
+``np.add.reduce`` over the model axis, ((g0 + g1) + g2) + ..., the order in
+which the walk summed the per-model graphs of the generator objective:
+teachers in list order, then the opponent. What differs is the sign of a
+zero at most: the reduction starts from 0.0, and a model slot's gradient
+arrives zero-padded to the stack.
 
 Numerical conventions, all of which tests rely on:
 - ``log`` clamps its argument to >= 1e-12 and passes zero gradient below the
   clamp point.
 - softmax is row-wise and max-stabilized.
-- batch normalization reports the batch mean and variance, when the caller
-  captures them, as graph nodes of their own (losses differentiate through
-  them); the running statistics are plain arrays updated by EMA with
-  ``running = (1 - momentum) * running + momentum * batch``.
+- batch normalization in train mode normalizes by the batch mean and
+  biased variance and always updates the running statistics, plain arrays,
+  by EMA with ``running = (1 - momentum) * running + momentum * batch``;
+  eval mode reads them and updates nothing.
 
 An optimizer step is one elementwise update of a flat vector: the live
 parameters' values and gradients are concatenated, the update rule runs
@@ -102,9 +104,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
@@ -140,20 +139,11 @@ class Tensor:
     def __rtruediv__(self, other):
         return _div(_wrap(other), self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     # -- unary / reductions -------------------------------------------------
 
     def relu(self) -> "Tensor":
         mask = self.data > 0.0
         return _node(self.data * mask, (self,), lambda g: (g * mask,))
-
-    def sqrt(self) -> "Tensor":
-        out = np.sqrt(self.data)
-        # the 1e-150 floor keeps the zero case finite; 0 * finite == 0
-        safe = np.maximum(out, 1e-150)
-        return _node(out, (self,), lambda g: (g * 0.5 / safe,))
 
     def log(self) -> "Tensor":
         """Natural log with the argument clamped to >= LOG_CLAMP.
@@ -261,20 +251,6 @@ def _div(a: Tensor, b: Tensor) -> Tensor:
                  lambda g: (_unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
                             _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
                             if b.requires_grad else None))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ContractError("matmul expects 2-d operands")
-    if a.shape[1] != b.shape[0]:
-        raise ContractError(f"matmul shape mismatch {a.shape} @ {b.shape}")
-
-    def bw(g: Array):
-        ga = g @ b.data.T if a.requires_grad else None
-        gb = a.data.T @ g if b.requires_grad else None
-        return (ga, gb)
-
-    return _node(a.data @ b.data, (a, b), bw)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -522,34 +498,57 @@ class BatchNormState:
     epsilon: float = 1e-5
 
 
-def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
-                      state: BatchNormState, mode: str,
-                      update_running: bool = True,
-                      capture: bool = True,
-                      ) -> tuple[Tensor, Tensor | None, Tensor | None]:
-    """Returns (y, batch_mean, batch_var); the statistics are None unless
-    ``capture``.
+def _batch_sum(a: Array, stacked: bool) -> Array:
+    """Sum over the batch axis; per model, what ndarray.sum(axis=0) gives."""
+    return np.add.reduce(a, axis=1 if stacked else 0, keepdims=stacked)
 
-    Train mode normalizes by batch statistics and EMA-updates the running
-    ones; eval mode normalizes by running statistics. Captured batch
-    statistics are graph nodes in both modes: generator training
-    differentiates a statistics-matching loss through them while the teacher
-    itself stays frozen (its running stats are only mutated in train mode
-    with update_running=True). Eval mode without capture computes no batch
-    statistics at all.
+
+def _moments(x: Array, stacked: bool) -> tuple[Array, Array, Array]:
+    """(batch mean, x - mean, biased batch variance); add.reduce / count is
+    what ndarray.mean computes."""
+    count = x.shape[-2]
+    mu = _batch_sum(x, stacked) / count
+    centered = x - mu
+    return mu, centered, _batch_sum(centered * centered, stacked) / count
+
+
+def batch_statistics(x: Tensor) -> tuple[Tensor, Tensor]:
+    """The batch mean and biased variance of a batch-norm input, as nodes.
+
+    What the statistics-matching loss reads: the mean is a node over x, the
+    variance a node over x and the mean, so the walk sums their gradients
+    into x in the same order as over the composed graph ``mu = x.mean(0);
+    c = x - mu; var = (c * c).mean(0)``. With a leading model axis, x is
+    (models, batch, channels) and the statistics (models, 1, channels).
+    """
+    if x.ndim not in (2, 3):
+        raise ContractError("batch statistics need a (batch, channels) or "
+                            "(models, batch, channels) tensor")
+    stacked, count = x.ndim == 3, x.shape[-2]
+    mu_data, centered, var_data = _moments(x.data, stacked)
+    mu = _node(mu_data, (x,),
+               lambda g: (np.broadcast_to(g / count, x.shape).copy(),))
+
+    def var_bw(g: Array):
+        g_c = g / count * centered
+        g_c = g_c + g_c  # c * c sends one share per operand
+        return (g_c, -_batch_sum(g_c, stacked))
+
+    return mu, _node(var_data, (x, mu), var_bw)
+
+
+def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
+                      state: BatchNormState, mode: str) -> Tensor:
+    """Batch normalization as one fused node over x, gamma and beta.
+
+    Train mode normalizes by the batch statistics, carries the gradient
+    through them, and EMA-updates the running statistics; eval mode
+    normalizes by the running statistics and computes no batch statistics
+    (a loss that reads them takes them from :func:`batch_statistics`).
 
     With a leading model axis, x is (models, batch, channels), gamma, beta
-    and the running statistics are (models, 1, channels), each model
-    normalizes its own slice, and the statistics come out (models, 1,
-    channels).
-
-    ``y`` is one fused node over x, gamma and beta; in train mode it also
-    carries the gradient through the batch statistics it normalized by. The
-    returned statistics are nodes of their own (the mean over x, then the
-    variance over x and the mean) that carry what their consumers send, so
-    the walk sums their gradients into x in the same order as over the
-    composed graph ``mu = x.mean(0); c = x - mu; var = (c * c).mean(0);
-    y = gamma * normed + beta``.
+    and the running statistics are (models, 1, channels), and each model
+    normalizes its own slice.
     """
     if mode not in ("train", "eval"):
         raise ContractError(f"unknown batchnorm mode {mode!r}")
@@ -561,62 +560,37 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     if mode == "train" and x.shape[-2] < 2:
         raise DegenerateBatchError("batch statistics need at least 2 samples")
 
-    axis = x.ndim - 2  # the batch axis
-    stacked = x.ndim == 3
-    count = x.shape[axis]
-
-    def batch_sum(a: Array) -> Array:
-        # what ndarray.sum(axis=0) computes for one model
-        return np.add.reduce(a, axis=axis, keepdims=stacked)
-
-    mu = var = None
-    if mode == "train" or capture:
-        mu_data = batch_sum(x.data) / count
-        centered = x.data - mu_data
-        # biased, matches normalization; add.reduce / count is ndarray.mean
-        var_data = batch_sum(centered * centered) / count
-    if capture:
-        mu = _node(mu_data, (x,),
-                   lambda g: (np.broadcast_to(g / count, x.shape).copy(),))
-
-        def var_bw(g: Array):
-            g_c = g / count * centered
-            g_c = g_c + g_c  # c * c sends one share per operand
-            return (g_c, -batch_sum(g_c))
-
-        var = _node(var_data, (x, mu), var_bw)
-
+    stacked, count = x.ndim == 3, x.shape[-2]
     g_data, b_data = gamma.data, beta.data
     if mode == "train":
+        mu_data, centered, var_data = _moments(x.data, stacked)
         std = np.sqrt(var_data + state.epsilon)
         normed = centered / std
 
         def bw(g: Array):
             g_n = g * g_data
-            g_std = batch_sum(-g_n * centered / (std * std))
+            g_std = _batch_sum(-g_n * centered / (std * std), stacked)
             g_sq = g_std * 0.5 / np.maximum(std, 1e-150) / count * centered
             # into c: the normalization's share first, then c * c's two;
             # into x: c's gradient, then the mean's share through c = x - mu
             g_c = g_n / std + g_sq + g_sq
-            return (g_c + -batch_sum(g_c) / count,
-                    batch_sum(g * normed) if gamma.requires_grad else None,
-                    batch_sum(g) if beta.requires_grad else None)
+            return (g_c + -_batch_sum(g_c, stacked) / count,
+                    _batch_sum(g * normed, stacked) if gamma.requires_grad else None,
+                    _batch_sum(g, stacked) if beta.requires_grad else None)
 
-        if update_running:
-            m = state.momentum
-            state.running_mean = (1.0 - m) * state.running_mean + m * mu_data
-            state.running_var = (1.0 - m) * state.running_var + m * var_data
+        m = state.momentum
+        state.running_mean = (1.0 - m) * state.running_mean + m * mu_data
+        state.running_var = (1.0 - m) * state.running_var + m * var_data
     else:
         inv = 1.0 / np.sqrt(state.running_var + state.epsilon)
         normed = (x.data - state.running_mean) * inv
 
         def bw(g: Array):
             return (g * g_data * inv if x.requires_grad else None,
-                    batch_sum(g * normed) if gamma.requires_grad else None,
-                    batch_sum(g) if beta.requires_grad else None)
+                    _batch_sum(g * normed, stacked) if gamma.requires_grad else None,
+                    _batch_sum(g, stacked) if beta.requires_grad else None)
 
-    y = _node(g_data * normed + b_data, (x, gamma, beta), bw)
-    return y, mu, var
+    return _node(g_data * normed + b_data, (x, gamma, beta), bw)
 
 
 # -- optimizers ---------------------------------------------------------------

@@ -6,7 +6,9 @@ at a small rate, the session's new columns at a large one. When replay is
 active, each step draws a fresh class-balanced batch from the synthetic
 buffer and forwards it together with the session batch (one train-mode pass,
 so batch-norm sees the union batch and a singleton session batch can never
-reach the batch statistics).
+reach the batch statistics). The replay term reads the replay rows' logits:
+every column in ``replay_loss`` "subset" mode, only the old-class columns in
+"sliced" mode, which is the same objective under their own softmax.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from .autodiff import (Optimizer, OptimizerConfig, Tensor, backprop,
 from .errors import ContractError
 from .generation import ReplayBuffer
 from .losses import (LossWeights, client_loss, cross_entropy,
-                     distillation_loss_subset, student_loss)
+                     distillation_loss_subset)
 from .models import Classifier
 
 
@@ -55,19 +57,13 @@ def _epoch_batches(n: int, size: int, rng: np.random.Generator) -> list[np.ndarr
     return batches
 
 
-def _optimizer(model: Classifier, cfg: ClientConfig) -> Optimizer:
-    rates = {"backbone": cfg.lr_backbone_and_old,
-             "head_old": cfg.lr_backbone_and_old,
-             "head_new": cfg.lr_new_head}
-    return Optimizer(model.parameters(),
-                     OptimizerConfig("sgd_momentum", rates, momentum=cfg.momentum))
-
-
 def _run_local(model_in: Classifier, x: np.ndarray, y: np.ndarray,
                buffer: ReplayBuffer | None, cfg: ClientConfig,
-               weights: LossWeights, seed: int, loss_fn) -> tuple[Classifier, int]:
+               weights: LossWeights, old_count: int, seed: int,
+               loss_fn) -> tuple[Classifier, int]:
     """Shared loop. loss_fn(new_logits, new_labels, replay_logits,
-    replay_labels, replay_x) -> scalar; replay args are None when k == 0."""
+    replay_labels, replay_x) -> scalar; replay args are None when k == 0,
+    and the replay logits are cut to ``old_count`` columns in sliced mode."""
     cfg.validate()
     model = model_in.clone()
     n = int(y.shape[0])
@@ -76,8 +72,11 @@ def _run_local(model_in: Classifier, x: np.ndarray, y: np.ndarray,
     use_replay = weights.k > 0.0
     if use_replay and (buffer is None or len(buffer) == 0):
         raise ContractError("replay requested but the buffer is empty")
-    opt = _optimizer(model, cfg)
     params = model.parameters()
+    rates = {"backbone": cfg.lr_backbone_and_old,
+             "head_old": cfg.lr_backbone_and_old, "head_new": cfg.lr_new_head}
+    opt = Optimizer(params, OptimizerConfig("sgd_momentum", rates,
+                                            momentum=cfg.momentum))
     rng = np.random.default_rng(seed)
     for _ in range(cfg.epochs):
         for batch in _epoch_batches(n, cfg.batch_size_new, rng):
@@ -86,8 +85,10 @@ def _run_local(model_in: Classifier, x: np.ndarray, y: np.ndarray,
             if use_replay:
                 xr, yr = buffer.sample(cfg.batch_size_replay, rng)
                 joint = model.forward(np.concatenate([xb, xr]), mode="train")
-                loss = loss_fn(row_slice(joint, 0, nb), yb,
-                               row_slice(joint, nb, nb + xr.shape[0]), yr, xr)
+                replay = row_slice(joint, nb, nb + xr.shape[0])
+                if cfg.replay_loss == "sliced":
+                    replay = col_slice(replay, 0, old_count)
+                loss = loss_fn(row_slice(joint, 0, nb), yb, replay, yr, xr)
             else:
                 mode = "train" if nb >= 2 else "eval"
                 loss = loss_fn(model.forward(xb, mode=mode), yb, None, None, None)
@@ -108,9 +109,10 @@ def local_update_nagr(model: Classifier, x: np.ndarray, y: np.ndarray,
 
     def loss_fn(new_logits, new_labels, replay_logits, replay_labels, _xr):
         return client_loss(new_logits, new_labels, replay_logits, replay_labels,
-                           weights, old_count, cfg.replay_loss)
+                           weights, old_count)
 
-    return _run_local(model, x, y, buffer, cfg, weights, seed, loss_fn)
+    return _run_local(model, x, y, buffer, cfg, weights, old_count, seed,
+                      loss_fn)
 
 
 def local_update_baseline_kd(model: Classifier, prev_model: Classifier,
@@ -123,9 +125,9 @@ def local_update_baseline_kd(model: Classifier, prev_model: Classifier,
 
     The old-class entries follow cfg.replay_loss: in subset mode they come
     from the full-head softmax (mass leaking to new columns raises the
-    divergence), in sliced mode from a renormalized old-slice softmax. With
-    k == 0 the replay stream is never drawn, so the trajectory is
-    bit-identical to local_update_nagr under the same seed.
+    divergence), in sliced mode from the softmax of the old-class columns
+    alone. With k == 0 the replay stream is never drawn, so the trajectory
+    is bit-identical to local_update_nagr under the same seed.
     """
     if prev_model.classes_seen != old_count:
         raise ContractError("previous global model must cover the old classes")
@@ -135,14 +137,11 @@ def local_update_baseline_kd(model: Classifier, prev_model: Classifier,
         if replay_logits is None:
             return loss
         teacher = prev_model.forward(Tensor(xr), mode="eval")
-        if cfg.replay_loss == "subset":
-            kd = distillation_loss_subset(teacher, replay_logits, old_count,
-                                          weights.kl_temperature)
-        else:
-            kd = student_loss(teacher, col_slice(replay_logits, 0, old_count),
-                              weights.kl_temperature)
+        kd = distillation_loss_subset(teacher, replay_logits, old_count,
+                                      weights.kl_temperature)
         return loss + weights.k * kd
 
     # the teacher's forward pass needs no graph
     with frozen(prev_model.parameters()):
-        return _run_local(model, x, y, buffer, cfg, weights, seed, loss_fn)
+        return _run_local(model, x, y, buffer, cfg, weights, old_count, seed,
+                          loss_fn)

@@ -79,40 +79,24 @@ def cross_entropy(logits: Tensor, labels: Array) -> Tensor:
 
 def reverse_cross_entropy(probs: Tensor, labels: Array,
                           log_zero: float = -4.0) -> Tensor:
-    """-mean_i sum_c p_ic log onehot(y_i)_c with log 0 := log_zero.
-
-    Rows of ``probs`` must sum to 1; per sample the value is
-    -log_zero * (1 - p_y).
-    """
+    """-mean_i sum_c p_ic log onehot(y_i)_c with log 0 := log_zero; for rows
+    summing to 1, per sample -log_zero * (1 - p_y)."""
     labels = _check_batch(probs, labels)
     log_hot = log_zero * (1.0 - one_hot(labels, probs.shape[1]).data)
     per_sample = (probs * Tensor(log_hot)).sum(axis=1)
     return -(per_sample.mean())
 
 
-def noise_robust_loss(logits: Tensor, labels: Array, alpha: float, beta: float,
-                      log_zero: float = -4.0) -> Tensor:
-    """alpha * CE + beta * RCE over the softmax of the given logits.
-
-    Callers replaying against the inherited classes pass the old-class slice
-    of the head; with alpha=1, beta=0 this is exactly cross_entropy on that
-    slice.
-    """
-    ce = cross_entropy(logits, labels)
-    rce = reverse_cross_entropy(logits.softmax(), labels, log_zero)
-    return alpha * ce + beta * rce
-
-
 def replay_loss_subset(full_logits: Tensor, labels: Array, old_count: int,
                        alpha: float, beta: float,
                        log_zero: float = -4.0) -> Tensor:
-    """CE + RCE on old-class targets under the full-head softmax.
+    """The replay objective: alpha * CE + beta * RCE on old-class targets.
 
-    Unlike :func:`noise_robust_loss` on a slice, the distribution here is the
-    softmax over every seen class, so the replay gradient also pushes new-class
-    logits down on old-class samples: the CE pulls p_y toward 1 and the RCE
-    term -log_zero * (1 - p_y) counts any mass off the target, new columns
-    included. The two coincide while the head has no new columns.
+    Over the full head the softmax spans every seen class, so the gradient
+    also pushes new-class logits down on old-class samples: the CE pulls p_y
+    toward 1 and the RCE term -log_zero * (1 - p_y) counts any mass off the
+    target, new columns included. Given only the old-class columns, it is
+    the same objective under their own softmax.
     """
     labels = _check_batch(full_logits, labels)
     if not (0 < old_count <= full_logits.shape[1]):
@@ -126,11 +110,18 @@ def replay_loss_subset(full_logits: Tensor, labels: Array, old_count: int,
     return alpha * ce + beta * rce
 
 
+def noise_robust_loss(logits: Tensor, labels: Array, alpha: float, beta: float,
+                      log_zero: float = -4.0) -> Tensor:
+    """alpha * CE + beta * RCE over the softmax of all the given logits."""
+    return replay_loss_subset(logits, labels, logits.shape[1], alpha, beta,
+                              log_zero)
+
+
 def client_loss(new_logits: Tensor, new_labels: Array,
                 replay_logits: Tensor | None, replay_labels: Array | None,
-                weights: LossWeights, old_count: int = 0,
-                replay_mode: str = "subset") -> Tensor:
-    """Local objective: CE on the session's data plus k times the replay term.
+                weights: LossWeights, old_count: int = 0) -> Tensor:
+    """Local objective: CE on the session's data plus k times
+    :func:`replay_loss_subset` on the replay rows.
 
     ``replay_logits`` may be None only when k == 0 (no replay drawn).
     """
@@ -139,15 +130,8 @@ def client_loss(new_logits: Tensor, new_labels: Array,
         return loss
     if replay_logits is None or replay_labels is None:
         raise ContractError("replay batch required when k > 0")
-    if replay_mode == "subset":
-        old = replay_loss_subset(replay_logits, replay_labels, old_count,
-                                 weights.alpha, weights.beta, weights.rce_log_zero)
-    elif replay_mode == "sliced":
-        old = noise_robust_loss(col_slice(replay_logits, 0, old_count),
-                                replay_labels, weights.alpha, weights.beta,
-                                weights.rce_log_zero)
-    else:
-        raise ContractError(f"unknown replay_mode {replay_mode!r}")
+    old = replay_loss_subset(replay_logits, replay_labels, old_count,
+                             weights.alpha, weights.beta, weights.rce_log_zero)
     return loss + weights.k * old
 
 
@@ -160,9 +144,8 @@ def info_entropy(probs: Tensor) -> Tensor:
     return per_sample.mean() * (1.0 / c)
 
 
-def generator_fidelity_loss(teacher_logits: Tensor, condition: Array) -> Tensor:
-    """CE between the teacher's session-slice prediction and the condition."""
-    return cross_entropy(teacher_logits, condition)
+# CE between the teachers' session-slice prediction and the condition
+generator_fidelity_loss = cross_entropy
 
 
 def generator_entropy_loss(teacher_logits: Tensor) -> Tensor:

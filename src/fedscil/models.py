@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (Array, BatchNormState, Parameter, Tensor,
-                       batchnorm_forward, concat, linear, one_hot, scaled_tanh)
+                       batch_statistics, batchnorm_forward, concat, linear,
+                       one_hot, scaled_tanh)
 from .errors import ContractError
 
 
@@ -50,10 +51,9 @@ class BatchNorm:
         self.state = BatchNormState(np.zeros(channels), np.ones(channels),
                                     momentum, epsilon)
 
-    def __call__(self, x: Tensor, mode: str, update_running: bool = True) -> Tensor:
+    def __call__(self, x: Tensor, mode: str) -> Tensor:
         return batchnorm_forward(x, self.gamma.value, self.beta.value,
-                                 self.state, mode, update_running,
-                                 capture=False)[0]
+                                 self.state, mode)
 
     def parameters(self) -> list[Parameter]:
         return [self.gamma, self.beta]
@@ -64,7 +64,7 @@ class BatchNorm:
 
 
 class _Backbone:
-    """fc -> bn -> relu, twice; produces feature vectors."""
+    """fc -> bn -> relu, twice: the classifier's backbone, the generator's body."""
 
     def __init__(self, in_dim: int, hidden: int, feature_dim: int,
                  rng: np.random.Generator, prefix: str = "backbone"):
@@ -75,18 +75,22 @@ class _Backbone:
         self.fc2 = Linear(f"{prefix}.fc2", hidden, feature_dim, rng)
         self.bn2 = BatchNorm(f"{prefix}.bn2", feature_dim)
 
-    def forward(self, x: Tensor, mode: str, update_running: bool) -> Tensor:
+    def blocks(self) -> tuple[tuple[Linear, BatchNorm], ...]:
+        """The (fc, bn) pairs in forward order; each is followed by a relu."""
+        return (self.fc1, self.bn1), (self.fc2, self.bn2)
+
+    def forward(self, x: Tensor, mode: str) -> Tensor:
         h = x
-        for fc, bn in ((self.fc1, self.bn1), (self.fc2, self.bn2)):
-            h = bn(fc(h), mode, update_running).relu()
+        for fc, bn in self.blocks():
+            h = bn(fc(h), mode).relu()
         return h
 
-    def layers(self) -> list[BatchNorm]:
-        return [self.bn1, self.bn2]
+    def bn_layers(self) -> list[BatchNorm]:
+        return [bn for _, bn in self.blocks()]
 
     def parameters(self) -> list[Parameter]:
-        return (self.fc1.parameters() + self.bn1.parameters()
-                + self.fc2.parameters() + self.bn2.parameters())
+        return [p for fc, bn in self.blocks()
+                for p in fc.parameters() + bn.parameters()]
 
 
 @dataclass
@@ -134,7 +138,6 @@ class Classifier:
         return out
 
     def forward(self, x: Tensor | Array, mode: str = "eval",
-                update_running: bool | None = None,
                 session: int | None = None) -> Tensor:
         """Logits over every class seen, or only over the columns added in
         ``session`` when one is given."""
@@ -145,9 +148,7 @@ class Classifier:
                 f"expected input of shape (batch, {self.in_dim}), got {x.shape}")
         blocks = (self.head_blocks if session is None
                   else [self.session_block(session)])
-        if update_running is None:
-            update_running = mode == "train"
-        h = self.backbone.forward(x, mode, update_running)
+        h = self.backbone.forward(x, mode)
         parts = [block.linear(h) for block in blocks]
         return parts[0] if len(parts) == 1 else concat(parts, axis=1)
 
@@ -183,7 +184,7 @@ class Classifier:
         return out
 
     def bn_layers(self) -> list[BatchNorm]:
-        return self.backbone.layers()
+        return self.backbone.bn_layers()
 
     def state_entries(self) -> list[tuple[str, Array, str]]:
         entries = [(p.name, p.value.data, p.group) for p in self.parameters()]
@@ -238,8 +239,7 @@ def _session_arrays(model: Classifier, session: int) -> list[tuple[str, Array]]:
     stack order: per backbone layer the weight, bias, gamma, beta and running
     statistics, then the session block's weight and bias."""
     out = []
-    for fc, bn in ((model.backbone.fc1, model.backbone.bn1),
-                   (model.backbone.fc2, model.backbone.bn2)):
+    for fc, bn in model.backbone.blocks():
         out += [(p.name, p.value.data) for p in fc.parameters() + bn.parameters()]
         out += [(name, arr) for name, arr, _ in bn.stat_entries()]
     out += [(p.name, p.value.data)
@@ -299,15 +299,14 @@ class ModelStack:
 
     def forward(self, x: Tensor, capture_bn: bool = False):
         """Eval-mode session logits of every model, (models, batch, classes),
-        and the per-layer batch statistics with capture_bn (else None)."""
+        and with capture_bn each batch-norm input's statistics (else None)."""
         stats: list | None = [] if capture_bn else None
         h = x
         for w, b, gamma, beta, state in self._layers:
-            h, mu, var = batchnorm_forward(linear(h, w, b), gamma, beta, state,
-                                           "eval", capture=capture_bn)
+            h = linear(h, w, b)
             if capture_bn:
-                stats.append((mu, var))
-            h = h.relu()
+                stats.append(batch_statistics(h))
+            h = batchnorm_forward(h, gamma, beta, state, "eval").relu()
         return linear(h, *self._head), stats
 
 
@@ -333,11 +332,7 @@ class ConditionalGenerator:
         self.hidden = hidden
         self._mid = (out_high + out_low) / 2.0
         self._half = (out_high - out_low) / 2.0
-        in_dim = noise_dim + classes
-        self.fc1 = Linear("gen.fc1", in_dim, hidden, rng)
-        self.bn1 = BatchNorm("gen.bn1", hidden)
-        self.fc2 = Linear("gen.fc2", hidden, hidden, rng)
-        self.bn2 = BatchNorm("gen.bn2", hidden)
+        self.body = _Backbone(noise_dim + classes, hidden, hidden, rng, "gen")
         self.out = Linear("gen.out", hidden, self.out_dim, rng)
 
     def forward(self, z: Tensor | Array, labels: Array, mode: str = "train") -> Tensor:
@@ -348,18 +343,12 @@ class ConditionalGenerator:
         labels = np.asarray(labels, dtype=np.int64)
         if labels.size and (labels.min() < 0 or labels.max() >= self.classes):
             raise ContractError(f"condition label outside [0, {self.classes})")
-        h = concat([z, one_hot(labels, self.classes)], axis=1)
-        for fc, bn in ((self.fc1, self.bn1), (self.fc2, self.bn2)):
-            h = bn(fc(h), mode).relu()
+        h = self.body.forward(concat([z, one_hot(labels, self.classes)], axis=1),
+                              mode)
         return scaled_tanh(self.out(h), self._half, self._mid)
 
     def parameters(self) -> list[Parameter]:
-        return (self.fc1.parameters() + self.bn1.parameters()
-                + self.fc2.parameters() + self.bn2.parameters()
-                + self.out.parameters())
-
-    def clone(self) -> "ConditionalGenerator":
-        return copy.deepcopy(self)
+        return self.body.parameters() + self.out.parameters()
 
 
 def make_student(in_dim: int, classes: int, session: int, seed: int,

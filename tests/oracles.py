@@ -21,7 +21,7 @@ from fedscil.aggregation import (AccuracyMatrix, aggregate_old,
                                  assemble_global, cswa_aggregate_new,
                                  cswa_weights, fedavg_full)
 from fedscil.autodiff import (BatchNormState, Tensor, _node, col_slice,
-                              concat, gather_rows, matmul)
+                              concat, gather_rows)
 from fedscil.errors import ContractError, DegenerateBatchError
 
 OLD_GROUPS = ("backbone", "head_old", "bn_stats")
@@ -136,9 +136,30 @@ def tanh(t: Tensor) -> Tensor:
     return _node(out, (t,), lambda g: (g * (1.0 - out * out),))
 
 
+def sqrt(t: Tensor) -> Tensor:
+    out = np.sqrt(t.data)
+    # the 1e-150 floor keeps the zero case finite; 0 * finite == 0
+    safe = np.maximum(out, 1e-150)
+    return _node(out, (t,), lambda g: (g * 0.5 / safe,))
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.ndim != 2 or b.ndim != 2:
+        raise ContractError("matmul expects 2-d operands")
+    if a.shape[1] != b.shape[0]:
+        raise ContractError(f"matmul shape mismatch {a.shape} @ {b.shape}")
+
+    def bw(g):
+        ga = g @ b.data.T if a.requires_grad else None
+        gb = a.data.T @ g if b.requires_grad else None
+        return (ga, gb)
+
+    return _node(a.data @ b.data, (a, b), bw)
+
+
 def l2_norm(t: Tensor) -> Tensor:
     """Euclidean norm over all entries; zero input gives zero gradient."""
-    return (t * t).sum().sqrt()
+    return sqrt((t * t).sum())
 
 
 def composed_scaled_tanh(t: Tensor, half, mid) -> Tensor:
@@ -158,30 +179,35 @@ def composed_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return matmul(x, w) + b
 
 
-def composed_batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
-                       state: BatchNormState, mode: str,
-                       update_running: bool = True, capture: bool = True):
-    """Batch norm from primitive ops; returns (y, batch_mean, batch_var), the
-    statistics None unless captured. The statistics nodes are built either
-    way; unconsumed, they take no part in the walk."""
-    if mode not in ("train", "eval"):
-        raise ContractError(f"unknown batchnorm mode {mode!r}")
+def _composed_moments(x: Tensor):
     mu = x.mean(axis=0)
     centered = x - mu
-    var = (centered * centered).mean(axis=0)
+    return mu, centered, (centered * centered).mean(axis=0)
+
+
+def composed_batch_statistics(x: Tensor):
+    mu, _, var = _composed_moments(x)
+    return mu, var
+
+
+def composed_batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
+                       state: BatchNormState, mode: str) -> Tensor:
+    """Batch norm from primitive ops; train mode normalizes by the one
+    centered node that the variance also reads."""
+    if mode not in ("train", "eval"):
+        raise ContractError(f"unknown batchnorm mode {mode!r}")
     if mode == "train":
         if x.shape[0] < 2:
             raise DegenerateBatchError("batch statistics need at least 2 samples")
-        normed = centered / (var + state.epsilon).sqrt()
-        if update_running:
-            m = state.momentum
-            state.running_mean = (1.0 - m) * state.running_mean + m * mu.data
-            state.running_var = (1.0 - m) * state.running_var + m * var.data
+        mu, centered, var = _composed_moments(x)
+        normed = centered / sqrt(var + state.epsilon)
+        m = state.momentum
+        state.running_mean = (1.0 - m) * state.running_mean + m * mu.data
+        state.running_var = (1.0 - m) * state.running_var + m * var.data
     else:
         inv = 1.0 / np.sqrt(state.running_var + state.epsilon)
         normed = (x - Tensor(state.running_mean)) * Tensor(inv)
-    y = gamma * normed + beta
-    return (y, mu, var) if capture else (y, None, None)
+    return gamma * normed + beta
 
 
 def bn_running_stats(model: Classifier) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -203,14 +229,12 @@ def captured_forward(model: Classifier, x: Tensor):
     """Eval-mode full-head logits of a classifier and, per backbone layer,
     the (mean, var) batch statistics of its batch-norm input."""
     h, stats = x, []
-    backbone = model.backbone
-    for fc, bn in ((backbone.fc1, backbone.bn1), (backbone.fc2, backbone.bn2)):
-        # looked up at call time, so composed_graphs() can substitute it
-        h, mu, var = autodiff.batchnorm_forward(fc(h), bn.gamma.value,
-                                                bn.beta.value, bn.state, "eval",
-                                                update_running=False)
-        stats.append((mu, var))
-        h = h.relu()
+    for fc, bn in model.backbone.blocks():
+        h = fc(h)
+        # looked up at call time, so composed_graphs() can substitute them
+        stats.append(autodiff.batch_statistics(h))
+        h = autodiff.batchnorm_forward(h, bn.gamma.value, bn.beta.value,
+                                       bn.state, "eval").relu()
     parts = [block.linear(h) for block in model.head_blocks]
     logits = parts[0] if len(parts) == 1 else concat(parts, axis=1)
     return logits, stats
@@ -298,6 +322,7 @@ def composed_transferability_loss(teacher_logits, student_logits,
 COMPOSED = [
     (autodiff.linear, composed_linear),
     (autodiff.batchnorm_forward, composed_batchnorm),
+    (autodiff.batch_statistics, composed_batch_statistics),
     (autodiff.scaled_tanh, composed_scaled_tanh),
     (generation.generator_loss, composed_generator_loss),
     (losses.cross_entropy, composed_cross_entropy),

@@ -4,8 +4,8 @@ import pytest
 
 from fedscil import Classifier, Parameter, Tensor, autodiff, backprop, grad
 from fedscil.autodiff import (BatchNormState, Optimizer, OptimizerConfig,
-                              batchnorm_forward, col_slice, concat,
-                              gather_rows, linear, one_hot, row_slice)
+                              batch_statistics, batchnorm_forward, col_slice,
+                              concat, gather_rows, linear, one_hot, row_slice)
 from fedscil.errors import ContractError, DegenerateBatchError
 
 from gradcheck import TOL, run_suite
@@ -114,18 +114,17 @@ def _bn_identity_inputs(rng):
 def test_batchnorm_identity_on_standardized_input(rng):
     x = _bn_identity_inputs(rng)
     state = BatchNormState(np.zeros(3), np.ones(3))
-    y, _, _ = batchnorm_forward(Tensor(x), Tensor(np.ones(3)),
-                                Tensor(np.zeros(3)), state, "train",
-                                update_running=False)
+    y = batchnorm_forward(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)),
+                          state, "train")
     assert np.max(np.abs(y.data - x)) <= 1e-5 * np.max(np.abs(x)) + 1e-6
 
 
 def test_batchnorm_train_output_is_standardized(rng):
     x = rng.standard_normal((16, 4)) * 3.0 + 2.0
     state = BatchNormState(np.zeros(4), np.ones(4))
-    y, mu, var = batchnorm_forward(Tensor(x), Tensor(np.ones(4)),
-                                   Tensor(np.zeros(4)), state, "train",
-                                   update_running=False)
+    y = batchnorm_forward(Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)),
+                          state, "train")
+    mu, var = batch_statistics(Tensor(x))
     assert np.max(np.abs(y.data.mean(axis=0))) <= 1e-6
     assert np.max(np.abs(y.data.var(axis=0) - 1.0)) <= 1e-5
     assert np.allclose(mu.data, x.mean(axis=0))
@@ -148,8 +147,8 @@ def test_batchnorm_running_stats_ema(rng):
 def test_batchnorm_eval_uses_running_stats(rng):
     x = rng.standard_normal((4, 2))
     state = BatchNormState(np.array([1.0, -1.0]), np.array([4.0, 0.25]))
-    y, _, _ = batchnorm_forward(Tensor(x), Tensor(np.ones(2)),
-                                Tensor(np.zeros(2)), state, "eval")
+    y = batchnorm_forward(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
+                          state, "eval")
     expected = (x - state.running_mean) / np.sqrt(state.running_var + state.epsilon)
     assert np.allclose(y.data, expected, atol=1e-12)
 
@@ -196,10 +195,27 @@ def test_eval_forward_without_capture_builds_no_statistics(rng, monkeypatch):
                           grad((captured * captured).sum(), [x])["x"])
 
     built.clear()
-    y, mu, var = batchnorm_forward(x.value, Tensor(np.ones(4)), Tensor(np.zeros(4)),
-                                   BatchNormState(np.zeros(4), np.ones(4)), "eval",
-                                   capture=False)
-    assert mu is None and var is None and built == [((7, 4), 3)]
+    batchnorm_forward(x.value, Tensor(np.ones(4)), Tensor(np.zeros(4)),
+                      BatchNormState(np.zeros(4), np.ones(4)), "eval")
+    assert built == [((7, 4), 3)]
+
+
+@pytest.mark.parametrize("shape", [(7, 4), (3, 7, 4)])
+def test_eval_batchnorm_builds_one_node_and_statistics_two(rng, monkeypatch,
+                                                          shape):
+    stacked = len(shape) == 3
+    width = (shape[0], 1, 4) if stacked else (4,)
+    x = _p(rng.standard_normal(shape), "x")
+    state = BatchNormState(np.zeros(width), np.ones(width))
+    built = _count_nodes(monkeypatch)
+    y = batchnorm_forward(x.value, Tensor(np.ones(width)), Tensor(np.zeros(width)),
+                          state, "eval")
+    assert isinstance(y, Tensor) and built == [(shape, 3)]
+    built.clear()
+    mu, var = batch_statistics(x.value)
+    stat_shape = width if stacked else (4,)
+    assert built == [(stat_shape, 1), (stat_shape, 2)]
+    assert var._parents == (x.value, mu)
 
 
 def test_batchnorm_with_a_model_axis_normalizes_each_model_alone(rng):
@@ -208,12 +224,13 @@ def test_batchnorm_with_a_model_axis_normalizes_each_model_alone(rng):
     means, variances = rng.uniform(-0.5, 0.5, (3, 1, 4)), rng.uniform(0.5, 1.5, (3, 1, 4))
     for mode in ("train", "eval"):
         state = BatchNormState(means.copy(), variances.copy())
-        y, mu, var = batchnorm_forward(Tensor(x), Tensor(gamma), Tensor(beta),
-                                       state, mode)
+        y = batchnorm_forward(Tensor(x), Tensor(gamma), Tensor(beta), state, mode)
+        mu, var = batch_statistics(Tensor(x))
         for m in range(3):
             alone = BatchNormState(means[m, 0].copy(), variances[m, 0].copy())
-            y_m, mu_m, var_m = batchnorm_forward(Tensor(x[m]), Tensor(gamma[m, 0]),
-                                                 Tensor(beta[m, 0]), alone, mode)
+            y_m = batchnorm_forward(Tensor(x[m]), Tensor(gamma[m, 0]),
+                                    Tensor(beta[m, 0]), alone, mode)
+            mu_m, var_m = batch_statistics(Tensor(x[m]))
             assert np.array_equal(y.data[m], y_m.data)
             assert np.array_equal(mu.data[m, 0], mu_m.data)
             assert np.array_equal(var.data[m, 0], var_m.data)

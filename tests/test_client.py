@@ -3,10 +3,14 @@ import numpy as np
 import pytest
 
 from conftest import desk_config
-from fedscil import (Classifier, LossWeights, local_update_baseline_kd,
-                     local_update_nagr)
+from fedscil import (Classifier, LossWeights, cross_entropy,
+                     local_update_baseline_kd, local_update_nagr,
+                     replay_loss_subset, student_loss)
+from fedscil.autodiff import col_slice, grad, row_slice
 from fedscil.client import ClientConfig
 from fedscil.errors import ContractError
+from fedscil.generation import ReplayBuffer, SyntheticPool
+from fedscil.losses import distillation_loss_subset
 from fedscil.orchestrator import evaluate
 
 
@@ -148,17 +152,13 @@ def test_baseline_kd_checks_previous_model_width(rng):
 @pytest.mark.parametrize("replay_loss", ["subset", "sliced"])
 def test_baseline_kd_teacher_builds_no_graph_and_is_left_as_it_was(rng,
                                                                    replay_loss):
-    from fedscil.generation import ReplayBuffer, SyntheticPool
     model = _expanded_model()
     prev = Classifier(in_dim=4, base_classes=4, seed=9, hidden=16,
                       feature_dim=8)
     prev.parameters()[0].value.requires_grad = False
     flags = [p.value.requires_grad for p in prev.parameters()]
     values = _params(prev)
-    labels = np.tile(np.arange(4), 4)
-    buffer = ReplayBuffer(10)
-    buffer.add_pool(SyntheticPool(0, 0, 4, rng.standard_normal((16, 4)),
-                                  labels, labels), rng)
+    buffer = _old_class_buffer(rng)
     outputs = []
 
     def spy(*args, **kwargs):
@@ -178,8 +178,92 @@ def test_baseline_kd_teacher_builds_no_graph_and_is_left_as_it_was(rng,
     assert all(p.value.requires_grad for p in trained.parameters())
 
 
+def _old_class_buffer(rng) -> ReplayBuffer:
+    labels = np.tile(np.arange(4), 4)
+    buffer = ReplayBuffer(10)
+    buffer.add_pool(SyntheticPool(0, 0, 4, rng.standard_normal((16, 4)),
+                                  labels, labels), rng)
+    return buffer
+
+
+def _one_step(model, x, y, buffer, cfg, weights, seed, replay_term):
+    """The parameters after one local step (one epoch, one batch) computed by
+    hand: the same draws, the forward pass over the union batch, the replay
+    rows cut to the old-class columns in sliced mode, CE plus k times
+    ``replay_term(replay_logits, replay_labels, replay_x)``, and a first
+    momentum step, whose velocity is the gradient."""
+    rng = np.random.default_rng(seed)
+    batch = rng.permutation(y.shape[0])
+    xb, yb = x[batch], y[batch]
+    xr, yr = buffer.sample(cfg.batch_size_replay, rng)
+    ref = model.clone()
+    joint = ref.forward(np.concatenate([xb, xr]), mode="train")
+    replay = row_slice(joint, xb.shape[0], joint.shape[0])
+    if cfg.replay_loss == "sliced":
+        replay = col_slice(replay, 0, 4)
+    loss = (cross_entropy(row_slice(joint, 0, xb.shape[0]), yb)
+            + weights.k * replay_term(replay, yr, xr))
+    grads = grad(loss, ref.parameters())
+    rates = {"backbone": cfg.lr_backbone_and_old,
+             "head_old": cfg.lr_backbone_and_old, "head_new": cfg.lr_new_head}
+    return {p.name: p.value.data - rates[p.group] * grads[p.name]
+            for p in ref.parameters()}
+
+
+@pytest.mark.parametrize("replay_loss", ["subset", "sliced"])
+def test_replay_step_is_the_subset_objective_on_the_cut_logits(rng, replay_loss):
+    """Sliced mode is replay_loss_subset on the old-class columns, value and
+    gradient bit for bit."""
+    model, buffer = _expanded_model(), _old_class_buffer(rng)
+    x, y = _shard(rng)
+    weights = LossWeights(alpha=0.7, beta=1.3, k=1.5)
+    cfg = _fast_cfg(epochs=1, batch_size_new=8, replay_loss=replay_loss)
+    trained, _ = local_update_nagr(model, x, y, buffer, weights, cfg, 4, seed=5)
+    expected = _one_step(model, x, y, buffer, cfg, weights, 5,
+                         lambda logits, yr, _xr: replay_loss_subset(
+                             logits, yr, 4, 0.7, 1.3, weights.rce_log_zero))
+    after = _params(trained)
+    assert all(np.array_equal(after[k], expected[k]) for k in expected)
+
+
+@pytest.mark.parametrize("replay_loss", ["subset", "sliced"])
+def test_distillation_step_matches_the_kl_on_the_cut_logits(rng, replay_loss):
+    """Sliced mode is student_loss on the old-class columns bit for bit,
+    subset mode distillation_loss_subset on the full head."""
+    model, buffer = _expanded_model(), _old_class_buffer(rng)
+    prev = Classifier(in_dim=4, base_classes=4, seed=9, hidden=16,
+                      feature_dim=8)
+    x, y = _shard(rng)
+    weights = LossWeights(k=1.5, kl_temperature=1.7)
+    cfg = _fast_cfg(epochs=1, batch_size_new=8, replay_loss=replay_loss)
+    trained, _ = local_update_baseline_kd(model, prev, x, y, buffer, weights,
+                                          cfg, 4, seed=5)
+
+    def kd(logits, _yr, xr):
+        teacher = prev.forward(xr, mode="eval").detach()
+        if replay_loss == "sliced":
+            return student_loss(teacher, logits, 1.7)
+        return distillation_loss_subset(teacher, logits, 4, 1.7)
+
+    expected = _one_step(model, x, y, buffer, cfg, weights, 5, kd)
+    after = _params(trained)
+    assert all(np.array_equal(after[k], expected[k]) for k in expected)
+
+
+def test_unknown_replay_loss_is_rejected_before_training(rng):
+    model, buffer = _expanded_model(), _old_class_buffer(rng)
+    prev = Classifier(in_dim=4, base_classes=4, seed=9, hidden=16,
+                      feature_dim=8)
+    x, y = _shard(rng)
+    cfg = _fast_cfg(replay_loss="full")
+    with pytest.raises(ContractError, match="unknown replay_loss"):
+        local_update_nagr(model, x, y, buffer, LossWeights(k=1.0), cfg, 4, seed=5)
+    with pytest.raises(ContractError, match="unknown replay_loss"):
+        local_update_baseline_kd(model, prev, x, y, buffer, LossWeights(k=1.0),
+                                 cfg, 4, seed=5)
+
+
 def test_replay_without_buffer_is_rejected(rng):
-    from fedscil.generation import ReplayBuffer
     model = _expanded_model()
     x, y = _shard(rng)
     with pytest.raises(ContractError):

@@ -9,12 +9,13 @@ import pytest
 from fedscil import (Classifier, ConditionalGenerator, LossWeights, Parameter,
                      Tensor, bn_stat_loss, client_loss, generation, grad, losses,
                      train_generator_session)
-from fedscil.autodiff import (BatchNormState, batchnorm_forward, frozen, row_slice,
-                              scaled_tanh)
+from fedscil.autodiff import (BatchNormState, batch_statistics, batchnorm_forward,
+                              col_slice, frozen, row_slice, scaled_tanh)
 from fedscil.errors import ContractError
 from fedscil.generation import GenLabConfig, teacher_logits
 from fedscil.models import ModelStack, make_student
-from oracles import (bn_running_stats, captured_forward, composed_batchnorm,
+from oracles import (bn_running_stats, captured_forward,
+                     composed_batch_statistics, composed_batchnorm,
                      composed_bn_stat_loss, composed_cross_entropy,
                      composed_distillation_loss_subset, composed_entropy_loss,
                      composed_generator_total_loss, composed_graphs,
@@ -225,8 +226,11 @@ def test_client_loss_matches_composed_graph(mode):
         yb = rng.integers(6, 8, size=5)
         yr = rng.integers(0, 6, size=7)
         joint = model.forward(np.concatenate([xb, xr]), mode="train")
-        loss = client_loss(row_slice(joint, 0, 5), yb, row_slice(joint, 5, 12), yr,
-                           weights, old_count=6, replay_mode=mode)
+        replay = row_slice(joint, 5, 12)
+        if mode == "sliced":
+            replay = col_slice(replay, 0, 6)
+        loss = client_loss(row_slice(joint, 0, 5), yb, replay, yr, weights,
+                           old_count=6)
         params = model.parameters()
         return loss.data, grad(loss, params), bn_running_stats(model)
 
@@ -249,9 +253,10 @@ def test_batchnorm_matches_composed_graph(mode):
     target = rng.uniform(0.5, 1.5, 5)
     params = [x, gamma, beta]
 
-    def run(bn):
+    def run(bn, statistics):
         state = BatchNormState(rng.uniform(-0.5, 0.5, 5), rng.uniform(0.5, 1.5, 5))
-        y, mu, var = bn(x.value, gamma.value, beta.value, state, mode)
+        y = bn(x.value, gamma.value, beta.value, state, mode)
+        mu, var = statistics(x.value)
         loss = (y * w).sum()
         if mode == "eval":
             # only teachers consume the statistics, and they run in eval mode
@@ -260,9 +265,9 @@ def test_batchnorm_matches_composed_graph(mode):
                 state.running_var, grad(loss, params))
 
     rng_state = rng.bit_generator.state
-    fused = run(batchnorm_forward)
+    fused = run(batchnorm_forward, batch_statistics)
     rng.bit_generator.state = rng_state
-    composed = run(composed_batchnorm)
+    composed = run(composed_batchnorm, composed_batch_statistics)
     for a, b in zip(fused[:5], composed[:5]):
         assert np.array_equal(a, b)
     _assert_grads_equal(fused[5], composed[5])

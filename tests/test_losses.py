@@ -156,16 +156,30 @@ def test_client_loss_components_add_up(rng):
 
 
 def test_client_loss_sliced_mode(rng):
+    """Given only the old-class columns, the replay term is the noise-robust
+    loss over their renormalized softmax."""
     replay_logits = Tensor(rng.standard_normal((6, 5)))
     new_logits = Tensor(rng.standard_normal((4, 5)))
     y_new = rng.integers(3, 5, size=4)
     y_old = rng.integers(0, 3, size=6)
     weights = LossWeights(alpha=1.0, beta=1.0, k=2.0)
-    total = float(client_loss(new_logits, y_new, replay_logits, y_old,
-                              weights, old_count=3, replay_mode="sliced").data)
+    total = float(client_loss(new_logits, y_new, col_slice(replay_logits, 0, 3),
+                              y_old, weights, old_count=3).data)
+    probs = replay_logits.data[:, :3]
+    probs = np.exp(probs) / np.exp(probs).sum(axis=1, keepdims=True)
+    p_y = probs[np.arange(6), y_old]
     parts = float(cross_entropy(new_logits, y_new).data) + 2.0 * float(
-        noise_robust_loss(col_slice(replay_logits, 0, 3), y_old, 1.0, 1.0).data)
+        np.mean(-np.log(p_y)) + np.mean(4.0 * (1.0 - p_y)))
     assert abs(total - parts) <= 1e-12
+
+
+def test_noise_robust_loss_is_the_replay_objective_over_every_column(rng):
+    logits = Parameter("l", Tensor(rng.standard_normal((7, 4))), "backbone")
+    y = rng.integers(0, 4, size=7)
+    a = noise_robust_loss(logits.value, y, 0.6, 1.7, -3.0)
+    b = replay_loss_subset(logits.value, y, 4, 0.6, 1.7, -3.0)
+    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(grad(a, [logits])["l"], grad(b, [logits])["l"])
 
 
 def test_client_loss_requires_replay_when_k_positive(rng):
@@ -173,8 +187,6 @@ def test_client_loss_requires_replay_when_k_positive(rng):
     y = rng.integers(0, 3, size=4)
     with pytest.raises(ContractError):
         client_loss(logits, y, None, None, LossWeights(k=1.0))
-    with pytest.raises(ContractError):
-        client_loss(logits, y, logits, y, LossWeights(k=1.0), 3, "other")
 
 
 def test_client_loss_gradient_reaches_both_head_groups(rng):

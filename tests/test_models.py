@@ -218,6 +218,29 @@ def test_generator_condition_changes_output(rng):
     assert not np.array_equal(out[0], out[1])
 
 
+def test_generator_parameters_keep_their_names_order_and_draws():
+    """The generator's body is the backbone recipe; its parameters keep the
+    names, order and initial values of the generator's own layers."""
+    gen, _, _ = _generator(seed=4)
+    names = [p.name for p in gen.parameters()]
+    assert names == ["gen.fc1.weight", "gen.fc1.bias", "gen.bn1.gamma",
+                     "gen.bn1.beta", "gen.fc2.weight", "gen.fc2.bias",
+                     "gen.bn2.gamma", "gen.bn2.beta", "gen.out.weight",
+                     "gen.out.bias"]
+    assert all(p.group == "backbone" for p in gen.parameters())
+    rng = np.random.default_rng(4)
+    expected = {}
+    for layer, fan_in, width in (("fc1", 3 + 4, 64), ("fc2", 64, 64), ("out", 64, 5)):
+        bound = 1.0 / np.sqrt(fan_in)
+        expected[f"gen.{layer}.weight"] = rng.uniform(-bound, bound, (fan_in, width))
+        expected[f"gen.{layer}.bias"] = rng.uniform(-bound, bound, (width,))
+    for bn in ("bn1", "bn2"):
+        expected[f"gen.{bn}.gamma"] = np.ones(64)
+        expected[f"gen.{bn}.beta"] = np.zeros(64)
+    for p in gen.parameters():
+        assert np.array_equal(p.value.data, expected[p.name]), p.name
+
+
 def test_generator_validation(rng):
     with pytest.raises(ContractError):
         ConditionalGenerator(3, 0, -np.ones(2), np.ones(2), seed=0)

@@ -3,8 +3,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedscil import Parameter, Tensor
+from fedscil import Classifier, Parameter, Tensor, dirichlet_partition
+from fedscil.aggregation import (AccuracyMatrix, aggregate_old,
+                                 cswa_aggregate_new, cswa_weights, fedavg_full)
 from fedscil.autodiff import Optimizer, OptimizerConfig
+from fedscil.data import LabeledDataset
+from fedscil.generation import ReplayBuffer, SyntheticPool
 
 from oracles import LoopOptimizer
 
@@ -96,3 +100,146 @@ def test_flat_step_matches_the_loop_as_groups_switch_on_and_off():
         for seed in range(5):
             check_flat_step_against_loop(kind, shapes, groups, rates, 0.9,
                                          schedule, seed)
+
+
+# -- aggregation ---------------------------------------------------------------
+
+
+@st.composite
+def _clients(draw):
+    """Perturbed copies of one expanded classifier, a sample count and an
+    accuracy row per client, and a reordering of the clients."""
+    m = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    template = Classifier(in_dim=3, base_classes=2, seed=seed % 1000, hidden=4,
+                          feature_dim=3)
+    template.expand_head(1, 2, seed=seed % 997)
+    clients = []
+    for _ in range(m):
+        client = template.clone()
+        for _, arr, _ in client.state_entries():
+            arr += rng.standard_normal(arr.shape)
+        clients.append(client)
+    counts = draw(st.lists(st.integers(0, 40), min_size=m, max_size=m))
+    accuracy = draw(st.lists(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]),
+                                      min_size=2, max_size=2),
+                             min_size=m, max_size=m))
+    return clients, counts, np.array(accuracy), draw(st.permutations(range(m)))
+
+
+def _states(model) -> dict:
+    return {name: arr for name, arr, _ in model.state_entries()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_clients())
+def test_aggregation_does_not_depend_on_client_order(case):
+    clients, counts, accuracy, order = case
+    moved = [clients[i] for i in order]
+    moved_counts = [counts[i] for i in order]
+    for a, b in ((aggregate_old(clients, counts), aggregate_old(moved, moved_counts)),
+                 (_states(fedavg_full(clients, counts)),
+                  _states(fedavg_full(moved, moved_counts)))):
+        assert a.keys() == b.keys()
+        for name in a:
+            assert np.allclose(a[name], b[name], rtol=0, atol=1e-12), name
+    blocks = [(c.head_blocks[-1].linear.weight.value.data,
+               c.head_blocks[-1].linear.bias.value.data) for c in clients]
+    for mode in ("normalized", "paper_exact"):
+        w, b = cswa_aggregate_new(blocks, AccuracyMatrix(accuracy), mode)
+        w_m, b_m = cswa_aggregate_new([blocks[i] for i in order],
+                                      AccuracyMatrix(accuracy[list(order)]), mode)
+        assert np.allclose(w, w_m, rtol=0, atol=1e-12)
+        assert np.allclose(b, b_m, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_clients(), st.integers(-8, 8))
+def test_aggregation_is_unchanged_when_counts_scale_by_a_power_of_two(case, power):
+    clients, counts, _, _ = case
+    scaled = [c * 2.0 ** power for c in counts]
+    a, b = aggregate_old(clients, counts), aggregate_old(clients, scaled)
+    for name in a:
+        assert _same_bits(a[name], b[name]), name
+    a, b = _states(fedavg_full(clients, counts)), _states(fedavg_full(clients, scaled))
+    for name in a:
+        assert _same_bits(a[name], b[name]), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda m: st.lists(
+    st.lists(st.sampled_from([0.0, 0.0, 1e-3, 0.3, 0.5, 1.0]) | st.floats(0, 1),
+             min_size=m, max_size=m), min_size=1, max_size=5)))
+def test_normalized_cswa_weights_are_convex_per_class(columns):
+    matrix = AccuracyMatrix(np.array(columns).T)
+    weights = cswa_weights(matrix, "normalized")
+    assert weights.shape == matrix.values.shape
+    assert np.all(weights >= 0)
+    assert np.allclose(weights.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+
+
+# -- partitioning ----------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 5), max_size=60), st.integers(1, 8),
+       st.floats(0.05, 100.0), st.integers(0, 2**32 - 1))
+def test_dirichlet_partition_is_an_exact_partition(labels, clients, alpha, seed):
+    y = np.array(labels, dtype=np.int64)
+    data = LabeledDataset(np.zeros((y.shape[0], 2)), y, 6)
+    shards = dirichlet_partition(data, clients, alpha, seed)
+    assert [s.client_id for s in shards] == list(range(clients))
+    for shard in shards:
+        assert np.array_equal(shard.indices, np.unique(shard.indices))
+    merged = np.concatenate([s.indices for s in shards])
+    assert np.array_equal(np.sort(merged), np.arange(y.shape[0]))
+    assert sum(s.count for s in shards) == y.shape[0]
+
+
+# -- replay buffer ----------------------------------------------------------------
+
+
+@st.composite
+def _pools(draw):
+    """Pools of one two-class session each; sample i of the whole stream
+    carries i in its first coordinate."""
+    pools, serial = [], 0
+    for session in range(draw(st.integers(1, 3))):
+        lo = 2 * session
+        for _ in range(draw(st.integers(1, 3))):
+            n = draw(st.integers(1, 12))
+            pseudo = np.array(draw(st.lists(st.integers(lo, lo + 1),
+                                            min_size=n, max_size=n)))
+            samples = np.column_stack([np.arange(serial, serial + n),
+                                       np.zeros(n)]).astype(np.float64)
+            serial += n
+            pools.append(SyntheticPool(session, lo, lo + 2, samples,
+                                       pseudo.copy(), pseudo))
+    return pools
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pools(), st.integers(1, 6), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_buffer_keeps_the_newest_per_class_and_samples_balanced(pools, capacity,
+                                                                count, seed):
+    rng = np.random.default_rng(seed)
+    buffer = ReplayBuffer(capacity)
+    added: dict[int, list[float]] = {}
+    for pool in pools:
+        buffer.add_pool(pool, rng)
+        for sample, label in zip(pool.samples, pool.pseudo):
+            added.setdefault(int(label), []).append(sample[0])
+        assert all(n <= capacity for n in buffer.per_class_counts().values())
+        stored: dict[int, list[float]] = {}
+        for sample, _, label, _ in buffer.export_rows():
+            stored.setdefault(label, []).append(sample[0])
+        assert stored == {c: ids[-capacity:] for c, ids in added.items()}
+
+    x, y = buffer.sample(count, rng)
+    assert x.shape[0] == y.shape[0] == count
+    drawn = {c: int((y == c).sum()) for c in buffer.classes()}
+    assert set(np.unique(y)) <= set(drawn)
+    assert max(drawn.values()) - min(drawn.values()) <= 1
+    for sample, label in zip(x, y):
+        assert sample[0] in stored[int(label)]

@@ -1,14 +1,18 @@
 """Contracts that tools and the engine's internals rely on.
 
 The benchmark's tracer patches fedscil functions by module and name; a name
-it cannot resolve crashes a traced benchmark run at install time. The
-backward walk keys its visited set and its gradients on the tensors
-themselves, which holds only while tensors compare and hash by identity."""
+it cannot resolve crashes a traced benchmark run at install time, and a
+patched function whose signature changed crashes it mid-run. The backward
+walk keys its visited set and its gradients on the tensors themselves, which
+holds only while tensors compare and hash by identity."""
 import importlib
+import json
 import os
+import subprocess
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from tracer import TARGETS  # noqa: E402
 
@@ -29,3 +33,31 @@ def test_every_tracer_target_resolves():
 def test_tensors_compare_and_hash_by_identity():
     assert "__eq__" not in vars(Tensor) and "__hash__" not in vars(Tensor)
     assert Tensor.__eq__ is object.__eq__ and Tensor.__hash__ is object.__hash__
+
+
+def test_traced_benchmark_run_reports_every_layer_metric(tmp_path):
+    """One traced ``perfbench/child.py run`` of a cut-down desk sdd run (one
+    incremental session, one generator epoch) exits 0 and reports every
+    per-layer metric the benchmark declares, bar the two overhead figures
+    that the parent process computes."""
+    run_dir = tmp_path / "run"
+    argv = ["run", "--preset", "desk", "--method", "sdd", "--seed", "0"]
+    for item in ("data.sessions=1", "generator.epochs=1", "client.epochs=2"):
+        argv += ["--set", item]
+    spec = {"argv": argv + ["--quiet", "--out", str(run_dir)], "trace": True,
+            "run_id": "smoke", "run_dir": str(run_dir)}
+    result_path = tmp_path / "result.json"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "perfbench", "child.py"),
+                           "run", json.dumps(spec), str(result_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(result_path.read_text())
+    assert result["rc"] == 0
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        declared = [m["name"] for m in json.load(fh)["per_layer"]]
+    expected = [name for name in declared if not name.startswith("trace.overhead")]
+    assert [name for name in expected if name not in result["layers"]] == []
+    assert result["layers"]["generation.steps"] > 0
+    assert result["layers"]["autodiff.nodes_per_backprop_generator"] > 0
