@@ -2,8 +2,7 @@
 
 The networks simulated in this package are small fully connected stacks, so
 the engine favors determinism and a low per-node cost: every value is a
-float64 numpy array, every differentiable operation records a backward
-closure over its parents, and gradients are resolved by one depth-first
+float64 numpy array, and gradients are resolved by one depth-first
 topological walk from a scalar loss. A node's gradient is the sum of its
 consumers' contributions, added in the order the walk visits those
 consumers; float addition is not associative, so that order is part of the
@@ -12,17 +11,17 @@ themselves, which compare and hash by identity (``Tensor`` must not define
 ``__eq__`` or ``__hash__``). The op set is deliberately small; anything not
 listed here does not exist.
 
-What the generator step runs many times is built from fused nodes:
-``linear`` and ``batchnorm_forward`` here, and the cross-entropy, entropy,
-KL and batch-norm statistics losses. A fused node repeats, in the same
-order, the numpy arithmetic of the primitive ops it replaces, and inside
-itself sums gradients in the order the walk would have summed them over
-those ops, so every float matches the composed graph bit for bit. The
-batch statistics that the statistics loss reads are an op of their own,
-``batch_statistics``: two nodes (mean, then variance) beside the
-normalization, whose gradients the walk orders as over the composed graph.
-The generator's output, ``tanh(pre) * half + mid``, is one node
-(``scaled_tanh``). The composed graphs live on in the tests as references.
+Ops are pairs of array functions: a forward ``fw(inputs, *args) -> (out,
+saved)`` over the parents' values and other arguments, and a backward
+``bw(g, saved, needs)`` giving one gradient per parent, None where
+``needs`` (the parents' trainability) asks for none, or ``(index, part)``
+for ``parent[index]`` alone. Only the elementwise arithmetic, log, softmax,
+reductions and ``gather_rows`` still build closures. The generator step's
+ops are fused: ``linear``, ``batchnorm_forward``, ``batch_statistics``
+(two nodes, mean then variance) and the cross-entropy, entropy, KL and
+statistics losses repeat, in order, the numpy arithmetic of the primitive
+ops they replace and sum gradients in the order the walk would have, so
+every float matches the composed graph (kept in the tests) bit for bit.
 
 ``linear``, ``batchnorm_forward`` and ``batch_statistics`` also take a
 leading model axis, so several models of one architecture run as one chain
@@ -34,7 +33,15 @@ which BLAS may sum in another order. A shared input's gradient is
 which the walk summed the per-model graphs of the generator objective:
 teachers in list order, then the opponent. What differs is the sign of a
 zero at most: the reduction starts from 0.0, and a model slot's gradient
-arrives zero-padded to the stack.
+arrives as a slice of the stack.
+
+:class:`Replay` records the ops of a step, which must all be pairs, and
+replays the step as flat array code over numbered value slots: forwards in
+creation order, then per loss the backwards in the recorded walk's order,
+each gradient summed into its parent's slot as ``_compute_grads`` sums it,
+so the floats are the graph's. Each run reads every leaf tensor's ``data``
+afresh and takes the step's own arrays as inputs, found in the record by
+identity; a tensor made from them other than by an op replays stale.
 
 Numerical conventions, all of which tests rely on:
 - ``log`` clamps its argument to >= 1e-12 and passes zero gradient below the
@@ -70,6 +77,9 @@ LOG_CLAMP = 1e-12
 # Parameter group tags. bn_stats labels running statistics in checkpoints and
 # aggregation; no trainable parameter carries it.
 PARAM_GROUPS = ("backbone", "head_old", "head_new", "bn_stats")
+
+# the op calls of a step being recorded by Replay; None outside
+_tape: list | None = None
 
 
 def _as_f64(values) -> Array:
@@ -136,14 +146,10 @@ class Tensor:
     def __truediv__(self, other):
         return _div(self, _wrap(other))
 
-    def __rtruediv__(self, other):
-        return _div(_wrap(other), self)
-
     # -- unary / reductions -------------------------------------------------
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0.0
-        return _node(self.data * mask, (self,), lambda g: (g * mask,))
+        return _apply(_relu_fw, lambda g, mask, needs: (g * mask,), (self,))
 
     def log(self) -> "Tensor":
         """Natural log with the argument clamped to >= LOG_CLAMP.
@@ -186,7 +192,7 @@ class Tensor:
         return _node(p, (self,), lambda g: (_softmax_rows_bw(p, g),))
 
 
-# Array-level forms of log and softmax, shared with the fused loss nodes.
+# Array-level forms of log and softmax, shared with the fused loss ops.
 
 def _clamped_log(a: Array) -> tuple[Array, Array, Array]:
     """(log of a clamped to >= LOG_CLAMP, mask above the clamp, clamped a)."""
@@ -209,10 +215,22 @@ def _wrap(value) -> Tensor:
 
 
 def _node(data: Array, parents: tuple[Tensor, ...], bw) -> Tensor:
+    if _tape is not None:
+        _tape.append(None)   # a closure, unless _apply fills the entry in
     for p in parents:
         if p.requires_grad:
             return Tensor(data, True, parents, bw)
     return Tensor(data)
+
+
+def _apply(fw, bw, parents: tuple[Tensor, ...], *static) -> Tensor:
+    """A node from an op pair: forward now, backward over what it saved."""
+    out, saved = fw([p.data for p in parents], *static)
+    node = _node(out, parents,
+                 lambda g: bw(g, saved, [p.requires_grad for p in parents]))
+    if _tape is not None:
+        _tape[-1] = (fw, bw, parents, static, [p.requires_grad for p in parents], node)
+    return node
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
@@ -253,6 +271,25 @@ def _div(a: Tensor, b: Tensor) -> Tensor:
                             if b.requires_grad else None))
 
 
+def _relu_fw(ins):
+    mask = ins[0] > 0.0
+    return ins[0] * mask, mask
+
+
+def _linear_bw(g, ins, needs):
+    x, w, b = ins
+    g_x = g_w = None
+    if needs[0]:
+        # a transposed view, not a copy: BLAS then takes the same path for
+        # each model as for a single weight matrix
+        g_x = g @ w.swapaxes(-1, -2)
+        if x.ndim < w.ndim:
+            g_x = np.add.reduce(g_x, axis=0)
+    if needs[1]:
+        g_w = x.swapaxes(-1, -2) @ g
+    return g_x, g_w, _unbroadcast(g, b.shape) if needs[2] else None
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` as one node: matmul, then the broadcast bias add.
 
@@ -264,21 +301,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if (not 2 <= x.ndim <= w.ndim <= 3 or x.shape[-1] != w.shape[-2]
             or x.shape[:-2] not in ((), w.shape[:-2])):
         raise ContractError(f"linear shape mismatch {x.shape} @ {w.shape}")
-    shared = x.ndim < w.ndim
-
-    def bw(g: Array):
-        g_x = g_w = None
-        if x.requires_grad:
-            # a transposed view, not a copy: BLAS then takes the same path
-            # for each model as for a single weight matrix
-            g_x = g @ w.data.swapaxes(-1, -2)
-            if shared:
-                g_x = np.add.reduce(g_x, axis=0)
-        if w.requires_grad:
-            g_w = x.data.swapaxes(-1, -2) @ g
-        return (g_x, g_w, _unbroadcast(g, b.shape) if b.requires_grad else None)
-
-    return _node(x.data @ w.data + b.data, (x, w, b), bw)
+    return _apply(lambda ins: (ins[0] @ ins[1] + ins[2], ins), _linear_bw, (x, w, b))
 
 
 def model_mean(t: Tensor, count: int) -> Tensor:
@@ -287,41 +310,38 @@ def model_mean(t: Tensor, count: int) -> Tensor:
     followed by one scaling computes it."""
     if not 1 <= count <= t.shape[0]:
         raise ContractError(f"cannot average {count} of {t.shape[0]} models")
-    scale = 1.0 / count
+    return _apply(lambda ins, count: (np.add.reduce(ins[0][:count], axis=0)
+                                      * (1.0 / count), count),
+                  lambda g, count, needs: ((slice(count), g * (1.0 / count)),),
+                  (t,), count)
 
-    def bw(g: Array):
-        full = np.zeros_like(t.data)
-        full[:count] = g * scale
-        return (full,)
 
-    return _node(np.add.reduce(t.data[:count], axis=0) * scale, (t,), bw)
+def _slice_fw(ins, index):
+    return ins[0][index].copy(), index
+
+
+def _slice_bw(g, index, needs):
+    return ((index, g),)
 
 
 def model_slot(t: Tensor, index: int) -> Tensor:
     """Model ``index`` of a stacked tensor."""
     if not 0 <= index < t.shape[0]:
         raise ContractError(f"model {index} outside a stack of {t.shape[0]}")
+    return _apply(_slice_fw, _slice_bw, (t,), index)
 
-    def bw(g: Array):
-        full = np.zeros_like(t.data)
-        full[index] = g
-        return (full,)
 
-    return _node(t.data[index], (t,), bw)
+def _concat_fw(ins, axis):
+    offsets = np.cumsum([a.shape[axis] for a in ins])[:-1]
+    return np.concatenate(ins, axis=axis), (offsets, axis)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
-    tensors = list(tensors)
+    tensors = tuple(tensors)
     if not tensors:
         raise ContractError("concat of an empty sequence")
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def bw(g: Array):
-        return tuple(np.split(g, offsets, axis=axis))
-
-    return _node(np.concatenate([t.data for t in tensors], axis=axis),
-                 tuple(tensors), bw)
+    return _apply(_concat_fw, lambda g, s, needs: tuple(np.split(g, s[0], axis=s[1])),
+                  tensors, axis)
 
 
 def col_slice(t: Tensor, start: int, stop: int) -> Tensor:
@@ -330,13 +350,7 @@ def col_slice(t: Tensor, start: int, stop: int) -> Tensor:
         raise ContractError("col_slice expects a 2-d tensor")
     if not (0 <= start <= stop <= t.shape[1]):
         raise ContractError(f"column range [{start}, {stop}) outside width {t.shape[1]}")
-
-    def bw(g: Array):
-        full = np.zeros_like(t.data)
-        full[:, start:stop] = g
-        return (full,)
-
-    return _node(t.data[:, start:stop].copy(), (t,), bw)
+    return _apply(_slice_fw, _slice_bw, (t,), (slice(None), slice(start, stop)))
 
 
 def row_slice(t: Tensor, start: int, stop: int) -> Tensor:
@@ -345,13 +359,7 @@ def row_slice(t: Tensor, start: int, stop: int) -> Tensor:
         raise ContractError("row_slice expects a 2-d tensor")
     if not (0 <= start <= stop <= t.shape[0]):
         raise ContractError(f"row range [{start}, {stop}) outside height {t.shape[0]}")
-
-    def bw(g: Array):
-        full = np.zeros_like(t.data)
-        full[start:stop] = g
-        return (full,)
-
-    return _node(t.data[start:stop].copy(), (t,), bw)
+    return _apply(_slice_fw, _slice_bw, (t,), slice(start, stop))
 
 
 def gather_rows(t: Tensor, index: Array) -> Tensor:
@@ -373,22 +381,31 @@ def gather_rows(t: Tensor, index: Array) -> Tensor:
     return _node(t.data[rows, idx], (t,), bw)
 
 
+def _one_hot_fw(ins, labels, classes):
+    out = np.zeros((labels.shape[0], classes))
+    out[np.arange(labels.shape[0]), labels] = 1.0
+    return out, None
+
+
 def one_hot(labels: Array, classes: int) -> Tensor:
     """Constant one-hot encoding of integer labels, shape (b, classes)."""
     idx = np.asarray(labels, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= classes):
         raise ContractError(f"label outside [0, {classes})")
-    out = np.zeros((idx.shape[0], classes))
-    out[np.arange(idx.shape[0]), idx] = 1.0
-    return Tensor(out)
+    return _apply(_one_hot_fw, None, (), idx, classes)
+
+
+def _scaled_tanh_fw(ins, half, mid):
+    out = np.tanh(ins[0])
+    return out * half + mid, (out, half)
 
 
 def scaled_tanh(t: Tensor, half: Array, mid: Array) -> Tensor:
     """``tanh(t) * half + mid`` as one node; ``half`` and ``mid`` are
     constants broadcast along the last axis."""
-    out = np.tanh(t.data)
-    return _node(out * half + mid, (t,),
-                 lambda g: ((g * half) * (1.0 - out * out),))
+    return _apply(_scaled_tanh_fw,
+                  lambda g, s, needs: ((g * s[1]) * (1.0 - s[0] * s[0]),),
+                  (t,), half, mid)
 
 
 # -- backward pass -----------------------------------------------------------
@@ -413,6 +430,20 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _accumulate(total: Array | None, pg, value: Array) -> Array:
+    """``total + pg``; pg may be an ``(index, part)`` for ``value[index]``."""
+    if type(pg) is not tuple:
+        return pg if total is None else total + pg
+    index, part = pg
+    if total is None:
+        total = np.zeros_like(value)
+        total[index] = part
+    else:
+        total = total.copy()
+        total[index] += part
+    return total
+
+
 def _compute_grads(loss: Tensor) -> dict[Tensor, Array]:
     if loss.size != 1:
         raise ContractError("backward requires a scalar loss")
@@ -424,10 +455,7 @@ def _compute_grads(loss: Tensor) -> dict[Tensor, Array]:
         for parent, pg in zip(node._parents, node._bw(g)):
             if pg is None or not parent.requires_grad:
                 continue
-            if parent in grads:
-                grads[parent] = grads[parent] + pg
-            else:
-                grads[parent] = pg
+            grads[parent] = _accumulate(grads.get(parent), pg, parent.data)
     return grads
 
 
@@ -485,6 +513,85 @@ def frozen(params: Iterable[Parameter]):
             value.requires_grad = flag
 
 
+# -- recording and replay -------------------------------------------------------
+
+
+class Replay:
+    """A step recorded once, then replayed (see the module docstring):
+    ``step(*inputs)`` builds its graphs and returns (loss, parameters,
+    optimizer) roots; the constructor records it, backprops and steps each
+    root once, and :meth:`run` repeats that on new inputs of the same shapes."""
+
+    def __init__(self, step: Callable, *inputs: Array):
+        global _tape
+        _tape = tape = []
+        try:
+            roots = step(*inputs)
+        finally:
+            _tape = None
+        for loss, params, opt in roots:
+            backprop(loss, params)
+            opt.step()
+        if None in tape:
+            raise ContractError("a replayed step may only use op pairs")
+        self.shapes = [a.shape for a in inputs]
+        self.values = list(inputs)              # a constant, or None for a slot
+        slots = {id(a): i for i, a in enumerate(inputs)}   # object id -> slot
+        self.leaves, self.forward, backward = [], [], {}
+        for fw, bw, parents, static, needs, node in tape:
+            for t in parents:
+                if id(t) not in slots:  # a leaf, or made from a node or input
+                    slots[id(t)] = slots.get(id(t.data), len(self.values))
+                    if slots[id(t)] == len(self.values):
+                        self.leaves.append((len(self.values), t))
+                        self.values.append(None)
+            for value in static:
+                if id(value) not in slots:
+                    slots[id(value)] = len(self.values)
+                    self.values.append(value)
+            args = [slots[id(t)] for t in parents]
+            out = slots[id(node)] = slots[id(node.data)] = len(self.values)
+            self.values.append(None)
+            self.forward.append((fw, args, [slots[id(v)] for v in static], out))
+            backward[out] = (bw, needs, [a if need else None
+                                         for a, need in zip(args, needs)])
+        read = {i for _, args, statics, _ in self.forward for i in args + statics}
+        if not read.issuperset(range(len(inputs))):
+            raise ContractError("a replay input reaches none of the recorded ops")
+        self.roots = []
+        for loss, params, opt in roots:
+            schedule = []
+            for node in reversed(_toposort(loss)):
+                if node._bw is not None:
+                    schedule.append((slots[id(node)],) + backward[slots[id(node)]])
+            self.roots.append((slots[id(loss)], schedule, opt,
+                               [(p, slots.get(id(p.value))) for p in params]))
+
+    def run(self, *inputs: Array) -> None:
+        if [a.shape for a in inputs] != self.shapes:
+            raise ContractError(f"replay inputs of shapes {[a.shape for a in inputs]}"
+                                f" for a step recorded with {self.shapes}")
+        vals = self.values.copy()
+        vals[:len(inputs)] = inputs
+        for slot, leaf in self.leaves:
+            vals[slot] = leaf.data
+        saved = [None] * len(vals)
+        for fw, args, statics, out in self.forward:
+            vals[out], saved[out] = fw([vals[i] for i in args],
+                                       *[vals[i] for i in statics])
+        for loss, schedule, opt, params in self.roots:
+            grads = [None] * len(vals)
+            grads[loss] = np.ones_like(vals[loss])
+            for node, bw, needs, parents in schedule:
+                for slot, pg in zip(parents, bw(grads[node], saved[node], needs)):
+                    if slot is not None and pg is not None:
+                        grads[slot] = _accumulate(grads[slot], pg, vals[slot])
+            for p, slot in params:
+                g = None if slot is None else grads[slot]
+                p.grad = np.zeros_like(p.value.data) if g is None else g
+            opt.step()
+
+
 # -- batch normalization ------------------------------------------------------
 
 
@@ -503,38 +610,84 @@ def _batch_sum(a: Array, stacked: bool) -> Array:
     return np.add.reduce(a, axis=1 if stacked else 0, keepdims=stacked)
 
 
-def _moments(x: Array, stacked: bool) -> tuple[Array, Array, Array]:
-    """(batch mean, x - mean, biased batch variance); add.reduce / count is
-    what ndarray.mean computes."""
-    count = x.shape[-2]
-    mu = _batch_sum(x, stacked) / count
-    centered = x - mu
-    return mu, centered, _batch_sum(centered * centered, stacked) / count
+def _stat_mean_fw(ins, index):
+    # add.reduce / count is what ndarray.mean computes
+    x = ins[0][index]
+    return _batch_sum(x, x.ndim == 3) / x.shape[-2], (index, x.shape[-2])
 
 
-def batch_statistics(x: Tensor) -> tuple[Tensor, Tensor]:
+def _stat_var_fw(ins, index):
+    centered = ins[0][index] - ins[1]
+    stacked = centered.ndim == 3
+    return (_batch_sum(centered * centered, stacked) / centered.shape[-2],
+            (index, centered, stacked))
+
+
+def _stat_var_bw(g, s, needs):
+    index, centered, stacked = s
+    g_c = g / centered.shape[-2] * centered
+    g_c = g_c + g_c  # c * c sends one share per operand
+    return (index, g_c), -_batch_sum(g_c, stacked)
+
+
+def batch_statistics(x: Tensor, models: int | None = None) -> tuple[Tensor, Tensor]:
     """The batch mean and biased variance of a batch-norm input, as nodes.
 
     What the statistics-matching loss reads: the mean is a node over x, the
     variance a node over x and the mean, so the walk sums their gradients
     into x in the same order as over the composed graph ``mu = x.mean(0);
     c = x - mu; var = (c * c).mean(0)``. With a leading model axis, x is
-    (models, batch, channels) and the statistics (models, 1, channels).
+    (models, batch, channels) and the statistics (models, 1, channels), of
+    the first ``models`` models when a count is given.
     """
     if x.ndim not in (2, 3):
         raise ContractError("batch statistics need a (batch, channels) or "
                             "(models, batch, channels) tensor")
-    stacked, count = x.ndim == 3, x.shape[-2]
-    mu_data, centered, var_data = _moments(x.data, stacked)
-    mu = _node(mu_data, (x,),
-               lambda g: (np.broadcast_to(g / count, x.shape).copy(),))
+    mu = _apply(_stat_mean_fw, lambda g, s, needs: ((s[0], g / s[1]),), (x,), slice(models))
+    return mu, _apply(_stat_var_fw, _stat_var_bw, (x, mu), slice(models))
 
-    def var_bw(g: Array):
-        g_c = g / count * centered
-        g_c = g_c + g_c  # c * c sends one share per operand
-        return (g_c, -_batch_sum(g_c, stacked))
 
-    return mu, _node(var_data, (x, mu), var_bw)
+def _bn_train_fw(ins, state):
+    x, gamma, beta = ins
+    mu = _stat_mean_fw(ins, ...)[0]
+    var, (_, centered, stacked) = _stat_var_fw((x, mu), ...)
+    std = np.sqrt(var + state.epsilon)
+    normed = centered / std
+    m = state.momentum
+    state.running_mean = (1.0 - m) * state.running_mean + m * mu
+    state.running_var = (1.0 - m) * state.running_var + m * var
+    return gamma * normed + beta, (gamma, centered, std, normed, stacked)
+
+
+def _bn_train_bw(g, s, needs):
+    gamma, centered, std, normed, stacked = s
+    count = centered.shape[-2]
+    g_n = g * gamma
+    g_std = _batch_sum(-g_n * centered / (std * std), stacked)
+    g_sq = g_std * 0.5 / np.maximum(std, 1e-150) / count * centered
+    # into c: the normalization's share first, then c * c's two;
+    # into x: c's gradient, then the mean's share through c = x - mu
+    g_c = g_n / std + g_sq + g_sq
+    return (g_c + -_batch_sum(g_c, stacked) / count,
+            _batch_sum(g * normed, stacked) if needs[1] else None,
+            _batch_sum(g, stacked) if needs[2] else None)
+
+
+def _bn_eval_fw(ins, state):
+    x, gamma, beta = ins
+    inv = 1.0 / np.sqrt(state.running_var + state.epsilon)
+    normed = (x - state.running_mean) * inv
+    return gamma * normed + beta, (gamma, inv, normed, x.ndim == 3)
+
+
+def _bn_eval_bw(g, s, needs):
+    gamma, inv, normed, stacked = s
+    return (g * gamma * inv if needs[0] else None,
+            _batch_sum(g * normed, stacked) if needs[1] else None,
+            _batch_sum(g, stacked) if needs[2] else None)
+
+
+_BN = {"train": (_bn_train_fw, _bn_train_bw), "eval": (_bn_eval_fw, _bn_eval_bw)}
 
 
 def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -550,7 +703,7 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     and the running statistics are (models, 1, channels), and each model
     normalizes its own slice.
     """
-    if mode not in ("train", "eval"):
+    if mode not in _BN:
         raise ContractError(f"unknown batchnorm mode {mode!r}")
     if x.ndim not in (2, 3):
         raise ContractError("batchnorm expects a (batch, channels) or "
@@ -559,38 +712,7 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
         raise ContractError("channel count does not match running statistics")
     if mode == "train" and x.shape[-2] < 2:
         raise DegenerateBatchError("batch statistics need at least 2 samples")
-
-    stacked, count = x.ndim == 3, x.shape[-2]
-    g_data, b_data = gamma.data, beta.data
-    if mode == "train":
-        mu_data, centered, var_data = _moments(x.data, stacked)
-        std = np.sqrt(var_data + state.epsilon)
-        normed = centered / std
-
-        def bw(g: Array):
-            g_n = g * g_data
-            g_std = _batch_sum(-g_n * centered / (std * std), stacked)
-            g_sq = g_std * 0.5 / np.maximum(std, 1e-150) / count * centered
-            # into c: the normalization's share first, then c * c's two;
-            # into x: c's gradient, then the mean's share through c = x - mu
-            g_c = g_n / std + g_sq + g_sq
-            return (g_c + -_batch_sum(g_c, stacked) / count,
-                    _batch_sum(g * normed, stacked) if gamma.requires_grad else None,
-                    _batch_sum(g, stacked) if beta.requires_grad else None)
-
-        m = state.momentum
-        state.running_mean = (1.0 - m) * state.running_mean + m * mu_data
-        state.running_var = (1.0 - m) * state.running_var + m * var_data
-    else:
-        inv = 1.0 / np.sqrt(state.running_var + state.epsilon)
-        normed = (x.data - state.running_mean) * inv
-
-        def bw(g: Array):
-            return (g * g_data * inv if x.requires_grad else None,
-                    _batch_sum(g * normed, stacked) if gamma.requires_grad else None,
-                    _batch_sum(g, stacked) if beta.requires_grad else None)
-
-    return _node(g_data * normed + b_data, (x, gamma, beta), bw)
+    return _apply(*_BN[mode], (x, gamma, beta), state)
 
 
 # -- optimizers ---------------------------------------------------------------

@@ -8,7 +8,9 @@ minimizes
 
     lambda1 * fidelity + lambda2 * (-entropy) + lambda3 * bn-stats + lambda4 * (-gated KL)
 
-while the student minimizes plain KL(teacher || student). One batch per epoch
+while the student minimizes plain KL(teacher || student). A call builds its
+first generator and student step on the graph, records it, and replays every
+later step as array code (``autodiff.Replay``). One batch per epoch
 is banked into the session pool; after aggregation the pool is pseudo-labeled
 by the new global model and pushed into the replay buffer.
 """
@@ -19,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (Optimizer, OptimizerConfig, Tensor, backprop,
-                       model_mean, model_slot)
+from .autodiff import (Optimizer, OptimizerConfig, Replay, Tensor, model_mean,
+                       model_slot)
 from .errors import BufferGapError, ContractError, EmptyBufferError
 from .losses import (LossWeights, bn_stat_loss, generator_entropy_loss,
                      generator_fidelity_loss, generator_total_loss,
@@ -163,24 +165,27 @@ def train_generator_session(teachers: list[Classifier], session: int,
     rng = np.random.default_rng(derive_seed(seed, "draws"))
     banked_x, banked_y = [], []
 
+    def step(z: Array, labels: Array) -> list[tuple]:
+        loss, fake, ensemble = generator_loss(generator, stack, z, labels, weights)
+        roots = [(loss, generator.parameters(), gen_opt)]
+        # student step on the same batch, detached from the generator
+        if cfg.student_lr > 0:
+            roots.append((student_loss(ensemble.detach(),
+                                       student.forward(fake.data, mode="train"),
+                                       weights.kl_temperature),
+                          student.parameters(), stu_opt))
+        return roots
+
+    replay = None
     for _ in range(cfg.epochs):
         for _ in range(cfg.rounds_per_epoch):
             z = rng.standard_normal((cfg.batch_size, cfg.noise_dim))
             labels = rng.integers(0, c, size=cfg.batch_size)
-
             stack.load_opponent()
-            loss, fake, ensemble = generator_loss(generator, stack, z, labels,
-                                                  weights)
-            backprop(loss, generator.parameters())
-            gen_opt.step()
-
-            # student step on the same batch, detached from the generator
-            if cfg.student_lr > 0:
-                student_logits = student.forward(fake.data, mode="train")
-                backprop(student_loss(ensemble.detach(), student_logits,
-                                      weights.kl_temperature),
-                         student.parameters())
-                stu_opt.step()
+            if replay is None:  # the call's first step: recorded on the graph
+                replay = Replay(step, z, labels)
+            else:
+                replay.run(z, labels)
 
         z = rng.standard_normal((cfg.bank_per_epoch, cfg.noise_dim))
         labels = rng.integers(0, c, size=cfg.bank_per_epoch)

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Array, Tensor, _clamped_log, _node, _softmax_rows,
-                       _softmax_rows_bw, col_slice, gather_rows,
-                       one_hot)
+from .autodiff import (Array, Tensor, _apply, _clamped_log, _softmax_rows,
+                       _softmax_rows_bw, _wrap, col_slice, gather_rows, one_hot)
 from .errors import ContractError
 
 
@@ -59,22 +58,27 @@ def _check_batch(logits: Tensor, labels: Array) -> Array:
     return labels
 
 
+def _cross_entropy_fw(ins, labels):
+    p = _softmax_rows(ins[0])
+    rows = np.arange(labels.shape[0])
+    logs, above, clamped = _clamped_log(p[rows, labels])
+    return (-(np.add.reduce(logs, axis=None) / rows.shape[0]),
+            (p, rows, labels, above, clamped))
+
+
+def _cross_entropy_bw(g, s, needs):
+    p, rows, labels, above, clamped = s
+    full = np.zeros_like(p)
+    np.add.at(full, (rows, labels), -g / rows.shape[0] * above / clamped)
+    return (_softmax_rows_bw(p, full),)
+
+
 def cross_entropy(logits: Tensor, labels: Array) -> Tensor:
     """One node: ``-gather_rows(logits.softmax(), labels).log().mean()``."""
     labels = _check_batch(logits, labels)
-    n, classes = logits.shape
-    if labels.min() < 0 or labels.max() >= classes:
+    if labels.min() < 0 or labels.max() >= logits.shape[1]:
         raise ContractError("gather index out of range")
-    p = _softmax_rows(logits.data)
-    rows = np.arange(n)
-    logs, above, clamped = _clamped_log(p[rows, labels])
-
-    def bw(g: Array):
-        full = np.zeros_like(p)
-        np.add.at(full, (rows, labels), -g / n * above / clamped)
-        return (_softmax_rows_bw(p, full),)
-
-    return _node(-(np.add.reduce(logs, axis=None) / n), (logits,), bw)
+    return _apply(_cross_entropy_fw, _cross_entropy_bw, (logits,), labels)
 
 
 def reverse_cross_entropy(probs: Tensor, labels: Array,
@@ -148,6 +152,21 @@ def info_entropy(probs: Tensor) -> Tensor:
 generator_fidelity_loss = cross_entropy
 
 
+def _entropy_fw(ins):
+    n, c = ins[0].shape
+    p = _softmax_rows(ins[0])
+    logs, above, clamped = _clamped_log(p)
+    per_sample = -((p * logs).sum(axis=1))
+    value = -(np.add.reduce(per_sample, axis=None) / n * (1.0 / c))
+    return value, (p, logs, above, clamped, n, c)
+
+
+def _entropy_bw(g, s, needs):
+    p, logs, above, clamped, n, c = s
+    g_terms = -(-g * (1.0 / c) / n)
+    return (_softmax_rows_bw(p, g_terms * logs + g_terms * p * above / clamped),)
+
+
 def generator_entropy_loss(teacher_logits: Tensor) -> Tensor:
     """Negated prediction entropy: minimizing it favors hard samples.
 
@@ -155,17 +174,31 @@ def generator_entropy_loss(teacher_logits: Tensor) -> Tensor:
     """
     if teacher_logits.ndim != 2 or teacher_logits.shape[0] == 0:
         raise ContractError("info_entropy expects a nonempty (batch, classes) tensor")
-    n, c = teacher_logits.shape
-    p = _softmax_rows(teacher_logits.data)
-    logs, above, clamped = _clamped_log(p)
-    per_sample = -((p * logs).sum(axis=1))
+    return _apply(_entropy_fw, _entropy_bw, (teacher_logits,))
 
-    def bw(g: Array):
-        g_terms = -(-g * (1.0 / c) / n)
-        return (_softmax_rows_bw(p, g_terms * logs + g_terms * p * above / clamped),)
 
-    return _node(-(np.add.reduce(per_sample, axis=None) / n * (1.0 / c)),
-                 (teacher_logits,), bw)
+def _bn_stat_fw(ins, refs):
+    models = refs[0].shape[0]
+    diffs = [stat[:models] - ref for stat, ref in zip(ins, refs)]
+    # one row sum per model, as over that model's statistic alone
+    norms = [np.sqrt((d * d).reshape(models, -1).sum(axis=1)) for d in diffs]
+    total = None
+    for m in range(models):
+        for k in range(0, len(norms), 2):
+            term = norms[k][m] + norms[k + 1][m]
+            total = term if total is None else total + term
+    return total * (1.0 / models), (diffs, norms, models)
+
+
+def _bn_stat_bw(g, s, needs):
+    diffs, norms, models = s
+    g_total = g * (1.0 / models)
+    grads = []
+    for d, norm in zip(diffs, norms):
+        safe = np.maximum(norm, 1e-150).reshape((models,) + (1,) * (d.ndim - 1))
+        g_d = g_total * 0.5 / safe * d
+        grads.append((slice(models), g_d + g_d))
+    return grads
 
 
 def bn_stat_loss(batch_stats: list[tuple[Tensor, Tensor]],
@@ -175,8 +208,8 @@ def bn_stat_loss(batch_stats: list[tuple[Tensor, Tensor]],
 
     Both lists hold one (mean, var) pair per layer, each with a leading model
     axis. The running statistics belong to the M models compared; batch
-    statistics may carry further models after those (the opponent slot of
-    the generator step), which take no part and get zero gradient.
+    statistics may carry further models after those, which take no part and
+    get zero gradient.
 
     One node over every statistic. It repeats the arithmetic of
     ``l2_norm(mu[m] - r_mu[m]) + l2_norm(var[m] - r_var[m])`` summed layer by
@@ -185,80 +218,66 @@ def bn_stat_loss(batch_stats: list[tuple[Tensor, Tensor]],
     if len(batch_stats) != len(running_stats) or not batch_stats:
         raise ContractError("need matching, nonempty per-layer statistics")
     models = running_stats[0][0].shape[0]
-    stats: list[Tensor] = []
-    diffs: list[Array] = []
-    norms: list[Array] = []
+    stats, refs = [], []
     for (mu, var), (r_mu, r_var) in zip(batch_stats, running_stats):
         for stat, ref in ((mu, r_mu), (var, r_var)):
             if ref.shape != (models,) + stat.shape[1:] or stat.shape[0] < models:
                 raise ContractError(f"batch statistics {stat.shape} do not "
                                     f"match running statistics {ref.shape}")
-            d = stat.data[:models] - ref
             stats.append(stat)
-            diffs.append(d)
-            # one row sum per model, as over that model's statistic alone
-            norms.append(np.sqrt((d * d).reshape(models, -1).sum(axis=1)))
-    total = None
-    for m in range(models):
-        for k in range(0, len(norms), 2):
-            term = norms[k][m] + norms[k + 1][m]
-            total = term if total is None else total + term
-    scale = 1.0 / models
-
-    def bw(g: Array):
-        g_total = g * scale
-        grads = []
-        for stat, d, norm in zip(stats, diffs, norms):
-            safe = np.maximum(norm, 1e-150).reshape((models,) + (1,) * (d.ndim - 1))
-            g_d = g_total * 0.5 / safe * d
-            full = np.zeros_like(stat.data)
-            full[:models] = g_d + g_d
-            grads.append(full)
-        return tuple(grads)
-
-    return _node(total * scale, tuple(stats), bw)
+            refs.append(ref)
+    return _apply(_bn_stat_fw, _bn_stat_bw, tuple(stats), tuple(refs))
 
 
-def _kl_loss(teacher_logits: Tensor, student_logits: Tensor,
-             temperature: float, gate: Array | None = None,
-             old_count: int | None = None) -> Tensor:
-    """One node for the batch mean of row-wise KL(p || q), with
-    ``p = (teacher_logits * (1 / T)).softmax()`` and q likewise; with a gate,
-    the negated batch mean of the gated rows. With ``old_count``, q is the
-    first ``old_count`` entries of the student's full-width softmax, and the
-    gradient into them is zero-padded to the full width before the softmax
-    backward pass."""
-    width = student_logits.shape[1] if old_count is None else old_count
-    if teacher_logits.shape != (student_logits.shape[0], width):
-        raise ContractError("KL needs distributions of identical shape")
-    scale = 1.0 / temperature
-    p = _softmax_rows(teacher_logits.data * scale)
-    q_full = _softmax_rows(student_logits.data * scale)
-    q = q_full[:, :width]
+def _kl_fw(ins, scale, width, gated):
+    t, s = ins
+    p = _softmax_rows(t * scale)
+    q_full = _softmax_rows(s * scale)
     log_p, above_p, clamped_p = _clamped_log(p)
-    log_q, above_q, clamped_q = _clamped_log(q)
+    log_q, above_q, clamped_q = _clamped_log(q_full[:, :width])
     diff = log_p + -log_q
     rows = (p * diff).sum(axis=1)
     n = rows.shape[0]
-    if gate is None:
-        value = np.add.reduce(rows, axis=None) / n
-    else:
+    gate = None
+    if gated:
+        # 1 exactly where the two argmax predictions disagree
+        gate = (t.argmax(axis=1) != s.argmax(axis=1)).astype(np.float64)
         value = -(np.add.reduce(rows * gate, axis=None) / n)
+    else:
+        value = np.add.reduce(rows, axis=None) / n
+    return value, (scale, gate, p, diff, above_p, clamped_p, q_full, above_q,
+                   clamped_q)
 
-    def bw(g: Array):
-        g_terms = g / n if gate is None else (-g / n * gate)[:, None]
-        g_diff = g_terms * p
-        g_t = g_s = None
-        if teacher_logits.requires_grad:
-            g_p = g_terms * diff + g_diff * above_p / clamped_p
-            g_t = _softmax_rows_bw(p, g_p) * scale
-        if student_logits.requires_grad:
-            g_q = np.zeros_like(q_full)
-            g_q[:, :width] = -g_diff * above_q / clamped_q
-            g_s = _softmax_rows_bw(q_full, g_q) * scale
-        return (g_t, g_s)
 
-    return _node(value, (teacher_logits, student_logits), bw)
+def _kl_bw(g, s, needs):
+    scale, gate, p, diff, above_p, clamped_p, q_full, above_q, clamped_q = s
+    n = p.shape[0]
+    g_terms = g / n if gate is None else (-g / n * gate)[:, None]
+    g_diff = g_terms * p
+    g_t = g_s = None
+    if needs[0]:
+        g_p = g_terms * diff + g_diff * above_p / clamped_p
+        g_t = _softmax_rows_bw(p, g_p) * scale
+    if needs[1]:
+        g_q = np.zeros_like(q_full)
+        g_q[:, :above_q.shape[1]] = -g_diff * above_q / clamped_q
+        g_s = _softmax_rows_bw(q_full, g_q) * scale
+    return (g_t, g_s)
+
+
+def _kl_loss(teacher_logits: Tensor, student_logits: Tensor,
+             temperature: float, gated: bool = False,
+             old_count: int | None = None) -> Tensor:
+    """One node for the batch mean of row-wise KL(p || q), with
+    ``p = (teacher_logits * (1 / T)).softmax()`` and q likewise; gated, the
+    negated mean over the rows whose argmax predictions disagree. With
+    ``old_count``, q is the first ``old_count`` entries of the student's
+    full-width softmax, their gradient zero-padded to the full width."""
+    width = student_logits.shape[1] if old_count is None else old_count
+    if teacher_logits.shape != (student_logits.shape[0], width):
+        raise ContractError("KL needs distributions of identical shape")
+    return _apply(_kl_fw, _kl_bw, (teacher_logits, student_logits),
+                  1.0 / temperature, width, gated)
 
 
 def student_loss(teacher_logits: Tensor, student_logits: Tensor,
@@ -294,9 +313,19 @@ def transferability_loss(teacher_logits: Tensor, student_logits: Tensor,
     toward samples the student has not mastered. Equal to the negated,
     gate-masked student_loss by construction.
     """
-    gate = (teacher_logits.data.argmax(axis=1)
-            != student_logits.data.argmax(axis=1)).astype(np.float64)
-    return _kl_loss(teacher_logits, student_logits, temperature, gate)
+    return _kl_loss(teacher_logits, student_logits, temperature, gated=True)
+
+
+def _total_fw(ins, lams):
+    total = None
+    for lam, term in zip(lams, ins):
+        part = lam * term
+        total = part if total is None else total + part
+    return np.asarray(total, dtype=np.float64), lams
+
+
+def _total_bw(g, lams, needs):
+    return tuple(g * lam if need else None for lam, need in zip(lams, needs))
 
 
 def generator_total_loss(fidelity: Tensor | float, entropy: Tensor | float,
@@ -304,17 +333,10 @@ def generator_total_loss(fidelity: Tensor | float, entropy: Tensor | float,
                          weights: LossWeights) -> Tensor:
     """Weighted sum of the four generator terms; weight-0 terms may be 0.0.
 
-    One node over the Tensor terms: the value is
-    ((l1 * F + l2 * E) + l3 * S) + l4 * D and each term's gradient is
-    ``g * l``, as over the composed chain of products and sums.
+    One node: the value is ((l1 * F + l2 * E) + l3 * S) + l4 * D and each
+    Tensor term's gradient is ``g * l``, as over the composed chain of
+    products and sums.
     """
-    pairs = ((weights.lambda1, fidelity), (weights.lambda2, entropy),
-             (weights.lambda3, stats), (weights.lambda4, disagreement))
-    total = None
-    for lam, term in pairs:
-        part = lam * (term.data if isinstance(term, Tensor) else term)
-        total = part if total is None else total + part
-    terms = [(lam, term) for lam, term in pairs if isinstance(term, Tensor)]
-    return _node(np.asarray(total, dtype=np.float64),
-                 tuple(term for _, term in terms),
-                 lambda g: tuple(g * lam for lam, _ in terms))
+    lams = (weights.lambda1, weights.lambda2, weights.lambda3, weights.lambda4)
+    return _apply(_total_fw, _total_bw, tuple(
+        _wrap(term) for term in (fidelity, entropy, stats, disagreement)), lams)

@@ -299,13 +299,13 @@ class ModelStack:
 
     def forward(self, x: Tensor, capture_bn: bool = False):
         """Eval-mode session logits of every model, (models, batch, classes),
-        and with capture_bn each batch-norm input's statistics (else None)."""
+        and with capture_bn each batch-norm input's teacher statistics."""
         stats: list | None = [] if capture_bn else None
         h = x
         for w, b, gamma, beta, state in self._layers:
             h = linear(h, w, b)
             if capture_bn:
-                stats.append(batch_statistics(h))
+                stats.append(batch_statistics(h, len(self.teachers)))
             h = batchnorm_forward(h, gamma, beta, state, "eval").relu()
         return linear(h, *self._head), stats
 

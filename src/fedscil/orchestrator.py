@@ -43,7 +43,7 @@ class SessionMetrics:
     overall: float
     old: float | None       # None in the base session (nothing is old yet)
     new: float
-    per_class: list[float]
+    per_class: list[float | None]
     seconds: float
     audit: dict | None = None    # aggregation details, incremental sessions only
 
@@ -125,8 +125,8 @@ def inspect_partitions(cfg: ExperimentConfig) -> dict:
 
 
 def evaluate(model: Classifier, ds: LabeledDataset,
-             old_count: int) -> tuple[float, float | None, float, list[float]]:
-    """(overall, old, new, per-class) accuracy of full-head argmax."""
+             old_count: int) -> tuple[float, float | None, float, list[float | None]]:
+    """(overall, old, new, per-class) full-head argmax accuracy; None if no samples."""
     preds = []
     for start in range(0, len(ds), 512):
         logits = model.forward(ds.x[start:start + 512], mode="eval")
@@ -138,7 +138,7 @@ def evaluate(model: Classifier, ds: LabeledDataset,
     old = float(correct[old_mask].mean()) if old_mask.any() else None
     new_mask = ~old_mask
     new = float(correct[new_mask].mean()) if new_mask.any() else overall
-    per_class = [float(correct[ds.y == c].mean()) if (ds.y == c).any() else 0.0
+    per_class = [float(correct[ds.y == c].mean()) if (ds.y == c).any() else None
                  for c in range(model.classes_seen)]
     return overall, old, new, per_class
 

@@ -6,6 +6,8 @@
 - Fused autodiff nodes: the composed graphs the fused nodes replace, built
   from primitive ops. Under ``composed_graphs()`` the package runs on them,
   so a test can demand bit-identical values and gradients.
+- Generator session: the session loop with every step built and
+  differentiated on the graph, the reference for the replayed steps.
 - Optimizer: a loop over the parameters with the same update rules and
   per-name state, the reference for the flat step.
 """
@@ -23,6 +25,8 @@ from fedscil.aggregation import (AccuracyMatrix, aggregate_old,
 from fedscil.autodiff import (BatchNormState, Tensor, _node, col_slice,
                               concat, gather_rows)
 from fedscil.errors import ContractError, DegenerateBatchError
+from fedscil.models import ConditionalGenerator, ModelStack, make_student
+from fedscil.seeding import derive_seed
 
 OLD_GROUPS = ("backbone", "head_old", "bn_stats")
 
@@ -352,6 +356,59 @@ def composed_graphs():
     finally:
         for module, name, value in saved:
             setattr(module, name, value)
+
+
+# -- the generator session on the graph -----------------------------------------
+
+
+def graph_generator_session(teachers, session, class_range, envelope, cfg,
+                            weights, seed, generator=None, student=None):
+    """``generation.train_generator_session`` with every step built and
+    differentiated on the graph: the reference for the replayed steps. The
+    step's functions are looked up at call time, so under
+    ``composed_graphs()`` it runs the composed graphs."""
+    lo, hi = class_range
+    c = hi - lo
+    if generator is None:
+        generator = ConditionalGenerator(cfg.noise_dim, c, envelope[0], envelope[1],
+                                         seed=derive_seed(seed, "generator"),
+                                         hidden=cfg.hidden)
+    if student is None:
+        student = make_student(teachers[0].in_dim, c, session,
+                               seed=derive_seed(seed, "student"),
+                               hidden=teachers[0].hidden,
+                               feature_dim=teachers[0].feature_dim)
+    gen_opt = autodiff.Optimizer(generator.parameters(), autodiff.OptimizerConfig(
+        "adam", {"backbone": cfg.gen_lr}))
+    stu_opt = autodiff.Optimizer(student.parameters(), autodiff.OptimizerConfig(
+        "sgd_momentum", dict.fromkeys(("backbone", "head_new", "head_old"),
+                                      cfg.student_lr),
+        momentum=cfg.student_momentum))
+    stack = ModelStack(teachers, session, student if weights.lambda4 != 0 else None)
+    rng = np.random.default_rng(derive_seed(seed, "draws"))
+    banked_x, banked_y = [], []
+    for _ in range(cfg.epochs):
+        for _ in range(cfg.rounds_per_epoch):
+            z = rng.standard_normal((cfg.batch_size, cfg.noise_dim))
+            labels = rng.integers(0, c, size=cfg.batch_size)
+            stack.load_opponent()
+            loss, fake, ensemble = generation.generator_loss(generator, stack, z,
+                                                             labels, weights)
+            autodiff.backprop(loss, generator.parameters())
+            gen_opt.step()
+            if cfg.student_lr > 0:
+                logits = student.forward(fake.data, mode="train")
+                autodiff.backprop(losses.student_loss(ensemble.detach(), logits,
+                                                      weights.kl_temperature),
+                                  student.parameters())
+                stu_opt.step()
+        z = rng.standard_normal((cfg.bank_per_epoch, cfg.noise_dim))
+        labels = rng.integers(0, c, size=cfg.bank_per_epoch)
+        banked_x.append(generator.forward(z, labels, mode="train").data)
+        banked_y.append(labels + lo)
+    pool = generation.SyntheticPool(session, lo, hi, np.concatenate(banked_x),
+                                    np.concatenate(banked_y).astype(np.int64))
+    return generator, student, pool
 
 
 # -- the per-parameter optimizer step -------------------------------------------

@@ -308,6 +308,33 @@ def test_csv_dataset_faults_exit_one(run_root, tmp_path, capsys, rows, message):
     assert f"{train}: {message}" in err
 
 
+def test_class_without_test_rows_reports_null_accuracy(tmp_path):
+    """A CSV test split with no row of one class: that class's accuracy is
+    absent (null in metrics.jsonl), not 0.0, and every other one a number."""
+    rng = np.random.default_rng(4)
+    centers = rng.uniform(-1.0, 1.0, (6, 4))
+
+    def rows(classes, per_class):
+        return "".join(",".join(repr(float(v)) for v in centers[c] + 0.05 *
+                                rng.standard_normal(4)) + f",{c}\n"
+                       for c in classes for _ in range(per_class))
+
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    train.write_text(rows(range(6), 12))
+    test.write_text(rows([0, 1, 2, 4, 5], 4))   # no test row of class 3
+    out = tmp_path / "run"
+    cfg = LIGHT_FILE.replace("method = sdd", "method = finetune")
+    (tmp_path / "light.cfg").write_text(cfg)
+    assert main(["run", "--config", str(tmp_path / "light.cfg"), "--set",
+                 f"data.csv_train={train}", "--set", f"data.csv_test={test}",
+                 "--quiet", "--out", str(out)]) == 0
+    lines = (out / "metrics.jsonl").read_text().splitlines()
+    final = json.loads(lines[-1])["per_class"]
+    assert len(final) == 6 and final.count(None) == 1
+    assert all(0.0 <= v <= 1.0 for v in final if v is not None)
+    assert '"per_class": [' in lines[-1] and "null" in lines[-1]
+
+
 @pytest.mark.parametrize("half", ["csv_train", "csv_test"])
 def test_csv_path_without_its_pair_exits_one(run_root, tmp_path, capsys, half):
     path = tmp_path / "data.csv"

@@ -20,7 +20,8 @@ from oracles import (bn_running_stats, captured_forward,
                      composed_distillation_loss_subset, composed_entropy_loss,
                      composed_generator_total_loss, composed_graphs,
                      composed_scaled_tanh, composed_student_loss,
-                     composed_teacher_logits, composed_transferability_loss)
+                     composed_teacher_logits, composed_transferability_loss,
+                     graph_generator_session)
 
 IN_DIM, SESSION, CLASSES = 6, 2, 2
 # (input, hidden, feature) widths; the desk preset's make BLAS take the paths
@@ -135,7 +136,10 @@ def _check_stacked_pass(teachers: int, session: int):
     ref_opp, ref_opp_stats = captured_forward(opponent, x.value)
     assert np.array_equal(ensemble.data, ref.data)
     assert np.array_equal(opp.data, ref_opp.data)
-    for m, per_model in enumerate(ref_stats + [ref_opp_stats]):
+    # statistics of the teachers only: no loss reads the opponent's
+    assert [(mu.shape[0], var.shape[0]) for mu, var in stats] == \
+        [(teachers, teachers)] * len(ref_stats[0])
+    for m, per_model in enumerate(ref_stats):
         for (mu, var), (mu_ref, var_ref) in zip(stats, per_model):
             assert np.array_equal(mu.data[m, 0], mu_ref.data)
             assert np.array_equal(var.data[m, 0], var_ref.data)
@@ -157,15 +161,16 @@ def _check_stacked_pass(teachers: int, session: int):
 @pytest.mark.parametrize("student_lr, lambda4", [(0.2, 0.7), (0.0, 0.7),
                                                  (0.2, 0.0)])
 def test_generator_session_matches_composed_graph(student_lr, lambda4):
-    """20 generator and student steps; a stale opponent slot would part the
-    two runs after the first student step."""
+    """20 generator and student steps, replayed against the composed graphs
+    built at every step; a stale opponent slot would part the two runs after
+    the first student step."""
     cfg = GenLabConfig(epochs=2, rounds_per_epoch=10, batch_size=12, noise_dim=4,
                        hidden=12, student_lr=student_lr, bank_per_epoch=6)
     weights = _weights(1.3, lambda4)
 
-    def run():
+    def run(session_loop):
         teacher_models, _, student = _models(3)
-        generator, student, pool = train_generator_session(
+        generator, student, pool = session_loop(
             teacher_models, SESSION, (8, 10), (-np.ones(IN_DIM), np.ones(IN_DIM)),
             cfg, weights, 3, student=student)
         return ([p.value.data for p in generator.parameters()],
@@ -173,9 +178,9 @@ def test_generator_session_matches_composed_graph(student_lr, lambda4):
                 [a for pair in bn_running_stats(student) for a in pair],
                 [pool.samples])
 
-    fused = run()
+    fused = run(train_generator_session)
     with composed_graphs():
-        composed = run()
+        composed = run(graph_generator_session)
     for part_a, part_b in zip(fused, composed):
         assert len(part_a) == len(part_b)
         for a, b in zip(part_a, part_b):

@@ -8,7 +8,7 @@ from fedscil.aggregation import (AccuracyMatrix, aggregate_old,
                                  cswa_aggregate_new, cswa_weights, fedavg_full)
 from fedscil.autodiff import Optimizer, OptimizerConfig
 from fedscil.data import LabeledDataset
-from fedscil.generation import ReplayBuffer, SyntheticPool
+from fedscil.generation import ReplayBuffer, SyntheticPool, relabel
 
 from oracles import LoopOptimizer
 
@@ -243,3 +243,65 @@ def test_buffer_keeps_the_newest_per_class_and_samples_balanced(pools, capacity,
     assert max(drawn.values()) - min(drawn.values()) <= 1
     for sample, label in zip(x, y):
         assert sample[0] in stored[int(label)]
+
+
+@st.composite
+def _noisy_pools(draw):
+    """Pools of sessions of one to three classes. Sample i of the stream
+    carries i, its condition and its session in its coordinates."""
+    pools, serial, lo = [], 0, 0
+    for session in range(draw(st.integers(1, 3))):
+        span = draw(st.integers(1, 3))
+        for _ in range(draw(st.integers(1, 3))):
+            n = draw(st.integers(1, 12))
+            labels = st.lists(st.integers(lo, lo + span - 1), min_size=n, max_size=n)
+            pseudo, condition = np.array(draw(labels)), np.array(draw(labels))
+            samples = np.column_stack([np.arange(serial, serial + n), condition,
+                                       np.full(n, session)]).astype(np.float64)
+            serial += n
+            pools.append(SyntheticPool(session, lo, lo + span, samples, condition,
+                                       pseudo))
+        lo += span
+    return pools
+
+
+@settings(max_examples=150, deadline=None)
+@given(_noisy_pools(), st.integers(1, 6), st.floats(0.05, 0.95),
+       st.integers(0, 2**32 - 1))
+def test_noisy_buffer_keeps_labels_in_their_session(pools, capacity, noise, seed):
+    rng = np.random.default_rng(seed)
+    buffer = ReplayBuffer(capacity, label_noise=noise)
+    spans = {pool.session: (pool.class_lo, pool.class_hi) for pool in pools}
+    pseudo = {}
+    for pool in pools:
+        buffer.add_pool(pool, rng)
+        pseudo.update(zip(pool.samples[:, 0], pool.pseudo))
+        assert all(n <= capacity for n in buffer.per_class_counts().values())
+    for sample, condition, label, session in buffer.export_rows():
+        lo, hi = spans[session]
+        assert lo <= label < hi
+        # the condition and session ride along with their sample
+        assert (condition, session) == (sample[1], sample[2])
+        if hi - lo == 1:
+            assert label == pseudo[sample[0]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 30))
+def test_relabel_is_idempotent_and_keeps_samples_and_conditions(seed, new, n):
+    rng = np.random.default_rng(seed)
+    model = Classifier(in_dim=3, base_classes=2, seed=seed % 997, hidden=5,
+                       feature_dim=4)
+    model.expand_head(1, new, seed=seed % 991)
+    for p in model.parameters():
+        p.value.data = p.value.data + rng.standard_normal(p.value.shape)
+    samples = rng.standard_normal((n, 3)) * 3.0
+    condition = rng.integers(2, 2 + new, size=n)
+    pool = SyntheticPool(1, 2, 2 + new, samples.copy(), condition.copy())
+    once = relabel(pool, model)
+    twice = relabel(once, model)
+    assert np.array_equal(once.pseudo, twice.pseudo)
+    assert np.all((once.pseudo >= 2) & (once.pseudo < 2 + new))
+    for labeled in (pool, once, twice):
+        assert _same_bits(labeled.samples, samples)
+        assert np.array_equal(labeled.condition, condition)
