@@ -119,9 +119,7 @@ def cswa_weights(matrix: AccuracyMatrix, mode: str = "normalized") -> Array:
     if mode != "normalized":
         raise ContractError(f"unknown cswa mode {mode!r}")
     sums = a.sum(axis=0, keepdims=True)
-    m = a.shape[0]
-    out = np.where(sums > 0, a / np.where(sums == 0, 1.0, sums), 1.0 / m)
-    return out
+    return np.where(sums > 0, a / np.where(sums == 0, 1.0, sums), 1.0 / a.shape[0])
 
 
 def cswa_aggregate_new(blocks: list[tuple[Array, Array]], matrix: AccuracyMatrix,

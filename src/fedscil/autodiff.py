@@ -11,12 +11,14 @@ themselves, which compare and hash by identity (``Tensor`` must not define
 ``__eq__`` or ``__hash__``). The op set is deliberately small; anything not
 listed here does not exist.
 
-Ops are pairs of array functions: a forward ``fw(inputs, *args) -> (out,
-saved)`` over the parents' values and other arguments, and a backward
-``bw(g, saved, needs)`` giving one gradient per parent, None where
-``needs`` (the parents' trainability) asks for none, or ``(index, part)``
-for ``parent[index]`` alone. Only the elementwise arithmetic, log, softmax,
-reductions and ``gather_rows`` still build closures. The generator step's
+Every op is a pair of module-level array functions: a forward ``fw(inputs,
+*args) -> (out, saved)`` over the parents' values and other arguments, and
+a backward ``bw(g, saved, needs)`` giving one gradient per parent, None
+where ``needs`` (the parents' trainability) asks for none, or ``(index,
+part)`` for ``parent[index]`` alone. ``_apply`` is the one node
+constructor: a node keeps its parents, its op's backward and the forward's
+saved arrays. ``_backward`` is the one backward walk, and both the graph
+(``grad``, ``backprop``) and :class:`Replay` run it. The generator step's
 ops are fused: ``linear``, ``batchnorm_forward``, ``batch_statistics``
 (two nodes, mean then variance) and the cross-entropy, entropy, KL and
 statistics losses repeat, in order, the numpy arithmetic of the primitive
@@ -35,13 +37,13 @@ teachers in list order, then the opponent. What differs is the sign of a
 zero at most: the reduction starts from 0.0, and a model slot's gradient
 arrives as a slice of the stack.
 
-:class:`Replay` records the ops of a step, which must all be pairs, and
-replays the step as flat array code over numbered value slots: forwards in
-creation order, then per loss the backwards in the recorded walk's order,
-each gradient summed into its parent's slot as ``_compute_grads`` sums it,
-so the floats are the graph's. Each run reads every leaf tensor's ``data``
-afresh and takes the step's own arrays as inputs, found in the record by
-identity; a tensor made from them other than by an op replays stale.
+:class:`Replay` records the op calls of a step and replays the step as flat
+array code over numbered value slots: forwards in creation order, then per
+loss the recorded walk's schedule through ``_backward``, with slots in
+place of tensors, so the floats are the graph's. Each run reads every leaf
+tensor's ``data`` afresh and takes the step's own arrays as inputs, found in
+the record by identity; a tensor made from them other than by an op replays
+stale.
 
 Numerical conventions, all of which tests rely on:
 - ``log`` clamps its argument to >= 1e-12 and passes zero gradient below the
@@ -51,19 +53,12 @@ Numerical conventions, all of which tests rely on:
   biased variance and always updates the running statistics, plain arrays,
   by EMA with ``running = (1 - momentum) * running + momentum * batch``;
   eval mode reads them and updates nothing.
-
-An optimizer step is one elementwise update of a flat vector: the live
-parameters' values and gradients are concatenated, the update rule runs
-once over them, and each parameter's value is rebound to a view of the
-fresh result. Values are never updated in place, so an array taken from a
-parameter before a step keeps its contents. The rule's operations are
-elementwise and in the per-parameter order, so every float is what a loop
-over the parameters gives.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -82,25 +77,20 @@ PARAM_GROUPS = ("backbone", "head_old", "head_new", "bn_stats")
 _tape: list | None = None
 
 
-def _as_f64(values) -> Array:
-    return np.asarray(values, dtype=np.float64)
-
-
 class Tensor:
     """A float64 array plus the bookkeeping needed for backprop."""
 
-    __slots__ = ("data", "requires_grad", "_parents", "_bw")
+    __slots__ = ("data", "requires_grad", "_parents", "_bw", "_saved")
 
-    def __init__(self, data, requires_grad: bool = False,
-                 parents: tuple["Tensor", ...] = (),
-                 bw: Callable[[Array], tuple] | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         # every op output is already a float64 ndarray; asarray would return
         # the same object, so skip the call on the hot path
         self.data = (data if type(data) is np.ndarray and data.dtype == np.float64
-                     else _as_f64(data))
+                     else np.asarray(data, dtype=np.float64))
         self.requires_grad = bool(requires_grad)
-        self._parents = parents
-        self._bw = bw
+        # a node's parents, its op's backward and the forward's saved arrays,
+        # set by _apply
+        self._parents, self._bw, self._saved = (), None, None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -123,113 +113,65 @@ class Tensor:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        return _add(self, _wrap(other))
+        return _apply(_ufunc_fw, _add_bw, (self, _wrap(other)), np.add)
 
     def __radd__(self, other):
-        return _add(_wrap(other), self)
+        return _apply(_ufunc_fw, _add_bw, (_wrap(other), self), np.add)
 
     def __sub__(self, other):
-        return _add(self, _neg(_wrap(other)))
+        return self + -_wrap(other)
 
     def __rsub__(self, other):
-        return _add(_wrap(other), _neg(self))
+        return _wrap(other) + -self
 
     def __neg__(self):
-        return _neg(self)
+        return _apply(_ufunc_fw, _neg_bw, (self,), np.negative)
 
     def __mul__(self, other):
-        return _mul(self, _wrap(other))
+        return _apply(_ufunc_fw, _mul_bw, (self, _wrap(other)), np.multiply)
 
     def __rmul__(self, other):
-        return _mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return _div(self, _wrap(other))
+        return _apply(_ufunc_fw, _mul_bw, (_wrap(other), self), np.multiply)
 
     # -- unary / reductions -------------------------------------------------
 
     def relu(self) -> "Tensor":
-        return _apply(_relu_fw, lambda g, mask, needs: (g * mask,), (self,))
+        return _apply(_relu_fw, _relu_bw, (self,))
 
     def log(self) -> "Tensor":
-        """Natural log with the argument clamped to >= LOG_CLAMP.
-
-        Below the clamp the forward value is constant, so the gradient there
-        is exactly zero.
-        """
-        out, above, clamped = _clamped_log(self.data)
-        return _node(out, (self,), lambda g: (g * above / clamped,))
+        """Natural log of the argument clamped to >= LOG_CLAMP, below which
+        the value is constant and the gradient exactly zero."""
+        return _apply(_log_fw, _log_bw, (self,))
 
     def sum(self, axis: int | None = None) -> "Tensor":
-        shape = self.data.shape
-        out = self.data.sum(axis=axis)
-
-        def bw(g: Array):
-            if axis is None:
-                return (np.broadcast_to(g, shape).copy(),)
-            return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
-
-        return _node(out, (self,), bw)
+        return _apply(_reduce_fw, _reduce_bw, (self,), axis, False)
 
     def mean(self, axis: int | None = None) -> "Tensor":
-        shape = self.data.shape
-        count = self.data.size if axis is None else shape[axis]
-        # what ndarray.mean computes, without its Python-level wrapper
-        out = np.add.reduce(self.data, axis=axis) / count
-
-        def bw(g: Array):
-            if axis is None:
-                return (np.broadcast_to(g / count, shape).copy(),)
-            return (np.broadcast_to(np.expand_dims(g / count, axis), shape).copy(),)
-
-        return _node(out, (self,), bw)
+        return _apply(_reduce_fw, _reduce_bw, (self,), axis, True)
 
     def softmax(self) -> "Tensor":
         """Row-wise softmax of a (b, c) tensor."""
         if self.ndim != 2:
             raise ContractError("softmax expects a 2-d (batch, classes) tensor")
-        p = _softmax_rows(self.data)
-        return _node(p, (self,), lambda g: (_softmax_rows_bw(p, g),))
-
-
-# Array-level forms of log and softmax, shared with the fused loss ops.
-
-def _clamped_log(a: Array) -> tuple[Array, Array, Array]:
-    """(log of a clamped to >= LOG_CLAMP, mask above the clamp, clamped a)."""
-    clamped = np.maximum(a, LOG_CLAMP)
-    return np.log(clamped), a > LOG_CLAMP, clamped
-
-
-def _softmax_rows(a: Array) -> Array:
-    e = np.exp(a - a.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _softmax_rows_bw(p: Array, g: Array) -> Array:
-    """Input gradient of a row-wise softmax with output p."""
-    return p * (g - (g * p).sum(axis=1, keepdims=True))
+        return _apply(_softmax_fw, _softmax_bw, (self,))
 
 
 def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _node(data: Array, parents: tuple[Tensor, ...], bw) -> Tensor:
-    if _tape is not None:
-        _tape.append(None)   # a closure, unless _apply fills the entry in
+def _apply(fw, bw, parents: tuple[Tensor, ...], *static) -> Tensor:
+    """The one node constructor: runs the op's forward now and, if a parent
+    needs a gradient, keeps the backward and the saved arrays for the walk."""
+    out, saved = fw([p.data for p in parents], *static)
+    node = Tensor(out)
     for p in parents:
         if p.requires_grad:
-            return Tensor(data, True, parents, bw)
-    return Tensor(data)
-
-
-def _apply(fw, bw, parents: tuple[Tensor, ...], *static) -> Tensor:
-    """A node from an op pair: forward now, backward over what it saved."""
-    out, saved = fw([p.data for p in parents], *static)
-    node = _node(out, parents,
-                 lambda g: bw(g, saved, [p.requires_grad for p in parents]))
+            node.requires_grad = True
+            node._parents, node._bw, node._saved = parents, bw, saved
+            break
     if _tape is not None:
-        _tape[-1] = (fw, bw, parents, static, [p.requires_grad for p in parents], node)
+        _tape.append((fw, parents, static, node))
     return node
 
 
@@ -245,35 +187,78 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     return g
 
 
-# The binary ops compute no gradient for a parent that does not need one
-# (a constant, or a parameter frozen for the call).
+# The elementwise arithmetic shares one forward, the ufunc over the
+# operands, which it saves. The binary ops compute no gradient for a parent
+# that does not need one (a constant, or a parameter frozen for the call).
 
-def _add(a: Tensor, b: Tensor) -> Tensor:
-    return _node(a.data + b.data, (a, b),
-                 lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                            _unbroadcast(g, b.shape) if b.requires_grad else None))
-
-
-def _neg(a: Tensor) -> Tensor:
-    return _node(-a.data, (a,), lambda g: (-g,))
+def _ufunc_fw(ins, op):
+    return op(*ins), ins
 
 
-def _mul(a: Tensor, b: Tensor) -> Tensor:
-    return _node(a.data * b.data, (a, b),
-                 lambda g: (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
+def _add_bw(g, ins, needs):
+    return tuple(_unbroadcast(g, a.shape) if need else None
+                 for a, need in zip(ins, needs))
 
 
-def _div(a: Tensor, b: Tensor) -> Tensor:
-    return _node(a.data / b.data, (a, b),
-                 lambda g: (_unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
-                            _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-                            if b.requires_grad else None))
+def _neg_bw(g, ins, needs):
+    return (-g,)
+
+
+def _mul_bw(g, ins, needs):
+    a, b = ins
+    return (_unbroadcast(g * b, a.shape) if needs[0] else None,
+            _unbroadcast(g * a, b.shape) if needs[1] else None)
 
 
 def _relu_fw(ins):
     mask = ins[0] > 0.0
     return ins[0] * mask, mask
+
+
+def _relu_bw(g, mask, needs):
+    return (g * mask,)
+
+
+def _log_fw(ins):
+    """(log of the clamped input, (mask above the clamp, clamped input))."""
+    clamped = np.maximum(ins[0], LOG_CLAMP)
+    return np.log(clamped), (ins[0] > LOG_CLAMP, clamped)
+
+
+def _log_bw(g, s, needs):
+    return (g * s[0] / s[1],)
+
+
+def _reduce_fw(ins, axis, mean):
+    # add.reduce (/ count) is ndarray.sum (mean) without its Python wrapper
+    a = ins[0]
+    count = (a.size if axis is None else a.shape[axis]) if mean else None
+    out = np.add.reduce(a, axis=axis)
+    return out if count is None else out / count, (a.shape, axis, count)
+
+
+def _reduce_bw(g, s, needs):
+    shape, axis, count = s
+    if count is not None:
+        g = g / count
+    if axis is not None:
+        g = np.expand_dims(g, axis)
+    return (np.broadcast_to(g, shape).copy(),)
+
+
+def _softmax_fw(ins):
+    """Row-wise, max-stabilized softmax p of ins[0], saved as it is."""
+    e = np.exp(ins[0] - ins[0].max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    return p, p
+
+
+def _softmax_bw(g, p, needs):
+    return (p * (g - (g * p).sum(axis=1, keepdims=True)),)
+
+
+def _linear_fw(ins):
+    return ins[0] @ ins[1] + ins[2], ins
 
 
 def _linear_bw(g, ins, needs):
@@ -301,7 +286,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if (not 2 <= x.ndim <= w.ndim <= 3 or x.shape[-1] != w.shape[-2]
             or x.shape[:-2] not in ((), w.shape[:-2])):
         raise ContractError(f"linear shape mismatch {x.shape} @ {w.shape}")
-    return _apply(lambda ins: (ins[0] @ ins[1] + ins[2], ins), _linear_bw, (x, w, b))
+    return _apply(_linear_fw, _linear_bw, (x, w, b))
+
+
+def _model_mean_fw(ins, count):
+    return np.add.reduce(ins[0][:count], axis=0) * (1.0 / count), count
+
+
+def _model_mean_bw(g, count, needs):
+    return ((slice(count), g * (1.0 / count)),)
 
 
 def model_mean(t: Tensor, count: int) -> Tensor:
@@ -310,10 +303,7 @@ def model_mean(t: Tensor, count: int) -> Tensor:
     followed by one scaling computes it."""
     if not 1 <= count <= t.shape[0]:
         raise ContractError(f"cannot average {count} of {t.shape[0]} models")
-    return _apply(lambda ins, count: (np.add.reduce(ins[0][:count], axis=0)
-                                      * (1.0 / count), count),
-                  lambda g, count, needs: ((slice(count), g * (1.0 / count)),),
-                  (t,), count)
+    return _apply(_model_mean_fw, _model_mean_bw, (t,), count)
 
 
 def _slice_fw(ins, index):
@@ -336,12 +326,15 @@ def _concat_fw(ins, axis):
     return np.concatenate(ins, axis=axis), (offsets, axis)
 
 
+def _concat_bw(g, s, needs):
+    return tuple(np.split(g, s[0], axis=s[1]))
+
+
 def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
     tensors = tuple(tensors)
     if not tensors:
         raise ContractError("concat of an empty sequence")
-    return _apply(_concat_fw, lambda g, s, needs: tuple(np.split(g, s[0], axis=s[1])),
-                  tensors, axis)
+    return _apply(_concat_fw, _concat_bw, tensors, axis)
 
 
 def col_slice(t: Tensor, start: int, stop: int) -> Tensor:
@@ -362,6 +355,17 @@ def row_slice(t: Tensor, start: int, stop: int) -> Tensor:
     return _apply(_slice_fw, _slice_bw, (t,), slice(start, stop))
 
 
+def _gather_fw(ins, rows, index):
+    return ins[0][rows, index], (ins[0], rows, index)
+
+
+def _gather_bw(g, s, needs):
+    t, rows, index = s
+    full = np.zeros_like(t)
+    np.add.at(full, (rows, index), g)
+    return (full,)
+
+
 def gather_rows(t: Tensor, index: Array) -> Tensor:
     """Picks t[i, index[i]] for each row i; the one-hot lookup primitive."""
     if t.ndim != 2:
@@ -371,14 +375,7 @@ def gather_rows(t: Tensor, index: Array) -> Tensor:
         raise ContractError("index must be 1-d with one entry per row")
     if idx.size and (idx.min() < 0 or idx.max() >= t.shape[1]):
         raise ContractError("gather index out of range")
-    rows = np.arange(t.shape[0])
-
-    def bw(g: Array):
-        full = np.zeros_like(t.data)
-        np.add.at(full, (rows, idx), g)
-        return (full,)
-
-    return _node(t.data[rows, idx], (t,), bw)
+    return _apply(_gather_fw, _gather_bw, (t,), np.arange(t.shape[0]), idx)
 
 
 def _one_hot_fw(ins, labels, classes):
@@ -400,34 +397,41 @@ def _scaled_tanh_fw(ins, half, mid):
     return out * half + mid, (out, half)
 
 
+def _scaled_tanh_bw(g, s, needs):
+    return ((g * s[1]) * (1.0 - s[0] * s[0]),)
+
+
 def scaled_tanh(t: Tensor, half: Array, mid: Array) -> Tensor:
     """``tanh(t) * half + mid`` as one node; ``half`` and ``mid`` are
     constants broadcast along the last axis."""
-    return _apply(_scaled_tanh_fw,
-                  lambda g, s, needs: ((g * s[1]) * (1.0 - s[0] * s[0]),),
-                  (t,), half, mid)
+    return _apply(_scaled_tanh_fw, _scaled_tanh_bw, (t,), half, mid)
 
 
 # -- backward pass -----------------------------------------------------------
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
-    seen: set[Tensor] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+def _schedule(loss: Tensor) -> list[tuple]:
+    """The backward schedule of a scalar loss: per op node in reverse
+    topological order of a depth-first walk, (node, backward, saved arrays,
+    needs, parents)."""
+    if loss.size != 1:
+        raise ContractError("backward requires a scalar loss")
+    schedule, seen, stack = [], set(), [(loss, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
-            order.append(node)
-            continue
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and p not in seen:
-                stack.append((p, False))
-    return order
+            if node._bw is not None:
+                schedule.append((node, node._bw, node._saved,
+                                 [p.requires_grad for p in node._parents],
+                                 node._parents))
+        elif node not in seen:
+            seen.add(node)
+            stack.append((node, True))
+            for p in node._parents:
+                if p.requires_grad and p not in seen:
+                    stack.append((p, False))
+    schedule.reverse()
+    return schedule
 
 
 def _accumulate(total: Array | None, pg, value: Array) -> Array:
@@ -444,18 +448,16 @@ def _accumulate(total: Array | None, pg, value: Array) -> Array:
     return total
 
 
-def _compute_grads(loss: Tensor) -> dict[Tensor, Array]:
-    if loss.size != 1:
-        raise ContractError("backward requires a scalar loss")
-    grads: dict[Tensor, Array] = {loss: np.ones_like(loss.data)}
-    for node in reversed(_toposort(loss)):
-        if node._bw is None:
-            continue
-        g = grads[node]
-        for parent, pg in zip(node._parents, node._bw(g)):
-            if pg is None or not parent.requires_grad:
-                continue
-            grads[parent] = _accumulate(grads.get(parent), pg, parent.data)
+def _backward(schedule, grads: dict, value: Callable) -> dict:
+    """The one backward walk. ``grads`` holds the loss's seed gradient, keyed
+    by its slot; each schedule entry's backward runs on its node's gradient,
+    and each share a parent needs is summed into the parent's slot, in
+    schedule order, so that order fixes every float. Slots are tensors on
+    the graph and value indices in a replay; ``value(slot)`` is its array."""
+    for node, bw, saved, needs, parents in schedule:
+        for slot, need, pg in zip(parents, needs, bw(grads[node], saved, needs)):
+            if need and pg is not None:
+                grads[slot] = _accumulate(grads.get(slot), pg, value(slot))
     return grads
 
 
@@ -475,16 +477,12 @@ class Parameter:
 
 
 def grad(loss: Tensor, params: Sequence[Parameter]) -> dict[str, Array]:
-    """d loss / d p for every parameter; zeros where the graph never saw p.
-
-    Parameter values are left untouched.
-    """
-    grads = _compute_grads(loss)
-    out: dict[str, Array] = {}
-    for p in params:
-        g = grads.get(p.value)
-        out[p.name] = np.zeros_like(p.value.data) if g is None else g
-    return out
+    """d loss / d p for every parameter, zeros where the graph never saw p;
+    parameter values are left untouched."""
+    grads = _backward(_schedule(loss), {loss: np.ones_like(loss.data)},
+                      attrgetter("data"))
+    return {p.name: grads[p.value] if p.value in grads
+            else np.zeros_like(p.value.data) for p in params}
 
 
 def backprop(loss: Tensor, params: Sequence[Parameter]) -> None:
@@ -532,13 +530,11 @@ class Replay:
         for loss, params, opt in roots:
             backprop(loss, params)
             opt.step()
-        if None in tape:
-            raise ContractError("a replayed step may only use op pairs")
         self.shapes = [a.shape for a in inputs]
         self.values = list(inputs)              # a constant, or None for a slot
         slots = {id(a): i for i, a in enumerate(inputs)}   # object id -> slot
-        self.leaves, self.forward, backward = [], [], {}
-        for fw, bw, parents, static, needs, node in tape:
+        self.leaves, self.forward = [], []
+        for fw, parents, static, node in tape:
             for t in parents:
                 if id(t) not in slots:  # a leaf, or made from a node or input
                     slots[id(t)] = slots.get(id(t.data), len(self.values))
@@ -549,21 +545,17 @@ class Replay:
                 if id(value) not in slots:
                     slots[id(value)] = len(self.values)
                     self.values.append(value)
-            args = [slots[id(t)] for t in parents]
             out = slots[id(node)] = slots[id(node.data)] = len(self.values)
             self.values.append(None)
-            self.forward.append((fw, args, [slots[id(v)] for v in static], out))
-            backward[out] = (bw, needs, [a if need else None
-                                         for a, need in zip(args, needs)])
+            self.forward.append((fw, [slots[id(t)] for t in parents],
+                                 [slots[id(v)] for v in static], out))
         read = {i for _, args, statics, _ in self.forward for i in args + statics}
         if not read.issuperset(range(len(inputs))):
             raise ContractError("a replay input reaches none of the recorded ops")
         self.roots = []
         for loss, params, opt in roots:
-            schedule = []
-            for node in reversed(_toposort(loss)):
-                if node._bw is not None:
-                    schedule.append((slots[id(node)],) + backward[slots[id(node)]])
+            schedule = [(slots[id(node)], bw, needs, [slots[id(p)] for p in parents])
+                        for node, bw, _, needs, parents in _schedule(loss)]
             self.roots.append((slots[id(loss)], schedule, opt,
                                [(p, slots.get(id(p.value))) for p in params]))
 
@@ -580,15 +572,11 @@ class Replay:
             vals[out], saved[out] = fw([vals[i] for i in args],
                                        *[vals[i] for i in statics])
         for loss, schedule, opt, params in self.roots:
-            grads = [None] * len(vals)
-            grads[loss] = np.ones_like(vals[loss])
-            for node, bw, needs, parents in schedule:
-                for slot, pg in zip(parents, bw(grads[node], saved[node], needs)):
-                    if slot is not None and pg is not None:
-                        grads[slot] = _accumulate(grads[slot], pg, vals[slot])
+            grads = _backward([(node, bw, saved[node], needs, parents)
+                               for node, bw, needs, parents in schedule],
+                              {loss: np.ones_like(vals[loss])}, vals.__getitem__)
             for p, slot in params:
-                g = None if slot is None else grads[slot]
-                p.grad = np.zeros_like(p.value.data) if g is None else g
+                p.grad = grads[slot] if slot in grads else np.zeros_like(p.value.data)
             opt.step()
 
 
@@ -614,6 +602,10 @@ def _stat_mean_fw(ins, index):
     # add.reduce / count is what ndarray.mean computes
     x = ins[0][index]
     return _batch_sum(x, x.ndim == 3) / x.shape[-2], (index, x.shape[-2])
+
+
+def _stat_mean_bw(g, s, needs):
+    return ((s[0], g / s[1]),)
 
 
 def _stat_var_fw(ins, index):
@@ -643,7 +635,7 @@ def batch_statistics(x: Tensor, models: int | None = None) -> tuple[Tensor, Tens
     if x.ndim not in (2, 3):
         raise ContractError("batch statistics need a (batch, channels) or "
                             "(models, batch, channels) tensor")
-    mu = _apply(_stat_mean_fw, lambda g, s, needs: ((s[0], g / s[1]),), (x,), slice(models))
+    mu = _apply(_stat_mean_fw, _stat_mean_bw, (x,), slice(models))
     return mu, _apply(_stat_var_fw, _stat_var_bw, (x, mu), slice(models))
 
 
@@ -740,9 +732,13 @@ class OptimizerConfig:
 class Optimizer:
     """Stateful SGD-with-momentum or Adam over named parameters.
 
-    Each step is one flat update that rebinds the values (see the module
-    docstring). The state (the SGD velocity, Adam's m and v) is one flat
-    array over every parameter.
+    A step is one elementwise update of a flat vector: the live parameters'
+    values and gradients are concatenated, the rule runs once over them in
+    per-parameter order, so every float is what a loop over the parameters
+    gives, and each value is rebound to a view of the fresh result. Values
+    are never updated in place, so an array taken from a parameter before a
+    step keeps its contents. The state (the SGD velocity, Adam's m and v) is
+    one flat array over every parameter.
 
     Groups with rate exactly 0 are skipped entirely: neither their values nor
     their state change, so their parameters are bit-identical after any

@@ -94,10 +94,6 @@ def _load_config(args) -> ExperimentConfig:
     return build_config(args.config, args.preset, overrides)
 
 
-def _run_root() -> str:
-    return os.environ.get("FEDSCIL_RUN_ROOT", os.path.join(".", "runs"))
-
-
 def _claim_run_dir(cfg: ExperimentConfig, out: str | None) -> str:
     """Pick a directory that does not already hold a manifest."""
     if out:
@@ -106,7 +102,8 @@ def _claim_run_dir(cfg: ExperimentConfig, out: str | None) -> str:
                               "a run directory holds exactly one run")
         os.makedirs(out, exist_ok=True)
         return out
-    base = os.path.join(_run_root(), f"{cfg.method}-seed{cfg.seed}-{run_id(cfg)}")
+    root = os.environ.get("FEDSCIL_RUN_ROOT", os.path.join(".", "runs"))
+    base = os.path.join(root, f"{cfg.method}-seed{cfg.seed}-{run_id(cfg)}")
     candidate = base
     attempt = 1
     while os.path.isfile(os.path.join(candidate, MANIFEST_FILENAME)):
@@ -166,15 +163,29 @@ def _metrics_record(rid: str, cfg: ExperimentConfig, sm) -> dict:
     }
 
 
+def _manifest_config(path: str) -> ExperimentConfig:
+    """The config a run manifest records; a file that is not a manifest of
+    this format is a configuration error that names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError:  # not JSON, or not UTF-8 text
+            raise ConfigError(f"{path}: not a JSON manifest") from None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
+        raise ConfigError(f"{path}: no config object in the manifest")
+    if manifest.get("format") != MANIFEST_FORMAT:
+        raise ConfigError(f"{path}: manifest format {manifest.get('format')!r}, "
+                          f"expected {MANIFEST_FORMAT}")
+    return from_flat_dict(manifest["config"])
+
+
 def _cmd_run(args) -> int:
     if args.from_manifest:
         if args.config or args.preset or args.set or args.method is not None \
                 or args.seed is not None:
             raise ConfigError("--from-manifest cannot be combined with other "
                               "config flags; the manifest is the full config")
-        with open(args.from_manifest, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        cfg = from_flat_dict(manifest["config"])
+        cfg = _manifest_config(args.from_manifest)
     else:
         cfg = _load_config(args)
     if args.save_checkpoints:

@@ -179,16 +179,11 @@ def build_schedule(splits: DatasetSplits, base_classes: int, sessions: int,
     eval_by_session: list[LabeledDataset] = []
     for t in range(sessions + 1):
         if t == 0:
-            lo, hi = 0, base_classes
-            idx = np.concatenate([per_class_train[c] for c in range(lo, hi)])
+            idx = np.concatenate([per_class_train[c] for c in range(base_classes)])
         else:
             lo = base_classes + (t - 1) * way
-            hi = lo + way
-            picks = []
-            for c in range(lo, hi):
-                pool = per_class_train[c]
-                picks.append(rng.permutation(pool)[:shot])
-            idx = np.concatenate(picks)
+            idx = np.concatenate([rng.permutation(per_class_train[c])[:shot]
+                                  for c in range(lo, lo + way)])
         train_by_session.append(train.subset(idx))
         seen = base_classes + t * way
         eval_by_session.append(test.subset(np.flatnonzero(test.y < seen)))

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (Optimizer, OptimizerConfig, Replay, Tensor, model_mean,
-                       model_slot)
+from .autodiff import (Optimizer, OptimizerConfig, Replay, Tensor, _wrap,
+                       model_mean, model_slot)
 from .errors import BufferGapError, ContractError, EmptyBufferError
 from .losses import (LossWeights, bn_stat_loss, generator_entropy_loss,
                      generator_fidelity_loss, generator_total_loss,
@@ -84,9 +84,7 @@ def teacher_logits(x: Tensor | Array, stack: ModelStack,
     else None. Gradients flow through to x; the stack's parameters are
     constants.
     """
-    if not isinstance(x, Tensor):
-        x = Tensor(x)
-    logits, stats = stack.forward(x, capture_bn)
+    logits, stats = stack.forward(_wrap(x), capture_bn)
     teachers = len(stack.teachers)
     ensemble = model_mean(logits, teachers)
     opponent = None if stack.opponent is None else model_slot(logits, teachers)

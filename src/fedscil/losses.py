@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Array, Tensor, _apply, _clamped_log, _softmax_rows,
-                       _softmax_rows_bw, _wrap, col_slice, gather_rows, one_hot)
+from .autodiff import (Array, Tensor, _apply, _log_fw, _softmax_bw, _softmax_fw,
+                       _wrap, col_slice, gather_rows, one_hot)
 from .errors import ContractError
 
 
@@ -59,9 +59,9 @@ def _check_batch(logits: Tensor, labels: Array) -> Array:
 
 
 def _cross_entropy_fw(ins, labels):
-    p = _softmax_rows(ins[0])
+    p, _ = _softmax_fw(ins)
     rows = np.arange(labels.shape[0])
-    logs, above, clamped = _clamped_log(p[rows, labels])
+    logs, (above, clamped) = _log_fw([p[rows, labels]])
     return (-(np.add.reduce(logs, axis=None) / rows.shape[0]),
             (p, rows, labels, above, clamped))
 
@@ -70,7 +70,7 @@ def _cross_entropy_bw(g, s, needs):
     p, rows, labels, above, clamped = s
     full = np.zeros_like(p)
     np.add.at(full, (rows, labels), -g / rows.shape[0] * above / clamped)
-    return (_softmax_rows_bw(p, full),)
+    return _softmax_bw(full, p, needs)
 
 
 def cross_entropy(logits: Tensor, labels: Array) -> Tensor:
@@ -154,8 +154,8 @@ generator_fidelity_loss = cross_entropy
 
 def _entropy_fw(ins):
     n, c = ins[0].shape
-    p = _softmax_rows(ins[0])
-    logs, above, clamped = _clamped_log(p)
+    p, _ = _softmax_fw(ins)
+    logs, (above, clamped) = _log_fw([p])
     per_sample = -((p * logs).sum(axis=1))
     value = -(np.add.reduce(per_sample, axis=None) / n * (1.0 / c))
     return value, (p, logs, above, clamped, n, c)
@@ -164,7 +164,7 @@ def _entropy_fw(ins):
 def _entropy_bw(g, s, needs):
     p, logs, above, clamped, n, c = s
     g_terms = -(-g * (1.0 / c) / n)
-    return (_softmax_rows_bw(p, g_terms * logs + g_terms * p * above / clamped),)
+    return _softmax_bw(g_terms * logs + g_terms * p * above / clamped, p, needs)
 
 
 def generator_entropy_loss(teacher_logits: Tensor) -> Tensor:
@@ -231,10 +231,10 @@ def bn_stat_loss(batch_stats: list[tuple[Tensor, Tensor]],
 
 def _kl_fw(ins, scale, width, gated):
     t, s = ins
-    p = _softmax_rows(t * scale)
-    q_full = _softmax_rows(s * scale)
-    log_p, above_p, clamped_p = _clamped_log(p)
-    log_q, above_q, clamped_q = _clamped_log(q_full[:, :width])
+    p, _ = _softmax_fw([t * scale])
+    q_full, _ = _softmax_fw([s * scale])
+    log_p, (above_p, clamped_p) = _log_fw([p])
+    log_q, (above_q, clamped_q) = _log_fw([q_full[:, :width]])
     diff = log_p + -log_q
     rows = (p * diff).sum(axis=1)
     n = rows.shape[0]
@@ -257,11 +257,11 @@ def _kl_bw(g, s, needs):
     g_t = g_s = None
     if needs[0]:
         g_p = g_terms * diff + g_diff * above_p / clamped_p
-        g_t = _softmax_rows_bw(p, g_p) * scale
+        g_t = _softmax_bw(g_p, p, needs)[0] * scale
     if needs[1]:
         g_q = np.zeros_like(q_full)
         g_q[:, :above_q.shape[1]] = -g_diff * above_q / clamped_q
-        g_s = _softmax_rows_bw(q_full, g_q) * scale
+        g_s = _softmax_bw(g_q, q_full, needs)[0] * scale
     return (g_t, g_s)
 
 

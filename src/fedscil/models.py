@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Array, BatchNormState, Parameter, Tensor,
+from .autodiff import (Array, BatchNormState, Parameter, Tensor, _wrap,
                        batch_statistics, batchnorm_forward, concat, linear,
                        one_hot, scaled_tanh)
 from .errors import ContractError
@@ -141,8 +141,7 @@ class Classifier:
                 session: int | None = None) -> Tensor:
         """Logits over every class seen, or only over the columns added in
         ``session`` when one is given."""
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
+        x = _wrap(x)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ContractError(
                 f"expected input of shape (batch, {self.in_dim}), got {x.shape}")
@@ -336,8 +335,7 @@ class ConditionalGenerator:
         self.out = Linear("gen.out", hidden, self.out_dim, rng)
 
     def forward(self, z: Tensor | Array, labels: Array, mode: str = "train") -> Tensor:
-        if not isinstance(z, Tensor):
-            z = Tensor(z)
+        z = _wrap(z)
         if z.ndim != 2 or z.shape[1] != self.noise_dim:
             raise ContractError(f"expected noise of shape (batch, {self.noise_dim})")
         labels = np.asarray(labels, dtype=np.int64)

@@ -126,7 +126,9 @@ def inspect_partitions(cfg: ExperimentConfig) -> dict:
 
 def evaluate(model: Classifier, ds: LabeledDataset,
              old_count: int) -> tuple[float, float | None, float, list[float | None]]:
-    """(overall, old, new, per-class) full-head argmax accuracy; None if no samples."""
+    """(overall, old, new, per-class) full-head argmax accuracy. old is None
+    without old-class samples (the base session), new falls back to overall
+    without new-class samples, and a class without samples reads None."""
     preds = []
     for start in range(0, len(ds), 512):
         logits = model.forward(ds.x[start:start + 512], mode="eval")

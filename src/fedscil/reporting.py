@@ -27,14 +27,10 @@ SUMMARY_FIELDS = ("run_id", "method", "seed", "alpha", "sessions",
                   "final_accuracy", "average_accuracy")
 
 
-def metrics_path(run_dir: str) -> str:
-    return os.path.join(run_dir, METRICS_FILENAME)
-
-
 def load_run_metrics(path: str) -> list[dict]:
     """Session records from a metrics file or a run directory holding one."""
     if os.path.isdir(path):
-        path = metrics_path(path)
+        path = os.path.join(path, METRICS_FILENAME)
     if not os.path.isfile(path):
         raise ContractError(f"no metrics file at {path}")
     records = []

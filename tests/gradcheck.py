@@ -25,7 +25,7 @@ from fedscil.autodiff import (batch_statistics, batchnorm_forward,
 from fedscil.generation import teacher_logits
 from fedscil.losses import distillation_loss_subset
 from fedscil.models import Classifier, ConditionalGenerator, ModelStack
-from oracles import l2_norm, matmul, sqrt, tanh
+from oracles import div, l2_norm, matmul, sqrt, tanh
 
 STEP = 1e-5
 TOL = 1e-4
@@ -100,7 +100,7 @@ def _case_arithmetic(rng):
 
     def build():
         t = (a.value + b.value) * 2.0 - (a.value - 1.5) * b.value
-        t = t / c.value + (-a.value)
+        t = div(t, c.value) + (-a.value)
         return t.sum()
 
     return build, [a, b, c]

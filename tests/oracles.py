@@ -22,8 +22,8 @@ from fedscil import Classifier, autodiff, generation, losses
 from fedscil.aggregation import (AccuracyMatrix, aggregate_old,
                                  assemble_global, cswa_aggregate_new,
                                  cswa_weights, fedavg_full)
-from fedscil.autodiff import (BatchNormState, Tensor, _node, col_slice,
-                              concat, gather_rows)
+from fedscil.autodiff import (BatchNormState, Tensor, _apply, _ufunc_fw,
+                              _unbroadcast, col_slice, concat, gather_rows)
 from fedscil.errors import ContractError, DegenerateBatchError
 from fedscil.models import ConditionalGenerator, ModelStack, make_student
 from fedscil.seeding import derive_seed
@@ -135,16 +135,51 @@ def check_aggregation_against_dense(rng: np.random.Generator,
 # -- composed references for the fused autodiff nodes --------------------------
 
 
+def _tanh_fw(ins):
+    out = np.tanh(ins[0])
+    return out, out
+
+
+def _tanh_bw(g, out, needs):
+    return (g * (1.0 - out * out),)
+
+
 def tanh(t: Tensor) -> Tensor:
-    out = np.tanh(t.data)
-    return _node(out, (t,), lambda g: (g * (1.0 - out * out),))
+    return _apply(_tanh_fw, _tanh_bw, (t,))
+
+
+def _sqrt_fw(ins):
+    out = np.sqrt(ins[0])
+    # the 1e-150 floor keeps the zero case finite; 0 * finite == 0
+    return out, np.maximum(out, 1e-150)
+
+
+def _sqrt_bw(g, safe, needs):
+    return (g * 0.5 / safe,)
 
 
 def sqrt(t: Tensor) -> Tensor:
-    out = np.sqrt(t.data)
-    # the 1e-150 floor keeps the zero case finite; 0 * finite == 0
-    safe = np.maximum(out, 1e-150)
-    return _node(out, (t,), lambda g: (g * 0.5 / safe,))
+    return _apply(_sqrt_fw, _sqrt_bw, (t,))
+
+
+def _div_bw(g, ins, needs):
+    a, b = ins
+    return (_unbroadcast(g / b, a.shape) if needs[0] else None,
+            _unbroadcast(-g * a / (b * b), b.shape) if needs[1] else None)
+
+
+def div(a: Tensor, b: Tensor) -> Tensor:
+    """``a / b``, b broadcast to a; the program itself never divides tensors."""
+    return _apply(_ufunc_fw, _div_bw, (a, b), np.true_divide)
+
+
+def _matmul_fw(ins):
+    return ins[0] @ ins[1], ins
+
+
+def _matmul_bw(g, ins, needs):
+    a, b = ins
+    return (g @ b.T if needs[0] else None, a.T @ g if needs[1] else None)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -152,13 +187,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ContractError("matmul expects 2-d operands")
     if a.shape[1] != b.shape[0]:
         raise ContractError(f"matmul shape mismatch {a.shape} @ {b.shape}")
-
-    def bw(g):
-        ga = g @ b.data.T if a.requires_grad else None
-        gb = a.data.T @ g if b.requires_grad else None
-        return (ga, gb)
-
-    return _node(a.data @ b.data, (a, b), bw)
+    return _apply(_matmul_fw, _matmul_bw, (a, b))
 
 
 def l2_norm(t: Tensor) -> Tensor:
@@ -204,7 +233,7 @@ def composed_batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
         if x.shape[0] < 2:
             raise DegenerateBatchError("batch statistics need at least 2 samples")
         mu, centered, var = _composed_moments(x)
-        normed = centered / sqrt(var + state.epsilon)
+        normed = div(centered, sqrt(var + state.epsilon))
         m = state.momentum
         state.running_mean = (1.0 - m) * state.running_mean + m * mu.data
         state.running_var = (1.0 - m) * state.running_var + m * var.data

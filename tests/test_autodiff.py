@@ -170,13 +170,14 @@ def test_batchnorm_rejects_unknown_mode():
 def _count_nodes(monkeypatch) -> list:
     """Every graph node built from here on, as (shape, parent count)."""
     built = []
-    make = autodiff._node
+    make = autodiff._apply
 
-    def counting(data, parents, bw):
-        built.append((np.shape(data), len(parents)))
-        return make(data, parents, bw)
+    def counting(fw, bw, parents, *static):
+        node = make(fw, bw, parents, *static)
+        built.append((node.shape, len(parents)))
+        return node
 
-    monkeypatch.setattr(autodiff, "_node", counting)
+    monkeypatch.setattr(autodiff, "_apply", counting)
     return built
 
 

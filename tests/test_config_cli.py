@@ -273,6 +273,36 @@ def test_from_manifest_reproduces_metrics_bytes(first_run, tmp_path, capsys):
     assert "run directory:" in stdout
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: "{not json", "not a JSON manifest"),
+    (lambda m: json.dumps({k: v for k, v in m.items() if k != "config"}),
+     "no config object"),
+    (lambda m: json.dumps({**m, "config": ["seed=0"]}), "no config object"),
+    (lambda m: json.dumps([m]), "no config object"),
+    (lambda m: json.dumps({**m, "format": 2}), "manifest format 2, expected 1"),
+    (lambda m: json.dumps({k: v for k, v in m.items() if k != "format"}),
+     "manifest format None, expected 1"),
+], ids=["not JSON", "no config", "config not an object", "not an object",
+        "another format", "no format"])
+def test_from_manifest_rejects_a_file_that_is_not_a_manifest(first_run, tmp_path,
+                                                              capsys, edit, message):
+    manifest = json.loads((first_run.dir / "manifest.json").read_text())
+    path = tmp_path / "manifest.json"
+    path.write_text(edit(manifest))
+    rc = main(["run", "--from-manifest", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert f"{path}: {message}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_from_manifest_of_a_missing_file_exits_two(tmp_path, capsys):
+    rc = main(["run", "--from-manifest", str(tmp_path / "none.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: FileNotFoundError")
+
+
 def test_bad_override_exits_one(run_root, capsys):
     rc = main(["run", "--set", "data.spread=wide"])
     assert rc == 1

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fedscil import Classifier, LossWeights, Tensor, train_generator_session
-from fedscil.autodiff import Optimizer, OptimizerConfig, Replay
+from fedscil.autodiff import Optimizer, OptimizerConfig, Replay, backprop
 from fedscil.errors import ContractError
 from fedscil.generation import GenLabConfig, generator_loss
 from fedscil.losses import student_loss
@@ -137,16 +137,42 @@ def test_a_replay_with_another_batch_size_is_refused():
         replay.run(z[:, :3], labels)
 
 
-def test_a_step_with_a_closure_op_or_an_unread_input_is_refused():
+def test_a_step_with_arithmetic_ops_replays_like_the_graph():
+    """The generator step plus ``0.0 * (Tensor(z) * 2.0).sum()``, which
+    reads an input through the elementwise and reduction ops: replayed, it
+    trains every parameter as building and walking its graph at every step
+    does."""
+    trained = []
+    for replayed in (True, False):
+        step, draw = _stepper()
+        params = []
+
+        def with_arithmetic(z, labels):
+            (loss, gen_params, opt), student_root = step(z, labels)
+            params[:] = gen_params + student_root[1]
+            return [(loss + 0.0 * (Tensor(z) * 2.0).sum(), gen_params, opt),
+                    student_root]
+
+        replay, values = None, []
+        for _ in range(5):
+            if replay is not None:
+                replay.run(*draw())
+            elif replayed:
+                replay = Replay(with_arithmetic, *draw())
+            else:
+                for loss, root_params, opt in with_arithmetic(*draw()):
+                    backprop(loss, root_params)
+                    opt.step()
+            values += [p.value.data for p in params]
+        trained.append(values)
+    replayed, graph = trained
+    assert len(replayed) == len(graph) > 0
+    for a, b in zip(replayed, graph):
+        assert np.array_equal(a, b)
+
+
+def test_a_step_with_an_unread_input_is_refused():
     step, draw = _stepper()
-
-    def with_closure(z, labels):
-        roots = step(z, labels)
-        loss, params, opt = roots[0]
-        return [(loss + 0.0 * (Tensor(z) * 2.0).sum(), params, opt)]
-
-    with pytest.raises(ContractError, match="op pairs"):
-        Replay(with_closure, *draw())
 
     def unread(z, labels, extra):
         return step(z, labels)

@@ -4,7 +4,9 @@ The benchmark's tracer patches fedscil functions by module and name; a name
 it cannot resolve crashes a traced benchmark run at install time, and a
 patched function whose signature changed crashes it mid-run. The backward
 walk keys its visited set and its gradients on the tensors themselves, which
-holds only while tensors compare and hash by identity."""
+holds only while tensors compare and hash by identity. The tracer's
+per-backprop node counts are benchmark metrics, so a change to how the
+engine builds nodes must not move them silently."""
 import importlib
 import json
 import os
@@ -14,9 +16,13 @@ import sys
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-from tracer import TARGETS  # noqa: E402
+import numpy as np  # noqa: E402
+from tracer import TARGETS, graph_nodes  # noqa: E402
 
-from fedscil import Tensor  # noqa: E402
+from fedscil import Classifier, Tensor, build_config  # noqa: E402
+from fedscil.generation import generator_loss  # noqa: E402
+from fedscil.losses import student_loss  # noqa: E402
+from fedscil.models import ConditionalGenerator, ModelStack, make_student  # noqa: E402
 
 
 def test_every_tracer_target_resolves():
@@ -33,6 +39,32 @@ def test_every_tracer_target_resolves():
 def test_tensors_compare_and_hash_by_identity():
     assert "__eq__" not in vars(Tensor) and "__hash__" not in vars(Tensor)
     assert Tensor.__eq__ is object.__eq__ and Tensor.__hash__ is object.__hash__
+
+
+def test_tracer_node_counts_of_a_desk_generator_and_student_loss():
+    """What ``graph_nodes`` reports for one generator loss and one student
+    loss of a desk session-1 step: the figures behind
+    ``autodiff.nodes_per_backprop_generator`` and ``_student``."""
+    cfg = build_config(preset="desk")
+    data, model, gen = cfg.data, cfg.model, cfg.generator
+    teachers = []
+    for m in range(cfg.clients):
+        teacher = Classifier(data.dim, data.base_classes, seed=m,
+                             hidden=model.hidden, feature_dim=model.feature_dim)
+        teacher.expand_head(1, data.way, seed=10 + m)
+        teachers.append(teacher)
+    generator = ConditionalGenerator(gen.noise_dim, data.way, -np.ones(data.dim),
+                                     np.ones(data.dim), seed=20, hidden=gen.hidden)
+    student = make_student(data.dim, data.way, 1, seed=21, hidden=model.hidden,
+                           feature_dim=model.feature_dim)
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal((gen.batch_size, gen.noise_dim))
+    labels = rng.integers(0, data.way, size=gen.batch_size)
+    loss, fake, ensemble = generator_loss(generator, ModelStack(teachers, 1, student),
+                                          z, labels, cfg.weights)
+    kl = student_loss(ensemble.detach(), student.forward(fake.data, mode="train"),
+                      cfg.weights.kl_temperature)
+    assert (graph_nodes(loss), graph_nodes(kl)) == (36, 18)
 
 
 def test_traced_benchmark_run_reports_every_layer_metric(tmp_path):
