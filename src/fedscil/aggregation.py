@@ -77,7 +77,7 @@ def eval_class_accuracy(model: Classifier, pool: SyntheticPool) -> Array:
     """
     if len(pool) == 0:
         raise ContractError("empty synthetic pool")
-    pred = model.forward(pool.samples, mode="eval").data.argmax(axis=1)
+    pred = model.predict(pool.samples)
     row = np.empty(pool.class_hi - pool.class_lo)
     for i, c in enumerate(range(pool.class_lo, pool.class_hi)):
         mask = pool.condition == c

@@ -448,14 +448,18 @@ def _accumulate(total: Array | None, pg, value: Array) -> Array:
     return total
 
 
-def _backward(schedule, grads: dict, value: Callable) -> dict:
+def _backward(schedule: list, grads: dict, value: Callable) -> dict:
     """The one backward walk. ``grads`` holds the loss's seed gradient, keyed
     by its slot; each schedule entry's backward runs on its node's gradient,
     and each share a parent needs is summed into the parent's slot, in
     schedule order, so that order fixes every float. Slots are tensors on
-    the graph and value indices in a replay; ``value(slot)`` is its array."""
-    for node, bw, saved, needs, parents in schedule:
-        for slot, need, pg in zip(parents, needs, bw(grads[node], saved, needs)):
+    the graph and value indices in a replay; ``value(slot)`` is its array.
+    Once a node's backward has run, its schedule entry and its gradient are
+    dropped, so the walk holds only what the entries still to run need; the
+    returned gradients are the leaves'."""
+    for i, (node, bw, saved, needs, parents) in enumerate(schedule):
+        schedule[i] = None
+        for slot, need, pg in zip(parents, needs, bw(grads.pop(node), saved, needs)):
             if need and pg is not None:
                 grads[slot] = _accumulate(grads.get(slot), pg, value(slot))
     return grads
@@ -571,10 +575,14 @@ class Replay:
         for fw, args, statics, out in self.forward:
             vals[out], saved[out] = fw([vals[i] for i in args],
                                        *[vals[i] for i in statics])
-        for loss, schedule, opt, params in self.roots:
-            grads = _backward([(node, bw, saved[node], needs, parents)
-                               for node, bw, needs, parents in schedule],
-                              {loss: np.ones_like(vals[loss])}, vals.__getitem__)
+        # each walk drops a node's saved arrays once its backward has run
+        walks = [[(node, bw, saved[node], needs, parents)
+                  for node, bw, needs, parents in schedule]
+                 for _, schedule, _, _ in self.roots]
+        del saved
+        for (loss, _, opt, params), walk in zip(self.roots, walks):
+            grads = _backward(walk, {loss: np.ones_like(vals[loss])},
+                              vals.__getitem__)
             for p, slot in params:
                 p.grad = grads[slot] if slot in grads else np.zeros_like(p.value.data)
             opt.step()

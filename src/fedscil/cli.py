@@ -176,7 +176,10 @@ def _manifest_config(path: str) -> ExperimentConfig:
     if manifest.get("format") != MANIFEST_FORMAT:
         raise ConfigError(f"{path}: manifest format {manifest.get('format')!r}, "
                           f"expected {MANIFEST_FORMAT}")
-    return from_flat_dict(manifest["config"])
+    try:
+        return from_flat_dict(manifest["config"])
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _cmd_run(args) -> int:

@@ -273,12 +273,36 @@ def to_flat_dict(cfg: ExperimentConfig) -> dict[str, object]:
     return out
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _typed(key: str, value, current):
+    """A manifest value as its field's type; ConfigError, naming the key,
+    when the JSON type does not fit the field."""
+    if isinstance(current, bool):
+        fits, kind = isinstance(value, bool), "true or false"
+    elif isinstance(current, int):
+        fits, kind = _is_number(value) and isinstance(value, int), "an integer"
+    elif isinstance(current, float):
+        fits, kind = _is_number(value), "a number"
+    elif isinstance(current, tuple):
+        fits = isinstance(value, list) and all(map(_is_number, value))
+        kind = "a list of numbers"
+    else:
+        fits, kind = isinstance(value, str), "a string"
+    if not fits:
+        raise ConfigError(f"{key}: expected {kind}, got {json.dumps(value)}")
+    if isinstance(current, float):
+        return float(value)
+    return tuple(map(float, value)) if isinstance(current, tuple) else value
+
+
 def from_flat_dict(items: dict[str, object]) -> ExperimentConfig:
     cfg = ExperimentConfig()
     for key, value in items.items():
         obj, name = _lookup(cfg, key)
-        current = getattr(obj, name)
-        setattr(obj, name, tuple(value) if isinstance(current, tuple) else value)
+        setattr(obj, name, _typed(key, value, getattr(obj, name)))
     validate_config(cfg)
     return cfg
 

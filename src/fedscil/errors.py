@@ -19,3 +19,7 @@ class EmptyBufferError(RuntimeError):
 
 class BufferGapError(RuntimeError):
     """The replay buffer is missing a class required by the session."""
+
+
+class NonFiniteError(RuntimeError):
+    """A model holds a NaN or infinite value; the message names where."""

@@ -201,8 +201,7 @@ def relabel(pool: SyntheticPool, model: Classifier) -> SyntheticPool:
     Samples whose pseudo-label disagrees with their condition are kept; they
     are the hard examples. Relabeling twice with the same model is a no-op.
     """
-    logits = model.forward(pool.samples, mode="eval", session=pool.session)
-    pseudo = logits.data.argmax(axis=1) + pool.class_lo
+    pseudo = model.predict(pool.samples, session=pool.session) + pool.class_lo
     return SyntheticPool(pool.session, pool.class_lo, pool.class_hi,
                          pool.samples, pool.condition, pseudo.astype(np.int64))
 

@@ -9,9 +9,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (Array, BatchNormState, Parameter, Tensor, _wrap,
-                       batch_statistics, batchnorm_forward, concat, linear,
-                       one_hot, scaled_tanh)
+                       batch_statistics, batchnorm_forward, concat, frozen,
+                       linear, one_hot, scaled_tanh)
 from .errors import ContractError
+
+# rows per forward in Classifier.predict
+PREDICT_CHUNK = 512
 
 
 def _uniform_init(rng: np.random.Generator, fan_in: int, shape) -> Array:
@@ -150,6 +153,19 @@ class Classifier:
         h = self.backbone.forward(x, mode)
         parts = [block.linear(h) for block in blocks]
         return parts[0] if len(parts) == 1 else concat(parts, axis=1)
+
+    def predict(self, x: Array, session: int | None = None) -> Array:
+        """Argmax column of the eval-mode forward (see :meth:`forward`).
+
+        The forward runs in PREDICT_CHUNK-row chunks with every parameter
+        frozen, so no node keeps saved arrays and at most one chunk's
+        activations are alive at a time.
+        """
+        with frozen(self.parameters()):
+            preds = [self.forward(x[lo:lo + PREDICT_CHUNK], mode="eval",
+                                  session=session).data.argmax(axis=1)
+                     for lo in range(0, len(x), PREDICT_CHUNK)]
+        return np.concatenate(preds) if preds else np.empty(0, dtype=np.int64)
 
     def session_block(self, session: int) -> HeadBlock:
         for block in self.head_blocks:

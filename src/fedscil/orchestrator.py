@@ -30,6 +30,7 @@ from .config import METHODS, ExperimentConfig, run_id, validate_config
 from .data import (DatasetSplits, LabeledDataset, SessionSchedule,
                    build_schedule, dirichlet_partition, load_csv_dataset,
                    make_blobs, partition_summary)
+from .errors import NonFiniteError
 from .generation import (ReplayBuffer, relabel, train_generator_session)
 from .losses import cross_entropy
 from .models import Classifier
@@ -129,12 +130,7 @@ def evaluate(model: Classifier, ds: LabeledDataset,
     """(overall, old, new, per-class) full-head argmax accuracy. old is None
     without old-class samples (the base session), new falls back to overall
     without new-class samples, and a class without samples reads None."""
-    preds = []
-    for start in range(0, len(ds), 512):
-        logits = model.forward(ds.x[start:start + 512], mode="eval")
-        preds.append(logits.data.argmax(axis=1))
-    pred = np.concatenate(preds) if preds else np.empty(0, dtype=np.int64)
-    correct = pred == ds.y
+    correct = model.predict(ds.x) == ds.y
     overall = float(correct.mean())
     old_mask = ds.y < old_count
     old = float(correct[old_mask].mean()) if old_mask.any() else None
@@ -194,6 +190,14 @@ def run_base_session(cfg: ExperimentConfig,
     return BaseResult(model, buffer, metrics)
 
 
+def _check_finite(model: Classifier, where: str) -> None:
+    """Raise NonFiniteError, naming ``where``, unless every parameter and
+    running statistic of the model is finite."""
+    state = np.concatenate([arr.ravel() for _, arr, _ in model.state_entries()])
+    if not np.isfinite(state).all():
+        raise NonFiniteError(f"non-finite model state after {where}")
+
+
 def _local_models(cfg: ExperimentConfig, local_rule: str | None,
                   sched: SessionSchedule, t: int, r: int, current: Classifier,
                   prev_global: Classifier, shards,
@@ -215,6 +219,7 @@ def _local_models(cfg: ExperimentConfig, local_rule: str | None,
             no_replay = dataclasses.replace(cfg.weights, k=0.0)
             local, n = local_update_nagr(current, x, y, None, no_replay,
                                          cfg.client, old_count, seed)
+        _check_finite(local, f"session {t}, round {r}, local update of client {m}")
         models.append(local)
         counts.append(n)
     return models, counts
@@ -264,6 +269,7 @@ def run_incremental_session(cfg: ExperimentConfig, sched: SessionSchedule,
             current = fedavg_full(locals_, counts)
             audit = {"client_counts": counts, "accuracy_matrix": None,
                      "column_weights": None}
+        _check_finite(current, f"session {t}, round {r}, aggregation")
 
     # bank only the final round's pool, pseudo-labeled by the fresh global
     if needs_replay:

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from fedscil import Classifier, Tensor
+from fedscil import Classifier
 from fedscil.aggregation import (OLD_GROUPS, AccuracyMatrix, aggregate_old,
                                  assemble_global, build_accuracy_matrix,
                                  cswa_aggregate_new, cswa_weights,
@@ -26,13 +26,13 @@ def _fill(model: Classifier, value: float, groups=None) -> None:
 
 
 class _FixedLogits:
-    """Stand-in model whose forward returns canned logits."""
+    """Stand-in model whose predictions are the argmax of canned logits."""
 
     def __init__(self, logits):
         self.logits = np.asarray(logits, dtype=np.float64)
 
-    def forward(self, x, mode="eval"):
-        return Tensor(self.logits[:x.shape[0]])
+    def predict(self, x, session=None):
+        return self.logits[:x.shape[0]].argmax(axis=1)
 
 
 # -- inherited-tensor averaging -------------------------------------------------------

@@ -297,10 +297,62 @@ def test_from_manifest_rejects_a_file_that_is_not_a_manifest(first_run, tmp_path
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("clients", "3", 'clients: expected an integer, got "3"'),
+    ("clients", True, "clients: expected an integer, got true"),
+    ("clients", 3.0, "clients: expected an integer, got 3.0"),
+    ("seed", "x", 'seed: expected an integer, got "x"'),
+    ("base.lr", "fast", 'base.lr: expected a number, got "fast"'),
+    ("alpha", False, "alpha: expected a number, got false"),
+    ("save_checkpoints", 1, "save_checkpoints: expected true or false, got 1"),
+    ("base.decay_milestones", [0.6, "x"],
+     'base.decay_milestones: expected a list of numbers, got [0.6, "x"]'),
+    ("base.decay_milestones", 0.6,
+     "base.decay_milestones: expected a list of numbers, got 0.6"),
+    ("method", None, "method: expected a string, got null"),
+])
+def test_from_manifest_rejects_a_value_of_the_wrong_type(first_run, tmp_path, capsys,
+                                                          key, value, message):
+    manifest = json.loads((first_run.dir / "manifest.json").read_text())
+    manifest["config"][key] = value
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    rc = main(["run", "--from-manifest", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert f"{path}: {message}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_flat_dict_numbers_take_their_field_type():
+    cfg = from_flat_dict({"alpha": 2, "base.decay_milestones": [1, 0.5],
+                          "clients": 4})
+    assert type(cfg.alpha) is float and cfg.alpha == 2.0
+    assert cfg.base.decay_milestones == (1.0, 0.5)
+    assert all(type(v) is float for v in cfg.base.decay_milestones)
+    assert type(cfg.clients) is int
+    assert run_id(cfg) == run_id(build_config(
+        overrides=["alpha=2", "base.decay_milestones=1,0.5", "clients=4"]))
+
+
 def test_from_manifest_of_a_missing_file_exits_two(tmp_path, capsys):
     rc = main(["run", "--from-manifest", str(tmp_path / "none.json")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: FileNotFoundError")
+
+
+def test_non_finite_session_exits_two_without_its_record(first_run, tmp_path,
+                                                         capsys, recwarn):
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(first_run.config), "--quiet",
+               "--set", "client.lr_new_head=1e300",
+               "--set", "client.lr_backbone_and_old=1e300", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "error: NonFiniteError: non-finite model state after session 1, round 0, "
+        "local update of client ")
+    assert [r["session"] for r in _read_jsonl(out / "metrics.jsonl")] == [0]
 
 
 def test_bad_override_exits_one(run_root, capsys):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import desk_config
-from fedscil import Classifier, ReplayBuffer, run_experiment
+from fedscil import Classifier, ReplayBuffer, orchestrator, run_experiment
 from fedscil.data import LabeledDataset
-from fedscil.errors import BufferGapError, ConfigError
+from fedscil.errors import BufferGapError, ConfigError, NonFiniteError
 from fedscil.orchestrator import (evaluate, inspect_partitions, prepare_data,
                                   prepare_partitions, run_incremental_session)
 
@@ -195,3 +195,28 @@ def test_replay_session_requires_a_seeded_buffer(desk_base):
     with pytest.raises(BufferGapError):
         run_incremental_session(cfg, desk_base.sched, 1, desk_base.base.model,
                                 ReplayBuffer(10), parts[1])
+
+
+def test_non_finite_client_update_stops_the_run_before_its_session(recwarn):
+    cfg = light_config("client.lr_new_head=1e300",
+                       "client.lr_backbone_and_old=1e300", method="finetune")
+    sessions = []
+    with pytest.raises(NonFiniteError) as exc:
+        run_experiment(cfg, lambda sm, model: sessions.append(sm.session))
+    assert str(exc.value) == ("non-finite model state after session 1, round 0, "
+                              "local update of client 0")
+    assert sessions == [0]
+
+
+def test_non_finite_global_state_names_the_aggregation(monkeypatch):
+    fedavg_full = orchestrator.fedavg_full
+
+    def poisoned(models, counts):
+        model = fedavg_full(models, counts)
+        model.head_blocks[-1].linear.bias.value.data[0] = np.nan
+        return model
+
+    monkeypatch.setattr(orchestrator, "fedavg_full", poisoned)
+    with pytest.raises(NonFiniteError, match="^non-finite model state after "
+                                             "session 1, round 0, aggregation$"):
+        run_experiment(light_config(method="finetune"))
