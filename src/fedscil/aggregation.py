@@ -8,7 +8,7 @@ so clients that never saw a class contribute little to its column.
 """
 from __future__ import annotations
 
-import logging
+import warnings  # not logging, which no other part of a run imports
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +18,6 @@ from .generation import SyntheticPool
 from .models import Classifier
 
 Array = np.ndarray
-
-log = logging.getLogger(__name__)
 
 OLD_GROUPS = ("backbone", "head_old", "bn_stats")
 
@@ -32,7 +30,7 @@ def _count_weights(counts: list[int] | Array, clients: int) -> Array:
         raise ContractError("sample counts must be >= 0")
     total = counts.sum()
     if total == 0:
-        log.warning("all client sample counts are zero; averaging uniformly")
+        warnings.warn("all client sample counts are zero; averaging uniformly")
         return np.full(clients, 1.0 / clients)
     return counts / total
 

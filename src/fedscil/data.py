@@ -186,7 +186,11 @@ def build_schedule(splits: DatasetSplits, base_classes: int, sessions: int,
                                   for c in range(lo, lo + way)])
         train_by_session.append(train.subset(idx))
         seen = base_classes + t * way
-        eval_by_session.append(test.subset(np.flatnonzero(test.y < seen)))
+        rows = np.flatnonzero(test.y < seen)
+        if rows.size == 0:
+            raise ConfigError(f"session {t}: the test split holds no sample of "
+                              f"the {seen} classes seen so far")
+        eval_by_session.append(test.subset(rows))
 
     # value range of the training split; dataset-level metadata used to scale
     # the generator's bounded output
@@ -239,7 +243,8 @@ def dirichlet_partition(data: LabeledDataset, clients: int, alpha: float,
         raise ConfigError("alpha: Dirichlet concentration must be > 0")
     rng = np.random.default_rng(seed)
     per_client: list[list[Array]] = [[] for _ in range(clients)]
-    for c in sorted(np.unique(data.y)):
+    # bincount, not np.unique: np.unique imports numpy.ma, which no run needs
+    for c in np.flatnonzero(np.bincount(data.y)):
         idx = rng.permutation(np.flatnonzero(data.y == c))
         props = rng.dirichlet(np.full(clients, alpha))
         counts = _largest_remainder(props, idx.shape[0])
@@ -258,8 +263,8 @@ def partition_summary(data: LabeledDataset, shards: list[ClientShard]) -> dict:
     """JSON-ready view of one session's shard assignment."""
     out = {"total_samples": len(data), "clients": []}
     for shard in shards:
-        labels = data.y[shard.indices]
-        hist = {int(c): int(n) for c, n in zip(*np.unique(labels, return_counts=True))}
+        counts = np.bincount(data.y[shard.indices])
+        hist = {int(c): int(counts[c]) for c in np.flatnonzero(counts)}
         out["clients"].append(
             {"client": shard.client_id, "samples": shard.count, "per_class": hist})
     return out

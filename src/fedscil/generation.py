@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (Optimizer, OptimizerConfig, Replay, Tensor, _wrap,
-                       model_mean, model_slot)
+                       frozen, model_mean, model_slot)
 from .errors import BufferGapError, ContractError, EmptyBufferError
 from .losses import (LossWeights, bn_stat_loss, generator_entropy_loss,
                      generator_fidelity_loss, generator_total_loss,
@@ -187,7 +187,8 @@ def train_generator_session(teachers: list[Classifier], session: int,
 
         z = rng.standard_normal((cfg.bank_per_epoch, cfg.noise_dim))
         labels = rng.integers(0, c, size=cfg.bank_per_epoch)
-        banked_x.append(generator.forward(z, labels, mode="train").data)
+        with frozen(generator.parameters()):  # no graph; running stats still move
+            banked_x.append(generator.forward(z, labels, mode="train").data)
         banked_y.append(labels + lo)
 
     pool = SyntheticPool(session, lo, hi, np.concatenate(banked_x),
@@ -210,9 +211,11 @@ class ReplayBuffer:
     """Per-class FIFO store of pseudo-labeled synthetic samples.
 
     Entries are keyed by pseudo-label; the condition label and origin session
-    ride along as metadata. ``label_noise`` is an evaluation knob: with
-    probability p an incoming pseudo-label is flipped uniformly to another
-    class of its session before storage.
+    ride along as metadata. Each class holds three arrays (samples,
+    conditions, sessions), oldest row first, which own their data: no stored
+    array is a view of a session's pool. ``label_noise`` is an evaluation
+    knob: with probability p an incoming pseudo-label is flipped uniformly to
+    another class of its session before storage.
     """
 
     def __init__(self, capacity_per_class: int = 200, label_noise: float = 0.0):
@@ -222,36 +225,43 @@ class ReplayBuffer:
             raise ContractError("label_noise must be in [0, 1)")
         self.capacity_per_class = capacity_per_class
         self.label_noise = label_noise
-        self._store: dict[int, list[tuple[Array, int, int]]] = {}
+        self._store: dict[int, tuple[Array, Array, Array]] = {}
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self._store.values())
+        return sum(len(v[0]) for v in self._store.values())
 
     def classes(self) -> list[int]:
-        return sorted(c for c, v in self._store.items() if v)
+        return sorted(self._store)
 
     def per_class_counts(self) -> dict[int, int]:
-        return {c: len(v) for c, v in sorted(self._store.items())}
+        return {c: len(v[0]) for c, v in sorted(self._store.items())}
 
     def add_pool(self, pool: SyntheticPool, rng: np.random.Generator) -> None:
         if pool.pseudo is None:
             raise ContractError("pool must be relabeled before buffering")
-        span = pool.class_hi - pool.class_lo
-        for i in range(len(pool)):
-            label = int(pool.pseudo[i])
-            if not (pool.class_lo <= label < pool.class_hi):
-                raise ContractError("pseudo-label outside the pool's session range")
-            if self.label_noise > 0.0 and span > 1 and rng.random() < self.label_noise:
-                shift = int(rng.integers(1, span))
-                label = pool.class_lo + (label - pool.class_lo + shift) % span
-            slot = self._store.setdefault(label, [])
-            slot.append((pool.samples[i], int(pool.condition[i]), pool.session))
-            if len(slot) > self.capacity_per_class:
-                slot.pop(0)  # oldest out
+        lo, span = pool.class_lo, pool.class_hi - pool.class_lo
+        labels = pool.pseudo.astype(np.int64)
+        if np.any((labels < lo) | (labels >= pool.class_hi)):
+            raise ContractError("pseudo-label outside the pool's session range")
+        if self.label_noise > 0.0 and span > 1:
+            for i in range(len(labels)):  # one draw (two on a flip) per sample
+                if rng.random() < self.label_noise:
+                    shift = int(rng.integers(1, span))
+                    labels[i] = lo + (labels[i] - lo + shift) % span
+        cap = self.capacity_per_class
+        for c in (np.flatnonzero(np.bincount(labels - lo)) + lo).tolist():
+            rows = labels == c
+            parts = (pool.samples[rows], pool.condition[rows],
+                     np.full(np.count_nonzero(rows), pool.session, dtype=np.int64))
+            if c in self._store:
+                parts = tuple(map(np.concatenate, zip(self._store[c], parts)))
+            if len(parts[0]) > cap:  # oldest out
+                parts = tuple(a[-cap:].copy() for a in parts)
+            self._store[c] = parts
 
     def require(self, classes: range) -> None:
         for c in classes:
-            if not self._store.get(c):
+            if c not in self._store:
                 raise BufferGapError(f"replay buffer has no samples for class {c}")
 
     def sample(self, count: int, rng: np.random.Generator) -> tuple[Array, Array]:
@@ -260,26 +270,25 @@ class ReplayBuffer:
         if not present:
             raise EmptyBufferError("replay buffer is empty")
         base, extra = divmod(count, len(present))
-        bonus = set(rng.permutation(len(present))[:extra].tolist())
-        xs, ys = [], []
-        for slot_index, c in enumerate(present):
-            want = base + (1 if slot_index in bonus else 0)
-            if want == 0:
-                continue
-            entries = self._store[c]
-            picks = rng.integers(0, len(entries), size=want)
-            xs.extend(entries[j][0] for j in picks)
-            ys.extend([c] * want)
-        x = np.stack(xs)
-        y = np.asarray(ys, dtype=np.int64)
+        wants = np.full(len(present), base)
+        wants[rng.permutation(len(present))[:extra]] += 1
+        xs = []
+        for c, want in zip(present, wants.tolist()):
+            if want:
+                samples = self._store[c][0]
+                xs.append(samples[rng.integers(0, len(samples), size=want)])
+        x = np.concatenate(xs)
+        y = np.repeat(np.asarray(present, dtype=np.int64), wants)
         order = rng.permutation(y.shape[0])
         return x[order], y[order]
 
     def export_rows(self) -> list[tuple]:
         rows = []
         for c in self.classes():
-            for sample, condition, session in self._store[c]:
-                rows.append((sample, condition, c, session))
+            samples, conditions, sessions = self._store[c]
+            rows.extend((sample, int(condition), c, int(session))
+                        for sample, condition, session
+                        in zip(samples, conditions, sessions))
         return rows
 
 

@@ -14,7 +14,7 @@ from .autodiff import (Array, BatchNormState, Parameter, Tensor, _wrap,
 from .errors import ContractError
 
 # rows per forward in Classifier.predict
-PREDICT_CHUNK = 512
+PREDICT_CHUNK = 128
 
 
 def _uniform_init(rng: np.random.Generator, fan_in: int, shape) -> Array:

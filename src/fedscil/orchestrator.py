@@ -31,7 +31,8 @@ from .data import (DatasetSplits, LabeledDataset, SessionSchedule,
                    build_schedule, dirichlet_partition, load_csv_dataset,
                    make_blobs, partition_summary)
 from .errors import NonFiniteError
-from .generation import (ReplayBuffer, relabel, train_generator_session)
+from .generation import (ReplayBuffer, SyntheticPool, relabel,
+                         train_generator_session)
 from .losses import cross_entropy
 from .models import Classifier
 from .seeding import derive_seed, rng_for
@@ -182,6 +183,7 @@ def run_base_session(cfg: ExperimentConfig,
             [model], 0, sched.session_range(0),
             (sched.envelope_low, sched.envelope_high), cfg.generator,
             cfg.weights, derive_seed(cfg.seed, "genlab", 0))
+        _check_pool(pool, "session 0, generator")
         buffer.add_pool(relabel(pool, model), rng_for(cfg.seed, "buffer", 0))
 
     overall, old, new, per_class = evaluate(model, sched.eval_by_session[0], 0)
@@ -196,6 +198,13 @@ def _check_finite(model: Classifier, where: str) -> None:
     state = np.concatenate([arr.ravel() for _, arr, _ in model.state_entries()])
     if not np.isfinite(state).all():
         raise NonFiniteError(f"non-finite model state after {where}")
+
+
+def _check_pool(pool: SyntheticPool, where: str) -> None:
+    """Raise NonFiniteError, naming ``where``, unless every banked synthetic
+    sample is finite."""
+    if not np.isfinite(pool.samples).all():
+        raise NonFiniteError(f"non-finite synthetic pool after {where}")
 
 
 def _local_models(cfg: ExperimentConfig, local_rule: str | None,
@@ -250,6 +259,7 @@ def run_incremental_session(cfg: ExperimentConfig, sched: SessionSchedule,
                 (sched.envelope_low, sched.envelope_high), cfg.generator,
                 cfg.weights, derive_seed(cfg.seed, "genlab", t),
                 generator=generator, student=student)
+            _check_pool(pool, f"session {t}, round {r}, generator")
         if head_rule == "cswa":
             matrix = build_accuracy_matrix(locals_, pool)
             blocks = [(m.head_blocks[-1].linear.weight.value.data,

@@ -119,7 +119,8 @@ def test_fedavg_all_zero_counts_fall_back_to_uniform():
     a, b = _expanded(), _expanded()
     _fill(a, 2.0)
     _fill(b, 6.0)
-    merged = fedavg_full([a, b], [0, 0])
+    with pytest.warns(UserWarning, match="all client sample counts are zero"):
+        merged = fedavg_full([a, b], [0, 0])
     for name, arr, _ in merged.state_entries():
         assert np.allclose(arr, 4.0, atol=1e-12), name
 

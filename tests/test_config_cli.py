@@ -13,6 +13,7 @@ from fedscil.cli import main
 from fedscil.config import (from_flat_dict, run_id, set_key, to_flat_dict,
                             validate_config)
 from fedscil.errors import ConfigError
+from fedscil.orchestrator import prepare_schedule
 
 LIGHT_FILE = """\
 # shrunk desk experiment for fast end-to-end runs
@@ -355,6 +356,18 @@ def test_non_finite_session_exits_two_without_its_record(first_run, tmp_path,
     assert [r["session"] for r in _read_jsonl(out / "metrics.jsonl")] == [0]
 
 
+def test_non_finite_generator_exits_two_without_a_record(first_run, tmp_path,
+                                                         capsys, recwarn):
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(first_run.config), "--quiet",
+               "--set", "generator.gen_lr=1e300", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "error: NonFiniteError: non-finite synthetic pool after session 0, "
+        "generator")
+    assert _read_jsonl(out / "metrics.jsonl") == []
+
+
 def test_bad_override_exits_one(run_root, capsys):
     rc = main(["run", "--set", "data.spread=wide"])
     assert rc == 1
@@ -415,6 +428,34 @@ def test_class_without_test_rows_reports_null_accuracy(tmp_path):
     assert len(final) == 6 and final.count(None) == 1
     assert all(0.0 <= v <= 1.0 for v in final if v is not None)
     assert '"per_class": [' in lines[-1] and "null" in lines[-1]
+
+
+def test_test_split_without_a_seen_class_exits_one(tmp_path, capsys):
+    """Every test row belongs to a class introduced after session 0, so
+    session 0 has nothing to evaluate on: a configuration error, not a NaN
+    accuracy."""
+    rng = np.random.default_rng(4)
+    centers = rng.uniform(-1.0, 1.0, (6, 4))
+
+    def rows(classes, per_class):
+        return "".join(",".join(repr(float(v)) for v in centers[c] + 0.05 *
+                                rng.standard_normal(4)) + f",{c}\n"
+                       for c in classes for _ in range(per_class))
+
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    train.write_text(rows(range(6), 12))
+    test.write_text(rows(range(6), 1))
+    config = tmp_path / "light.cfg"
+    config.write_text(LIGHT_FILE)
+    sets = [f"data.csv_train={train}", f"data.csv_test={test}"]
+    order = prepare_schedule(build_config(config, overrides=sets)).class_order
+    test.write_text(rows([int(order[-1])], 4))  # a session-1 class only
+    rc = main(["run", "--config", str(config), "--set", sets[0], "--set",
+               sets[1], "--quiet", "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "configuration error: session 0: the test split holds no sample of the "
+        "4 classes seen so far")
 
 
 @pytest.mark.parametrize("half", ["csv_train", "csv_test"])

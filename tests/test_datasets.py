@@ -5,6 +5,7 @@ import pytest
 from fedscil import (ConfigError, LabeledDataset, build_schedule,
                      dirichlet_partition, load_csv_dataset, make_blobs,
                      partition_summary)
+from fedscil.data import DatasetSplits
 from fedscil.errors import ContractError
 
 from conftest import tiny_splits
@@ -78,6 +79,16 @@ def test_schedule_desk_shape_counts():
         # session-t eval set covers every class seen so far
         assert len(sched.eval_by_session[t]) == (12 + 2 * t) * 20
         assert set(np.unique(sched.eval_by_session[t].y)) == set(range(12 + 2 * t))
+
+
+def test_schedule_rejects_a_test_split_without_a_seen_class():
+    splits = tiny_splits()
+    order = build_schedule(splits, 4, 1, 2, 5, seed=3).class_order
+    late = np.flatnonzero(splits.test.y == order[-1])  # remapped to class 5
+    only_late = DatasetSplits(splits.train, splits.test.subset(late))
+    with pytest.raises(ConfigError, match="^session 0: the test split holds "
+                                          "no sample of the 4 classes"):
+        build_schedule(only_late, 4, 1, 2, 5, seed=3)
 
 
 def test_schedule_remaps_labels_to_column_order():

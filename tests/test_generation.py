@@ -7,13 +7,14 @@ import pytest
 from conftest import quick_gen_config
 from fedscil import (Classifier, LossWeights, ReplayBuffer, Tensor,
                      train_generator_session)
+from fedscil import autodiff
 from fedscil.autodiff import Parameter, grad
 from fedscil.errors import BufferGapError, ContractError, EmptyBufferError
 from fedscil.generation import (GenLabConfig, SyntheticPool,
                                 export_synthetics_csv, relabel,
                                 teacher_confidence, teacher_logits,
                                 teacher_pool_entropy)
-from fedscil.models import ModelStack, make_student
+from fedscil.models import ConditionalGenerator, ModelStack, make_student
 
 
 def _bias_teacher(bias, seed: int = 0) -> Classifier:
@@ -145,6 +146,37 @@ def test_pool_labels_and_samples_respect_contract():
     assert pool.pseudo is None
 
 
+def test_banking_the_pool_builds_no_graph(monkeypatch):
+    """No node made by an epoch's banking forward keeps parents or saved
+    arrays: the banked batch is read as data, never differentiated."""
+    cfg = quick_gen_config()
+    assert cfg.bank_per_epoch != cfg.batch_size  # tells banking calls apart
+    built, banking = [], []
+    apply, forward = autodiff._apply, ConditionalGenerator.forward
+
+    def recording(*args):
+        node = apply(*args)
+        if banking:
+            built.append(node)
+        return node
+
+    def tagged(self, z, *args, **kwargs):
+        if len(z) != cfg.bank_per_epoch:
+            return forward(self, z, *args, **kwargs)
+        banking.append(True)
+        try:
+            return forward(self, z, *args, **kwargs)
+        finally:
+            banking.pop()
+
+    monkeypatch.setattr(autodiff, "_apply", recording)
+    monkeypatch.setattr(ConditionalGenerator, "forward", tagged)
+    train_generator_session([_toy_teacher()], 0, (0, 3), _envelope(), cfg,
+                            LossWeights(), 5)
+    assert built
+    assert all(node._saved is None and node._parents == () for node in built)
+
+
 def test_generator_session_needs_a_class():
     with pytest.raises(ContractError):
         train_generator_session([_toy_teacher()], 0, (3, 3), _envelope(),
@@ -200,6 +232,25 @@ def test_buffer_capacity_drops_oldest(rng):
     kept = sorted(float(row[0][0]) for row in buffer.export_rows())
     assert kept == [1.0, 2.0]
     assert len(buffer) == 2
+
+
+def test_buffer_arrays_share_no_memory_with_the_pool(rng):
+    """The buffer copies what it keeps, so a stored row never holds its
+    session's whole pool alive; this holds with and without trimming."""
+    pool = _labeled_pool(rng.standard_normal((12, 3)), np.arange(12) % 3)
+    for capacity in (2, 10):
+        buffer = ReplayBuffer(capacity)
+        buffer.add_pool(pool, rng)
+        rows = buffer.export_rows()
+        assert len(rows) == min(capacity, 4) * 3
+        assert not any(np.shares_memory(row[0], pool.samples) for row in rows)
+
+
+def test_buffer_rejects_a_bad_pool_before_storing_any_row(rng):
+    buffer = ReplayBuffer(10)
+    with pytest.raises(ContractError):
+        buffer.add_pool(_labeled_pool([[0.0], [1.0]], [0, 5]), rng)
+    assert len(buffer) == 0
 
 
 def test_buffer_require_names_missing_class(rng):

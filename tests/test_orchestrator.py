@@ -208,6 +208,32 @@ def test_non_finite_client_update_stops_the_run_before_its_session(recwarn):
     assert sessions == [0]
 
 
+def test_non_finite_generator_stops_the_run_before_its_session(recwarn):
+    """A generator that diverges is caught on its banked pool, before the
+    pool is relabeled (NaN rows would all go to column 0) or buffered."""
+    sessions = []
+    with pytest.raises(NonFiniteError, match="^non-finite synthetic pool after "
+                                             "session 0, generator$"):
+        run_experiment(light_config("generator.gen_lr=1e300"),
+                       lambda sm, model: sessions.append(sm.session))
+    assert sessions == []
+
+
+def test_non_finite_incremental_pool_names_the_session_and_round(monkeypatch):
+    train = orchestrator.train_generator_session
+
+    def poisoned(teachers, session, *args, **kwargs):
+        generator, student, pool = train(teachers, session, *args, **kwargs)
+        if session == 1:
+            pool.samples[-1, 0] = np.inf
+        return generator, student, pool
+
+    monkeypatch.setattr(orchestrator, "train_generator_session", poisoned)
+    with pytest.raises(NonFiniteError, match="^non-finite synthetic pool after "
+                                             "session 1, round 0, generator$"):
+        run_experiment(light_config())
+
+
 def test_non_finite_global_state_names_the_aggregation(monkeypatch):
     fedavg_full = orchestrator.fedavg_full
 

@@ -93,3 +93,21 @@ def test_traced_benchmark_run_reports_every_layer_metric(tmp_path):
     assert [name for name in expected if name not in result["layers"]] == []
     assert result["layers"]["generation.steps"] > 0
     assert result["layers"]["autodiff.nodes_per_backprop_generator"] > 0
+
+
+def test_a_desk_run_loads_neither_masked_arrays_nor_logging(tmp_path):
+    """A cut-down desk sdd run in a fresh process imports no module it does
+    not use: ``numpy.ma`` (pulled in by ``np.unique``) and ``logging`` each
+    add resident memory that counts toward the benchmark's peak RSS."""
+    argv = ["run", "--preset", "desk", "--method", "sdd", "--seed", "0",
+            "--quiet", "--out", str(tmp_path / "run")]
+    for item in ("data.sessions=1", "generator.epochs=1", "client.epochs=2"):
+        argv += ["--set", item]
+    script = ("import sys\nfrom fedscil.cli import main\n"
+              f"assert main({argv!r}) == 0\n"
+              "print(sorted({'numpy.ma', 'logging'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
