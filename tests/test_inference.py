@@ -28,8 +28,10 @@ def _pool(rows: int, seed: int = 0) -> SyntheticPool:
                          np.arange(rows, dtype=np.int64) % 2 + 12)
 
 
+# Row counts at the first chunk boundary and, as fixed literals, at 511-513
+# (the four-chunk boundary for 128-row chunks).
 @pytest.mark.parametrize("rows", [1, PREDICT_CHUNK - 1, PREDICT_CHUNK,
-                                  PREDICT_CHUNK + 1, 1280])
+                                  PREDICT_CHUNK + 1, 511, 512, 513, 1280])
 @pytest.mark.parametrize("session", [None, 1])
 def test_predict_is_the_argmax_of_one_unchunked_forward(rng, rows, session):
     model = _expanded_model()
