@@ -37,13 +37,14 @@ teachers in list order, then the opponent. What differs is the sign of a
 zero at most: the reduction starts from 0.0, and a model slot's gradient
 arrives as a slice of the stack.
 
-:class:`Replay` records the op calls of a step and replays the step as flat
-array code over numbered value slots: forwards in creation order, then per
-loss the recorded walk's schedule through ``_backward``, with slots in
-place of tensors, so the floats are the graph's. Each run reads every leaf
-tensor's ``data`` afresh and takes the step's own arrays as inputs, found in
-the record by identity; a tensor made from them other than by an op replays
-stale.
+:class:`Replay` runs every training step: per tuple of input shapes it
+records a step's op calls once and replays the step as flat array code over
+numbered value slots, forwards in creation order, then per loss the recorded
+walk's schedule through ``_backward`` with slots in place of tensors, so the
+floats are the graph's and a choice made from the shapes (the batch-norm
+mode) is fixed per record. A replay reads every leaf's ``data`` afresh and the
+step's own arrays, found by identity; an array made from them outside an op
+replays stale, so an input no op reads is refused.
 
 Numerical conventions, all of which tests rely on:
 - ``log`` clamps its argument to >= 1e-12 and passes zero gradient below the
@@ -490,7 +491,7 @@ def grad(loss: Tensor, params: Sequence[Parameter]) -> dict[str, Array]:
 
 
 def backprop(loss: Tensor, params: Sequence[Parameter]) -> None:
-    """Convenience wrapper: compute gradients and store them on the params."""
+    """Gradients stored on the params; a training step calls it via Replay."""
     grads = grad(loss, params)
     for p in params:
         p.grad = grads[p.name]
@@ -519,73 +520,76 @@ def frozen(params: Iterable[Parameter]):
 
 
 class Replay:
-    """A step recorded once, then replayed (see the module docstring):
-    ``step(*inputs)`` builds its graphs and returns (loss, parameters,
-    optimizer) roots; the constructor records it, backprops and steps each
-    root once, and :meth:`run` repeats that on new inputs of the same shapes."""
+    """A training step run per batch (see the module docstring): ``step(*inputs)``
+    builds its graphs and returns (loss, parameters, optimizer) roots; the
+    first call with a tuple of input shapes records it, backprops and steps
+    each root, and later calls with those shapes replay the record."""
 
-    def __init__(self, step: Callable, *inputs: Array):
-        global _tape
-        _tape = tape = []
-        try:
-            roots = step(*inputs)
-        finally:
-            _tape = None
-        for loss, params, opt in roots:
-            backprop(loss, params)
-            opt.step()
-        self.shapes = [a.shape for a in inputs]
-        self.values = list(inputs)              # a constant, or None for a slot
-        slots = {id(a): i for i, a in enumerate(inputs)}   # object id -> slot
-        self.leaves, self.forward = [], []
-        for fw, parents, static, node in tape:
-            for t in parents:
-                if id(t) not in slots:  # a leaf, or made from a node or input
-                    slots[id(t)] = slots.get(id(t.data), len(self.values))
-                    if slots[id(t)] == len(self.values):
-                        self.leaves.append((len(self.values), t))
-                        self.values.append(None)
-            for value in static:
-                if id(value) not in slots:
-                    slots[id(value)] = len(self.values)
-                    self.values.append(value)
-            out = slots[id(node)] = slots[id(node.data)] = len(self.values)
-            self.values.append(None)
-            self.forward.append((fw, [slots[id(t)] for t in parents],
-                                 [slots[id(v)] for v in static], out))
-        read = {i for _, args, statics, _ in self.forward for i in args + statics}
-        if not read.issuperset(range(len(inputs))):
-            raise ContractError("a replay input reaches none of the recorded ops")
-        self.roots = []
-        for loss, params, opt in roots:
-            schedule = [(slots[id(node)], bw, needs, [slots[id(p)] for p in parents])
-                        for node, bw, _, needs, parents in _schedule(loss)]
-            self.roots.append((slots[id(loss)], schedule, opt,
-                               [(p, slots.get(id(p.value))) for p in params]))
+    def __init__(self, step: Callable):
+        self.step, self.records = step, {}   # input shapes -> record
 
-    def run(self, *inputs: Array) -> None:
-        if [a.shape for a in inputs] != self.shapes:
-            raise ContractError(f"replay inputs of shapes {[a.shape for a in inputs]}"
-                                f" for a step recorded with {self.shapes}")
-        vals = self.values.copy()
-        vals[:len(inputs)] = inputs
-        for slot, leaf in self.leaves:
+    def __call__(self, *inputs: Array) -> None:
+        shapes = tuple(a.shape for a in inputs)
+        if shapes not in self.records:
+            self.records[shapes] = self._record(inputs)
+            return
+        values, leaves, forward, roots = self.records[shapes]
+        vals = [*inputs, *values[len(inputs):]]
+        for slot, leaf in leaves:
             vals[slot] = leaf.data
         saved = [None] * len(vals)
-        for fw, args, statics, out in self.forward:
+        for fw, args, statics, out in forward:
             vals[out], saved[out] = fw([vals[i] for i in args],
                                        *[vals[i] for i in statics])
         # each walk drops a node's saved arrays once its backward has run
         walks = [[(node, bw, saved[node], needs, parents)
                   for node, bw, needs, parents in schedule]
-                 for _, schedule, _, _ in self.roots]
+                 for _, schedule, _, _ in roots]
         del saved
-        for (loss, _, opt, params), walk in zip(self.roots, walks):
-            grads = _backward(walk, {loss: np.ones_like(vals[loss])},
-                              vals.__getitem__)
+        for (loss, _, opt, params), walk in zip(roots, walks):
+            grads = _backward(walk, {loss: np.ones_like(vals[loss])}, vals.__getitem__)
             for p, slot in params:
                 p.grad = grads[slot] if slot in grads else np.zeros_like(p.value.data)
             opt.step()
+
+    def _record(self, inputs: tuple) -> tuple:
+        """(values, leaves, forward, roots) of the step recorded on inputs."""
+        global _tape
+        _tape = tape = []
+        try:
+            roots = self.step(*inputs)
+        finally:
+            _tape = None
+        for loss, params, opt in roots:
+            backprop(loss, params)
+            opt.step()
+        values = list(inputs)                   # a constant, or None for a slot
+        slots = {id(a): i for i, a in enumerate(inputs)}   # object id -> slot
+        leaves, forward = [], []
+        for fw, parents, static, node in tape:
+            for t in parents:
+                if id(t) not in slots:  # a leaf, or made from a node or input
+                    slots[id(t)] = slots.get(id(t.data), len(values))
+                    if slots[id(t)] == len(values):
+                        leaves.append((len(values), t))
+                        values.append(None)
+            for value in static:
+                if id(value) not in slots:
+                    slots[id(value)] = len(values)
+                    values.append(value)
+            out = slots[id(node)] = slots[id(node.data)] = len(values)
+            values.append(None)
+            forward.append((fw, [slots[id(t)] for t in parents],
+                            [slots[id(v)] for v in static], out))
+        read = {i for _, args, statics, _ in forward for i in args + statics}
+        if not read.issuperset(range(len(inputs))):
+            raise ContractError("a replay input reaches none of the recorded ops")
+        return values, leaves, forward, [
+            (slots[id(loss)],
+             [(slots[id(node)], bw, needs, [slots[id(p)] for p in parents])
+              for node, bw, _, needs, parents in _schedule(loss)],
+             opt, [(p, slots.get(id(p.value))) for p in params])
+            for loss, params, opt in roots]
 
 
 # -- batch normalization ------------------------------------------------------

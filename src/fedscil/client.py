@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Optimizer, OptimizerConfig, Tensor, backprop,
-                       col_slice, frozen, row_slice)
+from .autodiff import (Optimizer, OptimizerConfig, Replay, Tensor, col_slice,
+                       concat, frozen, row_slice)
 from .errors import ContractError
 from .generation import ReplayBuffer
 from .losses import (LossWeights, client_loss, cross_entropy,
@@ -60,10 +60,10 @@ def _epoch_batches(n: int, size: int, rng: np.random.Generator) -> list[np.ndarr
 def _run_local(model_in: Classifier, x: np.ndarray, y: np.ndarray,
                buffer: ReplayBuffer | None, cfg: ClientConfig,
                weights: LossWeights, old_count: int, seed: int,
-               loss_fn) -> tuple[Classifier, int]:
-    """Shared loop. loss_fn(new_logits, new_labels, replay_logits,
-    replay_labels, replay_x) -> scalar; replay args are None when k == 0,
-    and the replay logits are cut to ``old_count`` columns in sliced mode."""
+               loss_fn, replay_arrays: int) -> tuple[Classifier, int]:
+    """Shared loop. loss_fn(new_logits, new_labels, replay_logits, replay_x,
+    *replay_labels) -> scalar, the replay logits cut to ``old_count`` columns
+    in sliced mode; a step reads ``replay_arrays`` of a buffer draw's (x, y)."""
     cfg.validate()
     model = model_in.clone()
     n = int(y.shape[0])
@@ -72,30 +72,30 @@ def _run_local(model_in: Classifier, x: np.ndarray, y: np.ndarray,
     use_replay = weights.k > 0.0
     if use_replay and (buffer is None or len(buffer) == 0):
         raise ContractError("replay requested but the buffer is empty")
-    params = model.parameters()
     rates = {"backbone": cfg.lr_backbone_and_old,
              "head_old": cfg.lr_backbone_and_old, "head_new": cfg.lr_new_head}
-    opt = Optimizer(params, OptimizerConfig("sgd_momentum", rates,
-                                            momentum=cfg.momentum))
-    rng = np.random.default_rng(seed)
+    opt = Optimizer(model.parameters(), OptimizerConfig("sgd_momentum", rates,
+                                                        momentum=cfg.momentum))
+
+    def step(xb, yb, xr=None, *yr):
+        nb = xb.shape[0]
+        if xr is None:
+            logits = model.forward(xb, mode="train" if nb >= 2 else "eval")
+            return [(loss_fn(logits, yb), opt.params, opt)]
+        # an op over both inputs, so that the joint batch replays fresh
+        joint = model.forward(concat([Tensor(xb), Tensor(xr)], axis=0), mode="train")
+        replay = row_slice(joint, nb, nb + xr.shape[0])
+        if cfg.replay_loss == "sliced":
+            replay = col_slice(replay, 0, old_count)
+        loss = loss_fn(row_slice(joint, 0, nb), yb, replay, xr, *yr)
+        return [(loss, opt.params, opt)]
+
+    replay, rng = Replay(step), np.random.default_rng(seed)
     for _ in range(cfg.epochs):
         for batch in _epoch_batches(n, cfg.batch_size_new, rng):
-            xb, yb = x[batch], y[batch]
-            nb = xb.shape[0]
-            if use_replay:
-                xr, yr = buffer.sample(cfg.batch_size_replay, rng)
-                joint = model.forward(np.concatenate([xb, xr]), mode="train")
-                replay = row_slice(joint, nb, nb + xr.shape[0])
-                if cfg.replay_loss == "sliced":
-                    replay = col_slice(replay, 0, old_count)
-                loss = loss_fn(row_slice(joint, 0, nb), yb, replay, yr, xr)
-            else:
-                mode = "train" if nb >= 2 else "eval"
-                loss = loss_fn(model.forward(xb, mode=mode), yb, None, None, None)
-            backprop(loss, params)
-            opt.step()
+            drawn = buffer.sample(cfg.batch_size_replay, rng) if use_replay else ()
+            replay(x[batch], y[batch], *drawn[:replay_arrays])
     return model, n
-
 
 def local_update_nagr(model: Classifier, x: np.ndarray, y: np.ndarray,
                       buffer: ReplayBuffer | None, weights: LossWeights,
@@ -107,12 +107,13 @@ def local_update_nagr(model: Classifier, x: np.ndarray, y: np.ndarray,
     An empty shard returns the model unchanged with count 0.
     """
 
-    def loss_fn(new_logits, new_labels, replay_logits, replay_labels, _xr):
+    def loss_fn(new_logits, new_labels, replay_logits=None, _xr=None,
+                replay_labels=None):
         return client_loss(new_logits, new_labels, replay_logits, replay_labels,
                            weights, old_count)
 
     return _run_local(model, x, y, buffer, cfg, weights, old_count, seed,
-                      loss_fn)
+                      loss_fn, 2)
 
 
 def local_update_baseline_kd(model: Classifier, prev_model: Classifier,
@@ -132,7 +133,7 @@ def local_update_baseline_kd(model: Classifier, prev_model: Classifier,
     if prev_model.classes_seen != old_count:
         raise ContractError("previous global model must cover the old classes")
 
-    def loss_fn(new_logits, new_labels, replay_logits, replay_labels, xr):
+    def loss_fn(new_logits, new_labels, replay_logits=None, xr=None):
         loss = cross_entropy(new_logits, new_labels)
         if replay_logits is None:
             return loss
@@ -144,4 +145,4 @@ def local_update_baseline_kd(model: Classifier, prev_model: Classifier,
     # the teacher's forward pass needs no graph
     with frozen(prev_model.parameters()):
         return _run_local(model, x, y, buffer, cfg, weights, old_count, seed,
-                          loss_fn)
+                          loss_fn, 1)

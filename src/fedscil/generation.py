@@ -8,11 +8,10 @@ minimizes
 
     lambda1 * fidelity + lambda2 * (-entropy) + lambda3 * bn-stats + lambda4 * (-gated KL)
 
-while the student minimizes plain KL(teacher || student). A call builds its
-first generator and student step on the graph, records it, and replays every
-later step as array code (``autodiff.Replay``). One batch per epoch
-is banked into the session pool; after aggregation the pool is pseudo-labeled
-by the new global model and pushed into the replay buffer.
+while the student minimizes plain KL(teacher || student), both stepped by
+one ``autodiff.Replay``. One batch per epoch is banked into the session
+pool; after aggregation the pool is pseudo-labeled by the new global model
+and pushed into the replay buffer.
 """
 from __future__ import annotations
 
@@ -174,16 +173,13 @@ def train_generator_session(teachers: list[Classifier], session: int,
                           student.parameters(), stu_opt))
         return roots
 
-    replay = None
+    replay = Replay(step)
     for _ in range(cfg.epochs):
         for _ in range(cfg.rounds_per_epoch):
             z = rng.standard_normal((cfg.batch_size, cfg.noise_dim))
             labels = rng.integers(0, c, size=cfg.batch_size)
             stack.load_opponent()
-            if replay is None:  # the call's first step: recorded on the graph
-                replay = Replay(step, z, labels)
-            else:
-                replay.run(z, labels)
+            replay(z, labels)
 
         z = rng.standard_normal((cfg.bank_per_epoch, cfg.noise_dim))
         labels = rng.integers(0, c, size=cfg.bank_per_epoch)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .aggregation import (aggregate_old, assemble_global, build_accuracy_matrix,
                           cswa_aggregate_new, cswa_weights, fedavg_full)
-from .autodiff import Optimizer, OptimizerConfig, backprop
+from .autodiff import Optimizer, OptimizerConfig, Replay
 from .client import (_epoch_batches, local_update_baseline_kd,
                      local_update_nagr)
 from .config import METHODS, ExperimentConfig, run_id, validate_config
@@ -148,7 +148,8 @@ def _train_base(model: Classifier, ds: LabeledDataset,
     rates = {"backbone": b.lr, "head_new": b.lr, "head_old": b.lr}
     opt = Optimizer(model.parameters(),
                     OptimizerConfig("sgd_momentum", rates, momentum=b.momentum))
-    params = model.parameters()
+    replay = Replay(lambda x, y: [(cross_entropy(model.forward(x, mode="train"), y),
+                                   opt.params, opt)])
     rng = np.random.default_rng(derive_seed(cfg.seed, "base"))
     milestones = sorted(int(f * b.epochs) for f in b.decay_milestones)
     for epoch in range(b.epochs):
@@ -157,9 +158,7 @@ def _train_base(model: Classifier, ds: LabeledDataset,
         for group in rates:
             opt.set_rate(group, lr)
         for batch in _epoch_batches(len(ds), b.batch_size, rng):
-            logits = model.forward(ds.x[batch], mode="train")
-            backprop(cross_entropy(logits, ds.y[batch]), params)
-            opt.step()
+            replay(ds.x[batch], ds.y[batch])
 
 
 def run_base_session(cfg: ExperimentConfig,
@@ -175,6 +174,7 @@ def run_base_session(cfg: ExperimentConfig,
                        hidden=cfg.model.hidden,
                        feature_dim=cfg.model.feature_dim)
     _train_base(model, sched.train_by_session[0], cfg)
+    _check_finite(model, "session 0, base training")
 
     buffer = ReplayBuffer(cfg.generator.buffer_capacity, cfg.replay_label_noise)
     local_rule, _ = METHODS[cfg.method]

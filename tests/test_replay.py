@@ -1,8 +1,8 @@
 """The recorded-and-replayed generator session against the graph.
 
-``train_generator_session`` builds its first step on the graph, records it
-and replays every later step as array code; ``oracles.graph_generator_session``
-builds and differentiates every step on the graph. Every comparison is
+``train_generator_session`` records its first step on the graph and replays
+every later step as array code; ``oracles.graph_generator_session`` builds
+and differentiates every step on the graph. Every comparison is
 np.array_equal, over everything a call trains or banks.
 """
 import numpy as np
@@ -104,37 +104,65 @@ def _stepper(teachers: int = 3, batch: int = 10):
     return step, draw
 
 
-def _schedule(replay: Replay):
-    """The replay's schedule: op code, slots and needs, without the values."""
-    forward = [(fw.__code__, args, statics, out)
-               for fw, args, statics, out in replay.forward]
+def _schedule(record: tuple):
+    """A record's schedule: op code, slots and needs, without the values."""
+    values, leaves, forward, roots = record
+    forward = [(fw.__code__, args, statics, out) for fw, args, statics, out in forward]
     roots = [(loss, [(node, bw.__code__, needs, parents)
                      for node, bw, needs, parents in schedule],
               [slot for _, slot in params])
-             for loss, schedule, _, params in replay.roots]
-    return forward, roots, [slot for slot, _ in replay.leaves], len(replay.values)
+             for loss, schedule, _, params in roots]
+    return forward, roots, [slot for slot, _ in leaves], len(values)
 
 
 def test_recording_a_later_step_gives_the_same_schedule():
     step, draw = _stepper()
-    first = Replay(step, *draw())
-    for _ in range(4):
-        first.run(*draw())
-    later = Replay(step, *draw())
-    assert _schedule(later) == _schedule(first)
+    first = Replay(step)
+    for _ in range(5):
+        first(*draw())
+    later = Replay(step)
+    later(*draw())
+    [record] = first.records.values()
+    assert _schedule(*later.records.values()) == _schedule(record)
     # the walks' 36 generator and 18 student nodes: ops, then parameters
     assert [(len(schedule), len(params)) for _, schedule, _, params
-            in first.roots] == [(26, 10), (8, 10)]
+            in record[3]] == [(26, 10), (8, 10)]
 
 
-def test_a_replay_with_another_batch_size_is_refused():
+def _trained(step, draw, sizes, replayed: bool) -> list[np.ndarray]:
+    """Every parameter after each step of a run over batches of ``sizes``,
+    replayed through one Replay or built and walked on the graph."""
+    params, values = [], []
+
+    def with_params(*inputs):
+        roots = step(*inputs)
+        params[:] = [p for _, root_params, _ in roots for p in root_params]
+        return roots
+
+    replay = Replay(with_params)
+    for size in sizes:
+        if replayed:
+            replay(*draw(size))
+        else:
+            for loss, root_params, opt in with_params(*draw(size)):
+                backprop(loss, root_params)
+                opt.step()
+        values += [p.value.data for p in params]
+    return values
+
+
+def test_a_second_shape_records_its_own_schedule_and_both_replay_like_the_graph():
+    sizes = [10, 7, 10, 7, 7, 10, 10, 7]
+    replayed = _trained(*_stepper(), sizes, replayed=True)
+    graph = _trained(*_stepper(), sizes, replayed=False)
+    assert len(replayed) == len(graph) > 0
+    for a, b in zip(replayed, graph):
+        assert np.array_equal(a, b)
     step, draw = _stepper()
-    replay = Replay(step, *draw())
-    with pytest.raises(ContractError, match="recorded with"):
-        replay.run(*draw(7))
-    z, labels = draw()
-    with pytest.raises(ContractError, match="recorded with"):
-        replay.run(z[:, :3], labels)
+    replay = Replay(step)
+    for size in (10, 7, 10):
+        replay(*draw(size))
+    assert list(replay.records) == [((10, 4), (10,)), ((7, 4), (7,))]
 
 
 def test_a_step_with_arithmetic_ops_replays_like_the_graph():
@@ -145,26 +173,13 @@ def test_a_step_with_arithmetic_ops_replays_like_the_graph():
     trained = []
     for replayed in (True, False):
         step, draw = _stepper()
-        params = []
 
-        def with_arithmetic(z, labels):
-            (loss, gen_params, opt), student_root = step(z, labels)
-            params[:] = gen_params + student_root[1]
-            return [(loss + 0.0 * (Tensor(z) * 2.0).sum(), gen_params, opt),
+        def with_arithmetic(z, labels, step=step):
+            loss_root, student_root = step(z, labels)
+            return [(loss_root[0] + 0.0 * (Tensor(z) * 2.0).sum(), *loss_root[1:]),
                     student_root]
 
-        replay, values = None, []
-        for _ in range(5):
-            if replay is not None:
-                replay.run(*draw())
-            elif replayed:
-                replay = Replay(with_arithmetic, *draw())
-            else:
-                for loss, root_params, opt in with_arithmetic(*draw()):
-                    backprop(loss, root_params)
-                    opt.step()
-            values += [p.value.data for p in params]
-        trained.append(values)
+        trained.append(_trained(with_arithmetic, draw, [10] * 5, replayed))
     replayed, graph = trained
     assert len(replayed) == len(graph) > 0
     for a, b in zip(replayed, graph):
@@ -178,4 +193,4 @@ def test_a_step_with_an_unread_input_is_refused():
         return step(z, labels)
 
     with pytest.raises(ContractError, match="reaches none"):
-        Replay(unread, *draw(), np.zeros(3))
+        Replay(unread)(*draw(), np.zeros(3))
