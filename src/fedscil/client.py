@@ -57,25 +57,12 @@ def _epoch_batches(n: int, size: int, rng: np.random.Generator) -> list[np.ndarr
     return batches
 
 
-def _run_local(model_in: Classifier, x: np.ndarray, y: np.ndarray,
-               buffer: ReplayBuffer | None, cfg: ClientConfig,
-               weights: LossWeights, old_count: int, seed: int,
-               loss_fn, replay_arrays: int) -> tuple[Classifier, int]:
-    """Shared loop. loss_fn(new_logits, new_labels, replay_logits, replay_x,
-    *replay_labels) -> scalar, the replay logits cut to ``old_count`` columns
-    in sliced mode; a step reads ``replay_arrays`` of a buffer draw's (x, y)."""
-    cfg.validate()
-    model = model_in.clone()
-    n = int(y.shape[0])
-    if n == 0:
-        return model, 0
-    use_replay = weights.k > 0.0
-    if use_replay and (buffer is None or len(buffer) == 0):
-        raise ContractError("replay requested but the buffer is empty")
-    rates = {"backbone": cfg.lr_backbone_and_old,
-             "head_old": cfg.lr_backbone_and_old, "head_new": cfg.lr_new_head}
-    opt = Optimizer(model.parameters(), OptimizerConfig("sgd_momentum", rates,
-                                                        momentum=cfg.momentum))
+def _local_step(model: Classifier, opt: Optimizer, cfg: ClientConfig,
+                old_count: int, loss_fn) -> Replay:
+    """The local step, called per batch with the session rows and, when
+    replay is on, the replay rows and the labels the loss reads.
+    loss_fn(new_logits, new_labels, replay_logits, replay_x, *replay_labels)
+    -> scalar, the replay logits cut to ``old_count`` columns in sliced mode."""
 
     def step(xb, yb, xr=None, *yr):
         nb = xb.shape[0]
@@ -90,12 +77,35 @@ def _run_local(model_in: Classifier, x: np.ndarray, y: np.ndarray,
         loss = loss_fn(row_slice(joint, 0, nb), yb, replay, xr, *yr)
         return [(loss, opt.params, opt)]
 
-    replay, rng = Replay(step), np.random.default_rng(seed)
+    return Replay(step)
+
+
+def _run_local(model_in: Classifier, x: np.ndarray, y: np.ndarray,
+               buffer: ReplayBuffer | None, cfg: ClientConfig,
+               weights: LossWeights, old_count: int, seed: int,
+               loss_fn, replay_arrays: int) -> tuple[Classifier, int]:
+    """Shared loop over :func:`_local_step`; a step reads the first
+    ``replay_arrays`` of a buffer draw's (x, y)."""
+    cfg.validate()
+    model = model_in.clone()
+    n = int(y.shape[0])
+    if n == 0:
+        return model, 0
+    use_replay = weights.k > 0.0
+    if use_replay and (buffer is None or len(buffer) == 0):
+        raise ContractError("replay requested but the buffer is empty")
+    rates = {"backbone": cfg.lr_backbone_and_old,
+             "head_old": cfg.lr_backbone_and_old, "head_new": cfg.lr_new_head}
+    opt = Optimizer(model.parameters(), OptimizerConfig("sgd_momentum", rates,
+                                                        momentum=cfg.momentum))
+    replay = _local_step(model, opt, cfg, old_count, loss_fn)
+    rng = np.random.default_rng(seed)
     for _ in range(cfg.epochs):
         for batch in _epoch_batches(n, cfg.batch_size_new, rng):
             drawn = buffer.sample(cfg.batch_size_replay, rng) if use_replay else ()
             replay(x[batch], y[batch], *drawn[:replay_arrays])
     return model, n
+
 
 def local_update_nagr(model: Classifier, x: np.ndarray, y: np.ndarray,
                       buffer: ReplayBuffer | None, weights: LossWeights,

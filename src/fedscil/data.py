@@ -80,6 +80,8 @@ def load_csv_dataset(path, class_count: int | None = None) -> LabeledDataset:
             except ValueError:
                 raise ConfigError(f"{path}: row {reader.line_num}: "
                                   "non-numeric field") from None
+            if not np.isfinite(values).all():
+                raise ConfigError(f"{path}: row {reader.line_num}: non-finite field")
             if rows and len(values) != len(rows[0]):
                 raise ConfigError(f"{path}: row {reader.line_num}: {len(values)} "
                                   f"fields, expected {len(rows[0])}")

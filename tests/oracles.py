@@ -6,8 +6,9 @@
 - Fused autodiff nodes: the composed graphs the fused nodes replace, built
   from primitive ops. Under ``composed_graphs()`` the package runs on them,
   so a test can demand bit-identical values and gradients.
-- Generator session: the session loop with every step built and
-  differentiated on the graph, the reference for the replayed steps.
+- Generator session, client update and base training: the loops with every
+  step built and differentiated on the graph, the references for the
+  replayed steps.
 - Optimizer: a loop over the parameters with the same update rules and
   per-name state, the reference for the flat step.
 """
@@ -18,7 +19,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from fedscil import Classifier, autodiff, generation, losses
+from fedscil import Classifier, autodiff, client, generation, losses
 from fedscil.aggregation import (AccuracyMatrix, aggregate_old,
                                  assemble_global, cswa_aggregate_new,
                                  cswa_weights, fedavg_full)
@@ -438,6 +439,96 @@ def graph_generator_session(teachers, session, class_range, envelope, cfg,
     pool = generation.SyntheticPool(session, lo, hi, np.concatenate(banked_x),
                                     np.concatenate(banked_y).astype(np.int64))
     return generator, student, pool
+
+
+# -- the client and base training loops on the graph ------------------------------
+
+
+def nagr_loss(weights, old_count):
+    """The step loss of ``client.local_update_nagr``."""
+
+    def loss_fn(new_logits, new_labels, replay_logits=None, _xr=None,
+                replay_labels=None):
+        return losses.client_loss(new_logits, new_labels, replay_logits,
+                                  replay_labels, weights, old_count)
+    return loss_fn
+
+
+def distill_loss(teacher, weights, old_count):
+    """The step loss of ``client.local_update_baseline_kd``; it reads no
+    replay labels, and the teacher must be frozen around the steps."""
+
+    def loss_fn(new_logits, new_labels, replay_logits=None, xr=None):
+        loss = losses.cross_entropy(new_logits, new_labels)
+        if replay_logits is None:
+            return loss
+        kd = losses.distillation_loss_subset(teacher.forward(Tensor(xr), mode="eval"),
+                                             replay_logits, old_count,
+                                             weights.kl_temperature)
+        return loss + weights.k * kd
+    return loss_fn
+
+
+def graph_local_step(model, opt, cfg, old_count, loss_fn, xb, yb, xr=None, *yr):
+    """One ``client._local_step`` step built and differentiated on the graph,
+    with the joint batch concatenated outside it."""
+    nb = xb.shape[0]
+    if xr is None:
+        loss = loss_fn(model.forward(xb, mode="train" if nb >= 2 else "eval"), yb)
+    else:
+        joint = model.forward(np.concatenate([xb, xr]), mode="train")
+        replay = autodiff.row_slice(joint, nb, nb + xr.shape[0])
+        if cfg.replay_loss == "sliced":
+            replay = col_slice(replay, 0, old_count)
+        loss = loss_fn(autodiff.row_slice(joint, 0, nb), yb, replay, xr, *yr)
+    autodiff.backprop(loss, model.parameters())
+    opt.step()
+
+
+def client_optimizer(model, cfg):
+    """The optimizer of a client's local update."""
+    rates = {"backbone": cfg.lr_backbone_and_old,
+             "head_old": cfg.lr_backbone_and_old, "head_new": cfg.lr_new_head}
+    return autodiff.Optimizer(model.parameters(), autodiff.OptimizerConfig(
+        "sgd_momentum", rates, momentum=cfg.momentum))
+
+
+def graph_run_local(model_in, x, y, buffer, cfg, weights, old_count, seed,
+                    loss_fn, replay_arrays):
+    """``client._run_local`` with every step built and differentiated on the
+    graph: the reference for the replayed local update."""
+    model = model_in.clone()
+    n = int(y.shape[0])
+    if n == 0:
+        return model, 0
+    opt = client_optimizer(model, cfg)
+    rng = np.random.default_rng(seed)
+    for _ in range(cfg.epochs):
+        for batch in client._epoch_batches(n, cfg.batch_size_new, rng):
+            drawn = buffer.sample(cfg.batch_size_replay, rng) if weights.k > 0 else ()
+            graph_local_step(model, opt, cfg, old_count, loss_fn, x[batch], y[batch],
+                             *drawn[:replay_arrays])
+    return model, n
+
+
+def graph_train_base(model, ds, cfg):
+    """``orchestrator._train_base`` with every step built and differentiated
+    on the graph: the reference for the replayed base training."""
+    b = cfg.base
+    rates = {"backbone": b.lr, "head_new": b.lr, "head_old": b.lr}
+    params = model.parameters()
+    opt = autodiff.Optimizer(params, autodiff.OptimizerConfig(
+        "sgd_momentum", rates, momentum=b.momentum))
+    rng = np.random.default_rng(derive_seed(cfg.seed, "base"))
+    milestones = sorted(int(f * b.epochs) for f in b.decay_milestones)
+    for epoch in range(b.epochs):
+        passed = sum(1 for m in milestones if epoch >= m)
+        for group in rates:
+            opt.set_rate(group, b.lr * (b.decay_factor ** passed))
+        for batch in client._epoch_batches(len(ds), b.batch_size, rng):
+            logits = model.forward(ds.x[batch], mode="train")
+            autodiff.backprop(losses.cross_entropy(logits, ds.y[batch]), params)
+            opt.step()
 
 
 # -- the per-parameter optimizer step -------------------------------------------

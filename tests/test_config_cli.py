@@ -356,6 +356,18 @@ def test_non_finite_session_exits_two_without_its_record(first_run, tmp_path,
     assert [r["session"] for r in _read_jsonl(out / "metrics.jsonl")] == [0]
 
 
+def test_non_finite_base_training_exits_two_without_a_record(first_run, tmp_path,
+                                                             capsys, recwarn):
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(first_run.config), "--quiet",
+               "--set", "base.lr=1e300", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "error: NonFiniteError: non-finite model state after session 0, "
+        "base training")
+    assert _read_jsonl(out / "metrics.jsonl") == []
+
+
 def test_non_finite_generator_exits_two_without_a_record(first_run, tmp_path,
                                                          capsys, recwarn):
     out = tmp_path / "out"
@@ -388,6 +400,8 @@ def test_missing_csv_exits_two(run_root, tmp_path, capsys):
      "row 4: label 25 outside [0, 20)"),
     ("0.1,0.2,0\nabc,0.4,1\n", "row 2: non-numeric field"),
     ("0.1,0.2,0\n0.3,1\n", "row 2: 2 fields, expected 3"),
+    ("0.1,0.2,0\nnan,0.3,1\n", "row 2: non-finite field"),
+    ("0.1,0.2,0\n0.3,0.4,1\n0.5,-inf,2\n", "row 3: non-finite field"),
 ])
 def test_csv_dataset_faults_exit_one(run_root, tmp_path, capsys, rows, message):
     train = tmp_path / "train.csv"

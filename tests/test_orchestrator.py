@@ -197,6 +197,15 @@ def test_replay_session_requires_a_seeded_buffer(desk_base):
                                 ReplayBuffer(10), parts[1])
 
 
+def test_non_finite_base_training_stops_the_run_before_session_0(recwarn):
+    sessions = []
+    with pytest.raises(NonFiniteError, match="^non-finite model state after "
+                                             "session 0, base training$"):
+        run_experiment(light_config("base.lr=1e300", method="finetune"),
+                       lambda sm, model: sessions.append(sm.session))
+    assert sessions == []
+
+
 def test_non_finite_client_update_stops_the_run_before_its_session(recwarn):
     cfg = light_config("client.lr_new_head=1e300",
                        "client.lr_backbone_and_old=1e300", method="finetune")

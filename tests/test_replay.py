@@ -1,20 +1,31 @@
-"""The recorded-and-replayed generator session against the graph.
+"""The recorded-and-replayed training loops against the graph.
 
-``train_generator_session`` records its first step on the graph and replays
-every later step as array code; ``oracles.graph_generator_session`` builds
-and differentiates every step on the graph. Every comparison is
-np.array_equal, over everything a call trains or banks.
+Every training step runs through ``autodiff.Replay``, which records a step
+on the graph once per tuple of input shapes and replays it as array code.
+The references in ``oracles`` (``graph_generator_session``,
+``graph_run_local``, ``graph_local_step``, ``graph_train_base``) build and
+differentiate every step on the graph. Every comparison is np.array_equal,
+over everything a loop trains or banks.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedscil import Classifier, LossWeights, Tensor, train_generator_session
-from fedscil.autodiff import Optimizer, OptimizerConfig, Replay, backprop
+from conftest import desk_config
+from fedscil import Classifier, LossWeights, Tensor, client, train_generator_session
+from fedscil.autodiff import Optimizer, OptimizerConfig, Replay, backprop, frozen
+from fedscil.client import ClientConfig
+from fedscil.data import LabeledDataset
 from fedscil.errors import ContractError
 from fedscil.generation import GenLabConfig, generator_loss
 from fedscil.losses import student_loss
+from fedscil.generation import ReplayBuffer, SyntheticPool
 from fedscil.models import ConditionalGenerator, ModelStack, make_student
-from oracles import graph_generator_session
+from fedscil.orchestrator import _train_base
+from oracles import (client_optimizer, distill_loss, graph_generator_session,
+                     graph_local_step, graph_run_local, graph_train_base,
+                     nagr_loss)
 
 IN_DIM, SESSION, CLASSES = 6, 2, 2
 ENVELOPE = (-np.ones(IN_DIM), np.ones(IN_DIM))
@@ -194,3 +205,130 @@ def test_a_step_with_an_unread_input_is_refused():
 
     with pytest.raises(ContractError, match="reaches none"):
         Replay(unread)(*draw(), np.zeros(3))
+
+
+# -- client and base training ------------------------------------------------------
+
+BASE, WAY = 3, 2
+SIZES = st.sampled_from([1, 2, 3, 8])
+CLIENT = dict(lr_backbone_and_old=0.05, lr_new_head=0.3, momentum=0.9)
+
+
+def _classifier(heads: int, seed: int) -> Classifier:
+    """A small classifier with ``heads`` head sessions and running
+    statistics away from (0, 1)."""
+    model = Classifier(IN_DIM, BASE, seed=seed, hidden=8, feature_dim=6)
+    if heads == 2:
+        model.expand_head(1, WAY, seed=seed + 1)
+    rng = np.random.default_rng(seed)
+    for bn in model.bn_layers():
+        bn.state.running_mean = rng.uniform(-0.5, 0.5, bn.state.running_mean.shape)
+        bn.state.running_var = rng.uniform(0.5, 1.5, bn.state.running_var.shape)
+    return model
+
+
+def _assert_same_state(a: Classifier, b: Classifier, opts=()) -> None:
+    for (name, x, _), (_, y, _) in zip(a.state_entries(), b.state_entries()):
+        assert np.array_equal(x, y), name
+    if opts:
+        first, second = opts
+        assert np.array_equal(first._vel, second._vel)
+        assert (first._fresh, first._t) == (second._fresh, second._t)
+
+
+@st.composite
+def _local_runs(draw):
+    """A rule, its replay objective and the (session rows, replay rows) of
+    each step; replay rows are None where the step draws none."""
+    rule = draw(st.sampled_from(["finetune", "nagr", "distill"]))
+    replay = {"finetune": st.none(), "nagr": SIZES, "distill": st.none() | SIZES}[rule]
+    return (rule, draw(st.sampled_from(["subset", "sliced"])), draw(st.integers(1, 2)),
+            draw(st.lists(st.tuples(SIZES, replay), min_size=1, max_size=8)),
+            draw(st.integers(0, 2 ** 16)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_local_runs())
+def test_local_steps_of_every_shape_replay_like_the_graph(run):
+    """One Replay of ``client._local_step`` over a run of batch shapes,
+    singletons (eval-mode batch norm) included, against the step built on
+    the graph: after every step, every parameter, running statistic and
+    optimizer state agree."""
+    rule, mode, heads, batches, seed = run
+    weights = LossWeights(k=0.0 if rule == "finetune" else 0.7, beta=0.5,
+                          kl_temperature=2.0)
+    teacher = _classifier(1, seed + 7)
+    loss_fn = (distill_loss(teacher, weights, BASE) if rule == "distill"
+               else nagr_loss(weights, BASE))
+    cfg = ClientConfig(replay_loss=mode, **CLIENT)
+    replayed = _classifier(heads, seed)
+    graph = replayed.clone()
+    opts = [client_optimizer(model, cfg) for model in (replayed, graph)]
+    rng = np.random.default_rng(seed)
+    with frozen(teacher.parameters()):
+        replay = client._local_step(replayed, opts[0], cfg, BASE, loss_fn)
+        for new, old in batches:
+            inputs = [rng.standard_normal((new, IN_DIM)),
+                      rng.integers(0, replayed.classes_seen, size=new)]
+            if old is not None:
+                inputs += [rng.standard_normal((old, IN_DIM)),
+                           rng.integers(0, BASE, size=old)][:2 if rule == "nagr" else 1]
+            replay(*inputs)
+            graph_local_step(graph, opts[1], cfg, BASE, loss_fn, *inputs)
+            _assert_same_state(replayed, graph, opts)
+
+
+def _old_class_buffer(rng) -> ReplayBuffer:
+    labels = np.tile(np.arange(BASE), 4)
+    buffer = ReplayBuffer(10)
+    buffer.add_pool(SyntheticPool(0, 0, BASE, rng.standard_normal((12, IN_DIM)),
+                                  labels, labels), rng)
+    return buffer
+
+
+@pytest.mark.parametrize("rule", ["finetune", "nagr", "distill"])
+@pytest.mark.parametrize("mode", ["subset", "sliced"])
+@pytest.mark.parametrize("rows", [1, 2, 11])
+def test_a_local_update_replays_like_the_graph(rule, mode, rows):
+    """A whole local update (3 epochs of 4-row batches and their tails)
+    trains the model as its loop on the graph does."""
+    rng = np.random.default_rng(rows)
+    x = rng.standard_normal((rows, IN_DIM))
+    y = rng.integers(BASE, BASE + WAY, size=rows)
+    buffer = _old_class_buffer(rng)
+    model, teacher = _classifier(2, 3), _classifier(1, 4)
+    weights = LossWeights(k=0.0 if rule == "finetune" else 0.7, beta=0.5)
+    cfg = ClientConfig(epochs=3, batch_size_new=4, batch_size_replay=5,
+                       replay_loss=mode, **CLIENT)
+    if rule == "distill":
+        trained, count = client.local_update_baseline_kd(
+            model, teacher, x, y, buffer, weights, cfg, BASE, seed=5)
+        with frozen(teacher.parameters()):
+            graph, graph_count = graph_run_local(
+                model, x, y, buffer, cfg, weights, BASE, 5,
+                distill_loss(teacher, weights, BASE), 1)
+    else:
+        trained, count = client.local_update_nagr(model, x, y, buffer, weights,
+                                                  cfg, BASE, seed=5)
+        graph, graph_count = graph_run_local(model, x, y, buffer, cfg, weights,
+                                             BASE, 5, nagr_loss(weights, BASE), 2)
+    assert count == graph_count == rows
+    _assert_same_state(trained, graph)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=st.integers(2, 20), batch=st.sampled_from([2, 3, 8]),
+       epochs=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+def test_base_training_replays_like_the_graph(rows, batch, epochs, seed):
+    """Base training over full batches and their tail, with a learning-rate
+    decay between epochs, trains the model as its loop on the graph does."""
+    cfg = desk_config(f"base.epochs={epochs}", f"base.batch_size={batch}",
+                      "base.decay_milestones=0.5", f"seed={seed}")
+    rng = np.random.default_rng(seed)
+    ds = LabeledDataset(rng.standard_normal((rows, IN_DIM)),
+                        rng.integers(0, BASE, size=rows), BASE)
+    replayed = _classifier(1, seed)
+    graph = replayed.clone()
+    _train_base(replayed, ds, cfg)
+    graph_train_base(graph, ds, cfg)
+    _assert_same_state(replayed, graph)

@@ -6,7 +6,10 @@ patched function whose signature changed crashes it mid-run. The backward
 walk keys its visited set and its gradients on the tensors themselves, which
 holds only while tensors compare and hash by identity. The tracer's
 per-backprop node counts are benchmark metrics, so a change to how the
-engine builds nodes must not move them silently."""
+engine builds nodes must not move them silently. Every training step runs
+through ``autodiff.Replay``, so no other module steps a model itself."""
+import ast
+import glob
 import importlib
 import json
 import os
@@ -34,6 +37,24 @@ def test_every_tracer_target_resolves():
         if not callable(owner):
             missing.append(name)
     assert missing == []
+
+
+def test_only_autodiff_calls_backprop_or_an_optimizer_step():
+    """``backprop(`` and ``.step()`` are called nowhere in the package but in
+    ``autodiff.py``, where :class:`Replay` records and replays each step."""
+    calls = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "fedscil", "*.py"))):
+        if os.path.basename(path) == "autodiff.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if (name == "backprop" or name == "step"
+                        and isinstance(node.func, ast.Attribute) and not node.args):
+                    calls.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert calls == []
 
 
 def test_tensors_compare_and_hash_by_identity():
