@@ -150,14 +150,14 @@ def _trained(step, draw, sizes, replayed: bool) -> list[np.ndarray]:
         params[:] = [p for _, root_params, _ in roots for p in root_params]
         return roots
 
-    replay = Replay(with_params)
+    def on_the_graph(*inputs):
+        for loss, root_params, opt in with_params(*inputs):
+            backprop(loss, root_params)
+            opt.step()
+
+    run = Replay(with_params) if replayed else on_the_graph
     for size in sizes:
-        if replayed:
-            replay(*draw(size))
-        else:
-            for loss, root_params, opt in with_params(*draw(size)):
-                backprop(loss, root_params)
-                opt.step()
+        run(*draw(size))
         values += [p.value.data for p in params]
     return values
 
