@@ -44,7 +44,8 @@ walk's schedule through ``_backward`` with slots in place of tensors, so the
 floats are the graph's and a choice made from the shapes (the batch-norm
 mode) is fixed per record. A replay reads every leaf's ``data`` afresh and the
 step's own arrays, found by identity; an array made from them outside an op
-replays stale, so an input no op reads is refused.
+replays stale, so an input no op reads is refused. An op checks labels in its
+forward, which a replay runs too, and shapes in its wrapper (a record fixes them).
 
 Numerical conventions, all of which tests rely on:
 - ``log`` clamps its argument to >= 1e-12 and passes zero gradient below the
@@ -356,7 +357,14 @@ def row_slice(t: Tensor, start: int, stop: int) -> Tensor:
     return _apply(_slice_fw, _slice_bw, (t,), slice(start, stop))
 
 
+def _check_range(index: Array, width: int, what: str) -> None:
+    """The value check of every forward that indexes by labels."""
+    if index.size and (index.min() < 0 or index.max() >= width):
+        raise ContractError(f"{what} outside [0, {width})")
+
+
 def _gather_fw(ins, rows, index):
+    _check_range(index, ins[0].shape[1], "gather index")
     return ins[0][rows, index], (ins[0], rows, index)
 
 
@@ -374,12 +382,11 @@ def gather_rows(t: Tensor, index: Array) -> Tensor:
     idx = np.asarray(index, dtype=np.int64)
     if idx.ndim != 1 or idx.shape[0] != t.shape[0]:
         raise ContractError("index must be 1-d with one entry per row")
-    if idx.size and (idx.min() < 0 or idx.max() >= t.shape[1]):
-        raise ContractError("gather index out of range")
     return _apply(_gather_fw, _gather_bw, (t,), np.arange(t.shape[0]), idx)
 
 
 def _one_hot_fw(ins, labels, classes):
+    _check_range(labels, classes, "label")
     out = np.zeros((labels.shape[0], classes))
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out, None
@@ -387,10 +394,7 @@ def _one_hot_fw(ins, labels, classes):
 
 def one_hot(labels: Array, classes: int) -> Tensor:
     """Constant one-hot encoding of integer labels, shape (b, classes)."""
-    idx = np.asarray(labels, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= classes):
-        raise ContractError(f"label outside [0, {classes})")
-    return _apply(_one_hot_fw, None, (), idx, classes)
+    return _apply(_one_hot_fw, None, (), np.asarray(labels, dtype=np.int64), classes)
 
 
 def _scaled_tanh_fw(ins, half, mid):

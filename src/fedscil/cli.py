@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import product
 
 from . import __version__
 from .checkpoint import save_state
@@ -32,7 +33,7 @@ from .reporting import (MANIFEST_FILENAME, METRICS_FILENAME, SUMMARY_FILENAME,
                         TIMINGS_FILENAME, compare_table, load_run_metrics,
                         render_text, report_table, run_label, summary_row,
                         write_summary_csv, write_table_csv)
-from .seeding import derive_seed
+from .seeding import seed_streams, seed_table
 
 MANIFEST_FORMAT = 1
 
@@ -115,36 +116,11 @@ def _claim_run_dir(cfg: ExperimentConfig, out: str | None) -> str:
     return candidate
 
 
-def _resolved_seeds(cfg: ExperimentConfig) -> dict:
-    """Every stream seed derived from the master seed, keyed by path; the one
-    list of those paths, for audit and component replay.
-
-    ``("genlab", t)`` is keyed by session, not by round: each round of a
-    session continues training the same generator and student, so every
-    round restarts their noise stream from the same seed.
-    """
-    seeds: dict = {
-        "data": derive_seed(cfg.seed, "data"),
-        "schedule": derive_seed(cfg.seed, "schedule"),
-        "init": derive_seed(cfg.seed, "init"),
-        "base": derive_seed(cfg.seed, "base"),
-        "genlab": {"0": derive_seed(cfg.seed, "genlab", 0)},
-        "buffer": {"0": derive_seed(cfg.seed, "buffer", 0)},
-        "partition": {},
-        "head": {},
-        "client": {},
-    }
-    for t in range(1, cfg.data.sessions + 1):
-        key = str(t)
-        seeds["partition"][key] = derive_seed(cfg.seed, "partition", t)
-        seeds["head"][key] = derive_seed(cfg.seed, "head", t)
-        seeds["genlab"][key] = derive_seed(cfg.seed, "genlab", t)
-        seeds["buffer"][key] = derive_seed(cfg.seed, "buffer", t)
-        for r in range(cfg.rounds):
-            for m in range(cfg.clients):
-                seeds["client"][f"{t},{r},{m}"] = derive_seed(
-                    cfg.seed, "client", t, r, m)
-    return seeds
+def _manifest_seeds(cfg: ExperimentConfig) -> dict:
+    """The seed table by stream: a seed, or seeds by comma-joined index."""
+    table = seed_table(cfg)
+    return {name: {",".join(map(str, i)): table[(name, *i)] for i in product(*axes)}
+            if axes else table[(name,)] for name, axes in seed_streams(cfg).items()}
 
 
 def _metrics_record(rid: str, cfg: ExperimentConfig, sm) -> dict:
@@ -210,7 +186,7 @@ def _cmd_run(args) -> int:
         "tool": f"fedscil {__version__}",
         "run_id": rid,
         "config": to_flat_dict(cfg),
-        "seeds": _resolved_seeds(cfg),
+        "seeds": _manifest_seeds(cfg),
         "artifacts": artifacts,
     }
     with open(os.path.join(run_dir, MANIFEST_FILENAME), "w",

@@ -6,7 +6,7 @@ tuples are comma-separated. Precedence, lowest to highest: dataclass
 defaults, preset, config file, command-line overrides.
 
 A run has one master seed (``seed``); every component stream is derived from
-it by a stable path, and ``cli._resolved_seeds`` lists every path a run draws.
+it by a stable path, and ``seeding.seed_streams`` lists every path a run draws.
 """
 from __future__ import annotations
 

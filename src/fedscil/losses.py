@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Array, Tensor, _apply, _log_fw, _softmax_bw, _softmax_fw,
-                       _wrap, col_slice, gather_rows, one_hot)
+from .autodiff import (Array, Tensor, _apply, _check_range, _log_fw, _softmax_bw,
+                       _softmax_fw, _wrap, col_slice, gather_rows, one_hot)
 from .errors import ContractError
 
 
@@ -59,6 +59,7 @@ def _check_batch(logits: Tensor, labels: Array) -> Array:
 
 
 def _cross_entropy_fw(ins, labels):
+    _check_range(labels, ins[0].shape[1], "label")
     p, _ = _softmax_fw(ins)
     rows = np.arange(labels.shape[0])
     logs, (above, clamped) = _log_fw([p[rows, labels]])
@@ -75,10 +76,8 @@ def _cross_entropy_bw(g, s, needs):
 
 def cross_entropy(logits: Tensor, labels: Array) -> Tensor:
     """One node: ``-gather_rows(logits.softmax(), labels).log().mean()``."""
-    labels = _check_batch(logits, labels)
-    if labels.min() < 0 or labels.max() >= logits.shape[1]:
-        raise ContractError("gather index out of range")
-    return _apply(_cross_entropy_fw, _cross_entropy_bw, (logits,), labels)
+    return _apply(_cross_entropy_fw, _cross_entropy_bw, (logits,),
+                  _check_batch(logits, labels))
 
 
 def reverse_cross_entropy(probs: Tensor, labels: Array,
@@ -100,13 +99,10 @@ def replay_loss_subset(full_logits: Tensor, labels: Array, old_count: int,
     also pushes new-class logits down on old-class samples: the CE pulls p_y
     toward 1 and the RCE term -log_zero * (1 - p_y) counts any mass off the
     target, new columns included. Given only the old-class columns, it is
-    the same objective under their own softmax.
+    the same objective under their own softmax. The column slice and the
+    gather check ``old_count`` and the labels against the head's width.
     """
     labels = _check_batch(full_logits, labels)
-    if not (0 < old_count <= full_logits.shape[1]):
-        raise ContractError("old_count outside the head's width")
-    if labels.size and labels.max() >= old_count:
-        raise ContractError("replay label outside the old-class range")
     p = full_logits.softmax()
     p_y = gather_rows(col_slice(p, 0, old_count), labels)
     ce = -(p_y.log().mean())

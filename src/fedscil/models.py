@@ -354,9 +354,6 @@ class ConditionalGenerator:
         z = _wrap(z)
         if z.ndim != 2 or z.shape[1] != self.noise_dim:
             raise ContractError(f"expected noise of shape (batch, {self.noise_dim})")
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.size and (labels.min() < 0 or labels.max() >= self.classes):
-            raise ContractError(f"condition label outside [0, {self.classes})")
         h = self.body.forward(concat([z, one_hot(labels, self.classes)], axis=1),
                               mode)
         return scaled_tanh(self.out(h), self._half, self._mid)

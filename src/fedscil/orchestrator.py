@@ -8,7 +8,7 @@ aggregates, then relabels and banks the session's synthetic pool for future
 replay. ``config.METHODS`` maps each method to its local and head rules.
 
 Everything is deterministic given the config: every random stream is derived
-from the master seed (``cli._resolved_seeds`` lists the paths),
+from the master seed (``seeding.seed_streams`` lists the paths),
 clients consume independent streams so results do not depend on iteration
 order, and metrics records carry no wall-clock fields (timings travel in a
 separate stream).
@@ -35,7 +35,7 @@ from .generation import (ReplayBuffer, SyntheticPool, relabel,
                          train_generator_session)
 from .losses import cross_entropy
 from .models import Classifier
-from .seeding import derive_seed, rng_for
+from .seeding import stream_seed
 
 
 @dataclass
@@ -82,13 +82,13 @@ def prepare_data(cfg: ExperimentConfig) -> DatasetSplits:
         test = load_csv_dataset(d.csv_test, d.classes)
         return DatasetSplits(train, test)
     return make_blobs(d.classes, d.dim, d.per_class_train, d.per_class_test,
-                      d.spread, derive_seed(cfg.seed, "data"))
+                      d.spread, stream_seed(cfg, "data"))
 
 
 def prepare_schedule(cfg: ExperimentConfig) -> SessionSchedule:
     d = cfg.data
     return build_schedule(prepare_data(cfg), d.base_classes, d.sessions,
-                          d.way, d.shot, derive_seed(cfg.seed, "schedule"))
+                          d.way, d.shot, stream_seed(cfg, "schedule"))
 
 
 def prepare_partitions(cfg: ExperimentConfig, sched: SessionSchedule) -> list:
@@ -97,7 +97,7 @@ def prepare_partitions(cfg: ExperimentConfig, sched: SessionSchedule) -> list:
     for t in range(1, sched.sessions + 1):
         parts.append(dirichlet_partition(
             sched.train_by_session[t], cfg.clients, cfg.alpha,
-            derive_seed(cfg.seed, "partition", t)))
+            stream_seed(cfg, "partition", t)))
     return parts
 
 
@@ -150,7 +150,7 @@ def _train_base(model: Classifier, ds: LabeledDataset,
                     OptimizerConfig("sgd_momentum", rates, momentum=b.momentum))
     replay = Replay(lambda x, y: [(cross_entropy(model.forward(x, mode="train"), y),
                                    opt.params, opt)])
-    rng = np.random.default_rng(derive_seed(cfg.seed, "base"))
+    rng = np.random.default_rng(stream_seed(cfg, "base"))
     milestones = sorted(int(f * b.epochs) for f in b.decay_milestones)
     for epoch in range(b.epochs):
         passed = sum(1 for m in milestones if epoch >= m)
@@ -170,7 +170,7 @@ def run_base_session(cfg: ExperimentConfig,
         sched = prepare_schedule(cfg)
     started = time.perf_counter()
     model = Classifier(sched.dim, sched.base_classes,
-                       seed=derive_seed(cfg.seed, "init"),
+                       seed=stream_seed(cfg, "init"),
                        hidden=cfg.model.hidden,
                        feature_dim=cfg.model.feature_dim)
     _train_base(model, sched.train_by_session[0], cfg)
@@ -182,9 +182,10 @@ def run_base_session(cfg: ExperimentConfig,
         _, _, pool = train_generator_session(
             [model], 0, sched.session_range(0),
             (sched.envelope_low, sched.envelope_high), cfg.generator,
-            cfg.weights, derive_seed(cfg.seed, "genlab", 0))
+            cfg.weights, stream_seed(cfg, "genlab", 0))
         _check_pool(pool, "session 0, generator")
-        buffer.add_pool(relabel(pool, model), rng_for(cfg.seed, "buffer", 0))
+        buffer.add_pool(relabel(pool, model),
+                        np.random.default_rng(stream_seed(cfg, "buffer", 0)))
 
     overall, old, new, per_class = evaluate(model, sched.eval_by_session[0], 0)
     metrics = SessionMetrics(0, sched.classes_through(0), overall, old, new,
@@ -216,7 +217,7 @@ def _local_models(cfg: ExperimentConfig, local_rule: str | None,
     models, counts = [], []
     for m, shard in enumerate(shards):
         x, y = data_t.x[shard.indices], data_t.y[shard.indices]
-        seed = derive_seed(cfg.seed, "client", t, r, m)
+        seed = stream_seed(cfg, "client", t, r, m)
         if local_rule == "replay":
             local, n = local_update_nagr(current, x, y, buffer, cfg.weights,
                                          cfg.client, old_count, seed)
@@ -246,7 +247,7 @@ def run_incremental_session(cfg: ExperimentConfig, sched: SessionSchedule,
     if needs_replay:
         buffer.require(range(0, lo))
     current = prev_global.clone()
-    current.expand_head(t, hi - lo, derive_seed(cfg.seed, "head", t))
+    current.expand_head(t, hi - lo, stream_seed(cfg, "head", t))
 
     generator = student = pool = None
     audit: dict | None = None
@@ -257,7 +258,7 @@ def run_incremental_session(cfg: ExperimentConfig, sched: SessionSchedule,
             generator, student, pool = train_generator_session(
                 locals_, t, (lo, hi),
                 (sched.envelope_low, sched.envelope_high), cfg.generator,
-                cfg.weights, derive_seed(cfg.seed, "genlab", t),
+                cfg.weights, stream_seed(cfg, "genlab", t),
                 generator=generator, student=student)
             _check_pool(pool, f"session {t}, round {r}, generator")
         if head_rule == "cswa":
@@ -283,7 +284,8 @@ def run_incremental_session(cfg: ExperimentConfig, sched: SessionSchedule,
 
     # bank only the final round's pool, pseudo-labeled by the fresh global
     if needs_replay:
-        buffer.add_pool(relabel(pool, current), rng_for(cfg.seed, "buffer", t))
+        buffer.add_pool(relabel(pool, current),
+                        np.random.default_rng(stream_seed(cfg, "buffer", t)))
 
     overall, old, new, per_class = evaluate(current, sched.eval_by_session[t], lo)
     metrics = SessionMetrics(t, sched.classes_through(t), overall, old, new,

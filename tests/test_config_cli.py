@@ -506,16 +506,12 @@ def test_manifest_seeds_are_exactly_the_paths_drawn(run_root, tmp_path,
     """
     from fedscil import orchestrator
     from fedscil.config import METHODS
-    from fedscil.seeding import derive_seed, rng_for
+    from fedscil.seeding import derive_seed, stream_seed
     drawn, generator_calls = [], []
 
-    def spy_derive_seed(master, *path):
-        drawn.append((master, path))
-        return derive_seed(master, *path)
-
-    def spy_rng_for(master, *path):
-        drawn.append((master, path))
-        return rng_for(master, *path)
+    def spy_stream_seed(cfg, *path):
+        drawn.append((cfg.seed, path))
+        return stream_seed(cfg, *path)
 
     train = orchestrator.train_generator_session
 
@@ -525,8 +521,7 @@ def test_manifest_seeds_are_exactly_the_paths_drawn(run_root, tmp_path,
         return train(teachers, session, *args, generator=generator,
                      student=student)
 
-    monkeypatch.setattr(orchestrator, "derive_seed", spy_derive_seed)
-    monkeypatch.setattr(orchestrator, "rng_for", spy_rng_for)
+    monkeypatch.setattr(orchestrator, "stream_seed", spy_stream_seed)
     monkeypatch.setattr(orchestrator, "train_generator_session", spy_train)
     cfg_file = tmp_path / "light.cfg"
     cfg_file.write_text(LIGHT_FILE)
@@ -553,6 +548,41 @@ def test_manifest_seeds_are_exactly_the_paths_drawn(run_root, tmp_path,
             assert generator_calls == [(0, False, False), (1, False, False),
                                        (1, True, True)]
     assert union == set(manifest)
+
+
+def test_stream_seed_reads_the_table_and_refuses_other_paths():
+    from fedscil.errors import ContractError
+    from fedscil.seeding import seed_table, stream_seed
+    cfg = build_config(preset="desk", overrides=["rounds=2", "seed=3"])
+    for path, seed in seed_table(cfg).items():
+        assert stream_seed(cfg, *path) == seed
+    sessions, clients = cfg.data.sessions, cfg.clients
+    for path in [("client", 1, 2, 0), ("client", 1, 0, clients),
+                 ("head", 0), ("partition", sessions + 1), ("genlab",),
+                 ("data", 0), ("generator",)]:
+        with pytest.raises(ContractError, match="no seed stream"):
+            stream_seed(cfg, *path)
+
+
+@pytest.mark.parametrize("sets", [("rounds=2", "clients=2"), ("data.sessions=0",)])
+def test_the_manifest_seeds_are_the_seed_table(run_root, tmp_path, sets):
+    """The manifest nests ``seeding.seed_table`` by stream; without
+    incremental sessions the per-session streams are empty objects."""
+    from fedscil.seeding import seed_table
+    cfg_file = tmp_path / "light.cfg"
+    cfg_file.write_text(LIGHT_FILE)
+    argv = ["run", "--config", str(cfg_file), "--method", "finetune", "--quiet",
+            "--out", str(tmp_path / "run")]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv) == 0
+    with open(tmp_path / "run" / "manifest.json", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    assert _seed_paths(manifest["seeds"]) == seed_table(
+        from_flat_dict(manifest["config"]))
+    if sets == ("data.sessions=0",):
+        assert [manifest["seeds"][name] for name in ("partition", "head", "client")
+                ] == [{}, {}, {}]
 
 
 def test_report_matches_metrics(first_run, capsys):

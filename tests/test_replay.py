@@ -19,7 +19,7 @@ from fedscil.client import ClientConfig
 from fedscil.data import LabeledDataset
 from fedscil.errors import ContractError
 from fedscil.generation import GenLabConfig, generator_loss
-from fedscil.losses import student_loss
+from fedscil.losses import cross_entropy, student_loss
 from fedscil.generation import ReplayBuffer, SyntheticPool
 from fedscil.models import ConditionalGenerator, ModelStack, make_student
 from fedscil.orchestrator import _train_base
@@ -332,3 +332,67 @@ def test_base_training_replays_like_the_graph(rows, batch, epochs, seed):
     _train_base(replayed, ds, cfg)
     graph_train_base(graph, ds, cfg)
     _assert_same_state(replayed, graph)
+
+
+# -- argument checks on replay -----------------------------------------------------
+
+
+def _base_step():
+    """A base-training step as ``_train_base`` builds it; its labels span
+    the model's classes."""
+    model = _classifier(1, 0)
+    opt = client_optimizer(model, ClientConfig(**CLIENT))
+    rng = np.random.default_rng(1)
+
+    def draw(labels):
+        return rng.standard_normal((labels.shape[0], IN_DIM)), labels
+
+    return Replay(lambda x, y: [(cross_entropy(model.forward(x, mode="train"), y),
+                                 opt.params, opt)]), draw, BASE
+
+
+def _client_step(mode: str):
+    """A session-2 client step with replay rows; its replay labels span the
+    old classes."""
+    model = _classifier(2, 0)
+    cfg = ClientConfig(replay_loss=mode, **CLIENT)
+    loss_fn = nagr_loss(LossWeights(k=0.7, beta=0.5), BASE)
+    replay = client._local_step(model, client_optimizer(model, cfg), cfg, BASE, loss_fn)
+    rng = np.random.default_rng(2)
+
+    def draw(labels):
+        return (rng.standard_normal((4, IN_DIM)), rng.integers(BASE, BASE + WAY, size=4),
+                rng.standard_normal((labels.shape[0], IN_DIM)), labels)
+
+    return replay, draw, BASE
+
+
+def _generator_step():
+    """A generator-and-student step; its condition labels span the session's
+    classes."""
+    step, draw = _stepper()
+    return Replay(step), lambda labels: (draw(labels.shape[0])[0], labels), CLASSES
+
+
+STEPS = {"base": _base_step, "client, subset": lambda: _client_step("subset"),
+         "client, sliced": lambda: _client_step("sliced"),
+         "generator": _generator_step}
+
+
+@pytest.mark.parametrize("name", STEPS)
+@pytest.mark.parametrize("bad", ["-1", "width"])
+def test_a_replayed_step_checks_its_labels_as_the_recorded_one(name, bad):
+    """A label of -1 or of the labels' width (the class count, the old-class
+    count for replay rows, the session's class count for conditions) raises
+    ContractError on the recording call and on a replayed one alike."""
+    replay, draw, width = STEPS[name]()
+    labels = np.arange(5) % width
+    wrong = labels.copy()
+    wrong[3] = -1 if bad == "-1" else width
+    with pytest.raises(ContractError):
+        STEPS[name]()[0](*draw(wrong))
+    replay(*draw(labels))
+    replay(*draw(labels))
+    with pytest.raises(ContractError):
+        replay(*draw(wrong))
+    assert len(replay.records) == 1

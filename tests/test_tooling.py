@@ -7,7 +7,8 @@ walk keys its visited set and its gradients on the tensors themselves, which
 holds only while tensors compare and hash by identity. The tracer's
 per-backprop node counts are benchmark metrics, so a change to how the
 engine builds nodes must not move them silently. Every training step runs
-through ``autodiff.Replay``, so no other module steps a model itself."""
+through ``autodiff.Replay``, so no other module steps a model itself, and
+every run stream is drawn from the seed table of ``seeding``."""
 import ast
 import glob
 import importlib
@@ -54,6 +55,24 @@ def test_only_autodiff_calls_backprop_or_an_optimizer_step():
                 if (name == "backprop" or name == "step"
                         and isinstance(node.func, ast.Attribute) and not node.args):
                     calls.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert calls == []
+
+
+def test_only_seeding_derives_a_run_stream():
+    """Neither ``orchestrator.py`` nor ``cli.py`` calls ``derive_seed`` or
+    ``rng_for``: the orchestrator draws every run stream through
+    ``seeding.stream_seed`` and the manifest reads ``seeding.seed_table``,
+    so ``seeding.seed_streams`` stays the one list of stream paths."""
+    calls = []
+    for name in ("orchestrator.py", "cli.py"):
+        path = os.path.join(ROOT, "src", "fedscil", name)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if called in ("derive_seed", "rng_for"):
+                    calls.append(f"{name}:{node.lineno}")
     assert calls == []
 
 
