@@ -527,16 +527,16 @@ class Replay:
     """A training step run per batch (see the module docstring): ``step(*inputs)``
     builds its graphs and returns (loss, parameters, optimizer) roots; the
     first call with a tuple of input shapes records it, backprops and steps
-    each root, and later calls with those shapes replay the record."""
+    each root, and later calls with those shapes replay the record. Each
+    call returns the roots' loss values, in root order."""
 
     def __init__(self, step: Callable):
         self.step, self.records = step, {}   # input shapes -> record
 
-    def __call__(self, *inputs: Array) -> None:
+    def __call__(self, *inputs: Array) -> list[Array]:
         shapes = tuple(a.shape for a in inputs)
         if shapes not in self.records:
-            self.records[shapes] = self._record(inputs)
-            return
+            return self._record(shapes, inputs)
         values, leaves, forward, roots = self.records[shapes]
         vals = [*inputs, *values[len(inputs):]]
         for slot, leaf in leaves:
@@ -555,9 +555,11 @@ class Replay:
             for p, slot in params:
                 p.grad = grads[slot] if slot in grads else np.zeros_like(p.value.data)
             opt.step()
+        return [vals[loss] for loss, _, _, _ in roots]
 
-    def _record(self, inputs: tuple) -> tuple:
-        """(values, leaves, forward, roots) of the step recorded on inputs."""
+    def _record(self, shapes: tuple, inputs: tuple) -> list[Array]:
+        """Record the step on inputs as the (values, leaves, forward, roots)
+        of their shapes; returns the roots' loss values."""
         global _tape
         _tape = tape = []
         try:
@@ -588,12 +590,13 @@ class Replay:
         read = {i for _, args, statics, _ in forward for i in args + statics}
         if not read.issuperset(range(len(inputs))):
             raise ContractError("a replay input reaches none of the recorded ops")
-        return values, leaves, forward, [
+        self.records[shapes] = values, leaves, forward, [
             (slots[id(loss)],
              [(slots[id(node)], bw, needs, [slots[id(p)] for p in parents])
               for node, bw, _, needs, parents in _schedule(loss)],
              opt, [(p, slots.get(id(p.value))) for p in params])
             for loss, params, opt in roots]
+        return [loss.data for loss, _, _ in roots]
 
 
 # -- batch normalization ------------------------------------------------------

@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -124,19 +125,12 @@ def _manifest_seeds(cfg: ExperimentConfig) -> dict:
 
 
 def _metrics_record(rid: str, cfg: ExperimentConfig, sm) -> dict:
-    return {
-        "run_id": rid,
-        "method": cfg.method,
-        "seed": cfg.seed,
-        "alpha": cfg.alpha,
-        "session": sm.session,
-        "classes_seen": sm.classes_seen,
-        "overall": sm.overall,
-        "old": sm.old,
-        "new": sm.new,
-        "per_class": sm.per_class,
-        "audit": sm.audit,
-    }
+    """One metrics.jsonl record: the session's metrics but for its wall-clock
+    seconds, plus the run's identity."""
+    record = dataclasses.asdict(sm)
+    del record["seconds"]
+    record.update(run_id=rid, method=cfg.method, seed=cfg.seed, alpha=cfg.alpha)
+    return record
 
 
 def _manifest_config(path: str) -> ExperimentConfig:
@@ -261,16 +255,10 @@ def _load_runs(paths: list[str]) -> list[tuple[str, list[dict]]]:
     return runs
 
 
-def _cmd_report(args) -> int:
-    header, rows = report_table(_load_runs(args.paths))
-    print(render_text(header, rows))
-    if args.csv:
-        write_table_csv(header, rows, args.csv)
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    header, rows = compare_table(_load_runs(args.paths))
+def _cmd_table(args) -> int:
+    """report and compare: one table over the runs, also as CSV on request."""
+    table = report_table if args.command == "report" else compare_table
+    header, rows = table(_load_runs(args.paths))
     print(render_text(header, rows))
     if args.csv:
         write_table_csv(header, rows, args.csv)
@@ -280,8 +268,8 @@ def _cmd_compare(args) -> int:
 _COMMANDS = {
     "run": _cmd_run,
     "partition-inspect": _cmd_partition_inspect,
-    "report": _cmd_report,
-    "compare": _cmd_compare,
+    "report": _cmd_table,
+    "compare": _cmd_table,
 }
 
 

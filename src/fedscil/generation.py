@@ -22,7 +22,7 @@ import numpy as np
 
 from .autodiff import (Optimizer, OptimizerConfig, Replay, Tensor, _wrap,
                        frozen, model_mean, model_slot)
-from .errors import BufferGapError, ContractError, EmptyBufferError
+from .errors import BufferGapError, ContractError, EmptyBufferError, NonFiniteError
 from .losses import (LossWeights, bn_stat_loss, generator_entropy_loss,
                      generator_fidelity_loss, generator_total_loss,
                      info_entropy, student_loss, transferability_loss)
@@ -127,7 +127,9 @@ def train_generator_session(teachers: list[Classifier], session: int,
 
     Returns the trained pair plus the pool banked this call (one batch per
     epoch). Pass the previous round's generator and student to continue
-    training them; the pool is rebuilt from scratch each call.
+    training them; the pool is rebuilt from scratch each call. A non-finite
+    loss at the last step of an epoch, the generator's or the training
+    student's, raises NonFiniteError naming the session and the epoch.
     """
     cfg.validate()
     weights.validate()
@@ -174,12 +176,15 @@ def train_generator_session(teachers: list[Classifier], session: int,
         return roots
 
     replay = Replay(step)
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         for _ in range(cfg.rounds_per_epoch):
             z = rng.standard_normal((cfg.batch_size, cfg.noise_dim))
             labels = rng.integers(0, c, size=cfg.batch_size)
             stack.load_opponent()
-            replay(z, labels)
+            losses = replay(z, labels)
+        if not np.isfinite(losses).all():
+            raise NonFiniteError(f"non-finite generator loss at epoch {epoch} "
+                                 f"of session {session}")
 
         z = rng.standard_normal((cfg.bank_per_epoch, cfg.noise_dim))
         labels = rng.integers(0, c, size=cfg.bank_per_epoch)

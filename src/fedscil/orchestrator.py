@@ -255,11 +255,14 @@ def run_incremental_session(cfg: ExperimentConfig, sched: SessionSchedule,
         locals_, counts = _local_models(cfg, local_rule, sched, t, r, current,
                                         prev_global, shards, buffer)
         if needs_replay:
-            generator, student, pool = train_generator_session(
-                locals_, t, (lo, hi),
-                (sched.envelope_low, sched.envelope_high), cfg.generator,
-                cfg.weights, stream_seed(cfg, "genlab", t),
-                generator=generator, student=student)
+            try:
+                generator, student, pool = train_generator_session(
+                    locals_, t, (lo, hi),
+                    (sched.envelope_low, sched.envelope_high), cfg.generator,
+                    cfg.weights, stream_seed(cfg, "genlab", t),
+                    generator=generator, student=student)
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"{exc}, round {r}") from None
             _check_pool(pool, f"session {t}, round {r}, generator")
         if head_rule == "cswa":
             matrix = build_accuracy_matrix(locals_, pool)

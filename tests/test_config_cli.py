@@ -374,9 +374,8 @@ def test_non_finite_generator_exits_two_without_a_record(first_run, tmp_path,
     rc = main(["run", "--config", str(first_run.config), "--quiet",
                "--set", "generator.gen_lr=1e300", "--out", str(out)])
     assert rc == 2
-    assert capsys.readouterr().err.startswith(
-        "error: NonFiniteError: non-finite synthetic pool after session 0, "
-        "generator")
+    assert capsys.readouterr().err == ("error: NonFiniteError: non-finite "
+                                       "generator loss at epoch 0 of session 0\n")
     assert _read_jsonl(out / "metrics.jsonl") == []
 
 

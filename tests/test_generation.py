@@ -1,5 +1,6 @@
 """Generator lab, relabeling, and the replay buffer."""
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from fedscil import (Classifier, LossWeights, ReplayBuffer, Tensor,
                      train_generator_session)
 from fedscil import autodiff
 from fedscil.autodiff import Parameter, grad
-from fedscil.errors import BufferGapError, ContractError, EmptyBufferError
+from fedscil.errors import (BufferGapError, ContractError, EmptyBufferError,
+                            NonFiniteError)
 from fedscil.generation import (GenLabConfig, SyntheticPool,
                                 export_synthetics_csv, relabel,
                                 teacher_confidence, teacher_logits,
@@ -130,6 +132,34 @@ def test_generator_ignores_student_when_disagreement_is_off():
                                              student=student)
         pools.append(pool)
     assert np.array_equal(pools[0].samples, pools[1].samples)
+
+
+@pytest.mark.parametrize("weights, cfg, session", [
+    ({}, {"gen_lr": 1e300}, 0),
+    ({"lambda4": 0.0}, {"student_lr": 1e300}, 2),
+])
+def test_a_non_finite_loss_stops_the_session_at_the_end_of_its_epoch(
+        weights, cfg, session, monkeypatch, recwarn):
+    """The generator's loss and, with the disagreement term off, the
+    student's alone: each diverges at once and is caught at the first
+    epoch's end, before the epoch banks a batch."""
+    teacher = _toy_teacher()
+    teacher.expand_head(1, 3, seed=3)
+    teacher.expand_head(2, 3, seed=4)
+    gen = dataclasses.replace(quick_gen_config(), **cfg)
+    calls = []
+    forward = ConditionalGenerator.forward
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0].shape[0])
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(ConditionalGenerator, "forward", counted)
+    with pytest.raises(NonFiniteError, match=f"^non-finite generator loss at "
+                                             f"epoch 0 of session {session}$"):
+        train_generator_session([teacher], session, (3 * session, 3 * session + 3),
+                                _envelope(), gen, LossWeights(**weights), 21)
+    assert gen.bank_per_epoch not in calls
 
 
 def test_pool_labels_and_samples_respect_contract():

@@ -218,14 +218,47 @@ def test_non_finite_client_update_stops_the_run_before_its_session(recwarn):
 
 
 def test_non_finite_generator_stops_the_run_before_its_session(recwarn):
-    """A generator that diverges is caught on its banked pool, before the
-    pool is relabeled (NaN rows would all go to column 0) or buffered."""
+    """A generator that diverges is caught by its loss at the end of its
+    first epoch, before that epoch banks a batch."""
     sessions = []
-    with pytest.raises(NonFiniteError, match="^non-finite synthetic pool after "
-                                             "session 0, generator$"):
+    with pytest.raises(NonFiniteError, match="^non-finite generator loss at "
+                                             "epoch 0 of session 0$"):
         run_experiment(light_config("generator.gen_lr=1e300"),
                        lambda sm, model: sessions.append(sm.session))
     assert sessions == []
+
+
+def test_a_diverging_incremental_generator_names_its_round(monkeypatch, recwarn):
+    train = orchestrator.train_generator_session
+
+    def diverging(teachers, session, class_range, envelope, cfg, *args, **kwargs):
+        if session == 1:
+            cfg = dataclasses.replace(cfg, gen_lr=1e300)
+        return train(teachers, session, class_range, envelope, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "train_generator_session", diverging)
+    sessions = []
+    with pytest.raises(NonFiniteError, match="^non-finite generator loss at "
+                                             "epoch 0 of session 1, round 0$"):
+        run_experiment(light_config(),
+                       lambda sm, model: sessions.append(sm.session))
+    assert sessions == [0]
+
+
+def test_non_finite_base_pool_names_the_generator(monkeypatch):
+    """A pool is checked before it is relabeled (NaN rows would all go to
+    column 0) or buffered."""
+    train = orchestrator.train_generator_session
+
+    def poisoned(teachers, session, *args, **kwargs):
+        generator, student, pool = train(teachers, session, *args, **kwargs)
+        pool.samples[0, -1] = np.nan
+        return generator, student, pool
+
+    monkeypatch.setattr(orchestrator, "train_generator_session", poisoned)
+    with pytest.raises(NonFiniteError, match="^non-finite synthetic pool after "
+                                             "session 0, generator$"):
+        run_experiment(light_config())
 
 
 def test_non_finite_incremental_pool_names_the_session_and_round(monkeypatch):
