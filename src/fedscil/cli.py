@@ -7,10 +7,10 @@ Subcommands:
   compare            join runs into one table with deltas against the first
 
 Run directories live under $FEDSCIL_RUN_ROOT (default ./runs) and contain
-exactly one manifest.json (config snapshot, resolved seed streams, artifact
-paths), metrics.jsonl (one deterministic JSON record per session), a
-timings.jsonl side stream, and summary.csv. Rerunning from a manifest
-reproduces metrics.jsonl byte for byte.
+exactly one manifest.json (config snapshot, resolved seed streams, the
+artifacts the run wrote), metrics.jsonl (one deterministic JSON record per
+session), a timings.jsonl side stream, and summary.csv. A rerun from a
+manifest writes the same artifacts and metrics.jsonl bytes.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 """
@@ -36,7 +36,7 @@ from .reporting import (MANIFEST_FILENAME, METRICS_FILENAME, SUMMARY_FILENAME,
                         write_summary_csv, write_table_csv)
 from .seeding import seed_streams, seed_table
 
-MANIFEST_FORMAT = 1
+MANIFEST_FORMAT = 2
 
 
 def _config_flags(parser: argparse.ArgumentParser) -> None:
@@ -96,7 +96,7 @@ def _load_config(args) -> ExperimentConfig:
     return build_config(args.config, args.preset, overrides)
 
 
-def _claim_run_dir(cfg: ExperimentConfig, out: str | None) -> str:
+def _claim_run_dir(cfg: ExperimentConfig, rid: str, out: str | None) -> str:
     """Pick a directory that does not already hold a manifest."""
     if out:
         if os.path.isfile(os.path.join(out, MANIFEST_FILENAME)):
@@ -105,7 +105,7 @@ def _claim_run_dir(cfg: ExperimentConfig, out: str | None) -> str:
         os.makedirs(out, exist_ok=True)
         return out
     root = os.environ.get("FEDSCIL_RUN_ROOT", os.path.join(".", "runs"))
-    base = os.path.join(root, f"{cfg.method}-seed{cfg.seed}-{run_id(cfg)}")
+    base = os.path.join(root, f"{cfg.method}-seed{cfg.seed}-{rid}")
     candidate = base
     attempt = 1
     while os.path.isfile(os.path.join(candidate, MANIFEST_FILENAME)):
@@ -133,9 +133,9 @@ def _metrics_record(rid: str, cfg: ExperimentConfig, sm) -> dict:
     return record
 
 
-def _manifest_config(path: str) -> ExperimentConfig:
-    """The config a run manifest records; a file that is not a manifest of
-    this format is a configuration error that names the file."""
+def _read_manifest(path: str) -> tuple[ExperimentConfig, str, dict, dict]:
+    """(config, run id, artifact map, format-1 switch keys) of a manifest, or
+    a ConfigError naming the file. Only a format-2 rerun recomputes its id."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
@@ -143,13 +143,25 @@ def _manifest_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"{path}: not a JSON manifest") from None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
         raise ConfigError(f"{path}: no config object in the manifest")
-    if manifest.get("format") != MANIFEST_FORMAT:
-        raise ConfigError(f"{path}: manifest format {manifest.get('format')!r}, "
-                          f"expected {MANIFEST_FORMAT}")
+    if type(fmt := manifest.get("format")) is not int or fmt not in (1, MANIFEST_FORMAT):
+        raise ConfigError(f"{path}: manifest format {fmt!r}, "
+                          f"expected 1 or {MANIFEST_FORMAT}")
+    if not isinstance(manifest.get("artifacts"), dict):
+        raise ConfigError(f"{path}: no artifacts object in the manifest")
+    items, rid, legacy = dict(manifest["config"]), manifest.get("run_id"), {}
     try:
-        return from_flat_dict(manifest["config"])
+        if fmt == 1:  # the output switches were config keys, hashed into run_id
+            for key in ("save_checkpoints", "export_synthetics"):
+                legacy[key] = items.pop(key, None)
+                if not isinstance(legacy[key], bool):
+                    raise ConfigError(f"{key}: expected true or false, "
+                                      f"got {json.dumps(legacy[key])}")
+            if not isinstance(rid, str):
+                raise ConfigError(f"run_id: expected a string, got {json.dumps(rid)}")
+        cfg = from_flat_dict(items)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    return cfg, rid if fmt == 1 else run_id(cfg), manifest["artifacts"], legacy
 
 
 def _cmd_run(args) -> int:
@@ -158,28 +170,26 @@ def _cmd_run(args) -> int:
                 or args.seed is not None:
             raise ConfigError("--from-manifest cannot be combined with other "
                               "config flags; the manifest is the full config")
-        cfg = _manifest_config(args.from_manifest)
+        cfg, rid, recorded, legacy = _read_manifest(args.from_manifest)
+        args.save_checkpoints |= "checkpoints" in recorded
+        args.export_synthetics |= "synthetics" in recorded
     else:
-        cfg = _load_config(args)
-    if args.save_checkpoints:
-        cfg.save_checkpoints = True
-    if args.export_synthetics:
-        cfg.export_synthetics = True
+        cfg, legacy = _load_config(args), {}
+        rid = run_id(cfg)
 
-    rid = run_id(cfg)
-    run_dir = _claim_run_dir(cfg, args.out)
+    run_dir = _claim_run_dir(cfg, rid, args.out)
     artifacts = {"metrics": METRICS_FILENAME, "timings": TIMINGS_FILENAME,
                  "summary": SUMMARY_FILENAME}
-    if cfg.save_checkpoints:
+    if args.save_checkpoints:
         artifacts["checkpoints"] = "checkpoints"
         os.makedirs(os.path.join(run_dir, "checkpoints"), exist_ok=True)
-    if cfg.export_synthetics:
+    if args.export_synthetics:
         artifacts["synthetics"] = "synthetics.csv"
     manifest = {
-        "format": MANIFEST_FORMAT,
+        "format": 1 if legacy else MANIFEST_FORMAT,  # a format-1 run stays one
         "tool": f"fedscil {__version__}",
         "run_id": rid,
-        "config": to_flat_dict(cfg),
+        "config": {**to_flat_dict(cfg), **legacy},
         "seeds": _manifest_seeds(cfg),
         "artifacts": artifacts,
     }
@@ -203,7 +213,7 @@ def _cmd_run(args) -> int:
             {"run_id": rid, "session": sm.session, "seconds": sm.seconds},
             sort_keys=True) + "\n")
         timings_fh.flush()
-        if cfg.save_checkpoints:
+        if args.save_checkpoints:
             save_state(os.path.join(run_dir, "checkpoints",
                                     f"session_{sm.session}.ckpt"),
                        model.state_entries(), extra={"arch": model.arch()})
@@ -221,10 +231,10 @@ def _cmd_run(args) -> int:
         timings_fh.close()
 
     write_summary_csv(os.path.join(run_dir, SUMMARY_FILENAME),
-                      [summary_row(result)])
-    if cfg.export_synthetics and result.buffer_rows is not None:
+                      [{**summary_row(result), "run_id": rid}])
+    if args.export_synthetics:
         export_synthetics_csv(os.path.join(run_dir, "synthetics.csv"),
-                              result.buffer_rows)
+                              result.buffer.export_rows())
 
     label = os.path.basename(run_dir)
     header, rows = report_table([(label, metrics_records)])

@@ -84,8 +84,6 @@ class ExperimentConfig:
     rounds: int = 1
     seed: int = 0
     replay_label_noise: float = 0.0
-    save_checkpoints: bool = False
-    export_synthetics: bool = False
     data: DataConfig = field(default_factory=DataConfig)
     base: BaseTrainConfig = field(default_factory=BaseTrainConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -149,12 +147,6 @@ def _lookup(cfg: ExperimentConfig, dotted: str):
 def _coerce(dotted: str, raw: str, current):
     raw = raw.strip()
     try:
-        if isinstance(current, bool):
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         if isinstance(current, int):
             return int(raw)
         if isinstance(current, float):
@@ -280,9 +272,7 @@ def _is_number(value) -> bool:
 def _typed(key: str, value, current):
     """A manifest value as its field's type; ConfigError, naming the key,
     when the JSON type does not fit the field."""
-    if isinstance(current, bool):
-        fits, kind = isinstance(value, bool), "true or false"
-    elif isinstance(current, int):
+    if isinstance(current, int):
         fits, kind = _is_number(value) and isinstance(value, int), "an integer"
     elif isinstance(current, float):
         fits, kind = _is_number(value), "a number"
@@ -308,6 +298,7 @@ def from_flat_dict(items: dict[str, object]) -> ExperimentConfig:
 
 
 def run_id(cfg: ExperimentConfig) -> str:
-    """Deterministic id derived from the full config snapshot."""
+    """Deterministic id of the experiment: a digest of its flat config,
+    which holds no output switch."""
     blob = json.dumps(to_flat_dict(cfg), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]

@@ -72,7 +72,7 @@ class RunResult:
     sessions: list[SessionMetrics]
     final_accuracy: float
     average_accuracy: float
-    buffer_rows: list | None = None
+    buffer: ReplayBuffer    # the final replay buffer, empty without a local rule
 
 
 def prepare_data(cfg: ExperimentConfig) -> DatasetSplits:
@@ -299,7 +299,6 @@ def run_incremental_session(cfg: ExperimentConfig, sched: SessionSchedule,
 def run_experiment(cfg: ExperimentConfig, on_session=None) -> RunResult:
     """Run sessions 0..T; on_session(SessionMetrics, model) after each one."""
     validate_config(cfg)
-    rid = run_id(cfg)
     sched = prepare_schedule(cfg)
     partitions = prepare_partitions(cfg, sched)
 
@@ -318,6 +317,5 @@ def run_experiment(cfg: ExperimentConfig, on_session=None) -> RunResult:
             on_session(step.metrics, model)
 
     average = float(np.mean([s.overall for s in results]))
-    return RunResult(rid, cfg.method, cfg.seed, cfg.alpha, results,
-                     results[-1].overall, average,
-                     buffer.export_rows() if cfg.export_synthetics else None)
+    return RunResult(run_id(cfg), cfg.method, cfg.seed, cfg.alpha, results,
+                     results[-1].overall, average, buffer)

@@ -1,5 +1,6 @@
 """Config assembly, the dotted-key file format, and the CLI surface."""
 import csv
+import hashlib
 import json
 import os
 from types import SimpleNamespace
@@ -14,6 +15,11 @@ from fedscil.config import (from_flat_dict, run_id, set_key, to_flat_dict,
                             validate_config)
 from fedscil.errors import ConfigError
 from fedscil.orchestrator import prepare_schedule
+
+# a light sdd run of LIGHT_FILE that the format-1 CLI wrote with
+# --save-checkpoints --export-synthetics: its manifest, metrics.jsonl and
+# summary.csv, and the sha256 of its checkpoints and synthetics.csv
+FORMAT1 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "format1")
 
 LIGHT_FILE = """\
 # shrunk desk experiment for fast end-to-end runs
@@ -99,13 +105,6 @@ def test_validation_messages():
         build_config(overrides=["weights.k=-1"])  # nested validate, wrapped
 
 
-def test_bool_coercion():
-    assert build_config(overrides=["save_checkpoints=yes"]).save_checkpoints
-    assert not build_config(overrides=["save_checkpoints=0"]).save_checkpoints
-    with pytest.raises(ConfigError, match="cannot parse"):
-        build_config(overrides=["save_checkpoints=maybe"])
-
-
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(LIGHT_FILE)
@@ -138,8 +137,7 @@ def test_precedence_preset_file_override(tmp_path):
 
 
 def test_flat_dict_round_trip():
-    cfg = build_config(preset="desk", overrides=["seed=7", "clients=5",
-                                                 "save_checkpoints=true"])
+    cfg = build_config(preset="desk", overrides=["seed=7", "clients=5"])
     assert from_flat_dict(to_flat_dict(cfg)) == cfg
     assert isinstance(from_flat_dict(to_flat_dict(cfg)).base.decay_milestones,
                       tuple)
@@ -207,7 +205,7 @@ def test_run_writes_complete_run_dir(first_run):
             "summary.csv"} <= names
 
     manifest = json.loads((first_run.dir / "manifest.json").read_text())
-    assert manifest["format"] == 1
+    assert manifest["format"] == 2
     assert manifest["tool"].startswith("fedscil ")
     assert manifest["artifacts"] == {"metrics": "metrics.jsonl",
                                      "timings": "timings.jsonl",
@@ -280,9 +278,9 @@ def test_from_manifest_reproduces_metrics_bytes(first_run, tmp_path, capsys):
      "no config object"),
     (lambda m: json.dumps({**m, "config": ["seed=0"]}), "no config object"),
     (lambda m: json.dumps([m]), "no config object"),
-    (lambda m: json.dumps({**m, "format": 2}), "manifest format 2, expected 1"),
+    (lambda m: json.dumps({**m, "format": 3}), "manifest format 3, expected 1 or 2"),
     (lambda m: json.dumps({k: v for k, v in m.items() if k != "format"}),
-     "manifest format None, expected 1"),
+     "manifest format None, expected 1 or 2"),
 ], ids=["not JSON", "no config", "config not an object", "not an object",
         "another format", "no format"])
 def test_from_manifest_rejects_a_file_that_is_not_a_manifest(first_run, tmp_path,
@@ -305,7 +303,6 @@ def test_from_manifest_rejects_a_file_that_is_not_a_manifest(first_run, tmp_path
     ("seed", "x", 'seed: expected an integer, got "x"'),
     ("base.lr", "fast", 'base.lr: expected a number, got "fast"'),
     ("alpha", False, "alpha: expected a number, got false"),
-    ("save_checkpoints", 1, "save_checkpoints: expected true or false, got 1"),
     ("base.decay_milestones", [0.6, "x"],
      'base.decay_milestones: expected a list of numbers, got [0.6, "x"]'),
     ("base.decay_milestones", 0.6,
@@ -679,6 +676,75 @@ def test_checkpoints_and_synthetics_export(first_run, tmp_path):
         [float(v) for v in row[:4]]
         assert int(row[6]) in (0, 1)
     assert {int(r[6]) for r in rows} == {0, 1}
+
+
+def test_output_switches_leave_the_run_id_and_metrics_alone(first_run, tmp_path):
+    """The output switches are flags, not experiment keys: a run with both
+    writes the run id and metrics bytes of the same run without them."""
+    out = tmp_path / "switched"
+    assert main(["run", "--config", str(first_run.config), "--quiet", "--out",
+                 str(out), "--save-checkpoints", "--export-synthetics"]) == 0
+    for name in ("metrics.jsonl", "summary.csv"):
+        assert (out / name).read_bytes() == (first_run.dir / name).read_bytes(), name
+    manifests = [json.loads((d / "manifest.json").read_text())
+                 for d in (first_run.dir, out)]
+    assert manifests[0]["run_id"] == manifests[1]["run_id"]
+    assert manifests[0]["config"] == manifests[1]["config"]
+    assert len(manifests[1]["config"]) == 52
+
+
+def test_output_switches_are_not_config_keys(first_run, tmp_path, capsys):
+    cfg_file = tmp_path / "switch.cfg"
+    cfg_file.write_text(LIGHT_FILE + "export_synthetics = true\n")
+    for argv, key in [(["--config", str(first_run.config),
+                        "--set", "save_checkpoints=true"], "save_checkpoints"),
+                      (["--config", str(cfg_file)], "export_synthetics")]:
+        assert main(["run", *argv, "--out", str(tmp_path / "out")]) == 1
+        assert f"unknown config key: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_format_1_manifest_reruns_byte_for_byte(tmp_path):
+    """A format-1 rerun keeps the recorded run id, which hashed the switch
+    keys, and writes the outputs its artifacts name: the same manifest,
+    metrics.jsonl, summary.csv, checkpoints and synthetics.csv bytes."""
+    out = tmp_path / "rerun"
+    assert main(["run", "--from-manifest", os.path.join(FORMAT1, "manifest.json"),
+                 "--out", str(out), "--quiet"]) == 0
+    for name in ("manifest.json", "metrics.jsonl", "summary.csv"):
+        with open(os.path.join(FORMAT1, name), "rb") as fh:
+            assert (out / name).read_bytes() == fh.read(), name
+    with open(os.path.join(FORMAT1, "outputs.sha256"), encoding="utf-8") as fh:
+        digests = dict(reversed(line.split()) for line in fh)
+    assert sorted(digests) == ["checkpoints/session_0.ckpt",
+                               "checkpoints/session_1.ckpt", "synthetics.csv"]
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m["config"].update(save_checkpoints=1),
+     "save_checkpoints: expected true or false, got 1"),
+    (lambda m: m["config"].pop("export_synthetics"),
+     "export_synthetics: expected true or false, got null"),
+    (lambda m: m.update(run_id=5), "run_id: expected a string, got 5"),
+    (lambda m: m.pop("run_id"), "run_id: expected a string, got null"),
+    (lambda m: m.pop("artifacts"), "no artifacts object"),
+    (lambda m: m.update(format=2), "unknown config key: export_synthetics"),
+], ids=["switch not a bool", "switch missing", "run id not a string",
+        "run id missing", "no artifacts", "switch key in format 2"])
+def test_from_manifest_rejects_a_bad_format_1_field(tmp_path, capsys, edit, message):
+    with open(os.path.join(FORMAT1, "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    edit(manifest)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    rc = main(["run", "--from-manifest", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert f"{path}: {message}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_partition_inspect_stdout_and_file(run_root, tmp_path, capsys):

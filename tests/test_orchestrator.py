@@ -35,20 +35,21 @@ def test_zero_sessions_run_is_just_the_base():
     assert result.final_accuracy == result.sessions[0].overall
     assert result.average_accuracy == result.sessions[0].overall
     assert len(result.run_id) == 12
-    assert result.buffer_rows is None
+    assert len(result.buffer) == 0
 
 
 def test_light_replay_run_reaches_high_accuracy():
-    cfg = light_config("export_synthetics=true")
+    cfg = light_config()
     result = run_experiment(cfg)
     assert [m.session for m in result.sessions] == [0, 1]
     assert result.sessions[0].overall >= 0.9
     assert result.sessions[1].old >= 0.9     # replay held the base classes
     assert result.sessions[1].overall >= 0.7
-    assert result.buffer_rows
-    sample, condition, pseudo, session = result.buffer_rows[0]
+    rows = result.buffer.export_rows()
+    assert rows
+    sample, condition, pseudo, session = rows[0]
     assert sample.shape == (4,)
-    assert {session for *_, session in result.buffer_rows} == {0, 1}
+    assert {session for *_, session in rows} == {0, 1}
 
 
 # -- single-client degeneracy ----------------------------------------------------------

@@ -8,12 +8,15 @@ holds only while tensors compare and hash by identity. The tracer's
 per-backprop node counts are benchmark metrics, so a change to how the
 engine builds nodes must not move them silently. Every training step runs
 through ``autodiff.Replay``, so no other module steps a model itself, and
-every run stream is drawn from the seed table of ``seeding``."""
+every run stream is drawn from the seed table of ``seeding``. The README's
+Quick-start table names its runs by run id, which must stay the digest of
+each desk config."""
 import ast
 import glob
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -24,6 +27,7 @@ import numpy as np  # noqa: E402
 from tracer import TARGETS, graph_nodes  # noqa: E402
 
 from fedscil import Classifier, Tensor, build_config  # noqa: E402
+from fedscil.config import run_id  # noqa: E402
 from fedscil.generation import generator_loss  # noqa: E402
 from fedscil.losses import student_loss  # noqa: E402
 from fedscil.models import ConditionalGenerator, ModelStack, make_student  # noqa: E402
@@ -38,6 +42,20 @@ def test_every_tracer_target_resolves():
         if not callable(owner):
             missing.append(name)
     assert missing == []
+
+
+def test_readme_run_ids_are_the_desk_config_digests():
+    """Each ``method-seedN-<id>`` row of the README's Quick-start table names
+    the run id of that method and seed on the desk preset."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    quick = text[text.index("## Quick start"):text.index("## Methods")]
+    rows = re.findall(r"^(\w+)-seed(\d+)-([0-9a-f]{12}) ", quick, re.M)
+    assert rows
+    for method, seed, rid in rows:
+        cfg = build_config(preset="desk", overrides=[f"method={method}",
+                                                     f"seed={seed}"])
+        assert rid == run_id(cfg), (method, seed)
 
 
 def test_only_autodiff_calls_backprop_or_an_optimizer_step():
