@@ -744,14 +744,18 @@ class OptimizerConfig:
         if self.kind not in ("sgd_momentum", "adam"):
             raise ContractError(f"unknown optimizer kind {self.kind!r}")
         for group, rate in self.rates.items():
-            if rate < 0 or not np.isfinite(rate):
-                raise ContractError(f"negative or non-finite rate for group {group!r}")
+            _check_rate(group, rate)
+
+
+def _check_rate(group: str, rate: float) -> None:
+    if rate < 0 or not np.isfinite(rate):
+        raise ContractError(f"negative or non-finite rate for group {group!r}")
 
 
 class Optimizer:
     """Stateful SGD-with-momentum or Adam over named parameters.
 
-    A step is one elementwise update of a flat vector: the live parameters'
+    A step is one elementwise update of a flat vector: every parameter's
     values and gradients are concatenated, the rule runs once over them in
     per-parameter order, so every float is what a loop over the parameters
     gives, and each value is rebound to a view of the fresh result. Values
@@ -759,105 +763,64 @@ class Optimizer:
     step keeps its contents. The state (the SGD velocity, Adam's m and v) is
     one flat array over every parameter.
 
-    Groups with rate exactly 0 are skipped entirely: neither their values nor
-    their state change, so their parameters are bit-identical after any
-    number of steps, and a group switched back on resumes its state. A
-    velocity starts as the parameter's first live gradient, Adam's moments
-    start at zero, and Adam's step count is shared by all parameters. Which
-    parameters are live, and at what rate (one scalar, or one rate per
-    element when live groups differ), is read from the groups and rates at
-    the first step and again whenever ``set_rate`` changes a rate.
+    Every parameter takes every step at its group's rate. The velocity is
+    the first gradient at step 1, Adam's moments start at zero, and Adam's
+    step count is shared by all parameters. A group at rate 0 moves by 0
+    times its update, the rule of PyTorch's SGD and Adam at lr=0: its
+    velocity or moments keep accumulating, and it resumes from them when
+    its rate is raised again. Its values keep their bits, except that a
+    non-finite update reaches them and a -0.0 may come back as +0.0. The
+    rate (one scalar, or one per element when groups differ) is read at the
+    first step and again after ``set_rate`` changes a rate.
     """
 
     def __init__(self, params: Sequence[Parameter], cfg: OptimizerConfig):
         self.params = list(params)
         self.cfg = cfg
+        self._spans = []  # (start, stop, shape) of each parameter in the vector
+        size = 0
         for p in self.params:
             if p.group not in cfg.rates:
                 raise ContractError(f"no learning rate for group {p.group!r}")
-        self._bounds = [0]
-        for p in self.params:
-            self._bounds.append(self._bounds[-1] + p.value.data.size)
+            self._spans.append((size, size + p.value.data.size, p.value.data.shape))
+            size += p.value.data.size
         if cfg.kind == "sgd_momentum":
-            self._vel = np.zeros(self._bounds[-1])
-            self._fresh = [True] * len(self.params)  # no velocity yet
+            self._vel = np.zeros(size)
         else:
-            self._m = np.zeros(self._bounds[-1])
-            self._v = np.zeros(self._bounds[-1])
+            self._m = np.zeros(size)
+            self._v = np.zeros(size)
         self._t = 0
-        self._plan: tuple | None = None
+        self._rate = None
 
     def set_rate(self, group: str, rate: float) -> None:
         rate = float(rate)
+        _check_rate(group, rate)
         if self.cfg.rates.get(group) != rate:
-            self._plan = None
+            self._rate = None
         self.cfg.rates[group] = rate
-
-    def _make_plan(self) -> tuple:
-        """(live parameters, their (start, stop, shape) in the step's vector,
-        the rate, their positions in the state (None when all are live), and
-        the (parameter, start, stop) of velocities not started yet)."""
-        live, spans, rates, index, fresh = [], [], [], [], []
-        size = 0
-        for i, p in enumerate(self.params):
-            rate = self.cfg.rates[p.group]
-            if rate == 0.0:
-                continue
-            lo, hi = self._bounds[i], self._bounds[i + 1]
-            live.append(p)
-            spans.append((size, size + hi - lo, p.value.data.shape))
-            rates.append((rate, hi - lo))
-            index.append(np.arange(lo, hi))
-            if self.cfg.kind == "sgd_momentum" and self._fresh[i]:
-                fresh.append((i, size, size + hi - lo))
-            size += hi - lo
-        if len({rate for rate, _ in rates}) == 1:
-            rate = rates[0][0]
-        else:
-            rate = np.repeat([r for r, _ in rates], [n for _, n in rates])
-        state_index = (None if len(live) == len(self.params)
-                       else np.concatenate(index) if index else None)
-        return live, spans, rate, state_index, fresh
 
     def step(self) -> None:
         cfg = self.cfg
-        if self._plan is None:
-            self._plan = self._make_plan()
-        live, spans, rate, index, fresh = self._plan
-        grads = [p.grad for p in live]
-        for p, g in zip(live, grads):
-            if g is None:
+        for p in self.params:
+            if p.grad is None:
                 raise ContractError(f"parameter {p.name} has no gradient")
+        if self._rate is None:
+            rates = [cfg.rates[p.group] for p in self.params]
+            self._rate = (rates[0] if len(set(rates)) == 1 else
+                          np.repeat(rates, [hi - lo for lo, hi, _ in self._spans]))
         self._t += 1
-        if not live:
-            return
-        g = np.concatenate(grads, axis=None)
-        x = np.concatenate([p.value.data for p in live], axis=None)
+        g = np.concatenate([p.grad for p in self.params], axis=None)
+        x = np.concatenate([p.value.data for p in self.params], axis=None)
         if g.size != x.size:
             raise ContractError("gradients do not match their parameters' sizes")
         if cfg.kind == "sgd_momentum":
-            v = cfg.momentum * (self._vel if index is None else self._vel[index]) + g
-            for i, lo, hi in fresh:
-                v[lo:hi] = g[lo:hi]
-                self._fresh[i] = False
-            if fresh:
-                self._plan = None
-            if index is None:
-                self._vel = v
-            else:
-                self._vel[index] = v
-            new = x - rate * v
+            self._vel = g if self._t == 1 else cfg.momentum * self._vel + g
+            new = x - self._rate * self._vel
         else:
-            m = (self._m if index is None else self._m[index]) * cfg.beta1 \
-                + (1 - cfg.beta1) * g
-            v = (self._v if index is None else self._v[index]) * cfg.beta2 \
-                + (1 - cfg.beta2) * g * g
-            if index is None:
-                self._m, self._v = m, v
-            else:
-                self._m[index], self._v[index] = m, v
-            m_hat = m / (1 - cfg.beta1 ** self._t)
-            v_hat = v / (1 - cfg.beta2 ** self._t)
-            new = x - rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-        for p, (lo, hi, shape) in zip(live, spans):
+            self._m = self._m * cfg.beta1 + (1 - cfg.beta1) * g
+            self._v = self._v * cfg.beta2 + (1 - cfg.beta2) * g * g
+            m_hat = self._m / (1 - cfg.beta1 ** self._t)
+            v_hat = self._v / (1 - cfg.beta2 ** self._t)
+            new = x - self._rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        for p, (lo, hi, shape) in zip(self.params, self._spans):
             p.value.data = new[lo:hi].reshape(shape)

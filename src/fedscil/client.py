@@ -40,8 +40,10 @@ class ClientConfig:
             raise ContractError("client.epochs must be >= 1")
         if self.batch_size_new < 1 or self.batch_size_replay < 1:
             raise ContractError("client batch sizes must be >= 1")
-        if not (0 <= self.lr_backbone_and_old <= self.lr_new_head):
-            raise ContractError("need 0 <= lr_backbone_and_old <= lr_new_head")
+        if not 0 <= self.lr_backbone_and_old <= self.lr_new_head < np.inf:
+            raise ContractError("need 0 <= lr_backbone_and_old <= lr_new_head, finite")
+        if not 0 <= self.momentum < 1:
+            raise ContractError("client.momentum must be in [0, 1)")
         if self.replay_loss not in ("subset", "sliced"):
             raise ContractError(f"unknown replay_loss {self.replay_loss!r}")
 

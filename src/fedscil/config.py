@@ -232,8 +232,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("data.shot exceeds data.per_class_train")
     if cfg.base.epochs < 1 or cfg.base.batch_size < 2:
         raise ConfigError("base.epochs >= 1 and base.batch_size >= 2 required")
-    if cfg.base.lr <= 0:
-        raise ConfigError("base.lr must be > 0")
+    b = cfg.base
+    if not 0 < b.lr < np.inf:
+        raise ConfigError("base.lr must be finite and > 0")
+    if not 0 <= b.decay_factor < np.inf:
+        raise ConfigError("base.decay_factor must be finite and >= 0")
+    if not all(0 <= f <= 1 for f in b.decay_milestones):
+        raise ConfigError("base.decay_milestones must each be in [0, 1]")
+    if not 0 <= b.momentum < 1:
+        raise ConfigError("base.momentum must be in [0, 1)")
     if cfg.model.hidden < 1 or cfg.model.feature_dim < 1:
         raise ConfigError("model sizes must be >= 1")
     if cfg.aggregation.cswa_mode not in CSWA_MODES:

@@ -54,8 +54,10 @@ class GenLabConfig:
             raise ContractError("generator noise_dim and hidden must be >= 1")
         if self.buffer_capacity < 1:
             raise ContractError("buffer_capacity must be >= 1")
-        if self.gen_lr <= 0 or self.student_lr < 0:
-            raise ContractError("generator rates must be positive (student may be 0)")
+        if not (0 < self.gen_lr < np.inf and 0 <= self.student_lr < np.inf):
+            raise ContractError("generator rates must be finite, > 0 (student >= 0)")
+        if not 0 <= self.student_momentum < 1:
+            raise ContractError("generator.student_momentum must be in [0, 1)")
 
 
 @dataclass

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from fedscil import (ExperimentConfig, GenLabConfig, build_config,
-                     build_schedule, make_blobs)
+from fedscil import ExperimentConfig, GenLabConfig, build_config, make_blobs
 from fedscil.data import SessionSchedule
 from fedscil.orchestrator import (BaseResult, prepare_partitions,
                                   prepare_schedule, run_base_session)
@@ -35,11 +34,6 @@ def quick_gen_config() -> GenLabConfig:
 def tiny_splits(classes: int = 6, dim: int = 4, seed: int = 9):
     return make_blobs(classes=classes, dim=dim, per_class_train=12,
                       per_class_test=8, spread=0.05, seed=seed)
-
-
-def tiny_schedule(sessions: int = 1, seed: int = 3) -> SessionSchedule:
-    return build_schedule(tiny_splits(), base_classes=4, sessions=sessions,
-                          way=2, shot=5, seed=seed)
 
 
 @dataclass

@@ -267,6 +267,20 @@ def test_sgd_zero_rate_group_is_bit_identical(rng):
     assert not np.array_equal(p_live.value.data, np.zeros(4))
 
 
+@pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+def test_all_groups_at_zero_rate_keep_their_bytes(rng, kind):
+    params = [_p(rng.standard_normal((3, 2))),
+              Parameter("old", Tensor(rng.standard_normal(4)), "head_old")]
+    before = [p.value.data.tobytes() for p in params]
+    opt = Optimizer(params, OptimizerConfig(kind, {"backbone": 0.0, "head_old": 0.0},
+                                            momentum=0.9))
+    for _ in range(5):
+        for p in params:
+            p.grad = rng.standard_normal(p.value.shape)
+        opt.step()
+    assert [p.value.data.tobytes() for p in params] == before
+
+
 def test_sgd_plain_step_definition():
     p = _p([1.0])
     opt = Optimizer([p], OptimizerConfig("sgd_momentum", {"backbone": 0.1},
@@ -337,6 +351,17 @@ def test_optimizer_config_validation():
         OptimizerConfig("rmsprop", {"backbone": 0.1})
     with pytest.raises(ContractError):
         OptimizerConfig("sgd_momentum", {"backbone": -0.1})
+
+
+@pytest.mark.parametrize("rate", [-0.5, float("nan"), float("inf")])
+def test_set_rate_rejects_what_the_config_rejects(rate):
+    p = _p([1.0])
+    opt = Optimizer([p], OptimizerConfig("sgd_momentum", {"backbone": 0.1}))
+    with pytest.raises(ContractError, match="negative or non-finite rate"):
+        opt.set_rate("backbone", rate)
+    p.grad = np.array([1.0])
+    opt.step()
+    assert float(p.value.data[0]) == 0.9
 
 
 def test_optimizer_trajectory_is_deterministic():

@@ -382,6 +382,24 @@ def test_bad_override_exits_one(run_root, capsys):
     assert capsys.readouterr().err.startswith("configuration error:")
 
 
+@pytest.mark.parametrize("override", [
+    "base.decay_factor=-1", "base.decay_factor=nan", "base.momentum=inf",
+    "base.decay_milestones=0.5,nan", "client.momentum=-5",
+    "generator.student_momentum=-1",
+])
+def test_rate_schedule_values_out_of_range_exit_one(tmp_path, capsys, override):
+    """Values that would train backwards or fail mid-run are refused before
+    the run directory gets a manifest."""
+    out = tmp_path / "out"
+    rc = main(["run", "--preset", "desk", "--set", override, "--out", str(out),
+               "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert override.split("=")[0] in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_missing_csv_exits_two(run_root, tmp_path, capsys):
     rc = main(["run", "--preset", "desk",
                "--set", f"data.csv_train={tmp_path}/none_train.csv",

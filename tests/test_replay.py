@@ -233,7 +233,7 @@ def _assert_same_state(a: Classifier, b: Classifier, opts=()) -> None:
     if opts:
         first, second = opts
         assert np.array_equal(first._vel, second._vel)
-        assert (first._fresh, first._t) == (second._fresh, second._t)
+        assert first._t == second._t
 
 
 @st.composite
