@@ -53,13 +53,13 @@ Numerical conventions, all of which tests rely on:
 - softmax is row-wise and max-stabilized.
 - batch normalization in train mode normalizes by the batch mean and
   biased variance and always updates the running statistics, plain arrays,
-  by EMA with ``running = (1 - momentum) * running + momentum * batch``;
+  by EMA with ``running = (1 - m) * running + m * batch``, m = BN_MOMENTUM;
   eval mode reads them and updates nothing.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
@@ -70,6 +70,11 @@ from .errors import ContractError, DegenerateBatchError
 Array = np.ndarray
 
 LOG_CLAMP = 1e-12
+
+# Adam's decay rates and denominator guard (Kingma & Ba), and batch norm's
+# running-statistics momentum and variance guard (PyTorch's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+BN_MOMENTUM, BN_EPSILON = 0.1, 1e-5
 
 # Parameter group tags. bn_stats labels running statistics in checkpoints and
 # aggregation; no trainable parameter carries it.
@@ -525,10 +530,11 @@ def frozen(params: Iterable[Parameter]):
 
 class Replay:
     """A training step run per batch (see the module docstring): ``step(*inputs)``
-    builds its graphs and returns (loss, parameters, optimizer) roots; the
-    first call with a tuple of input shapes records it, backprops and steps
-    each root, and later calls with those shapes replay the record. Each
-    call returns the roots' loss values, in root order."""
+    builds its graphs and returns (loss, optimizer) roots; the first call
+    with a tuple of input shapes records it, backprops each loss into its
+    optimizer's parameters and steps it, and later calls with those shapes
+    replay the record. Each call returns the roots' loss values, in root
+    order."""
 
     def __init__(self, step: Callable):
         self.step, self.records = step, {}   # input shapes -> record
@@ -550,9 +556,9 @@ class Replay:
                   for node, bw, needs, parents in schedule]
                  for _, schedule, _, _ in roots]
         del saved
-        for (loss, _, opt, params), walk in zip(roots, walks):
+        for (loss, _, opt, slots), walk in zip(roots, walks):
             grads = _backward(walk, {loss: np.ones_like(vals[loss])}, vals.__getitem__)
-            for p, slot in params:
+            for p, slot in zip(opt.params, slots):
                 p.grad = grads[slot] if slot in grads else np.zeros_like(p.value.data)
             opt.step()
         return [vals[loss] for loss, _, _, _ in roots]
@@ -566,8 +572,8 @@ class Replay:
             roots = self.step(*inputs)
         finally:
             _tape = None
-        for loss, params, opt in roots:
-            backprop(loss, params)
+        for loss, opt in roots:
+            backprop(loss, opt.params)
             opt.step()
         values = list(inputs)                   # a constant, or None for a slot
         slots = {id(a): i for i, a in enumerate(inputs)}   # object id -> slot
@@ -594,9 +600,9 @@ class Replay:
             (slots[id(loss)],
              [(slots[id(node)], bw, needs, [slots[id(p)] for p in parents])
               for node, bw, _, needs, parents in _schedule(loss)],
-             opt, [(p, slots.get(id(p.value))) for p in params])
-            for loss, params, opt in roots]
-        return [loss.data for loss, _, _ in roots]
+             opt, [slots.get(id(p.value)) for p in opt.params])
+            for loss, opt in roots]
+        return [loss.data for loss, _ in roots]
 
 
 # -- batch normalization ------------------------------------------------------
@@ -608,8 +614,6 @@ class BatchNormState:
 
     running_mean: Array
     running_var: Array
-    momentum: float = 0.1
-    epsilon: float = 1e-5
 
 
 def _batch_sum(a: Array, stacked: bool) -> Array:
@@ -662,9 +666,9 @@ def _bn_train_fw(ins, state):
     x, gamma, beta = ins
     mu = _stat_mean_fw(ins, ...)[0]
     var, (_, centered, stacked) = _stat_var_fw((x, mu), ...)
-    std = np.sqrt(var + state.epsilon)
+    std = np.sqrt(var + BN_EPSILON)
     normed = centered / std
-    m = state.momentum
+    m = BN_MOMENTUM
     state.running_mean = (1.0 - m) * state.running_mean + m * mu
     state.running_var = (1.0 - m) * state.running_var + m * var
     return gamma * normed + beta, (gamma, centered, std, normed, stacked)
@@ -686,7 +690,7 @@ def _bn_train_bw(g, s, needs):
 
 def _bn_eval_fw(ins, state):
     x, gamma, beta = ins
-    inv = 1.0 / np.sqrt(state.running_var + state.epsilon)
+    inv = 1.0 / np.sqrt(state.running_var + BN_EPSILON)
     normed = (x - state.running_mean) * inv
     return gamma * normed + beta, (gamma, inv, normed, x.ndim == 3)
 
@@ -729,29 +733,6 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
 # -- optimizers ---------------------------------------------------------------
 
 
-@dataclass
-class OptimizerConfig:
-    """Per-group learning rates plus the update rule's own constants."""
-
-    kind: str = "sgd_momentum"  # sgd_momentum | adam
-    rates: dict[str, float] = field(default_factory=dict)
-    momentum: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        if self.kind not in ("sgd_momentum", "adam"):
-            raise ContractError(f"unknown optimizer kind {self.kind!r}")
-        for group, rate in self.rates.items():
-            _check_rate(group, rate)
-
-
-def _check_rate(group: str, rate: float) -> None:
-    if rate < 0 or not np.isfinite(rate):
-        raise ContractError(f"negative or non-finite rate for group {group!r}")
-
-
 class Optimizer:
     """Stateful SGD-with-momentum or Adam over named parameters.
 
@@ -771,41 +752,46 @@ class Optimizer:
     its rate is raised again. Its values keep their bits, except that a
     non-finite update reaches them and a -0.0 may come back as +0.0. The
     rate (one scalar, or one per element when groups differ) is read at the
-    first step and again after ``set_rate`` changes a rate.
+    first step and again after ``set_rate`` changes a rate. ``kind`` is
+    ``"sgd_momentum"`` or ``"adam"``; Adam's constants are ``ADAM_*``.
     """
 
-    def __init__(self, params: Sequence[Parameter], cfg: OptimizerConfig):
-        self.params = list(params)
-        self.cfg = cfg
+    def __init__(self, params: Sequence[Parameter], kind: str,
+                 rates: dict[str, float], momentum: float = 0.0):
+        if kind not in ("sgd_momentum", "adam"):
+            raise ContractError(f"unknown optimizer kind {kind!r}")
+        self.params, self.kind, self.momentum = list(params), kind, momentum
+        self.rates, self._rate = {}, None
+        for group, rate in rates.items():
+            self.set_rate(group, rate)
         self._spans = []  # (start, stop, shape) of each parameter in the vector
         size = 0
         for p in self.params:
-            if p.group not in cfg.rates:
+            if p.group not in self.rates:
                 raise ContractError(f"no learning rate for group {p.group!r}")
             self._spans.append((size, size + p.value.data.size, p.value.data.shape))
             size += p.value.data.size
-        if cfg.kind == "sgd_momentum":
+        if kind == "sgd_momentum":
             self._vel = np.zeros(size)
         else:
             self._m = np.zeros(size)
             self._v = np.zeros(size)
         self._t = 0
-        self._rate = None
 
     def set_rate(self, group: str, rate: float) -> None:
         rate = float(rate)
-        _check_rate(group, rate)
-        if self.cfg.rates.get(group) != rate:
+        if rate < 0 or not np.isfinite(rate):
+            raise ContractError(f"negative or non-finite rate for group {group!r}")
+        if self.rates.get(group) != rate:
             self._rate = None
-        self.cfg.rates[group] = rate
+        self.rates[group] = rate
 
     def step(self) -> None:
-        cfg = self.cfg
         for p in self.params:
             if p.grad is None:
                 raise ContractError(f"parameter {p.name} has no gradient")
         if self._rate is None:
-            rates = [cfg.rates[p.group] for p in self.params]
+            rates = [self.rates[p.group] for p in self.params]
             self._rate = (rates[0] if len(set(rates)) == 1 else
                           np.repeat(rates, [hi - lo for lo, hi, _ in self._spans]))
         self._t += 1
@@ -813,14 +799,14 @@ class Optimizer:
         x = np.concatenate([p.value.data for p in self.params], axis=None)
         if g.size != x.size:
             raise ContractError("gradients do not match their parameters' sizes")
-        if cfg.kind == "sgd_momentum":
-            self._vel = g if self._t == 1 else cfg.momentum * self._vel + g
+        if self.kind == "sgd_momentum":
+            self._vel = g if self._t == 1 else self.momentum * self._vel + g
             new = x - self._rate * self._vel
         else:
-            self._m = self._m * cfg.beta1 + (1 - cfg.beta1) * g
-            self._v = self._v * cfg.beta2 + (1 - cfg.beta2) * g * g
-            m_hat = self._m / (1 - cfg.beta1 ** self._t)
-            v_hat = self._v / (1 - cfg.beta2 ** self._t)
-            new = x - self._rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+            self._m = self._m * ADAM_BETA1 + (1 - ADAM_BETA1) * g
+            self._v = self._v * ADAM_BETA2 + (1 - ADAM_BETA2) * g * g
+            m_hat = self._m / (1 - ADAM_BETA1 ** self._t)
+            v_hat = self._v / (1 - ADAM_BETA2 ** self._t)
+            new = x - self._rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
         for p, (lo, hi, shape) in zip(self.params, self._spans):
             p.value.data = new[lo:hi].reshape(shape)

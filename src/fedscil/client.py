@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Optimizer, OptimizerConfig, Replay, Tensor, col_slice,
+from .autodiff import (Optimizer, Replay, Tensor, col_slice,
                        concat, frozen, row_slice)
 from .errors import ContractError
 from .generation import ReplayBuffer
@@ -41,7 +41,8 @@ class ClientConfig:
         if self.batch_size_new < 1 or self.batch_size_replay < 1:
             raise ContractError("client batch sizes must be >= 1")
         if not 0 <= self.lr_backbone_and_old <= self.lr_new_head < np.inf:
-            raise ContractError("need 0 <= lr_backbone_and_old <= lr_new_head, finite")
+            raise ContractError("need 0 <= client.lr_backbone_and_old <= "
+                                "client.lr_new_head, finite")
         if not 0 <= self.momentum < 1:
             raise ContractError("client.momentum must be in [0, 1)")
         if self.replay_loss not in ("subset", "sliced"):
@@ -70,14 +71,14 @@ def _local_step(model: Classifier, opt: Optimizer, cfg: ClientConfig,
         nb = xb.shape[0]
         if xr is None:
             logits = model.forward(xb, mode="train" if nb >= 2 else "eval")
-            return [(loss_fn(logits, yb), opt.params, opt)]
+            return [(loss_fn(logits, yb), opt)]
         # an op over both inputs, so that the joint batch replays fresh
         joint = model.forward(concat([Tensor(xb), Tensor(xr)], axis=0), mode="train")
         replay = row_slice(joint, nb, nb + xr.shape[0])
         if cfg.replay_loss == "sliced":
             replay = col_slice(replay, 0, old_count)
         loss = loss_fn(row_slice(joint, 0, nb), yb, replay, xr, *yr)
-        return [(loss, opt.params, opt)]
+        return [(loss, opt)]
 
     return Replay(step)
 
@@ -98,8 +99,7 @@ def _run_local(model_in: Classifier, x: np.ndarray, y: np.ndarray,
         raise ContractError("replay requested but the buffer is empty")
     rates = {"backbone": cfg.lr_backbone_and_old,
              "head_old": cfg.lr_backbone_and_old, "head_new": cfg.lr_new_head}
-    opt = Optimizer(model.parameters(), OptimizerConfig("sgd_momentum", rates,
-                                                        momentum=cfg.momentum))
+    opt = Optimizer(model.parameters(), "sgd_momentum", rates, cfg.momentum)
     replay = _local_step(model, opt, cfg, old_count, loss_fn)
     rng = np.random.default_rng(seed)
     for _ in range(cfg.epochs):

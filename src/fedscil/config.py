@@ -214,8 +214,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if not (0.0 <= cfg.replay_label_noise < 1.0):
         raise ConfigError("replay_label_noise must be in [0, 1)")
     d = cfg.data
-    if d.classes < 1 or d.dim < 1:
-        raise ConfigError("data.classes and data.dim must be >= 1")
+    if min(d.classes, d.dim, d.per_class_train, d.per_class_test) < 1:
+        raise ConfigError("data.classes, data.dim, data.per_class_train and "
+                          "data.per_class_test must be >= 1")
     if d.base_classes < 1:
         raise ConfigError("data.base_classes must be >= 1")
     if d.sessions < 0:
@@ -230,6 +231,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("data.csv_train and data.csv_test must be set together")
     if not d.csv_train and d.shot > d.per_class_train:
         raise ConfigError("data.shot exceeds data.per_class_train")
+    if not 0 <= d.spread < np.inf:
+        raise ConfigError("data.spread must be finite and >= 0")
     if cfg.base.epochs < 1 or cfg.base.batch_size < 2:
         raise ConfigError("base.epochs >= 1 and base.batch_size >= 2 required")
     b = cfg.base

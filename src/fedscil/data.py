@@ -50,8 +50,8 @@ def make_blobs(classes: int, dim: int, per_class_train: int, per_class_test: int
     """
     if classes < 1 or dim < 1 or per_class_train < 1 or per_class_test < 1:
         raise ConfigError("blobs need classes, dim and per-class counts >= 1")
-    if spread < 0:
-        raise ConfigError("spread must be >= 0")
+    if not 0 <= spread < np.inf:
+        raise ConfigError("spread must be finite and >= 0")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-1.0, 1.0, size=(classes, dim))
     n = per_class_train + per_class_test

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (Optimizer, OptimizerConfig, Replay, Tensor, _wrap,
+from .autodiff import (Optimizer, Replay, Tensor, _wrap,
                        frozen, model_mean, model_slot)
 from .errors import BufferGapError, ContractError, EmptyBufferError, NonFiniteError
 from .losses import (LossWeights, bn_stat_loss, generator_entropy_loss,
@@ -55,7 +55,8 @@ class GenLabConfig:
         if self.buffer_capacity < 1:
             raise ContractError("buffer_capacity must be >= 1")
         if not (0 < self.gen_lr < np.inf and 0 <= self.student_lr < np.inf):
-            raise ContractError("generator rates must be finite, > 0 (student >= 0)")
+            raise ContractError("generator.gen_lr must be finite and > 0, "
+                                "generator.student_lr finite and >= 0")
         if not 0 <= self.student_momentum < 1:
             raise ContractError("generator.student_momentum must be in [0, 1)")
 
@@ -151,13 +152,11 @@ def train_generator_session(teachers: list[Classifier], session: int,
                                hidden=teachers[0].hidden,
                                feature_dim=teachers[0].feature_dim)
 
-    gen_opt = Optimizer(generator.parameters(),
-                        OptimizerConfig("adam", {"backbone": cfg.gen_lr}))
+    gen_opt = Optimizer(generator.parameters(), "adam", {"backbone": cfg.gen_lr})
     stu_rates = {"backbone": cfg.student_lr, "head_new": cfg.student_lr,
                  "head_old": cfg.student_lr}
-    stu_opt = Optimizer(student.parameters(),
-                        OptimizerConfig("sgd_momentum", stu_rates,
-                                        momentum=cfg.student_momentum))
+    stu_opt = Optimizer(student.parameters(), "sgd_momentum", stu_rates,
+                        cfg.student_momentum)
 
     # the generator step reads copies of the teachers and of the opponent
     # student, so it updates neither
@@ -168,13 +167,12 @@ def train_generator_session(teachers: list[Classifier], session: int,
 
     def step(z: Array, labels: Array) -> list[tuple]:
         loss, fake, ensemble = generator_loss(generator, stack, z, labels, weights)
-        roots = [(loss, generator.parameters(), gen_opt)]
+        roots = [(loss, gen_opt)]
         # student step on the same batch, detached from the generator
         if cfg.student_lr > 0:
             roots.append((student_loss(ensemble.detach(),
                                        student.forward(fake.data, mode="train"),
-                                       weights.kl_temperature),
-                          student.parameters(), stu_opt))
+                                       weights.kl_temperature), stu_opt))
         return roots
 
     replay = Replay(step)

@@ -45,8 +45,8 @@ class LossWeights:
                 raise ContractError(f"weights.{name} must be finite and >= 0")
         if not np.isfinite(self.rce_log_zero) or self.rce_log_zero >= 0:
             raise ContractError("weights.rce_log_zero must be finite and < 0")
-        if not (self.kl_temperature > 0):
-            raise ContractError("weights.kl_temperature must be > 0")
+        if not 0 < self.kl_temperature < np.inf:
+            raise ContractError("weights.kl_temperature must be finite and > 0")
 
 
 def _check_batch(logits: Tensor, labels: Array) -> Array:
@@ -169,7 +169,8 @@ def generator_entropy_loss(teacher_logits: Tensor) -> Tensor:
     One node: ``-info_entropy(teacher_logits.softmax())``.
     """
     if teacher_logits.ndim != 2 or teacher_logits.shape[0] == 0:
-        raise ContractError("info_entropy expects a nonempty (batch, classes) tensor")
+        raise ContractError("generator_entropy_loss expects a nonempty "
+                            "(batch, classes) tensor")
     return _apply(_entropy_fw, _entropy_bw, (teacher_logits,))
 
 

@@ -46,13 +46,11 @@ class Linear:
 
 
 class BatchNorm:
-    def __init__(self, prefix: str, channels: int,
-                 momentum: float = 0.1, epsilon: float = 1e-5):
+    def __init__(self, prefix: str, channels: int):
         self.prefix = prefix
         self.gamma = Parameter(f"{prefix}.gamma", Tensor(np.ones(channels)), "backbone")
         self.beta = Parameter(f"{prefix}.beta", Tensor(np.zeros(channels)), "backbone")
-        self.state = BatchNormState(np.zeros(channels), np.ones(channels),
-                                    momentum, epsilon)
+        self.state = BatchNormState(np.zeros(channels), np.ones(channels))
 
     def __call__(self, x: Tensor, mode: str) -> Tensor:
         return batchnorm_forward(x, self.gamma.value, self.beta.value,
@@ -290,12 +288,11 @@ class ModelStack:
                                         f"teacher 0 has {ref.shape}")
         self._slots = [np.stack([np.atleast_2d(arr) for _, arr in column])
                        for column in zip(*arrays)]
-        epsilon = teachers[0].bn_layers()[0].state.epsilon
         self._layers = []
         for k in range(0, len(self._slots) - 2, 6):
             w, b, gamma, beta, mean, var = self._slots[k:k + 6]
             self._layers.append((Tensor(w), Tensor(b), Tensor(gamma), Tensor(beta),
-                                 BatchNormState(mean, var, epsilon=epsilon)))
+                                 BatchNormState(mean, var)))
         self._head = (Tensor(self._slots[-2]), Tensor(self._slots[-1]))
 
     def load_opponent(self) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .aggregation import (aggregate_old, assemble_global, build_accuracy_matrix,
                           cswa_aggregate_new, cswa_weights, fedavg_full)
-from .autodiff import Optimizer, OptimizerConfig, Replay
+from .autodiff import Optimizer, Replay
 from .client import (_epoch_batches, local_update_baseline_kd,
                      local_update_nagr)
 from .config import METHODS, ExperimentConfig, run_id, validate_config
@@ -146,10 +146,9 @@ def _train_base(model: Classifier, ds: LabeledDataset,
                 cfg: ExperimentConfig) -> None:
     b = cfg.base
     rates = {"backbone": b.lr, "head_new": b.lr, "head_old": b.lr}
-    opt = Optimizer(model.parameters(),
-                    OptimizerConfig("sgd_momentum", rates, momentum=b.momentum))
+    opt = Optimizer(model.parameters(), "sgd_momentum", rates, b.momentum)
     replay = Replay(lambda x, y: [(cross_entropy(model.forward(x, mode="train"), y),
-                                   opt.params, opt)])
+                                   opt)])
     rng = np.random.default_rng(stream_seed(cfg, "base"))
     milestones = sorted(int(f * b.epochs) for f in b.decay_milestones)
     for epoch in range(b.epochs):

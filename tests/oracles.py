@@ -245,12 +245,12 @@ def composed_batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
         if x.shape[0] < 2:
             raise DegenerateBatchError("batch statistics need at least 2 samples")
         mu, centered, var = _composed_moments(x)
-        normed = div(centered, sqrt(var + state.epsilon))
-        m = state.momentum
+        normed = div(centered, sqrt(var + autodiff.BN_EPSILON))
+        m = autodiff.BN_MOMENTUM
         state.running_mean = (1.0 - m) * state.running_mean + m * mu.data
         state.running_var = (1.0 - m) * state.running_var + m * var.data
     else:
-        inv = 1.0 / np.sqrt(state.running_var + state.epsilon)
+        inv = 1.0 / np.sqrt(state.running_var + autodiff.BN_EPSILON)
         normed = (x - Tensor(state.running_mean)) * Tensor(inv)
     return gamma * normed + beta
 
@@ -419,12 +419,12 @@ def graph_generator_session(teachers, session, class_range, envelope, cfg,
                                seed=derive_seed(seed, "student"),
                                hidden=teachers[0].hidden,
                                feature_dim=teachers[0].feature_dim)
-    gen_opt = autodiff.Optimizer(generator.parameters(), autodiff.OptimizerConfig(
-        "adam", {"backbone": cfg.gen_lr}))
-    stu_opt = autodiff.Optimizer(student.parameters(), autodiff.OptimizerConfig(
-        "sgd_momentum", dict.fromkeys(("backbone", "head_new", "head_old"),
-                                      cfg.student_lr),
-        momentum=cfg.student_momentum))
+    gen_opt = autodiff.Optimizer(generator.parameters(), "adam",
+                                 {"backbone": cfg.gen_lr})
+    stu_opt = autodiff.Optimizer(student.parameters(), "sgd_momentum",
+                                 dict.fromkeys(("backbone", "head_new", "head_old"),
+                                               cfg.student_lr),
+                                 cfg.student_momentum)
     stack = ModelStack(teachers, session, student if weights.lambda4 != 0 else None)
     rng = np.random.default_rng(derive_seed(seed, "draws"))
     banked_x, banked_y = [], []
@@ -500,8 +500,8 @@ def client_optimizer(model, cfg):
     """The optimizer of a client's local update."""
     rates = {"backbone": cfg.lr_backbone_and_old,
              "head_old": cfg.lr_backbone_and_old, "head_new": cfg.lr_new_head}
-    return autodiff.Optimizer(model.parameters(), autodiff.OptimizerConfig(
-        "sgd_momentum", rates, momentum=cfg.momentum))
+    return autodiff.Optimizer(model.parameters(), "sgd_momentum", rates,
+                              cfg.momentum)
 
 
 def graph_run_local(model_in, x, y, buffer, cfg, weights, old_count, seed,
@@ -528,8 +528,7 @@ def graph_train_base(model, ds, cfg):
     b = cfg.base
     rates = {"backbone": b.lr, "head_new": b.lr, "head_old": b.lr}
     params = model.parameters()
-    opt = autodiff.Optimizer(params, autodiff.OptimizerConfig(
-        "sgd_momentum", rates, momentum=b.momentum))
+    opt = autodiff.Optimizer(params, "sgd_momentum", rates, b.momentum)
     rng = np.random.default_rng(derive_seed(cfg.seed, "base"))
     milestones = sorted(int(f * b.epochs) for f in b.decay_milestones)
     for epoch in range(b.epochs):
@@ -550,31 +549,31 @@ class LoopOptimizer:
     by parameter name: the update ``autodiff.Optimizer`` makes in one flat
     pass."""
 
-    def __init__(self, params, cfg: autodiff.OptimizerConfig):
+    def __init__(self, params, kind: str, rates: dict, momentum: float = 0.0):
         self.params = list(params)
-        self.cfg = cfg
+        self.kind, self.rates, self.momentum = kind, dict(rates), momentum
         self._vel, self._m, self._v = {}, {}, {}
         self._t = 0
 
     def set_rate(self, group: str, rate: float) -> None:
-        self.cfg.rates[group] = float(rate)
+        self.rates[group] = float(rate)
 
     def step(self) -> None:
-        cfg = self.cfg
+        b1, b2, eps = autodiff.ADAM_BETA1, autodiff.ADAM_BETA2, autodiff.ADAM_EPSILON
         self._t += 1
         for p in self.params:
-            rate = cfg.rates[p.group]
+            rate = self.rates[p.group]
             g = p.grad
-            if cfg.kind == "sgd_momentum":
+            if self.kind == "sgd_momentum":
                 v = self._vel.get(p.name)
-                v = g if v is None else cfg.momentum * v + g
+                v = g if v is None else self.momentum * v + g
                 self._vel[p.name] = v
                 p.value.data = p.value.data - rate * v
             else:
-                m = self._m.get(p.name, 0.0) * cfg.beta1 + (1 - cfg.beta1) * g
-                v = self._v.get(p.name, 0.0) * cfg.beta2 + (1 - cfg.beta2) * g * g
+                m = self._m.get(p.name, 0.0) * b1 + (1 - b1) * g
+                v = self._v.get(p.name, 0.0) * b2 + (1 - b2) * g * g
                 self._m[p.name] = m
                 self._v[p.name] = v
-                m_hat = m / (1 - cfg.beta1 ** self._t)
-                v_hat = v / (1 - cfg.beta2 ** self._t)
-                p.value.data = p.value.data - rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+                m_hat = m / (1 - b1 ** self._t)
+                v_hat = v / (1 - b2 ** self._t)
+                p.value.data = p.value.data - rate * m_hat / (np.sqrt(v_hat) + eps)

@@ -3,8 +3,7 @@ import numpy as np
 import pytest
 
 from fedscil import Classifier, Parameter, Tensor, autodiff, backprop, grad
-from fedscil.autodiff import (BatchNormState, Optimizer, OptimizerConfig,
-                              batch_statistics, batchnorm_forward, col_slice,
+from fedscil.autodiff import (BatchNormState, Optimizer, batch_statistics, batchnorm_forward, col_slice,
                               concat, gather_rows, linear, one_hot, row_slice)
 from fedscil.errors import ContractError, DegenerateBatchError
 
@@ -135,7 +134,7 @@ def test_batchnorm_running_stats_ema(rng):
     x = rng.standard_normal((8, 3))
     old_mean = np.array([0.5, -0.5, 1.0])
     old_var = np.array([2.0, 1.0, 0.5])
-    state = BatchNormState(old_mean.copy(), old_var.copy(), momentum=0.1)
+    state = BatchNormState(old_mean.copy(), old_var.copy())
     batchnorm_forward(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)),
                       state, "train")
     assert np.allclose(state.running_mean, 0.9 * old_mean + 0.1 * x.mean(axis=0),
@@ -149,7 +148,7 @@ def test_batchnorm_eval_uses_running_stats(rng):
     state = BatchNormState(np.array([1.0, -1.0]), np.array([4.0, 0.25]))
     y = batchnorm_forward(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
                           state, "eval")
-    expected = (x - state.running_mean) / np.sqrt(state.running_var + state.epsilon)
+    expected = (x - state.running_mean) / np.sqrt(state.running_var + 1e-5)
     assert np.allclose(y.data, expected, atol=1e-12)
 
 
@@ -255,10 +254,8 @@ def test_sgd_zero_rate_group_is_bit_identical(rng):
     p_frozen = _p(rng.standard_normal((3, 2)), "frozen")
     p_live = Parameter("live", Tensor(rng.standard_normal(4)), "head_new")
     before = p_frozen.value.data.copy()
-    opt = Optimizer([p_frozen, p_live],
-                    OptimizerConfig("sgd_momentum",
-                                    {"backbone": 0.0, "head_new": 0.1},
-                                    momentum=0.9))
+    opt = Optimizer([p_frozen, p_live], "sgd_momentum",
+                    {"backbone": 0.0, "head_new": 0.1}, momentum=0.9)
     for _ in range(5):
         p_frozen.grad = rng.standard_normal((3, 2))
         p_live.grad = rng.standard_normal(4)
@@ -272,8 +269,7 @@ def test_all_groups_at_zero_rate_keep_their_bytes(rng, kind):
     params = [_p(rng.standard_normal((3, 2))),
               Parameter("old", Tensor(rng.standard_normal(4)), "head_old")]
     before = [p.value.data.tobytes() for p in params]
-    opt = Optimizer(params, OptimizerConfig(kind, {"backbone": 0.0, "head_old": 0.0},
-                                            momentum=0.9))
+    opt = Optimizer(params, kind, {"backbone": 0.0, "head_old": 0.0}, momentum=0.9)
     for _ in range(5):
         for p in params:
             p.grad = rng.standard_normal(p.value.shape)
@@ -283,8 +279,7 @@ def test_all_groups_at_zero_rate_keep_their_bytes(rng, kind):
 
 def test_sgd_plain_step_definition():
     p = _p([1.0])
-    opt = Optimizer([p], OptimizerConfig("sgd_momentum", {"backbone": 0.1},
-                                         momentum=0.0))
+    opt = Optimizer([p], "sgd_momentum", {"backbone": 0.1}, momentum=0.0)
     p.grad = np.array([0.5])
     opt.step()
     assert abs(float(p.value.data[0]) - 0.95) < 1e-15
@@ -294,8 +289,7 @@ def test_sgd_momentum_matches_scripted_recurrence(rng):
     p = _p(rng.standard_normal(3))
     start = p.value.data.copy()
     grads = [rng.standard_normal(3) for _ in range(6)]
-    opt = Optimizer([p], OptimizerConfig("sgd_momentum", {"backbone": 0.05},
-                                         momentum=0.9))
+    opt = Optimizer([p], "sgd_momentum", {"backbone": 0.05}, momentum=0.9)
     ref, vel = start.copy(), np.zeros(3)
     for g in grads:
         p.grad = g
@@ -309,9 +303,7 @@ def test_adam_matches_scripted_recurrence(rng):
     p = _p(rng.standard_normal(4))
     start = p.value.data.copy()
     grads = [rng.standard_normal(4) for _ in range(7)]
-    cfg = OptimizerConfig("adam", {"backbone": 0.01},
-                          beta1=0.9, beta2=0.999, epsilon=1e-8)
-    opt = Optimizer([p], cfg)
+    opt = Optimizer([p], "adam", {"backbone": 0.01})
     ref = start.copy()
     m = np.zeros(4)
     v = np.zeros(4)
@@ -328,35 +320,48 @@ def test_adam_matches_scripted_recurrence(rng):
 
 def test_optimizer_requires_rate_for_every_group():
     p = Parameter("q", Tensor(np.ones(2)), "head_old")
-    with pytest.raises(ContractError):
-        Optimizer([p], OptimizerConfig("sgd_momentum", {"backbone": 0.1}))
+    with pytest.raises(ContractError, match="no learning rate for group 'head_old'"):
+        Optimizer([p], "sgd_momentum", {"backbone": 0.1})
 
 
 def test_optimizer_rejects_missing_gradient():
     p = _p([1.0])
-    opt = Optimizer([p], OptimizerConfig("sgd_momentum", {"backbone": 0.1}))
+    opt = Optimizer([p], "sgd_momentum", {"backbone": 0.1})
     with pytest.raises(ContractError):
         opt.step()
     # nothing is updated when a later parameter lacks its gradient
     q = _p([2.0], "q")
     p.grad = np.array([0.5])
-    opt = Optimizer([p, q], OptimizerConfig("sgd_momentum", {"backbone": 0.1}))
+    opt = Optimizer([p, q], "sgd_momentum", {"backbone": 0.1})
     with pytest.raises(ContractError, match="parameter q has no gradient"):
         opt.step()
     assert np.array_equal(p.value.data, [1.0])
 
 
 def test_optimizer_config_validation():
-    with pytest.raises(ContractError):
-        OptimizerConfig("rmsprop", {"backbone": 0.1})
-    with pytest.raises(ContractError):
-        OptimizerConfig("sgd_momentum", {"backbone": -0.1})
+    with pytest.raises(ContractError, match="unknown optimizer kind 'rmsprop'"):
+        Optimizer([_p([1.0])], "rmsprop", {"backbone": 0.1})
+    for rate in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ContractError, match="non-finite rate for group 'backbone'"):
+            Optimizer([_p([1.0])], "sgd_momentum", {"backbone": rate})
+
+
+def test_optimizer_keeps_its_own_rates():
+    p = _p([1.0])
+    rates = {"backbone": 0.1}
+    opt = Optimizer([p], "sgd_momentum", rates)
+    rates["backbone"] = 0.5
+    opt.set_rate("head_new", 0.2)
+    assert rates == {"backbone": 0.5}
+    p.grad = np.array([1.0])
+    opt.step()
+    assert float(p.value.data[0]) == 0.9
 
 
 @pytest.mark.parametrize("rate", [-0.5, float("nan"), float("inf")])
 def test_set_rate_rejects_what_the_config_rejects(rate):
     p = _p([1.0])
-    opt = Optimizer([p], OptimizerConfig("sgd_momentum", {"backbone": 0.1}))
+    opt = Optimizer([p], "sgd_momentum", {"backbone": 0.1})
     with pytest.raises(ContractError, match="negative or non-finite rate"):
         opt.set_rate("backbone", rate)
     p.grad = np.array([1.0])
@@ -368,7 +373,7 @@ def test_optimizer_trajectory_is_deterministic():
     def run():
         rng = np.random.default_rng(5)
         p = _p(rng.standard_normal(6))
-        opt = Optimizer([p], OptimizerConfig("adam", {"backbone": 0.02}))
+        opt = Optimizer([p], "adam", {"backbone": 0.02})
         for _ in range(10):
             p.grad = rng.standard_normal(6)
             opt.step()

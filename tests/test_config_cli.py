@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -95,6 +96,9 @@ def test_validation_messages():
         build_config(overrides=["method=magic"])
     with pytest.raises(ConfigError, match="shot exceeds"):
         build_config(overrides=["data.shot=31"])
+    with pytest.raises(ConfigError, match="data.per_class_train"):
+        build_config(overrides=["data.per_class_train=0", "data.shot=0",
+                                "data.sessions=0"])
     with pytest.raises(ConfigError, match="schedule needs"):
         build_config(overrides=["data.sessions=5"])
     with pytest.raises(ConfigError, match="replay_label_noise"):
@@ -103,6 +107,19 @@ def test_validation_messages():
         build_config(overrides=["aggregation.cswa_mode=softmax"])
     with pytest.raises(ConfigError):
         build_config(overrides=["weights.k=-1"])  # nested validate, wrapped
+
+
+FLOAT_KEYS = [key for key, value in to_flat_dict(ExperimentConfig()).items()
+              if isinstance(value, float)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS + ["base.decay_milestones"])
+def test_non_finite_float_values_are_refused_by_key(key, value):
+    if key == "base.decay_milestones":
+        value = f"0.5,{value}"
+    with pytest.raises(ConfigError, match=rf"(?<![\w.]){re.escape(key)}(?!\w)"):
+        build_config(preset="desk", overrides=[f"{key}={value}"])
 
 
 def test_config_file_parsing(tmp_path):
@@ -385,7 +402,8 @@ def test_bad_override_exits_one(run_root, capsys):
 @pytest.mark.parametrize("override", [
     "base.decay_factor=-1", "base.decay_factor=nan", "base.momentum=inf",
     "base.decay_milestones=0.5,nan", "client.momentum=-5",
-    "generator.student_momentum=-1",
+    "generator.student_momentum=-1", "data.spread=nan", "data.spread=-1",
+    "data.per_class_test=0", "weights.kl_temperature=inf",
 ])
 def test_rate_schedule_values_out_of_range_exit_one(tmp_path, capsys, override):
     """Values that would train backwards or fail mid-run are refused before

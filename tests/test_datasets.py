@@ -46,8 +46,9 @@ def test_blobs_shapes_and_label_ranges():
 def test_blobs_argument_validation():
     with pytest.raises(ConfigError):
         make_blobs(0, 4, 5, 5, 0.1, seed=0)
-    with pytest.raises(ConfigError):
-        make_blobs(3, 4, 5, 5, -0.1, seed=0)
+    for spread in (-0.1, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="spread"):
+            make_blobs(3, 4, 5, 5, spread, seed=0)
 
 
 def test_labeled_dataset_validation():

@@ -230,6 +230,12 @@ def test_generator_entropy_loss_negates_entropy():
                + float(info_entropy(probs).data)) <= 1e-9
 
 
+def test_generator_entropy_loss_names_itself_on_a_bad_shape():
+    for logits in (Tensor(np.zeros((0, 2))), Tensor(np.zeros(2))):
+        with pytest.raises(ContractError, match="generator_entropy_loss"):
+            generator_entropy_loss(logits)
+
+
 def test_generator_entropy_loss_prefers_flat_distributions():
     values = [float(generator_entropy_loss(_logits_for([[p, 1 - p]])).data)
               for p in (0.9, 0.8, 0.7, 0.6)]
@@ -407,6 +413,7 @@ def test_loss_weights_validation():
         LossWeights(k=-1.0).validate()
     with pytest.raises(ContractError):
         LossWeights(rce_log_zero=0.0).validate()
-    with pytest.raises(ContractError):
-        LossWeights(kl_temperature=0.0).validate()
+    for temperature in (0.0, np.inf, np.nan):
+        with pytest.raises(ContractError, match="weights.kl_temperature"):
+            LossWeights(kl_temperature=temperature).validate()
     LossWeights().validate()

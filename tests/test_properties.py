@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from fedscil import Classifier, Parameter, Tensor, dirichlet_partition
 from fedscil.aggregation import (AccuracyMatrix, aggregate_old,
                                  cswa_aggregate_new, cswa_weights, fedavg_full)
-from fedscil.autodiff import Optimizer, OptimizerConfig
+from fedscil.autodiff import Optimizer
 from fedscil.data import LabeledDataset
 from fedscil.generation import ReplayBuffer, SyntheticPool, relabel
 
@@ -42,8 +42,7 @@ def check_flat_step_against_loop(kind: str, shapes, groups, rates: dict,
     def make(opt_class):
         params = [Parameter(f"p{i}", Tensor(value.copy()), group)
                   for i, (value, group) in enumerate(zip(values, groups))]
-        cfg = OptimizerConfig(kind, dict(rates), momentum=momentum)
-        return params, opt_class(params, cfg)
+        return params, opt_class(params, kind, rates, momentum)
 
     flat_params, flat = make(Optimizer)
     loop_params, loop = make(LoopOptimizer)

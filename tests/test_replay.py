@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import desk_config
 from fedscil import Classifier, LossWeights, Tensor, client, train_generator_session
-from fedscil.autodiff import Optimizer, OptimizerConfig, Replay, backprop, frozen
+from fedscil.autodiff import Optimizer, Replay, backprop, frozen
 from fedscil.client import ClientConfig
 from fedscil.data import LabeledDataset
 from fedscil.errors import ContractError
@@ -96,18 +96,16 @@ def _stepper(teachers: int = 3, batch: int = 10):
     generator = ConditionalGenerator(4, CLASSES, *ENVELOPE, seed=5, hidden=12)
     student = make_student(IN_DIM, CLASSES, SESSION, seed=6, hidden=12, feature_dim=10)
     stack = ModelStack(_teachers(teachers), SESSION, student)
-    gen_opt = Optimizer(generator.parameters(), OptimizerConfig("adam", {"backbone": 1e-3}))
-    stu_opt = Optimizer(student.parameters(), OptimizerConfig(
-        "sgd_momentum", dict.fromkeys(("backbone", "head_new", "head_old"), 0.2),
-        momentum=0.9))
+    gen_opt = Optimizer(generator.parameters(), "adam", {"backbone": 1e-3})
+    stu_opt = Optimizer(student.parameters(), "sgd_momentum",
+                        dict.fromkeys(("backbone", "head_new", "head_old"), 0.2), 0.9)
     weights = LossWeights(**WEIGHTS)
     rng = np.random.default_rng(0)
 
     def step(z, labels):
         loss, fake, ensemble = generator_loss(generator, stack, z, labels, weights)
         logits = student.forward(fake.data, mode="train")
-        return [(loss, generator.parameters(), gen_opt),
-                (student_loss(ensemble.detach(), logits), student.parameters(), stu_opt)]
+        return [(loss, gen_opt), (student_loss(ensemble.detach(), logits), stu_opt)]
 
     def draw(size: int = batch):
         return rng.standard_normal((size, 4)), rng.integers(0, CLASSES, size=size)
@@ -121,8 +119,8 @@ def _schedule(record: tuple):
     forward = [(fw.__code__, args, statics, out) for fw, args, statics, out in forward]
     roots = [(loss, [(node, bw.__code__, needs, parents)
                      for node, bw, needs, parents in schedule],
-              [slot for _, slot in params])
-             for loss, schedule, _, params in roots]
+              slots)
+             for loss, schedule, _, slots in roots]
     return forward, roots, [slot for slot, _ in leaves], len(values)
 
 
@@ -147,12 +145,12 @@ def _trained(step, draw, sizes, replayed: bool) -> list[np.ndarray]:
 
     def with_params(*inputs):
         roots = step(*inputs)
-        params[:] = [p for _, root_params, _ in roots for p in root_params]
+        params[:] = [p for _, opt in roots for p in opt.params]
         return roots
 
     def on_the_graph(*inputs):
-        for loss, root_params, opt in with_params(*inputs):
-            backprop(loss, root_params)
+        for loss, opt in with_params(*inputs):
+            backprop(loss, opt.params)
             opt.step()
 
     run = Replay(with_params) if replayed else on_the_graph
@@ -187,7 +185,7 @@ def test_a_step_with_arithmetic_ops_replays_like_the_graph():
 
         def with_arithmetic(z, labels, step=step):
             loss_root, student_root = step(z, labels)
-            return [(loss_root[0] + 0.0 * (Tensor(z) * 2.0).sum(), *loss_root[1:]),
+            return [(loss_root[0] + 0.0 * (Tensor(z) * 2.0).sum(), loss_root[1]),
                     student_root]
 
         trained.append(_trained(with_arithmetic, draw, [10] * 5, replayed))
@@ -348,7 +346,7 @@ def _base_step():
         return rng.standard_normal((labels.shape[0], IN_DIM)), labels
 
     return Replay(lambda x, y: [(cross_entropy(model.forward(x, mode="train"), y),
-                                 opt.params, opt)]), draw, BASE
+                                 opt)]), draw, BASE
 
 
 def _client_step(mode: str):
