@@ -82,6 +82,9 @@ PARAM_GROUPS = ("backbone", "head_old", "head_new", "bn_stats")
 
 # the op calls of a step being recorded by Replay; None outside
 _tape: list | None = None
+# (state, running mean, running var) before each train-mode batch norm of a
+# Replay call, restored if the call raises; None outside
+_undo: list | None = None
 
 
 class Tensor:
@@ -534,16 +537,31 @@ class Replay:
     with a tuple of input shapes records it, backprops each loss into its
     optimizer's parameters and steps it, and later calls with those shapes
     replay the record. Each call returns the roots' loss values, in root
-    order."""
+    order. A call whose forwards raise, or that is refused, changes no
+    state: no optimizer has stepped yet, and the running statistics its
+    forwards moved are put back."""
 
     def __init__(self, step: Callable):
         self.step, self.records = step, {}   # input shapes -> record
 
     def __call__(self, *inputs: Array) -> list[Array]:
-        shapes = tuple(a.shape for a in inputs)
-        if shapes not in self.records:
-            return self._record(shapes, inputs)
-        values, leaves, forward, roots = self.records[shapes]
+        global _undo
+        _undo = undo = []
+        try:
+            shapes = tuple(a.shape for a in inputs)
+            if shapes not in self.records:
+                return self._record(shapes, inputs)
+            return self._replay(self.records[shapes], inputs)
+        except BaseException:
+            for state, mean, var in reversed(undo):
+                state.running_mean, state.running_var = mean, var
+            raise
+        finally:
+            _undo = None
+
+    @staticmethod
+    def _replay(record: tuple, inputs: tuple) -> list[Array]:
+        values, leaves, forward, roots = record
         vals = [*inputs, *values[len(inputs):]]
         for slot, leaf in leaves:
             vals[slot] = leaf.data
@@ -572,9 +590,6 @@ class Replay:
             roots = self.step(*inputs)
         finally:
             _tape = None
-        for loss, opt in roots:
-            backprop(loss, opt.params)
-            opt.step()
         values = list(inputs)                   # a constant, or None for a slot
         slots = {id(a): i for i, a in enumerate(inputs)}   # object id -> slot
         leaves, forward = [], []
@@ -596,12 +611,16 @@ class Replay:
         read = {i for _, args, statics, _ in forward for i in args + statics}
         if not read.issuperset(range(len(inputs))):
             raise ContractError("a replay input reaches none of the recorded ops")
-        self.records[shapes] = values, leaves, forward, [
+        record = values, leaves, forward, [
             (slots[id(loss)],
              [(slots[id(node)], bw, needs, [slots[id(p)] for p in parents])
               for node, bw, _, needs, parents in _schedule(loss)],
              opt, [slots.get(id(p.value)) for p in opt.params])
             for loss, opt in roots]
+        for loss, opt in roots:
+            backprop(loss, opt.params)
+            opt.step()
+        self.records[shapes] = record
         return [loss.data for loss, _ in roots]
 
 
@@ -669,6 +688,8 @@ def _bn_train_fw(ins, state):
     std = np.sqrt(var + BN_EPSILON)
     normed = centered / std
     m = BN_MOMENTUM
+    if _undo is not None:
+        _undo.append((state, state.running_mean, state.running_var))
     state.running_mean = (1.0 - m) * state.running_mean + m * mu
     state.running_var = (1.0 - m) * state.running_var + m * var
     return gamma * normed + beta, (gamma, centered, std, normed, stacked)

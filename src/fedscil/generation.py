@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (Optimizer, Replay, Tensor, _wrap,
-                       frozen, model_mean, model_slot)
+from .autodiff import Optimizer, Replay, frozen
 from .errors import BufferGapError, ContractError, EmptyBufferError, NonFiniteError
 from .losses import (LossWeights, bn_stat_loss, generator_entropy_loss,
                      generator_fidelity_loss, generator_total_loss,
@@ -76,23 +75,6 @@ class SyntheticPool:
         return int(self.samples.shape[0])
 
 
-def teacher_logits(x: Tensor | Array, stack: ModelStack,
-                   capture_bn: bool = False):
-    """One stacked pass: (ensemble, opponent, stats).
-
-    ``ensemble`` is the mean over the stack's teachers of their session
-    logits; ``opponent`` the opponent slot's logits, None when the stack has
-    none; ``stats`` every slot's per-layer batch statistics with capture_bn,
-    else None. Gradients flow through to x; the stack's parameters are
-    constants.
-    """
-    logits, stats = stack.forward(_wrap(x), capture_bn)
-    teachers = len(stack.teachers)
-    ensemble = model_mean(logits, teachers)
-    opponent = None if stack.opponent is None else model_slot(logits, teachers)
-    return ensemble, opponent, stats
-
-
 def generator_loss(generator: ConditionalGenerator, stack: ModelStack,
                    z: Array, labels: Array, weights: LossWeights):
     """The generator objective on one noise batch.
@@ -102,8 +84,7 @@ def generator_loss(generator: ConditionalGenerator, stack: ModelStack,
     run in eval mode as one pass.
     """
     fake = generator.forward(z, labels, mode="train")
-    ensemble, opponent, stats = teacher_logits(fake, stack,
-                                               capture_bn=weights.lambda3 != 0)
+    ensemble, opponent, stats = stack.forward(fake, capture_bn=weights.lambda3 != 0)
     fidelity = generator_fidelity_loss(ensemble, labels)
     entropy = generator_entropy_loss(ensemble)
     stat_term = (bn_stat_loss(stats, stack.running_stats())
@@ -305,7 +286,7 @@ def export_synthetics_csv(path, rows) -> None:
 def teacher_confidence(teachers: list[Classifier], session: int,
                        pool: SyntheticPool) -> float:
     """Mean ensemble softmax probability of each sample's condition class."""
-    logits, _, _ = teacher_logits(pool.samples, ModelStack(teachers, session))
+    logits, _, _ = ModelStack(teachers, session).forward(pool.samples)
     probs = logits.softmax().data
     local = pool.condition - pool.class_lo
     return float(probs[np.arange(len(pool)), local].mean())
@@ -314,5 +295,5 @@ def teacher_confidence(teachers: list[Classifier], session: int,
 def teacher_pool_entropy(teachers: list[Classifier], session: int,
                          pool: SyntheticPool) -> float:
     """Mean scaled prediction entropy of the ensemble over the pool."""
-    logits, _, _ = teacher_logits(pool.samples, ModelStack(teachers, session))
+    logits, _, _ = ModelStack(teachers, session).forward(pool.samples)
     return float(info_entropy(logits.softmax()).data)

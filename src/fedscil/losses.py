@@ -176,7 +176,7 @@ def generator_entropy_loss(teacher_logits: Tensor) -> Tensor:
 
 def _bn_stat_fw(ins, refs):
     models = refs[0].shape[0]
-    diffs = [stat[:models] - ref for stat, ref in zip(ins, refs)]
+    diffs = [stat - ref for stat, ref in zip(ins, refs)]
     # one row sum per model, as over that model's statistic alone
     norms = [np.sqrt((d * d).reshape(models, -1).sum(axis=1)) for d in diffs]
     total = None
@@ -194,7 +194,7 @@ def _bn_stat_bw(g, s, needs):
     for d, norm in zip(diffs, norms):
         safe = np.maximum(norm, 1e-150).reshape((models,) + (1,) * (d.ndim - 1))
         g_d = g_total * 0.5 / safe * d
-        grads.append((slice(models), g_d + g_d))
+        grads.append(g_d + g_d)
     return grads
 
 
@@ -203,10 +203,9 @@ def bn_stat_loss(batch_stats: list[tuple[Tensor, Tensor]],
     """Mean over models of the summed L2 distances between the synthetic
     batch's per-layer statistics and that model's running statistics.
 
-    Both lists hold one (mean, var) pair per layer, each with a leading model
-    axis. The running statistics belong to the M models compared; batch
-    statistics may carry further models after those, which take no part and
-    get zero gradient.
+    Both lists hold one (mean, var) pair per layer, each with a leading axis
+    over the M models compared; each batch statistic has its running
+    statistic's shape.
 
     One node over every statistic. It repeats the arithmetic of
     ``l2_norm(mu[m] - r_mu[m]) + l2_norm(var[m] - r_var[m])`` summed layer by
@@ -218,7 +217,7 @@ def bn_stat_loss(batch_stats: list[tuple[Tensor, Tensor]],
     stats, refs = [], []
     for (mu, var), (r_mu, r_var) in zip(batch_stats, running_stats):
         for stat, ref in ((mu, r_mu), (var, r_var)):
-            if ref.shape != (models,) + stat.shape[1:] or stat.shape[0] < models:
+            if stat.shape != ref.shape or ref.shape[0] != models:
                 raise ContractError(f"batch statistics {stat.shape} do not "
                                     f"match running statistics {ref.shape}")
             stats.append(stat)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .autodiff import (Array, BatchNormState, Parameter, Tensor, _wrap,
                        batch_statistics, batchnorm_forward, concat, frozen,
-                       linear, one_hot, scaled_tanh)
+                       linear, model_mean, model_slot, one_hot, scaled_tanh)
 from .errors import ContractError
 
 # rows per forward in Classifier.predict
@@ -309,17 +309,25 @@ class ModelStack:
         return [(state.running_mean[:m], state.running_var[:m])
                 for *_, state in self._layers]
 
-    def forward(self, x: Tensor, capture_bn: bool = False):
-        """Eval-mode session logits of every model, (models, batch, classes),
-        and with capture_bn each batch-norm input's teacher statistics."""
+    def forward(self, x: Tensor | Array, capture_bn: bool = False):
+        """One eval-mode pass of every slot: (ensemble, opponent, stats).
+
+        ``ensemble`` is the mean of the teachers' session logits, ``opponent``
+        the opponent slot's, None without one; with capture_bn, ``stats`` is
+        each batch-norm input's statistics over the teachers, else None.
+        Gradients flow through to x; the stack's arrays are constants."""
+        teachers = len(self.teachers)
         stats: list | None = [] if capture_bn else None
-        h = x
+        h = _wrap(x)
         for w, b, gamma, beta, state in self._layers:
             h = linear(h, w, b)
             if capture_bn:
-                stats.append(batch_statistics(h, len(self.teachers)))
+                stats.append(batch_statistics(h, teachers))
             h = batchnorm_forward(h, gamma, beta, state, "eval").relu()
-        return linear(h, *self._head), stats
+        logits = linear(h, *self._head)
+        ensemble = model_mean(logits, teachers)
+        opponent = None if self.opponent is None else model_slot(logits, teachers)
+        return ensemble, opponent, stats
 
 
 class ConditionalGenerator:

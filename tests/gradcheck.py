@@ -22,7 +22,6 @@ from fedscil import (ClientConfig, LossWeights, Parameter, Tensor,
 from fedscil.autodiff import (batch_statistics, batchnorm_forward,
                               BatchNormState, col_slice, concat, gather_rows,
                               linear, row_slice, scaled_tanh)
-from fedscil.generation import teacher_logits
 from fedscil.losses import distillation_loss_subset
 from fedscil.models import Classifier, ConditionalGenerator, ModelStack
 from oracles import div, l2_norm, matmul, sqrt, tanh
@@ -253,7 +252,7 @@ def _case_batchnorm_eval_stacked_statistics(rng):
 
     def build():
         y = batchnorm_forward(x.value, gamma.value, beta.value, state, "eval")
-        mu, var = batch_statistics(x.value)
+        mu, var = batch_statistics(x.value, 2)
         return (y * w).sum() + bn_stat_loss([(mu, var)], running)
 
     return build, [x, gamma, beta]
@@ -273,7 +272,7 @@ def _case_teacher_ensemble(rng):
     y = rng.integers(0, 2, size=6)
 
     def build():
-        ensemble, opponent, stats = teacher_logits(x.value, stack, capture_bn=True)
+        ensemble, opponent, stats = stack.forward(x.value, capture_bn=True)
         return (cross_entropy(ensemble, y) + cross_entropy(opponent, y)
                 + bn_stat_loss(stats, stack.running_stats()))
 

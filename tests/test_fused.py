@@ -12,7 +12,7 @@ from fedscil import (Classifier, ConditionalGenerator, LossWeights, Parameter,
 from fedscil.autodiff import (BatchNormState, batch_statistics, batchnorm_forward,
                               col_slice, frozen, row_slice, scaled_tanh)
 from fedscil.errors import ContractError
-from fedscil.generation import GenLabConfig, teacher_logits
+from fedscil.generation import GenLabConfig
 from fedscil.models import ModelStack, make_student
 from oracles import (bn_running_stats, captured_forward,
                      composed_batch_statistics, composed_batchnorm,
@@ -130,7 +130,7 @@ def _check_stacked_pass(teachers: int, session: int):
     x = Parameter("x", Tensor(np.random.default_rng(8).standard_normal((9, IN_DIM))),
                   "backbone")
     stack = ModelStack(teacher_models, session, opponent)
-    ensemble, opp, stats = teacher_logits(x.value, stack, capture_bn=True)
+    ensemble, opp, stats = stack.forward(x.value, capture_bn=True)
     ref, ref_stats = composed_teacher_logits(x.value, teacher_models, session,
                                              capture_bn=True)
     ref_opp, ref_opp_stats = captured_forward(opponent, x.value)

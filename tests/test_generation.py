@@ -14,8 +14,7 @@ from fedscil.errors import (BufferGapError, ContractError, EmptyBufferError,
                             NonFiniteError)
 from fedscil.generation import (GenLabConfig, SyntheticPool,
                                 export_synthetics_csv, relabel,
-                                teacher_confidence, teacher_logits,
-                                teacher_pool_entropy)
+                                teacher_confidence, teacher_pool_entropy)
 from fedscil.models import ConditionalGenerator, ModelStack, make_student
 
 
@@ -41,7 +40,7 @@ def _envelope(dim: int = 4):
 # -- ensemble logits ---------------------------------------------------------------
 
 def _ensemble(x, teachers, session):
-    return teacher_logits(x, ModelStack(teachers, session))[0].data
+    return ModelStack(teachers, session).forward(x)[0].data
 
 
 def test_teacher_logits_single_teacher_is_its_slice(rng):
@@ -74,7 +73,7 @@ def test_teacher_logits_requires_a_teacher(rng):
 def test_teacher_logits_gradient_reaches_input(rng):
     model = _toy_teacher()
     x = Parameter("x", Tensor(rng.standard_normal((3, 4))), "backbone")
-    ensemble, opponent, stats = teacher_logits(x.value, ModelStack([model], 0))
+    ensemble, opponent, stats = ModelStack([model], 0).forward(x.value)
     assert opponent is None and stats is None
     grads = grad(ensemble.sum(), [x])
     assert float(np.abs(grads["x"]).sum()) > 0
@@ -91,9 +90,9 @@ def test_stack_reads_teachers_and_opponent_when_built_and_loaded(rng):
     student.head_blocks[0].linear.bias.value.data += 1.0
     state = student.bn_layers()[0].state
     state.running_var = state.running_var * 2.0
-    before = teacher_logits(x, stack)[1].data
+    before = stack.forward(x)[1].data
     stack.load_opponent()
-    ensemble, opponent, _ = teacher_logits(x, stack)
+    ensemble, opponent, _ = stack.forward(x)
     assert np.array_equal(ensemble.data, as_built.forward(x).data)
     assert not np.array_equal(before, opponent.data)
     assert np.array_equal(opponent.data, student.forward(x).data)

@@ -275,16 +275,11 @@ def test_bn_stat_loss_invariant_to_duplicated_teachers(rng):
     assert abs(float(one.data) - float(two.data)) <= 1e-12
 
 
-def test_bn_stat_loss_ignores_models_past_the_running_statistics(rng):
-    mu = Parameter("mu", Tensor(rng.standard_normal((3, 1, 4))), "backbone")
-    var = Parameter("var", Tensor(rng.uniform(0.5, 1.5, (3, 1, 4))), "backbone")
+def test_bn_stat_loss_rejects_models_past_the_running_statistics(rng):
+    mu, var = Tensor(rng.standard_normal((3, 1, 4))), Tensor(np.ones((3, 1, 4)))
     r_mu, r_var = rng.standard_normal((2, 1, 4)), rng.uniform(0.5, 1.5, (2, 1, 4))
-    loss = bn_stat_loss([(mu.value, var.value)], [(r_mu, r_var)])
-    alone = bn_stat_loss([(Tensor(mu.value.data[:2]), Tensor(var.value.data[:2]))],
-                         [(r_mu, r_var)])
-    assert float(loss.data) == float(alone.data)
-    for g in grad(loss, [mu, var]).values():
-        assert np.all(g[2] == 0.0) and np.all(g[:2] != 0.0)
+    with pytest.raises(ContractError, match="do not match"):
+        bn_stat_loss([(mu, var)], [(r_mu, r_var)])
 
 
 def test_bn_stat_loss_validation():

@@ -7,6 +7,8 @@ The references in ``oracles`` (``graph_generator_session``,
 differentiate every step on the graph. Every comparison is np.array_equal,
 over everything a loop trains or banks.
 """
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,9 +92,32 @@ def test_replayed_session_matches_the_graph_at_every_step(case):
         assert np.array_equal(a, b)
 
 
+def _state_of(bns, opts):
+    """A snapshot of everything a step may move: the optimizers' parameters
+    and fields, and the batch-norm layers' running statistics."""
+
+    def state():
+        out = [p.value.data for opt in opts for p in opt.params]
+        out += [a for bn in bns for a in (bn.state.running_mean, bn.state.running_var)]
+        for opt in opts:
+            out += [v for k, v in sorted(vars(opt).items()) if k != "params"]
+        return copy.deepcopy(out)
+
+    return state
+
+
+def _assert_unchanged(before, after) -> None:
+    assert len(before) == len(after)
+    for a, b in zip(before, after):
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            assert np.array_equal(a, b)
+        else:
+            assert a == b
+
+
 def _stepper(teachers: int = 3, batch: int = 10):
-    """A generator-and-student step as train_generator_session builds it,
-    and a draw of its inputs."""
+    """A generator-and-student step as train_generator_session builds it, a
+    draw of its inputs and a snapshot of what it trains."""
     generator = ConditionalGenerator(4, CLASSES, *ENVELOPE, seed=5, hidden=12)
     student = make_student(IN_DIM, CLASSES, SESSION, seed=6, hidden=12, feature_dim=10)
     stack = ModelStack(_teachers(teachers), SESSION, student)
@@ -110,7 +135,8 @@ def _stepper(teachers: int = 3, batch: int = 10):
     def draw(size: int = batch):
         return rng.standard_normal((size, 4)), rng.integers(0, CLASSES, size=size)
 
-    return step, draw
+    return step, draw, _state_of(generator.body.bn_layers() + student.bn_layers(),
+                                 [gen_opt, stu_opt])
 
 
 def _schedule(record: tuple):
@@ -125,7 +151,7 @@ def _schedule(record: tuple):
 
 
 def test_recording_a_later_step_gives_the_same_schedule():
-    step, draw = _stepper()
+    step, draw, _ = _stepper()
     first = Replay(step)
     for _ in range(5):
         first(*draw())
@@ -162,12 +188,12 @@ def _trained(step, draw, sizes, replayed: bool) -> list[np.ndarray]:
 
 def test_a_second_shape_records_its_own_schedule_and_both_replay_like_the_graph():
     sizes = [10, 7, 10, 7, 7, 10, 10, 7]
-    replayed = _trained(*_stepper(), sizes, replayed=True)
-    graph = _trained(*_stepper(), sizes, replayed=False)
+    replayed = _trained(*_stepper()[:2], sizes, replayed=True)
+    graph = _trained(*_stepper()[:2], sizes, replayed=False)
     assert len(replayed) == len(graph) > 0
     for a, b in zip(replayed, graph):
         assert np.array_equal(a, b)
-    step, draw = _stepper()
+    step, draw, _ = _stepper()
     replay = Replay(step)
     for size in (10, 7, 10):
         replay(*draw(size))
@@ -181,7 +207,7 @@ def test_a_step_with_arithmetic_ops_replays_like_the_graph():
     does."""
     trained = []
     for replayed in (True, False):
-        step, draw = _stepper()
+        step, draw, _ = _stepper()
 
         def with_arithmetic(z, labels, step=step):
             loss_root, student_root = step(z, labels)
@@ -196,13 +222,17 @@ def test_a_step_with_arithmetic_ops_replays_like_the_graph():
 
 
 def test_a_step_with_an_unread_input_is_refused():
-    step, draw = _stepper()
+    """The refused recording call changes no state: no parameter, running
+    statistic or optimizer field moves."""
+    step, draw, state = _stepper()
 
     def unread(z, labels, extra):
         return step(z, labels)
 
+    before = state()
     with pytest.raises(ContractError, match="reaches none"):
         Replay(unread)(*draw(), np.zeros(3))
+    _assert_unchanged(before, state())
 
 
 # -- client and base training ------------------------------------------------------
@@ -335,6 +365,9 @@ def test_base_training_replays_like_the_graph(rows, batch, epochs, seed):
 # -- argument checks on replay -----------------------------------------------------
 
 
+# Each returns a Replay, a draw of its inputs around the given labels, the
+# labels' width and a snapshot of what the step trains.
+
 def _base_step():
     """A base-training step as ``_train_base`` builds it; its labels span
     the model's classes."""
@@ -345,34 +378,41 @@ def _base_step():
     def draw(labels):
         return rng.standard_normal((labels.shape[0], IN_DIM)), labels
 
-    return Replay(lambda x, y: [(cross_entropy(model.forward(x, mode="train"), y),
-                                 opt)]), draw, BASE
+    return (Replay(lambda x, y: [(cross_entropy(model.forward(x, mode="train"), y),
+                                  opt)]), draw, BASE, _state_of(model.bn_layers(), [opt]))
 
 
-def _client_step(mode: str):
-    """A session-2 client step with replay rows; its replay labels span the
-    old classes."""
+def _client_step(mode: str | None):
+    """A session-2 client step. With a replay-loss mode it has replay rows,
+    whose labels span the old classes; without one (k = 0) it has none, and
+    its session labels span every class."""
     model = _classifier(2, 0)
-    cfg = ClientConfig(replay_loss=mode, **CLIENT)
-    loss_fn = nagr_loss(LossWeights(k=0.7, beta=0.5), BASE)
-    replay = client._local_step(model, client_optimizer(model, cfg), cfg, BASE, loss_fn)
+    cfg = ClientConfig(replay_loss=mode or "subset", **CLIENT)
+    opt = client_optimizer(model, cfg)
+    loss_fn = nagr_loss(LossWeights(k=0.7 if mode else 0.0, beta=0.5), BASE)
+    replay = client._local_step(model, opt, cfg, BASE, loss_fn)
     rng = np.random.default_rng(2)
 
     def draw(labels):
+        if mode is None:
+            return rng.standard_normal((labels.shape[0], IN_DIM)), labels
         return (rng.standard_normal((4, IN_DIM)), rng.integers(BASE, BASE + WAY, size=4),
                 rng.standard_normal((labels.shape[0], IN_DIM)), labels)
 
-    return replay, draw, BASE
+    return (replay, draw, BASE if mode else model.classes_seen,
+            _state_of(model.bn_layers(), [opt]))
 
 
 def _generator_step():
     """A generator-and-student step; its condition labels span the session's
     classes."""
-    step, draw = _stepper()
-    return Replay(step), lambda labels: (draw(labels.shape[0])[0], labels), CLASSES
+    step, draw, state = _stepper()
+    return (Replay(step), lambda labels: (draw(labels.shape[0])[0], labels), CLASSES,
+            state)
 
 
-STEPS = {"base": _base_step, "client, subset": lambda: _client_step("subset"),
+STEPS = {"base": _base_step, "client, no replay": lambda: _client_step(None),
+         "client, subset": lambda: _client_step("subset"),
          "client, sliced": lambda: _client_step("sliced"),
          "generator": _generator_step}
 
@@ -383,7 +423,7 @@ def test_a_replayed_step_checks_its_labels_as_the_recorded_one(name, bad):
     """A label of -1 or of the labels' width (the class count, the old-class
     count for replay rows, the session's class count for conditions) raises
     ContractError on the recording call and on a replayed one alike."""
-    replay, draw, width = STEPS[name]()
+    replay, draw, width, _ = STEPS[name]()
     labels = np.arange(5) % width
     wrong = labels.copy()
     wrong[3] = -1 if bad == "-1" else width
@@ -394,3 +434,22 @@ def test_a_replayed_step_checks_its_labels_as_the_recorded_one(name, bad):
     with pytest.raises(ContractError):
         replay(*draw(wrong))
     assert len(replay.records) == 1
+
+
+@pytest.mark.parametrize("name", STEPS)
+@pytest.mark.parametrize("call", ["recording", "replayed"])
+def test_a_step_that_raises_changes_no_state(name, call):
+    """A label of the labels' width raises once the step's train-mode
+    forwards have run (before them for the generator's conditions), on the
+    recording call or on a replayed one; every parameter, running statistic
+    and optimizer field stays as it was."""
+    replay, draw, width, state = STEPS[name]()
+    labels = np.arange(5) % width
+    if call == "replayed":
+        replay(*draw(labels))
+    wrong = labels.copy()
+    wrong[3] = width
+    before = state()
+    with pytest.raises(ContractError):
+        replay(*draw(wrong))
+    _assert_unchanged(before, state())
