@@ -19,6 +19,7 @@ import numpy as np
 from .autodiff import (Optimizer, Replay, Tensor, col_slice,
                        concat, frozen, row_slice)
 from .errors import ContractError
+from .fields import check_fields, ranged
 from .generation import ReplayBuffer
 from .losses import (LossWeights, client_loss, cross_entropy,
                      distillation_loss_subset)
@@ -27,26 +28,19 @@ from .models import Classifier
 
 @dataclass
 class ClientConfig:
-    epochs: int = 15
-    batch_size_new: int = 8
-    batch_size_replay: int = 8
-    lr_backbone_and_old: float = 1e-4
-    lr_new_head: float = 0.1
-    momentum: float = 0.9
-    replay_loss: str = "subset"  # subset | sliced
+    epochs: int = ranged(15, "[1, inf)")
+    batch_size_new: int = ranged(8, "[1, inf)")
+    batch_size_replay: int = ranged(8, "[1, inf)")
+    lr_backbone_and_old: float = ranged(1e-4, "[0, inf)")
+    lr_new_head: float = ranged(0.1, "[0, inf)")
+    momentum: float = ranged(0.9, "[0, 1)")
+    replay_loss: str = ranged("subset", ("subset", "sliced"))
 
     def validate(self) -> None:
-        if self.epochs < 1:
-            raise ContractError("client.epochs must be >= 1")
-        if self.batch_size_new < 1 or self.batch_size_replay < 1:
-            raise ContractError("client batch sizes must be >= 1")
-        if not 0 <= self.lr_backbone_and_old <= self.lr_new_head < np.inf:
-            raise ContractError("need 0 <= client.lr_backbone_and_old <= "
-                                "client.lr_new_head, finite")
-        if not 0 <= self.momentum < 1:
-            raise ContractError("client.momentum must be in [0, 1)")
-        if self.replay_loss not in ("subset", "sliced"):
-            raise ContractError(f"unknown replay_loss {self.replay_loss!r}")
+        check_fields(self, "client.")
+        if self.lr_backbone_and_old > self.lr_new_head:
+            raise ContractError("client.lr_backbone_and_old must be <= "
+                                "client.lr_new_head")
 
 
 def _epoch_batches(n: int, size: int, rng: np.random.Generator) -> list[np.ndarray]:

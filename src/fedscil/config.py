@@ -2,7 +2,8 @@
 
 Config files are plain text, one ``dotted.key = value`` per line, ``#``
 comments allowed. Values are coerced to the type of the field they target;
-tuples are comma-separated. Precedence, lowest to highest: dataclass
+tuples are comma-separated. Each field declares its allowed values beside
+its default (``fields.ranged``). Precedence, lowest to highest: dataclass
 defaults, preset, config file, command-line overrides.
 
 A run has one master seed (``seed``); every component stream is derived from
@@ -10,15 +11,13 @@ it by a stable path, and ``seeding.seed_streams`` lists every path a run draws.
 """
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .client import ClientConfig
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
+from .fields import check_fields, leaves, ranged
 from .generation import GenLabConfig
 from .losses import LossWeights
 
@@ -37,18 +36,16 @@ METHODS = {
     "sdd_cswa_only": ("distill", "cswa"),
 }
 
-CSWA_MODES = ("normalized", "paper_exact")
-
 
 @dataclass
 class DataConfig:
-    classes: int = 20
-    dim: int = 16
-    per_class_train: int = 30
-    per_class_test: int = 20
-    spread: float = 0.15
-    base_classes: int = 12
-    sessions: int = 4
+    classes: int = ranged(20, "[1, inf)")
+    dim: int = ranged(16, "[1, inf)")
+    per_class_train: int = ranged(30, "[1, inf)")
+    per_class_test: int = ranged(20, "[1, inf)")
+    spread: float = ranged(0.15, "[0, inf)")
+    base_classes: int = ranged(12, "[1, inf)")
+    sessions: int = ranged(4, "[0, inf)")
     way: int = 2
     shot: int = 5
     csv_train: str = ""   # optional pair: load both splits from CSV, not blobs
@@ -57,33 +54,33 @@ class DataConfig:
 
 @dataclass
 class BaseTrainConfig:
-    epochs: int = 30
-    batch_size: int = 64
-    lr: float = 0.1
-    momentum: float = 0.9
-    decay_milestones: tuple = (0.6, 0.7)  # fractions of total epochs
-    decay_factor: float = 0.1
+    epochs: int = ranged(30, "[1, inf)")
+    batch_size: int = ranged(64, "[2, inf)")
+    lr: float = ranged(0.1, "(0, inf)")
+    momentum: float = ranged(0.9, "[0, 1)")
+    decay_milestones: tuple = ranged((0.6, 0.7), "[0, 1]")  # fractions of total epochs
+    decay_factor: float = ranged(0.1, "[0, inf)")
 
 
 @dataclass
 class ModelConfig:
-    hidden: int = 64
-    feature_dim: int = 64
+    hidden: int = ranged(64, "[1, inf)")
+    feature_dim: int = ranged(64, "[1, inf)")
 
 
 @dataclass
 class AggregationConfig:
-    cswa_mode: str = "normalized"
+    cswa_mode: str = ranged("normalized", ("normalized", "paper_exact"))
 
 
 @dataclass
 class ExperimentConfig:
-    method: str = "sdd"
-    clients: int = 3
-    alpha: float = 1.0
-    rounds: int = 1
+    method: str = ranged("sdd", tuple(METHODS))
+    clients: int = ranged(3, "[1, inf)")
+    alpha: float = ranged(1.0, "(0, inf)")  # Dirichlet concentration
+    rounds: int = ranged(1, "[1, inf)")
     seed: int = 0
-    replay_label_noise: float = 0.0
+    replay_label_noise: float = ranged(0.0, "[0, 1)")
     data: DataConfig = field(default_factory=DataConfig)
     base: BaseTrainConfig = field(default_factory=BaseTrainConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -128,20 +125,13 @@ PRESETS: dict[str, dict[str, str]] = {
 }
 
 
-def _lookup(cfg: ExperimentConfig, dotted: str):
-    """Resolve a dotted key to (owner object, field). Raises on unknown keys."""
-    parts = dotted.split(".")
-    obj = cfg
-    for part in parts[:-1]:
-        fields = {f.name: f for f in dataclasses.fields(obj)}
-        if part not in fields or not dataclasses.is_dataclass(getattr(obj, part)):
-            raise ConfigError(f"unknown config key: {dotted}")
-        obj = getattr(obj, part)
-    fields = {f.name: f for f in dataclasses.fields(obj)}
-    name = parts[-1]
-    if name not in fields or dataclasses.is_dataclass(getattr(obj, name)):
+def _assign(table: dict, dotted: str, value, convert) -> None:
+    """Set the leaf ``dotted`` of a ``leaves`` table to
+    ``convert(dotted, value, current value)``. Raises on unknown keys."""
+    if dotted not in table:
         raise ConfigError(f"unknown config key: {dotted}")
-    return obj, name
+    obj, f = table[dotted]
+    setattr(obj, f.name, convert(dotted, value, getattr(obj, f.name)))
 
 
 def _coerce(dotted: str, raw: str, current):
@@ -156,11 +146,6 @@ def _coerce(dotted: str, raw: str, current):
         return raw
     except ValueError:
         raise ConfigError(f"{dotted}: cannot parse {raw!r}") from None
-
-
-def set_key(cfg: ExperimentConfig, dotted: str, raw: str) -> None:
-    obj, name = _lookup(cfg, dotted)
-    setattr(obj, name, _coerce(dotted, raw, getattr(obj, name)))
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -185,42 +170,32 @@ def build_config(file_path=None, preset: str | None = None,
     file_preset = file_items.pop("preset", None)
     preset_name = preset or file_preset
     cfg = ExperimentConfig()
+    table = leaves(cfg)
     if preset_name:
         if preset_name not in PRESETS:
             raise ConfigError(f"unknown preset: {preset_name}"
                               f" (have {', '.join(sorted(PRESETS))})")
         for key, value in PRESETS[preset_name].items():
-            set_key(cfg, key, value)
+            _assign(table, key, value, _coerce)
     for key, value in file_items.items():
-        set_key(cfg, key, value)
+        _assign(table, key, value, _coerce)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override must look like key=value, got {item!r}")
         key, value = item.split("=", 1)
-        set_key(cfg, key.strip(), value)
+        _assign(table, key.strip(), value, _coerce)
     validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.method not in METHODS:
-        raise ConfigError(f"method must be one of {', '.join(METHODS)}")
-    if cfg.clients < 1:
-        raise ConfigError("clients must be >= 1")
-    if cfg.rounds < 1:
-        raise ConfigError("rounds must be >= 1")
-    if not (cfg.alpha > 0) or not np.isfinite(cfg.alpha):
-        raise ConfigError("alpha: Dirichlet concentration must be > 0")
-    if not (0.0 <= cfg.replay_label_noise < 1.0):
-        raise ConfigError("replay_label_noise must be in [0, 1)")
+    """Every key in its allowed values, then the rules that span keys."""
+    try:
+        check_fields(cfg)
+        cfg.client.validate()
+    except ContractError as exc:
+        raise ConfigError(str(exc)) from None
     d = cfg.data
-    if min(d.classes, d.dim, d.per_class_train, d.per_class_test) < 1:
-        raise ConfigError("data.classes, data.dim, data.per_class_train and "
-                          "data.per_class_test must be >= 1")
-    if d.base_classes < 1:
-        raise ConfigError("data.base_classes must be >= 1")
-    if d.sessions < 0:
-        raise ConfigError("data.sessions must be >= 0")
     if d.sessions > 0 and (d.way < 1 or d.shot < 1):
         raise ConfigError("data.way and data.shot must be >= 1")
     if d.base_classes + d.sessions * d.way > d.classes:
@@ -231,47 +206,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("data.csv_train and data.csv_test must be set together")
     if not d.csv_train and d.shot > d.per_class_train:
         raise ConfigError("data.shot exceeds data.per_class_train")
-    if not 0 <= d.spread < np.inf:
-        raise ConfigError("data.spread must be finite and >= 0")
-    if cfg.base.epochs < 1 or cfg.base.batch_size < 2:
-        raise ConfigError("base.epochs >= 1 and base.batch_size >= 2 required")
-    b = cfg.base
-    if not 0 < b.lr < np.inf:
-        raise ConfigError("base.lr must be finite and > 0")
-    if not 0 <= b.decay_factor < np.inf:
-        raise ConfigError("base.decay_factor must be finite and >= 0")
-    if not all(0 <= f <= 1 for f in b.decay_milestones):
-        raise ConfigError("base.decay_milestones must each be in [0, 1]")
-    if not 0 <= b.momentum < 1:
-        raise ConfigError("base.momentum must be in [0, 1)")
-    if cfg.model.hidden < 1 or cfg.model.feature_dim < 1:
-        raise ConfigError("model sizes must be >= 1")
-    if cfg.aggregation.cswa_mode not in CSWA_MODES:
-        raise ConfigError(f"aggregation.cswa_mode must be one of {', '.join(CSWA_MODES)}")
-    try:
-        cfg.client.validate()
-        cfg.weights.validate()
-        cfg.generator.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def to_flat_dict(cfg: ExperimentConfig) -> dict[str, object]:
     """Dotted-key snapshot of every field, suitable for manifests."""
     out: dict[str, object] = {}
-
-    def walk(obj, prefix: str):
-        for f in dataclasses.fields(obj):
-            value = getattr(obj, f.name)
-            key = f"{prefix}{f.name}"
-            if dataclasses.is_dataclass(value):
-                walk(value, key + ".")
-            elif isinstance(value, tuple):
-                out[key] = list(value)
-            else:
-                out[key] = value
-
-    walk(cfg, "")
+    for key, (obj, f) in leaves(cfg).items():
+        value = getattr(obj, f.name)
+        out[key] = list(value) if isinstance(value, tuple) else value
     return out
 
 
@@ -300,9 +242,9 @@ def _typed(key: str, value, current):
 
 def from_flat_dict(items: dict[str, object]) -> ExperimentConfig:
     cfg = ExperimentConfig()
+    table = leaves(cfg)
     for key, value in items.items():
-        obj, name = _lookup(cfg, key)
-        setattr(obj, name, _typed(key, value, getattr(obj, name)))
+        _assign(table, key, value, _typed)
     validate_config(cfg)
     return cfg
 

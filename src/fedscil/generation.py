@@ -22,6 +22,7 @@ import numpy as np
 
 from .autodiff import Optimizer, Replay, frozen
 from .errors import BufferGapError, ContractError, EmptyBufferError, NonFiniteError
+from .fields import check_fields, ranged
 from .losses import (LossWeights, bn_stat_loss, generator_entropy_loss,
                      generator_fidelity_loss, generator_total_loss,
                      info_entropy, student_loss, transferability_loss)
@@ -33,31 +34,19 @@ Array = np.ndarray
 
 @dataclass
 class GenLabConfig:
-    epochs: int = 100
-    rounds_per_epoch: int = 50
-    batch_size: int = 64
-    noise_dim: int = 16
-    hidden: int = 64
-    gen_lr: float = 1e-3
-    student_lr: float = 0.2
-    student_momentum: float = 0.9
-    bank_per_epoch: int = 64
-    buffer_capacity: int = 200
+    epochs: int = ranged(100, "[1, inf)")
+    rounds_per_epoch: int = ranged(50, "[1, inf)")
+    batch_size: int = ranged(64, "[2, inf)")  # batch norm needs two samples
+    noise_dim: int = ranged(16, "[1, inf)")
+    hidden: int = ranged(64, "[1, inf)")
+    gen_lr: float = ranged(1e-3, "(0, inf)")
+    student_lr: float = ranged(0.2, "[0, inf)")
+    student_momentum: float = ranged(0.9, "[0, 1)")
+    bank_per_epoch: int = ranged(64, "[2, inf)")
+    buffer_capacity: int = ranged(200, "[1, inf)")
 
     def validate(self) -> None:
-        if self.epochs < 1 or self.rounds_per_epoch < 1:
-            raise ContractError("generator epochs and rounds must be >= 1")
-        if self.batch_size < 2 or self.bank_per_epoch < 2:
-            raise ContractError("generator batches need >= 2 samples (batch norm)")
-        if self.noise_dim < 1 or self.hidden < 1:
-            raise ContractError("generator noise_dim and hidden must be >= 1")
-        if self.buffer_capacity < 1:
-            raise ContractError("buffer_capacity must be >= 1")
-        if not (0 < self.gen_lr < np.inf and 0 <= self.student_lr < np.inf):
-            raise ContractError("generator.gen_lr must be finite and > 0, "
-                                "generator.student_lr finite and >= 0")
-        if not 0 <= self.student_momentum < 1:
-            raise ContractError("generator.student_momentum must be in [0, 1)")
+        check_fields(self, "generator.")
 
 
 @dataclass

@@ -22,31 +22,25 @@ import numpy as np
 from .autodiff import (Array, Tensor, _apply, _check_range, _log_fw, _softmax_bw,
                        _softmax_fw, _wrap, col_slice, gather_rows, one_hot)
 from .errors import ContractError
+from .fields import check_fields, ranged
 
 
 @dataclass
 class LossWeights:
     """Scalar knobs shared by client training and generator training."""
 
-    alpha: float = 1.0       # weight of the forward CE term on replay data
-    beta: float = 1.0        # weight of the reverse CE term on replay data
-    k: float = 1.0           # replay loss weight inside the client objective
-    lambda1: float = 1.0     # generator: fidelity
-    lambda2: float = 1.0     # generator: prediction entropy
-    lambda3: float = 1.0     # generator: batch-norm statistics matching
-    lambda4: float = 1.0     # generator: teacher-student disagreement
-    rce_log_zero: float = -4.0
-    kl_temperature: float = 1.0
+    alpha: float = ranged(1.0, "[0, inf)")    # forward CE weight on replay data
+    beta: float = ranged(1.0, "[0, inf)")     # reverse CE weight on replay data
+    k: float = ranged(1.0, "[0, inf)")        # replay weight in the client objective
+    lambda1: float = ranged(1.0, "[0, inf)")  # generator: fidelity
+    lambda2: float = ranged(1.0, "[0, inf)")  # generator: prediction entropy
+    lambda3: float = ranged(1.0, "[0, inf)")  # generator: batch-norm statistics
+    lambda4: float = ranged(1.0, "[0, inf)")  # generator: teacher-student disagreement
+    rce_log_zero: float = ranged(-4.0, "(-inf, 0)")
+    kl_temperature: float = ranged(1.0, "(0, inf)")
 
     def validate(self) -> None:
-        for name in ("alpha", "beta", "k", "lambda1", "lambda2", "lambda3", "lambda4"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ContractError(f"weights.{name} must be finite and >= 0")
-        if not np.isfinite(self.rce_log_zero) or self.rce_log_zero >= 0:
-            raise ContractError("weights.rce_log_zero must be finite and < 0")
-        if not 0 < self.kl_temperature < np.inf:
-            raise ContractError("weights.kl_temperature must be finite and > 0")
+        check_fields(self, "weights.")
 
 
 def _check_batch(logits: Tensor, labels: Array) -> Array:

@@ -295,10 +295,13 @@ def run_incremental_session(cfg: ExperimentConfig, sched: SessionSchedule,
     return SessionResult(current, metrics)
 
 
-def run_experiment(cfg: ExperimentConfig, on_session=None) -> RunResult:
-    """Run sessions 0..T; on_session(SessionMetrics, model) after each one."""
+def run_experiment(cfg: ExperimentConfig, on_session=None,
+                   sched: SessionSchedule | None = None) -> RunResult:
+    """Run sessions 0..T; on_session(SessionMetrics, model) after each one.
+    ``sched`` is the config's prepared schedule, built here when None."""
     validate_config(cfg)
-    sched = prepare_schedule(cfg)
+    if sched is None:
+        sched = prepare_schedule(cfg)
     partitions = prepare_partitions(cfg, sched)
 
     base = run_base_session(cfg, sched)

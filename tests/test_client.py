@@ -256,9 +256,9 @@ def test_unknown_replay_loss_is_rejected_before_training(rng):
                       feature_dim=8)
     x, y = _shard(rng)
     cfg = _fast_cfg(replay_loss="full")
-    with pytest.raises(ContractError, match="unknown replay_loss"):
+    with pytest.raises(ContractError, match="client.replay_loss must be one of subset, sliced"):
         local_update_nagr(model, x, y, buffer, LossWeights(k=1.0), cfg, 4, seed=5)
-    with pytest.raises(ContractError, match="unknown replay_loss"):
+    with pytest.raises(ContractError, match="client.replay_loss must be one of subset, sliced"):
         local_update_baseline_kd(model, prev, x, y, buffer, LossWeights(k=1.0),
                                  cfg, 4, seed=5)
 

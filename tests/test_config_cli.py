@@ -12,9 +12,9 @@ import pytest
 from fedscil import Classifier, ExperimentConfig, build_config
 from fedscil.checkpoint import load_state
 from fedscil.cli import main
-from fedscil.config import (from_flat_dict, run_id, set_key, to_flat_dict,
-                            validate_config)
+from fedscil.config import from_flat_dict, run_id, to_flat_dict
 from fedscil.errors import ConfigError
+from fedscil.fields import leaves
 from fedscil.orchestrator import prepare_schedule
 
 # a light sdd run of LIGHT_FILE that the format-1 CLI wrote with
@@ -90,7 +90,7 @@ def test_unknown_key_and_preset_are_rejected():
 
 
 def test_validation_messages():
-    with pytest.raises(ConfigError, match="Dirichlet concentration must be > 0"):
+    with pytest.raises(ConfigError, match=r"^alpha must be in \(0, inf\)$"):
         build_config(overrides=["alpha=-1"])
     with pytest.raises(ConfigError, match="method must be one of"):
         build_config(overrides=["method=magic"])
@@ -109,17 +109,63 @@ def test_validation_messages():
         build_config(overrides=["weights.k=-1"])  # nested validate, wrapped
 
 
-FLOAT_KEYS = [key for key, value in to_flat_dict(ExperimentConfig()).items()
-              if isinstance(value, float)]
+def _refused_by_run(tmp_path, capsys, key: str, value: str) -> None:
+    """``fedscil run --set key=value`` exits 1 before writing a manifest, with
+    a message that names the dotted key (``weights.alpha`` does not count
+    for ``alpha``)."""
+    out = tmp_path / "out"
+    rc = main(["run", "--preset", "desk", "--set", f"{key}={value}", "--out",
+               str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert err.startswith("configuration error:")
+    assert re.search(rf"(?<![\w.]){re.escape(key)}(?!\w)", err), err
+    assert not (out / "manifest.json").exists()
+
+
+def _as_set_value(key: str, value: str) -> str:
+    """A tuple key takes the value as one element of an otherwise valid list."""
+    owner, f = SCHEMA[key]
+    return f"0.5,{value}" if isinstance(getattr(owner, f.name), tuple) else value
+
+
+def _past_ends(default, allowed) -> list[str]:
+    """Values just outside each finite end of an allowed interval, or an
+    unknown choice."""
+    if isinstance(allowed, tuple):
+        return ["no-such-choice"]
+    lo, hi = map(float, allowed[1:-1].split(","))
+    out = []
+    for end, closed, way in ((lo, allowed[0] == "[", -1), (hi, allowed[-1] == "]", 1)):
+        if not np.isfinite(end):
+            continue
+        if isinstance(default, int):
+            out.append(int(end) + way * closed)
+        else:
+            out.append(float(np.nextafter(end, way * np.inf)) if closed else end)
+    return [repr(v) for v in out]
+
+
+SCHEMA = leaves(ExperimentConfig())
+RANGED = {key: (getattr(owner, f.name), f.metadata["allowed"])
+          for key, (owner, f) in SCHEMA.items() if "allowed" in f.metadata}
+FLOAT_KEYS = [key for key, (default, _) in RANGED.items()
+              if isinstance(default, (float, tuple))]
+PAST_ENDS = [(key, value) for key, (default, allowed) in RANGED.items()
+             for value in _past_ends(default, allowed)]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("key", FLOAT_KEYS + ["base.decay_milestones"])
-def test_non_finite_float_values_are_refused_by_key(key, value):
-    if key == "base.decay_milestones":
-        value = f"0.5,{value}"
-    with pytest.raises(ConfigError, match=rf"(?<![\w.]){re.escape(key)}(?!\w)"):
-        build_config(preset="desk", overrides=[f"{key}={value}"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_values_are_refused_by_key(tmp_path, capsys, key, value):
+    _refused_by_run(tmp_path, capsys, key, _as_set_value(key, value))
+
+
+@pytest.mark.parametrize("key, value", PAST_ENDS)
+def test_values_past_an_allowed_end_are_refused_by_key(tmp_path, capsys, key, value):
+    """Every ranged key of the schema, just outside each finite end of its
+    interval, or set to a choice it does not list."""
+    _refused_by_run(tmp_path, capsys, key, _as_set_value(key, value))
 
 
 def test_config_file_parsing(tmp_path):
@@ -172,12 +218,9 @@ def test_run_id_is_stable_and_sensitive():
 
 
 def test_set_key_unknown_leaf():
-    cfg = ExperimentConfig()
-    with pytest.raises(ConfigError):
-        set_key(cfg, "client.turbo", "1")
-    set_key(cfg, "client.epochs", "9")
-    assert cfg.client.epochs == 9
-    validate_config(cfg)
+    with pytest.raises(ConfigError, match="unknown config key: client.turbo"):
+        build_config(overrides=["client.turbo=1"])
+    assert build_config(overrides=["client.epochs=9"]).client.epochs == 9
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -440,13 +483,15 @@ def test_csv_dataset_faults_exit_one(run_root, tmp_path, capsys, rows, message):
     train.write_text(rows)
     test = tmp_path / "test.csv"
     test.write_text("0.1,0.2,0\n")
+    out = tmp_path / "out"
     rc = main(["run", "--preset", "desk", "--set", f"data.csv_train={train}",
                "--set", f"data.csv_test={test}", "--set", "data.classes=20",
-               "--quiet"])
+               "--quiet", "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert f"{train}: {message}" in err
+    assert not (out / "manifest.json").exists()
 
 
 def test_class_without_test_rows_reports_null_accuracy(tmp_path):

@@ -10,7 +10,8 @@ engine builds nodes must not move them silently. Every training step runs
 through ``autodiff.Replay``, so no other module steps a model itself, and
 every run stream is drawn from the seed table of ``seeding``. The README's
 Quick-start table names its runs by run id, which must stay the digest of
-each desk config."""
+each desk config, and its Configuration table gives each key's default and
+allowed values as the config dataclasses declare them."""
 import ast
 import glob
 import importlib
@@ -27,7 +28,8 @@ import numpy as np  # noqa: E402
 from tracer import TARGETS, graph_nodes  # noqa: E402
 
 from fedscil import Classifier, Tensor, build_config  # noqa: E402
-from fedscil.config import run_id  # noqa: E402
+from fedscil.config import ExperimentConfig, run_id  # noqa: E402
+from fedscil.fields import leaves  # noqa: E402
 from fedscil.generation import generator_loss  # noqa: E402
 from fedscil.losses import student_loss  # noqa: E402
 from fedscil.models import ConditionalGenerator, ModelStack, make_student  # noqa: E402
@@ -56,6 +58,39 @@ def test_readme_run_ids_are_the_desk_config_digests():
         cfg = build_config(preset="desk", overrides=[f"method={method}",
                                                      f"seed={seed}"])
         assert rid == run_id(cfg), (method, seed)
+
+
+# keys without allowed values of their own: free, or checked against other keys
+UNRANGED = ["seed", "data.way", "data.shot", "data.csv_train", "data.csv_test"]
+
+
+def test_every_config_key_declares_its_allowed_values():
+    """Every leaf of the config tree is declared with ``ranged`` or is on
+    the explicit list above, so a new key cannot skip its range."""
+    bare = [key for key, (_, f) in leaves(ExperimentConfig()).items()
+            if "allowed" not in f.metadata]
+    assert bare == UNRANGED
+
+
+def test_readme_configuration_table_is_the_schema():
+    """The README's Configuration table lists every config key in schema
+    order, with its default as JSON and, for a ranged key, its allowed
+    values."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("## Configuration"):text.index("## Run artifacts")]
+    rows = re.findall(r"^\| `([\w.]+)` \| `(.*?)` \| (.*?) \|", section, re.M)
+    schema = leaves(ExperimentConfig())
+    assert [key for key, _, _ in rows] == list(schema)
+    for key, default, allowed in rows:
+        owner, f = schema[key]
+        value, spec = getattr(owner, f.name), f.metadata.get("allowed")
+        assert default == json.dumps(value), key
+        if isinstance(spec, tuple):
+            assert allowed == ", ".join(f"`{choice}`" for choice in spec), key
+        elif spec is not None:
+            each = " each" if isinstance(value, tuple) else ""
+            assert allowed == f"`{spec}`{each}", key
 
 
 def test_only_autodiff_calls_backprop_or_an_optimizer_step():
