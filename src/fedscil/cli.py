@@ -125,10 +125,9 @@ def _manifest_seeds(cfg: ExperimentConfig) -> dict:
 
 
 def _metrics_record(rid: str, cfg: ExperimentConfig, sm) -> dict:
-    """One metrics.jsonl record: the session's metrics but for its wall-clock
-    seconds, plus the run's identity."""
+    """One metrics.jsonl record: the session's metrics plus the run's
+    identity."""
     record = dataclasses.asdict(sm)
-    del record["seconds"]
     record.update(run_id=rid, method=cfg.method, seed=cfg.seed, alpha=cfg.alpha)
     return record
 
@@ -205,24 +204,26 @@ def _cmd_run(args) -> int:
     timings_fh = open(os.path.join(run_dir, TIMINGS_FILENAME), "w",
                       encoding="utf-8")
 
-    def on_session(sm, model) -> None:
+    def on_session(state) -> None:
+        sm = state.metrics
         record = _metrics_record(rid, cfg, sm)
         metrics_records.append(record)
         metrics_fh.write(json.dumps(record, sort_keys=True) + "\n")
         metrics_fh.flush()
         timings_fh.write(json.dumps(
-            {"run_id": rid, "session": sm.session, "seconds": sm.seconds},
+            {"run_id": rid, "session": sm.session, "seconds": state.seconds},
             sort_keys=True) + "\n")
         timings_fh.flush()
         if args.save_checkpoints:
             save_state(os.path.join(run_dir, "checkpoints",
                                     f"session_{sm.session}.ckpt"),
-                       model.state_entries(), extra={"arch": model.arch()})
+                       state.model.state_entries(),
+                       extra={"arch": state.model.arch()})
         if not args.quiet:
             old = "-" if sm.old is None else f"{100 * sm.old:.2f}"
             print(f"session {sm.session}: overall {100 * sm.overall:.2f}%  "
                   f"old {old}  new {100 * sm.new:.2f}  "
-                  f"({sm.classes_seen} classes, {sm.seconds:.1f}s)")
+                  f"({sm.classes_seen} classes, {state.seconds:.1f}s)")
 
     try:
         result = run_experiment(cfg, on_session=on_session, sched=sched)

@@ -30,7 +30,7 @@ from .config import METHODS, ExperimentConfig, run_id, validate_config
 from .data import (DatasetSplits, LabeledDataset, SessionSchedule,
                    build_schedule, dirichlet_partition, load_csv_dataset,
                    make_blobs, partition_summary)
-from .errors import NonFiniteError
+from .errors import BufferGapError, NonFiniteError
 from .generation import (ReplayBuffer, SyntheticPool, relabel,
                          train_generator_session)
 from .losses import cross_entropy
@@ -46,21 +46,17 @@ class SessionMetrics:
     old: float | None       # None in the base session (nothing is old yet)
     new: float
     per_class: list[float | None]
-    seconds: float
     audit: dict | None = None    # aggregation details, incremental sessions only
 
 
 @dataclass
-class BaseResult:
+class SessionState:
+    """All that one session hands the next (the global model and the replay
+    buffer), with the session's deterministic metrics and wall-clock time."""
     model: Classifier
     buffer: ReplayBuffer
     metrics: SessionMetrics
-
-
-@dataclass
-class SessionResult:
-    model: Classifier
-    metrics: SessionMetrics
+    seconds: float
 
 
 @dataclass
@@ -161,7 +157,7 @@ def _train_base(model: Classifier, ds: LabeledDataset,
 
 
 def run_base_session(cfg: ExperimentConfig,
-                     sched: SessionSchedule | None = None) -> BaseResult:
+                     sched: SessionSchedule | None = None) -> SessionState:
     """Centralized training on the data-rich classes, then (for methods with
     a local replay rule) generator training against the fresh model and
     buffer seeding."""
@@ -176,6 +172,7 @@ def run_base_session(cfg: ExperimentConfig,
     _check_finite(model, "session 0, base training")
 
     buffer = ReplayBuffer(cfg.generator.buffer_capacity, cfg.replay_label_noise)
+    pool = None
     local_rule, _ = METHODS[cfg.method]
     if local_rule is not None:
         _, _, pool = train_generator_session(
@@ -183,13 +180,23 @@ def run_base_session(cfg: ExperimentConfig,
             (sched.envelope_low, sched.envelope_high), cfg.generator,
             cfg.weights, stream_seed(cfg, "genlab", 0))
         _check_pool(pool, "session 0, generator")
-        buffer.add_pool(relabel(pool, model),
-                        np.random.default_rng(stream_seed(cfg, "buffer", 0)))
+    return _close_session(cfg, sched, 0, model, buffer, pool, started)
 
-    overall, old, new, per_class = evaluate(model, sched.eval_by_session[0], 0)
-    metrics = SessionMetrics(0, sched.classes_through(0), overall, old, new,
-                             per_class, time.perf_counter() - started)
-    return BaseResult(model, buffer, metrics)
+
+def _close_session(cfg: ExperimentConfig, sched: SessionSchedule, t: int,
+                   model: Classifier, buffer: ReplayBuffer,
+                   pool: SyntheticPool | None, started: float,
+                   audit: dict | None = None) -> SessionState:
+    """Bank the session's final pool, if it has one, pseudo-labeled by the
+    session's final model; then evaluate the model."""
+    if pool is not None:
+        buffer.add_pool(relabel(pool, model),
+                        np.random.default_rng(stream_seed(cfg, "buffer", t)))
+    overall, old, new, per_class = evaluate(model, sched.eval_by_session[t],
+                                            sched.session_range(t)[0])
+    metrics = SessionMetrics(t, sched.classes_through(t), overall, old, new,
+                             per_class, audit)
+    return SessionState(model, buffer, metrics, time.perf_counter() - started)
 
 
 def _check_finite(model: Classifier, where: str) -> None:
@@ -236,7 +243,7 @@ def _local_models(cfg: ExperimentConfig, local_rule: str | None,
 
 def run_incremental_session(cfg: ExperimentConfig, sched: SessionSchedule,
                             t: int, prev_global: Classifier,
-                            buffer: ReplayBuffer, shards) -> SessionResult:
+                            buffer: ReplayBuffer, shards) -> SessionState:
     """One federated session: head expansion, R rounds of local updates plus
     generator training and aggregation, then buffer growth and evaluation."""
     started = time.perf_counter()
@@ -244,7 +251,10 @@ def run_incremental_session(cfg: ExperimentConfig, sched: SessionSchedule,
     local_rule, head_rule = METHODS[cfg.method]
     needs_replay = local_rule is not None
     if needs_replay:
-        buffer.require(range(0, lo))
+        try:
+            buffer.require(range(0, lo))
+        except BufferGapError as exc:
+            raise BufferGapError(f"{exc} before session {t}") from None
     current = prev_global.clone()
     current.expand_head(t, hi - lo, stream_seed(cfg, "head", t))
 
@@ -285,39 +295,27 @@ def run_incremental_session(cfg: ExperimentConfig, sched: SessionSchedule,
         _check_finite(current, f"session {t}, round {r}, aggregation")
 
     # bank only the final round's pool, pseudo-labeled by the fresh global
-    if needs_replay:
-        buffer.add_pool(relabel(pool, current),
-                        np.random.default_rng(stream_seed(cfg, "buffer", t)))
-
-    overall, old, new, per_class = evaluate(current, sched.eval_by_session[t], lo)
-    metrics = SessionMetrics(t, sched.classes_through(t), overall, old, new,
-                             per_class, time.perf_counter() - started, audit)
-    return SessionResult(current, metrics)
+    return _close_session(cfg, sched, t, current, buffer, pool, started, audit)
 
 
 def run_experiment(cfg: ExperimentConfig, on_session=None,
                    sched: SessionSchedule | None = None) -> RunResult:
-    """Run sessions 0..T; on_session(SessionMetrics, model) after each one.
+    """Run sessions 0..T; on_session(SessionState) after each one.
     ``sched`` is the config's prepared schedule, built here when None."""
     validate_config(cfg)
     if sched is None:
         sched = prepare_schedule(cfg)
     partitions = prepare_partitions(cfg, sched)
 
-    base = run_base_session(cfg, sched)
-    results = [base.metrics]
-    if on_session:
-        on_session(base.metrics, base.model)
-
-    model, buffer = base.model, base.buffer
-    for t in range(1, sched.sessions + 1):
-        step = run_incremental_session(cfg, sched, t, model, buffer,
-                                       partitions[t])
-        model = step.model
-        results.append(step.metrics)
+    results = []
+    for t in range(sched.sessions + 1):
+        state = (run_base_session(cfg, sched) if t == 0 else
+                 run_incremental_session(cfg, sched, t, state.model,
+                                         state.buffer, partitions[t]))
+        results.append(state.metrics)
         if on_session:
-            on_session(step.metrics, model)
+            on_session(state)
 
     average = float(np.mean([s.overall for s in results]))
     return RunResult(run_id(cfg), cfg.method, cfg.seed, cfg.alpha, results,
-                     results[-1].overall, average, buffer)
+                     results[-1].overall, average, state.buffer)

@@ -14,7 +14,7 @@ import pytest
 
 from fedscil import ExperimentConfig, GenLabConfig, build_config, make_blobs
 from fedscil.data import SessionSchedule
-from fedscil.orchestrator import (BaseResult, prepare_partitions,
+from fedscil.orchestrator import (SessionState, prepare_partitions,
                                   prepare_schedule, run_base_session)
 
 
@@ -40,7 +40,7 @@ def tiny_splits(classes: int = 6, dim: int = 4, seed: int = 9):
 class DeskBase:
     cfg: ExperimentConfig
     sched: SessionSchedule
-    base: BaseResult
+    base: SessionState
     partitions: list
 
 

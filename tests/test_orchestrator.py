@@ -11,7 +11,8 @@ from fedscil import Classifier, ReplayBuffer, orchestrator, run_experiment
 from fedscil.data import LabeledDataset
 from fedscil.errors import BufferGapError, ConfigError, NonFiniteError
 from fedscil.orchestrator import (evaluate, inspect_partitions, prepare_data,
-                                  prepare_partitions, run_incremental_session)
+                                  prepare_partitions, prepare_schedule,
+                                  run_base_session, run_incremental_session)
 
 LIGHT = ("data.classes=6", "data.dim=4", "data.base_classes=4",
          "data.sessions=1", "data.way=2", "data.shot=4",
@@ -98,6 +99,35 @@ def test_run_experiment_is_deterministic():
     assert a.run_id == b.run_id
     assert [m.overall for m in a.sessions] == [m.overall for m in b.sessions]
     assert [m.per_class for m in a.sessions] == [m.per_class for m in b.sessions]
+
+
+@pytest.mark.parametrize("method", ["sdd", "finetune"])
+def test_session_state_is_all_that_passes_between_sessions(method):
+    """Sessions driven one by one, each from deep copies of the previous
+    state's model and buffer, reproduce run_experiment bit for bit."""
+    cfg = light_config("data.sessions=2", "data.classes=8", method=method)
+    whole = []
+    run_experiment(cfg, whole.append)
+
+    sched = prepare_schedule(cfg)
+    parts = prepare_partitions(cfg, sched)
+    states = [run_base_session(cfg, sched)]
+    for t in (1, 2):
+        prev = states[-1]
+        states.append(run_incremental_session(
+            cfg, sched, t, copy.deepcopy(prev.model), copy.deepcopy(prev.buffer),
+            parts[t]))
+    assert [dataclasses.asdict(s.metrics) for s in states] == \
+        [dataclasses.asdict(s.metrics) for s in whole]
+    assert all(s.seconds > 0 for s in states)
+    for (name, mine, _), (_, theirs, _) in zip(states[-1].model.state_entries(),
+                                               whole[-1].model.state_entries(),
+                                               strict=True):
+        assert np.array_equal(mine, theirs), name
+    mine, theirs = states[-1].buffer.export_rows(), whole[-1].buffer.export_rows()
+    assert len(mine) == len(theirs)
+    for (sample, *rest), (other, *expected) in zip(mine, theirs):
+        assert np.array_equal(sample, other) and rest == expected
 
 
 def test_prepare_data_is_deterministic():
@@ -193,7 +223,8 @@ def test_csv_train_without_test_is_rejected():
 def test_replay_session_requires_a_seeded_buffer(desk_base):
     cfg = dataclasses.replace(desk_base.cfg, clients=1)
     parts = prepare_partitions(cfg, desk_base.sched)
-    with pytest.raises(BufferGapError):
+    with pytest.raises(BufferGapError, match="^replay buffer has no samples "
+                                             "for class 0 before session 1$"):
         run_incremental_session(cfg, desk_base.sched, 1, desk_base.base.model,
                                 ReplayBuffer(10), parts[1])
 
@@ -203,7 +234,7 @@ def test_non_finite_base_training_stops_the_run_before_session_0(recwarn):
     with pytest.raises(NonFiniteError, match="^non-finite model state after "
                                              "session 0, base training$"):
         run_experiment(light_config("base.lr=1e300", method="finetune"),
-                       lambda sm, model: sessions.append(sm.session))
+                       lambda state: sessions.append(state.metrics.session))
     assert sessions == []
 
 
@@ -212,7 +243,8 @@ def test_non_finite_client_update_stops_the_run_before_its_session(recwarn):
                        "client.lr_backbone_and_old=1e300", method="finetune")
     sessions = []
     with pytest.raises(NonFiniteError) as exc:
-        run_experiment(cfg, lambda sm, model: sessions.append(sm.session))
+        run_experiment(cfg,
+                       lambda state: sessions.append(state.metrics.session))
     assert str(exc.value) == ("non-finite model state after session 1, round 0, "
                               "local update of client 0")
     assert sessions == [0]
@@ -225,7 +257,7 @@ def test_non_finite_generator_stops_the_run_before_its_session(recwarn):
     with pytest.raises(NonFiniteError, match="^non-finite generator loss at "
                                              "epoch 0 of session 0$"):
         run_experiment(light_config("generator.gen_lr=1e300"),
-                       lambda sm, model: sessions.append(sm.session))
+                       lambda state: sessions.append(state.metrics.session))
     assert sessions == []
 
 
@@ -242,7 +274,7 @@ def test_a_diverging_incremental_generator_names_its_round(monkeypatch, recwarn)
     with pytest.raises(NonFiniteError, match="^non-finite generator loss at "
                                              "epoch 0 of session 1, round 0$"):
         run_experiment(light_config(),
-                       lambda sm, model: sessions.append(sm.session))
+                       lambda state: sessions.append(state.metrics.session))
     assert sessions == [0]
 
 

@@ -10,8 +10,9 @@ engine builds nodes must not move them silently. Every training step runs
 through ``autodiff.Replay``, so no other module steps a model itself, and
 every run stream is drawn from the seed table of ``seeding``. The README's
 Quick-start table names its runs by run id, which must stay the digest of
-each desk config, and its Configuration table gives each key's default and
-allowed values as the config dataclasses declare them."""
+each desk config, its Configuration table gives each key's default and
+allowed values as the config dataclasses declare them, and its Layout block
+names every module of the package."""
 import ast
 import glob
 import importlib
@@ -91,6 +92,17 @@ def test_readme_configuration_table_is_the_schema():
         elif spec is not None:
             each = " each" if isinstance(value, tuple) else ""
             assert allowed == f"`{spec}`{each}", key
+
+
+def test_readme_layout_lists_every_module():
+    """Every module of the package but ``__init__.py`` has a line in the
+    README's Layout block."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    layout = set(re.findall(r"^  (\w+\.py) ", text[text.index("## Layout"):], re.M))
+    modules = {os.path.basename(path) for path in
+               glob.glob(os.path.join(ROOT, "src", "fedscil", "*.py"))}
+    assert sorted(modules - {"__init__.py"} - layout) == []
 
 
 def test_only_autodiff_calls_backprop_or_an_optimizer_step():
