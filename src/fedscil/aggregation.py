@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, PoolGapError
 from .generation import SyntheticPool
 from .models import Classifier
 
@@ -23,6 +23,8 @@ OLD_GROUPS = ("backbone", "head_old", "bn_stats")
 
 
 def _count_weights(counts: list[int] | Array, clients: int) -> Array:
+    if clients < 1:
+        raise ContractError("need at least one client model")
     counts = np.asarray(counts, dtype=np.float64)
     if counts.shape != (clients,):
         raise ContractError("need one sample count per client")
@@ -35,21 +37,24 @@ def _count_weights(counts: list[int] | Array, clients: int) -> Array:
     return counts / total
 
 
-def _weighted_state(models: list[Classifier], weights: Array,
-                    names: set[str] | None = None) -> dict[str, Array]:
-    out: dict[str, Array] = {}
-    reference = models[0].state_entries()
-    per_model = [dict((n, a) for n, a, _ in m.state_entries()) for m in models]
-    for name, arr, group in reference:
-        if names is not None and name not in names:
-            continue
-        acc = np.zeros_like(arr)
-        for w, state in zip(weights, per_model):
-            if state[name].shape != arr.shape:
-                raise ContractError(f"client models disagree on shape of {name}")
-            acc += w * state[name]
-        out[name] = acc
+def _accumulate(arrays: list[Array], weights, mismatch: str) -> Array:
+    """The sum over clients m of weights[m] * arrays[m], added from zeros in
+    client order; weights[m] is a scalar or broadcasts against arrays[m]."""
+    out = np.zeros_like(arrays[0])
+    for w, arr in zip(weights, arrays):
+        if arr.shape != out.shape:
+            raise ContractError(mismatch)
+        out += w * arr
     return out
+
+
+def _weighted_state(models: list[Classifier], weights: Array,
+                    groups: tuple[str, ...] | None = None) -> dict[str, Array]:
+    per_model = [dict((n, a) for n, a, _ in m.state_entries()) for m in models]
+    return {name: _accumulate([state[name] for state in per_model], weights,
+                              f"client models disagree on shape of {name}")
+            for name, _, group in models[0].state_entries()
+            if groups is None or group in groups}
 
 
 def aggregate_old(models: list[Classifier], counts) -> dict[str, Array]:
@@ -59,12 +64,8 @@ def aggregate_old(models: list[Classifier], counts) -> dict[str, Array]:
     running statistics, and head columns of earlier sessions. Returns a name
     to array map; assemble_global installs it.
     """
-    if not models:
-        raise ContractError("need at least one client model")
-    weights = _count_weights(counts, len(models))
-    names = {name for name, _, group in models[0].state_entries()
-             if group in OLD_GROUPS}
-    return _weighted_state(models, weights, names)
+    return _weighted_state(models, _count_weights(counts, len(models)),
+                           OLD_GROUPS)
 
 
 def eval_class_accuracy(model: Classifier, pool: SyntheticPool) -> Array:
@@ -80,7 +81,7 @@ def eval_class_accuracy(model: Classifier, pool: SyntheticPool) -> Array:
     for i, c in enumerate(range(pool.class_lo, pool.class_hi)):
         mask = pool.condition == c
         if not mask.any():
-            raise ContractError(f"pool holds no samples conditioned on class {c}")
+            raise PoolGapError(f"pool holds no samples conditioned on class {c}")
         row[i] = float((pred[mask] == c).mean())
     return row
 
@@ -120,28 +121,24 @@ def cswa_weights(matrix: AccuracyMatrix, mode: str = "normalized") -> Array:
     return np.where(sums > 0, a / np.where(sums == 0, 1.0, sums), 1.0 / a.shape[0])
 
 
-def cswa_aggregate_new(blocks: list[tuple[Array, Array]], matrix: AccuracyMatrix,
-                       mode: str = "normalized") -> tuple[Array, Array]:
+def cswa_aggregate_new(blocks: list[tuple[Array, Array]],
+                       weights: Array) -> tuple[Array, Array]:
     """Column-wise weighted combination of the clients' new head blocks.
 
-    blocks[m] is client m's (weight, bias) for the session's columns; bias
+    blocks[m] is client m's (weight, bias) for the session's columns and
+    weights[m] its per-column weights (a row of :func:`cswa_weights`); bias
     entries are weighted exactly like their columns.
     """
-    if len(blocks) != matrix.values.shape[0]:
-        raise ContractError("need one head block per accuracy-matrix row")
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.ndim != 2 or len(blocks) != weights.shape[0]:
+        raise ContractError("need one head block per client-weight row")
     w0, b0 = blocks[0]
-    classes = matrix.values.shape[1]
+    classes = weights.shape[1]
     if w0.shape[1] != classes or b0.shape != (classes,):
-        raise ContractError("head block width does not match the accuracy matrix")
-    weights = cswa_weights(matrix, mode)
-    w_out = np.zeros_like(w0)
-    b_out = np.zeros_like(b0)
-    for m, (w, b) in enumerate(blocks):
-        if w.shape != w0.shape or b.shape != b0.shape:
-            raise ContractError("client head blocks disagree on shape")
-        w_out += w * weights[m][None, :]
-        b_out += b * weights[m]
-    return w_out, b_out
+        raise ContractError("head block width does not match the client weights")
+    mismatch = "client head blocks disagree on shape"
+    return (_accumulate([w for w, _ in blocks], weights, mismatch),
+            _accumulate([b for _, b in blocks], weights, mismatch))
 
 
 def assemble_global(template: Classifier, old_state: dict[str, Array],
@@ -173,10 +170,7 @@ def assemble_global(template: Classifier, old_state: dict[str, Array],
 
 def fedavg_full(models: list[Classifier], counts) -> Classifier:
     """Sample-count weighted average of every tensor, the plain baseline."""
-    if not models:
-        raise ContractError("need at least one client model")
-    weights = _count_weights(counts, len(models))
-    merged = _weighted_state(models, weights)
+    merged = _weighted_state(models, _count_weights(counts, len(models)))
     model = models[0].clone()
     model.load_state(merged)
     return model

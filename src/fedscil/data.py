@@ -186,6 +186,8 @@ def build_schedule(splits: DatasetSplits, base_classes: int, sessions: int,
             lo = base_classes + (t - 1) * way
             idx = np.concatenate([rng.permutation(per_class_train[c])[:shot]
                                   for c in range(lo, lo + way)])
+        if t == 0 and idx.shape[0] < 2:
+            raise ConfigError("the base session has 1 training sample, fewer than 2")
         train_by_session.append(train.subset(idx))
         seen = base_classes + t * way
         rows = np.flatnonzero(test.y < seen)
@@ -249,6 +251,9 @@ def dirichlet_partition(data: LabeledDataset, clients: int, alpha: float,
     for c in np.flatnonzero(np.bincount(data.y)):
         idx = rng.permutation(np.flatnonzero(data.y == c))
         props = rng.dirichlet(np.full(clients, alpha))
+        if not np.isclose(props.sum(), 1.0):  # all zeros once gamma draws overflow
+            raise ConfigError(f"alpha={alpha!r}: the Dirichlet draw is not a "
+                              "distribution")
         counts = _largest_remainder(props, idx.shape[0])
         offsets = np.cumsum(counts)[:-1]
         for m, chunk in enumerate(np.split(idx, offsets)):

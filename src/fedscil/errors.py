@@ -21,5 +21,9 @@ class BufferGapError(RuntimeError):
     """The replay buffer is missing a class required by the session."""
 
 
+class PoolGapError(ContractError):
+    """The synthetic pool holds no sample conditioned on one of its classes."""
+
+
 class NonFiniteError(RuntimeError):
     """A model holds a NaN or infinite value; the message names where."""

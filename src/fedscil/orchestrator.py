@@ -30,7 +30,7 @@ from .config import METHODS, ExperimentConfig, run_id, validate_config
 from .data import (DatasetSplits, LabeledDataset, SessionSchedule,
                    build_schedule, dirichlet_partition, load_csv_dataset,
                    make_blobs, partition_summary)
-from .errors import BufferGapError, NonFiniteError
+from .errors import BufferGapError, NonFiniteError, PoolGapError
 from .generation import (ReplayBuffer, SyntheticPool, relabel,
                          train_generator_session)
 from .losses import cross_entropy
@@ -218,22 +218,21 @@ def _local_models(cfg: ExperimentConfig, local_rule: str | None,
                   sched: SessionSchedule, t: int, r: int, current: Classifier,
                   prev_global: Classifier, shards,
                   buffer: ReplayBuffer) -> tuple[list[Classifier], list[int]]:
+    """Each client's local update under the local rule. Without one, the
+    update is the replay call with no replay term on the empty buffer."""
     data_t = sched.train_by_session[t]
     old_count = sched.session_range(t)[0]
+    weights = cfg.weights if local_rule else dataclasses.replace(cfg.weights, k=0.0)
     models, counts = [], []
     for m, shard in enumerate(shards):
         x, y = data_t.x[shard.indices], data_t.y[shard.indices]
         seed = stream_seed(cfg, "client", t, r, m)
-        if local_rule == "replay":
-            local, n = local_update_nagr(current, x, y, buffer, cfg.weights,
-                                         cfg.client, old_count, seed)
-        elif local_rule == "distill":
+        if local_rule == "distill":
             local, n = local_update_baseline_kd(current, prev_global, x, y,
-                                                buffer, cfg.weights, cfg.client,
+                                                buffer, weights, cfg.client,
                                                 old_count, seed)
-        else:  # session data only
-            no_replay = dataclasses.replace(cfg.weights, k=0.0)
-            local, n = local_update_nagr(current, x, y, None, no_replay,
+        else:
+            local, n = local_update_nagr(current, x, y, buffer, weights,
                                          cfg.client, old_count, seed)
         _check_finite(local, f"session {t}, round {r}, local update of client {m}")
         models.append(local)
@@ -245,12 +244,12 @@ def run_incremental_session(cfg: ExperimentConfig, sched: SessionSchedule,
                             t: int, prev_global: Classifier,
                             buffer: ReplayBuffer, shards) -> SessionState:
     """One federated session: head expansion, R rounds of local updates plus
-    generator training and aggregation, then buffer growth and evaluation."""
+    generator training and aggregation, then buffer growth and evaluation.
+    The head rule picks only the client weights of the new head columns."""
     started = time.perf_counter()
     lo, hi = sched.session_range(t)
     local_rule, head_rule = METHODS[cfg.method]
-    needs_replay = local_rule is not None
-    if needs_replay:
+    if local_rule is not None:
         try:
             buffer.require(range(0, lo))
         except BufferGapError as exc:
@@ -259,11 +258,10 @@ def run_incremental_session(cfg: ExperimentConfig, sched: SessionSchedule,
     current.expand_head(t, hi - lo, stream_seed(cfg, "head", t))
 
     generator = student = pool = None
-    audit: dict | None = None
     for r in range(cfg.rounds):
         locals_, counts = _local_models(cfg, local_rule, sched, t, r, current,
                                         prev_global, shards, buffer)
-        if needs_replay:
+        if local_rule is not None:
             try:
                 generator, student, pool = train_generator_session(
                     locals_, t, (lo, hi),
@@ -273,26 +271,23 @@ def run_incremental_session(cfg: ExperimentConfig, sched: SessionSchedule,
             except NonFiniteError as exc:
                 raise NonFiniteError(f"{exc}, round {r}") from None
             _check_pool(pool, f"session {t}, round {r}, generator")
+        matrix = weights = None
         if head_rule == "cswa":
-            matrix = build_accuracy_matrix(locals_, pool)
+            try:
+                matrix = build_accuracy_matrix(locals_, pool)
+            except PoolGapError as exc:
+                raise PoolGapError(f"{exc} in session {t}, round {r}") from None
+            weights = cswa_weights(matrix, cfg.aggregation.cswa_mode)
             blocks = [(m.head_blocks[-1].linear.weight.value.data,
-                       m.head_blocks[-1].linear.bias.value.data)
-                      for m in locals_]
-            new_block = cswa_aggregate_new(blocks, matrix,
-                                           cfg.aggregation.cswa_mode)
-            current = assemble_global(locals_[0],
-                                      aggregate_old(locals_, counts), new_block)
-            audit = {
-                "client_counts": counts,
-                "accuracy_matrix": matrix.values.tolist(),
-                "column_weights": cswa_weights(
-                    matrix, cfg.aggregation.cswa_mode).tolist(),
-            }
+                       m.head_blocks[-1].linear.bias.value.data) for m in locals_]
+            current = assemble_global(locals_[0], aggregate_old(locals_, counts),
+                                      cswa_aggregate_new(blocks, weights))
         else:
             current = fedavg_full(locals_, counts)
-            audit = {"client_counts": counts, "accuracy_matrix": None,
-                     "column_weights": None}
         _check_finite(current, f"session {t}, round {r}, aggregation")
+    audit = {"client_counts": counts,
+             "accuracy_matrix": None if matrix is None else matrix.values.tolist(),
+             "column_weights": None if weights is None else weights.tolist()}
 
     # bank only the final round's pool, pseudo-labeled by the fresh global
     return _close_session(cfg, sched, t, current, buffer, pool, started, audit)

@@ -124,7 +124,7 @@ def check_aggregation_against_dense(rng: np.random.Generator,
         for mode in ("normalized", "paper_exact"):
             dense = _dense_weights(matrix_values, mode)
             assert np.allclose(cswa_weights(matrix, mode), dense, atol=atol)
-            w_out, b_out = cswa_aggregate_new(blocks, matrix, mode)
+            w_out, b_out = cswa_aggregate_new(blocks, cswa_weights(matrix, mode))
             w_exp = np.einsum("mfj,mj->fj", np.stack([w for w, _ in blocks]),
                               dense)
             b_exp = np.einsum("mj,mj->j", np.stack([b for _, b in blocks]),
@@ -133,7 +133,7 @@ def check_aggregation_against_dense(rng: np.random.Generator,
             assert np.allclose(b_out, b_exp, atol=atol)
 
         # assembly installs exactly the aggregated tensors
-        w_out, b_out = cswa_aggregate_new(blocks, matrix, "normalized")
+        w_out, b_out = cswa_aggregate_new(blocks, cswa_weights(matrix, "normalized"))
         merged_model = assemble_global(clients[0], old, (w_out, b_out))
         final = _state_map(merged_model)
         head = merged_model.head_blocks[-1].linear

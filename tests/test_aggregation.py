@@ -204,7 +204,7 @@ def test_cswa_weights_unknown_mode():
 def test_cswa_aggregate_single_client_identity(rng):
     block = (rng.standard_normal((4, 2)), rng.standard_normal(2))
     matrix = AccuracyMatrix(np.array([[0.7, 0.3]]))
-    w, b = cswa_aggregate_new([block], matrix)
+    w, b = cswa_aggregate_new([block], cswa_weights(matrix))
     assert np.array_equal(w, block[0])
     assert np.array_equal(b, block[1])
 
@@ -213,7 +213,7 @@ def test_cswa_aggregate_equal_accuracy_is_mean(rng):
     blocks = [(rng.standard_normal((4, 2)), rng.standard_normal(2))
               for _ in range(3)]
     matrix = AccuracyMatrix(np.full((3, 2), 0.6))
-    w, b = cswa_aggregate_new(blocks, matrix)
+    w, b = cswa_aggregate_new(blocks, cswa_weights(matrix))
     assert np.allclose(w, np.mean([w_ for w_, _ in blocks], axis=0), atol=1e-12)
     assert np.allclose(b, np.mean([b_ for _, b_ in blocks], axis=0), atol=1e-12)
 
@@ -222,7 +222,7 @@ def test_cswa_aggregate_disjoint_experts_pick_columns(rng):
     blocks = [(rng.standard_normal((4, 2)), rng.standard_normal(2))
               for _ in range(2)]
     matrix = AccuracyMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    w, b = cswa_aggregate_new(blocks, matrix)
+    w, b = cswa_aggregate_new(blocks, cswa_weights(matrix))
     assert np.array_equal(w[:, 0], blocks[0][0][:, 0])
     assert np.array_equal(w[:, 1], blocks[1][0][:, 1])
     assert b[0] == blocks[0][1][0] and b[1] == blocks[1][1][1]
@@ -231,12 +231,14 @@ def test_cswa_aggregate_disjoint_experts_pick_columns(rng):
 def test_cswa_aggregate_shape_validation(rng):
     block = (rng.standard_normal((4, 2)), rng.standard_normal(2))
     with pytest.raises(ContractError):
-        cswa_aggregate_new([block], AccuracyMatrix(np.full((2, 2), 0.5)))
+        cswa_aggregate_new([block], cswa_weights(AccuracyMatrix(np.full((2, 2), 0.5))))
     with pytest.raises(ContractError):
-        cswa_aggregate_new([block], AccuracyMatrix(np.array([[0.5, 0.5, 0.5]])))
+        cswa_aggregate_new([block],
+                           cswa_weights(AccuracyMatrix(np.array([[0.5, 0.5, 0.5]]))))
     other = (rng.standard_normal((5, 2)), rng.standard_normal(2))
     with pytest.raises(ContractError):
-        cswa_aggregate_new([block, other], AccuracyMatrix(np.full((2, 2), 0.5)))
+        cswa_aggregate_new([block, other],
+                           cswa_weights(AccuracyMatrix(np.full((2, 2), 0.5))))
 
 
 # -- assembly -----------------------------------------------------------------------------------

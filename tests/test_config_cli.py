@@ -461,6 +461,35 @@ def test_rate_schedule_values_out_of_range_exit_one(tmp_path, capsys, override):
     assert not (out / "manifest.json").exists()
 
 
+def test_a_one_row_base_session_exits_one_before_the_manifest(tmp_path, capsys):
+    """A base split of one row is refused while the schedule is built, so the
+    run directory gets neither a manifest nor an empty metrics file."""
+    out = tmp_path / "out"
+    rc = main(["run", "--preset", "desk", "--method", "finetune",
+               "--set", "data.classes=1", "--set", "data.base_classes=1",
+               "--set", "data.per_class_train=1", "--set", "data.sessions=0",
+               "--set", "data.shot=1", "--out", str(out), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == ("configuration error: the base session "
+                                       "has 1 training sample, fewer than 2\n")
+    assert not out.exists()
+
+
+def test_a_pool_without_a_class_names_its_session_and_round(tmp_path, capsys):
+    """Eight banked samples cannot condition on ten new classes, so the
+    accuracy matrix of the head rule has a class without samples."""
+    argv = ["run", "--preset", "desk", "--method", "sdd", "--out",
+            str(tmp_path / "out"), "--quiet"]
+    for item in ("data.classes=12", "data.base_classes=2", "data.way=10",
+                 "data.sessions=1", "generator.epochs=1",
+                 "generator.bank_per_epoch=8", "generator.rounds_per_epoch=2"):
+        argv += ["--set", item]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: PoolGapError: pool holds no samples conditioned on class 3 "
+        "in session 1, round 0\n")
+
+
 def test_missing_csv_exits_two(run_root, tmp_path, capsys):
     rc = main(["run", "--preset", "desk",
                "--set", f"data.csv_train={tmp_path}/none_train.csv",

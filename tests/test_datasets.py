@@ -127,6 +127,17 @@ def test_schedule_validation():
         sched.session_range(2)
 
 
+def test_schedule_refuses_a_base_session_of_one_sample():
+    """Train-mode batch norm cannot learn from one row, so a one-row base
+    split is a configuration error, not a failure inside base training."""
+    splits = make_blobs(classes=2, dim=3, per_class_train=1, per_class_test=2,
+                        spread=0.1, seed=0)
+    with pytest.raises(ConfigError, match="^the base session has 1 training "
+                                          "sample, fewer than 2$"):
+        build_schedule(splits, base_classes=1, sessions=1, way=1, shot=1, seed=0)
+    assert len(build_schedule(splits, 2, 0, 0, 0, seed=0).train_by_session[0]) == 2
+
+
 # -- CSV ingestion ------------------------------------------------------------------
 
 def test_csv_round_trip(tmp_path):
@@ -191,6 +202,19 @@ def test_partition_rejects_bad_alpha():
         dirichlet_partition(data, 3, 0.0, seed=0)
     with pytest.raises(ConfigError):
         dirichlet_partition(data, 0, 1.0, seed=0)
+
+
+def test_partition_refuses_a_draw_that_is_not_a_distribution():
+    """At alpha = 1e308 every gamma draw overflows and the Dirichlet draw is
+    all zeros; without the check the last client took almost every row."""
+    data = make_blobs(classes=4, dim=2, per_class_train=10, per_class_test=1,
+                      spread=0.1, seed=0).train
+    with pytest.raises(ConfigError, match=r"^alpha=1e\+308: the Dirichlet draw "
+                                          "is not a distribution$"):
+        dirichlet_partition(data, 3, 1e308, seed=0)
+    # a uniform draw: 4, 3 and 3 rows of each class, the spare row to client 0
+    shards = dirichlet_partition(data, 3, 1e300, seed=0)
+    assert [s.count for s in shards] == [16, 12, 12]
 
 
 def _five_class_data():

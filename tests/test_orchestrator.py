@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import desk_config
-from fedscil import Classifier, ReplayBuffer, orchestrator, run_experiment
+from fedscil import (Classifier, ReplayBuffer, aggregation, orchestrator,
+                     run_experiment)
+from fedscil.config import METHODS
 from fedscil.data import LabeledDataset
 from fedscil.errors import BufferGapError, ConfigError, NonFiniteError
 from fedscil.orchestrator import (evaluate, inspect_partitions, prepare_data,
@@ -79,6 +81,45 @@ def test_single_client_collapses_cswa_to_plain_averaging(desk_base):
     assert b.metrics.audit["accuracy_matrix"] is None
     assert b.metrics.audit["column_weights"] is None
     assert a.metrics.classes_seen == 14
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_a_round_calls_only_its_rules_functions(method, monkeypatch):
+    """Each client update goes through its local rule's trainer, the
+    generator runs once per round exactly when there is a local rule, and
+    the head rule's functions run once per round: ``fedavg_full`` for count
+    weights, ``cswa_weights`` for accuracy weights."""
+    cfg = light_config("clients=2", "rounds=2", method=method)
+    sched = prepare_schedule(cfg)
+    base = run_base_session(cfg, sched)
+    calls = {name: [] for name in ("local_update_nagr", "local_update_baseline_kd",
+                                   "train_generator_session", "fedavg_full",
+                                   "cswa_weights")}
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name].append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in calls:
+        spy(orchestrator, name)
+    spy(aggregation, "cswa_weights")
+    run_incremental_session(cfg, sched, 1, base.model, base.buffer,
+                            prepare_partitions(cfg, sched)[1])
+
+    local_rule, head_rule = METHODS[method]
+    updates = cfg.clients * cfg.rounds
+    assert {name: len(args) for name, args in calls.items()} == {
+        "local_update_nagr": 0 if local_rule == "distill" else updates,
+        "local_update_baseline_kd": updates if local_rule == "distill" else 0,
+        "train_generator_session": cfg.rounds if local_rule else 0,
+        "fedavg_full": cfg.rounds if head_rule == "count" else 0,
+        "cswa_weights": cfg.rounds if head_rule == "cswa" else 0}
+    if local_rule is None:  # the replay call with no replay term
+        assert all(args[4].k == 0.0 for args in calls["local_update_nagr"])
 
 
 def test_incremental_session_banks_the_new_classes(desk_base):

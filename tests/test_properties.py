@@ -148,9 +148,10 @@ def test_aggregation_does_not_depend_on_client_order(case):
     blocks = [(c.head_blocks[-1].linear.weight.value.data,
                c.head_blocks[-1].linear.bias.value.data) for c in clients]
     for mode in ("normalized", "paper_exact"):
-        w, b = cswa_aggregate_new(blocks, AccuracyMatrix(accuracy), mode)
-        w_m, b_m = cswa_aggregate_new([blocks[i] for i in order],
-                                      AccuracyMatrix(accuracy[list(order)]), mode)
+        w, b = cswa_aggregate_new(blocks, cswa_weights(AccuracyMatrix(accuracy), mode))
+        w_m, b_m = cswa_aggregate_new(
+            [blocks[i] for i in order],
+            cswa_weights(AccuracyMatrix(accuracy[list(order)]), mode))
         assert np.allclose(w, w_m, rtol=0, atol=1e-12)
         assert np.allclose(b, b_m, rtol=0, atol=1e-12)
 

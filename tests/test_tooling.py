@@ -12,7 +12,9 @@ every run stream is drawn from the seed table of ``seeding``. The README's
 Quick-start table names its runs by run id, which must stay the digest of
 each desk config, its Configuration table gives each key's default and
 allowed values as the config dataclasses declare them, and its Layout block
-names every module of the package."""
+names every module of the package. A method is its two rules, so only the
+orchestrator looks them up, and the README's Methods table lists every
+method."""
 import ast
 import glob
 import importlib
@@ -139,6 +141,47 @@ def test_only_seeding_derives_a_run_stream():
                 if called in ("derive_seed", "rng_for"):
                     calls.append(f"{name}:{node.lineno}")
     assert calls == []
+
+
+def _is_string_or_strings(node) -> bool:
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return bool(node.elts) and all(map(_is_string_or_strings, node.elts))
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def test_the_methods_table_is_read_in_one_place():
+    """No module compares a ``.method`` attribute with a method name or a
+    tuple of them, and no module but ``config.py``, which defines the table,
+    and ``orchestrator.py`` names ``METHODS``: a method is its two rules,
+    looked up once per session."""
+    found = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "fedscil", "*.py"))):
+        module = os.path.basename(path)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if (any(isinstance(o, ast.Attribute) and o.attr == "method"
+                        for o in operands)
+                        and any(map(_is_string_or_strings, operands))):
+                    found.append(f"{module}:{node.lineno}")
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.ImportFrom) else
+                     [node.id] if isinstance(node, ast.Name) else
+                     [node.attr] if isinstance(node, ast.Attribute) else [])
+            if "METHODS" in names and module not in ("config.py",
+                                                     "orchestrator.py"):
+                found.append(f"{module}:{node.lineno}")
+    assert found == []
+
+
+def test_readme_methods_table_lists_every_method():
+    from fedscil.config import METHODS
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("## Methods"):text.index("## Configuration")]
+    assert re.findall(r"^\| `(\w+)` +\|", section, re.M) == list(METHODS)
 
 
 def test_tensors_compare_and_hash_by_identity():
