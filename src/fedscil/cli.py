@@ -29,7 +29,8 @@ from .config import (ExperimentConfig, build_config, from_flat_dict, run_id,
                      to_flat_dict)
 from .errors import ConfigError
 from .generation import export_synthetics_csv
-from .orchestrator import inspect_partitions, prepare_schedule, run_experiment
+from .orchestrator import (inspect_partitions, prepare_partitions,
+                           prepare_schedule, run_experiment)
 from .reporting import (MANIFEST_FILENAME, METRICS_FILENAME, SUMMARY_FILENAME,
                         TIMINGS_FILENAME, compare_table, load_run_metrics,
                         render_text, report_table, run_label, summary_row,
@@ -176,7 +177,9 @@ def _cmd_run(args) -> int:
         cfg, legacy = _load_config(args), {}
         rid = run_id(cfg)
 
-    sched = prepare_schedule(cfg)  # a dataset fault ends the run before its manifest
+    # a dataset or partition fault ends the run before its manifest
+    sched = prepare_schedule(cfg)
+    prepared = sched, prepare_partitions(cfg, sched)
     run_dir = _claim_run_dir(cfg, rid, args.out)
     artifacts = {"metrics": METRICS_FILENAME, "timings": TIMINGS_FILENAME,
                  "summary": SUMMARY_FILENAME}
@@ -226,7 +229,7 @@ def _cmd_run(args) -> int:
                   f"({sm.classes_seen} classes, {state.seconds:.1f}s)")
 
     try:
-        result = run_experiment(cfg, on_session=on_session, sched=sched)
+        result = run_experiment(cfg, on_session=on_session, prepared=prepared)
     finally:
         # keep whatever sessions completed on disk
         metrics_fh.close()

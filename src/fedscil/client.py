@@ -21,8 +21,8 @@ from .autodiff import (Optimizer, Replay, Tensor, col_slice,
 from .errors import ContractError
 from .fields import check_fields, ranged
 from .generation import ReplayBuffer
-from .losses import (LossWeights, client_loss, cross_entropy,
-                     distillation_loss_subset)
+from .losses import (LossWeights, cross_entropy, distillation_loss_subset,
+                     replay_loss_subset)
 from .models import Classifier
 
 
@@ -55,32 +55,32 @@ def _epoch_batches(n: int, size: int, rng: np.random.Generator) -> list[np.ndarr
 
 
 def _local_step(model: Classifier, opt: Optimizer, cfg: ClientConfig,
-                old_count: int, loss_fn) -> Replay:
-    """The local step, called per batch with the session rows and, when
-    replay is on, the replay rows and the labels the loss reads.
-    loss_fn(new_logits, new_labels, replay_logits, replay_x, *replay_labels)
-    -> scalar, the replay logits cut to ``old_count`` columns in sliced mode."""
+                old_count: int, k: float, replay_term) -> Replay:
+    """The local objective, called per batch with the session rows and, when
+    replay is on, the replay rows and the labels the term reads: the session
+    rows' cross entropy, plus ``k * replay_term(replay_logits, xr, *yr)``
+    with the replay logits cut to ``old_count`` columns in sliced mode."""
 
     def step(xb, yb, xr=None, *yr):
         nb = xb.shape[0]
         if xr is None:
             logits = model.forward(xb, mode="train" if nb >= 2 else "eval")
-            return [(loss_fn(logits, yb), opt)]
+            return [(cross_entropy(logits, yb), opt)]
         # an op over both inputs, so that the joint batch replays fresh
         joint = model.forward(concat([Tensor(xb), Tensor(xr)], axis=0), mode="train")
         replay = row_slice(joint, nb, nb + xr.shape[0])
         if cfg.replay_loss == "sliced":
             replay = col_slice(replay, 0, old_count)
-        loss = loss_fn(row_slice(joint, 0, nb), yb, replay, xr, *yr)
-        return [(loss, opt)]
+        loss = cross_entropy(row_slice(joint, 0, nb), yb)
+        return [(loss + k * replay_term(replay, xr, *yr), opt)]
 
     return Replay(step)
 
 
 def _run_local(model_in: Classifier, x: np.ndarray, y: np.ndarray,
-               buffer: ReplayBuffer | None, cfg: ClientConfig,
-               weights: LossWeights, old_count: int, seed: int,
-               loss_fn, replay_arrays: int) -> tuple[Classifier, int]:
+               buffer: ReplayBuffer | None, cfg: ClientConfig, k: float,
+               old_count: int, seed: int, replay_term,
+               replay_arrays: int) -> tuple[Classifier, int]:
     """Shared loop over :func:`_local_step`; a step reads the first
     ``replay_arrays`` of a buffer draw's (x, y)."""
     cfg.validate()
@@ -88,13 +88,13 @@ def _run_local(model_in: Classifier, x: np.ndarray, y: np.ndarray,
     n = int(y.shape[0])
     if n == 0:
         return model, 0
-    use_replay = weights.k > 0.0
+    use_replay = k > 0.0
     if use_replay and (buffer is None or len(buffer) == 0):
         raise ContractError("replay requested but the buffer is empty")
     rates = {"backbone": cfg.lr_backbone_and_old,
              "head_old": cfg.lr_backbone_and_old, "head_new": cfg.lr_new_head}
     opt = Optimizer(model.parameters(), "sgd_momentum", rates, cfg.momentum)
-    replay = _local_step(model, opt, cfg, old_count, loss_fn)
+    replay = _local_step(model, opt, cfg, old_count, k, replay_term)
     rng = np.random.default_rng(seed)
     for _ in range(cfg.epochs):
         for batch in _epoch_batches(n, cfg.batch_size_new, rng):
@@ -113,13 +113,12 @@ def local_update_nagr(model: Classifier, x: np.ndarray, y: np.ndarray,
     An empty shard returns the model unchanged with count 0.
     """
 
-    def loss_fn(new_logits, new_labels, replay_logits=None, _xr=None,
-                replay_labels=None):
-        return client_loss(new_logits, new_labels, replay_logits, replay_labels,
-                           weights, old_count)
+    def term(replay_logits, _xr, labels):
+        return replay_loss_subset(replay_logits, labels, old_count, weights.alpha,
+                                  weights.beta, weights.rce_log_zero)
 
-    return _run_local(model, x, y, buffer, cfg, weights, old_count, seed,
-                      loss_fn, 2)
+    return _run_local(model, x, y, buffer, cfg, weights.k, old_count, seed,
+                      term, 2)
 
 
 def local_update_baseline_kd(model: Classifier, prev_model: Classifier,
@@ -139,16 +138,12 @@ def local_update_baseline_kd(model: Classifier, prev_model: Classifier,
     if prev_model.classes_seen != old_count:
         raise ContractError("previous global model must cover the old classes")
 
-    def loss_fn(new_logits, new_labels, replay_logits=None, xr=None):
-        loss = cross_entropy(new_logits, new_labels)
-        if replay_logits is None:
-            return loss
+    def term(replay_logits, xr):
         teacher = prev_model.forward(Tensor(xr), mode="eval")
-        kd = distillation_loss_subset(teacher, replay_logits, old_count,
-                                      weights.kl_temperature)
-        return loss + weights.k * kd
+        return distillation_loss_subset(teacher, replay_logits, old_count,
+                                        weights.kl_temperature)
 
     # the teacher's forward pass needs no graph
     with frozen(prev_model.parameters()):
-        return _run_local(model, x, y, buffer, cfg, weights, old_count, seed,
-                          loss_fn, 1)
+        return _run_local(model, x, y, buffer, cfg, weights.k, old_count, seed,
+                          term, 1)

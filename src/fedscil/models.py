@@ -40,10 +40,6 @@ class Linear:
     def parameters(self) -> list[Parameter]:
         return [self.weight, self.bias]
 
-    def set_group(self, group: str) -> None:
-        self.weight.group = group
-        self.bias.group = group
-
 
 class BatchNorm:
     def __init__(self, prefix: str, channels: int):
@@ -115,8 +111,7 @@ class Classifier:
         self.backbone = _Backbone(in_dim, hidden, feature_dim, rng)
         self.head_blocks: list[HeadBlock] = []
         if base_classes > 0:
-            self.head_blocks.append(HeadBlock(
-                0, Linear("head.s0", feature_dim, base_classes, rng, "head_new")))
+            self.append_head_block(0, base_classes, rng)
 
     @property
     def in_dim(self) -> int:
@@ -184,11 +179,14 @@ class Classifier:
         if self.head_blocks and session <= self.head_blocks[-1].session:
             raise ContractError(f"session {session} already present in head")
         for block in self.head_blocks:
-            block.linear.set_group("head_old")
-        rng = np.random.default_rng(seed)
-        self.head_blocks.append(HeadBlock(
-            session, Linear(f"head.s{session}", self.feature_dim, classes,
-                            rng, "head_new")))
+            block.linear.weight.group = block.linear.bias.group = "head_old"
+        self.append_head_block(session, classes, np.random.default_rng(seed))
+
+    def append_head_block(self, session: int, classes: int,
+                          rng: np.random.Generator) -> None:
+        """Append session's block of ``classes`` columns, tagged head_new."""
+        self.head_blocks.append(HeadBlock(session, Linear(
+            f"head.s{session}", self.feature_dim, classes, rng, "head_new")))
 
     def parameters(self) -> list[Parameter]:
         out = self.backbone.parameters()
@@ -236,8 +234,7 @@ class Classifier:
                     feature_dim=arch["feature_dim"])
         rng = np.random.default_rng(0)
         for session, width in arch["head"]:
-            model.head_blocks.append(HeadBlock(
-                session, Linear(f"head.s{session}", model.feature_dim, width, rng)))
+            model.append_head_block(session, width, rng)
         for p in model.parameters():
             p.group = arch["groups"][p.name]
         return model
@@ -372,6 +369,5 @@ def make_student(in_dim: int, classes: int, session: int, seed: int,
     """Fresh classifier of the same family, head sized to one session."""
     student = Classifier(in_dim, 0, seed=seed, hidden=hidden, feature_dim=feature_dim)
     rng = np.random.default_rng(np.random.default_rng(seed).integers(2**63))
-    student.head_blocks.append(HeadBlock(
-        session, Linear(f"head.s{session}", feature_dim, classes, rng, "head_new")))
+    student.append_head_block(session, classes, rng)
     return student

@@ -156,13 +156,10 @@ def _train_base(model: Classifier, ds: LabeledDataset,
             replay(ds.x[batch], ds.y[batch])
 
 
-def run_base_session(cfg: ExperimentConfig,
-                     sched: SessionSchedule | None = None) -> SessionState:
+def run_base_session(cfg: ExperimentConfig, sched: SessionSchedule) -> SessionState:
     """Centralized training on the data-rich classes, then (for methods with
     a local replay rule) generator training against the fresh model and
     buffer seeding."""
-    if sched is None:
-        sched = prepare_schedule(cfg)
     started = time.perf_counter()
     model = Classifier(sched.dim, sched.base_classes,
                        seed=stream_seed(cfg, "init"),
@@ -294,13 +291,14 @@ def run_incremental_session(cfg: ExperimentConfig, sched: SessionSchedule,
 
 
 def run_experiment(cfg: ExperimentConfig, on_session=None,
-                   sched: SessionSchedule | None = None) -> RunResult:
+                   prepared: tuple[SessionSchedule, list] | None = None) -> RunResult:
     """Run sessions 0..T; on_session(SessionState) after each one.
-    ``sched`` is the config's prepared schedule, built here when None."""
+    ``prepared`` is the config's (schedule, shards), drawn here when None."""
     validate_config(cfg)
-    if sched is None:
+    if prepared is None:
         sched = prepare_schedule(cfg)
-    partitions = prepare_partitions(cfg, sched)
+        prepared = sched, prepare_partitions(cfg, sched)
+    sched, partitions = prepared
 
     results = []
     for t in range(sched.sessions + 1):

@@ -480,6 +480,21 @@ def distill_loss(teacher, weights, old_count):
     return loss_fn
 
 
+def nagr_term(weights, old_count):
+    """The (k, replay term) that ``client.local_update_nagr`` hands
+    ``client._local_step``."""
+    return weights.k, lambda logits, _xr, labels: losses.replay_loss_subset(
+        logits, labels, old_count, weights.alpha, weights.beta, weights.rce_log_zero)
+
+
+def distill_term(teacher, weights, old_count):
+    """The (k, replay term) that ``client.local_update_baseline_kd`` hands
+    ``client._local_step``; the teacher must be frozen around the steps."""
+    return weights.k, lambda logits, xr: losses.distillation_loss_subset(
+        teacher.forward(Tensor(xr), mode="eval"), logits, old_count,
+        weights.kl_temperature)
+
+
 def graph_local_step(model, opt, cfg, old_count, loss_fn, xb, yb, xr=None, *yr):
     """One ``client._local_step`` step built and differentiated on the graph,
     with the joint batch concatenated outside it."""

@@ -1,0 +1,124 @@
+"""Byte-identity check of ``fedscil run`` between two source trees.
+
+    python tests/same_outputs.py PARENT_DIR CHANGE_DIR [--quick] [--only NAME]...
+
+Runs the acceptance matrix once with each tree's ``src/`` on PYTHONPATH and
+BLAS on one thread, then compares, run by run, the exit code and the sha256
+of every file the run writes, except the wall-clock ``timings.jsonl``. It
+prints one line per run, naming each file that differs, and exits 0 when
+every run matches and 1 when one differs.
+
+The matrix: the five methods at seeds 0 and 7, ``sdd`` with two rounds and
+two clients, ``sdd_cswa_only`` with eight clients at alpha 0.3,
+``baseline_kd`` and ``sdd`` with the sliced replay loss, ``baseline_kd``
+with no replay term (all on the desk preset, with checkpoints and
+synthetics), and a rerun of the format-1 manifest in ``tests/data``.
+``--quick`` cuts the epochs of the desk runs; the rerun keeps its manifest's
+config. Pytest does not collect this file.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+FORMAT1 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                       "format1", "manifest.json")
+METHODS = ("finetune", "baseline_kd", "sdd", "sdd_nagr_only", "sdd_cswa_only")
+QUICK = ("base.epochs=4", "client.epochs=2", "generator.epochs=2")
+UNCOMPARED = "timings.jsonl"
+
+
+def matrix(quick: bool) -> dict[str, list[str]]:
+    """Run name -> its ``fedscil run`` arguments, bar ``--out``."""
+
+    def desk(method: str, *sets: str, seed: int = 0) -> list[str]:
+        argv = ["--preset", "desk", "--method", method, "--seed", str(seed),
+                "--save-checkpoints", "--export-synthetics"]
+        for item in (*(QUICK if quick else ()), *sets):
+            argv += ["--set", item]
+        return argv
+
+    runs = {f"{m}-seed{s}": desk(m, seed=s) for m in METHODS for s in (0, 7)}
+    runs["sdd-rounds2-clients2"] = desk("sdd", "rounds=2", "clients=2")
+    runs["sdd_cswa_only-clients8-alpha0.3"] = desk("sdd_cswa_only", "clients=8",
+                                                   "alpha=0.3")
+    for method in ("baseline_kd", "sdd"):
+        runs[f"{method}-sliced"] = desk(method, "client.replay_loss=sliced")
+    runs["baseline_kd-k0"] = desk("baseline_kd", "weights.k=0")
+    runs["format1-rerun"] = ["--from-manifest", FORMAT1]
+    return runs
+
+
+def digests(run_dir: str) -> dict[str, str]:
+    """sha256 by path relative to run_dir, for every file but the timings."""
+    out = {}
+    for dirpath, _, files in os.walk(run_dir):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            rel = os.path.relpath(path, run_dir).replace(os.sep, "/")
+            if rel != UNCOMPARED:
+                with open(path, "rb") as fh:
+                    out[rel] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def run(tree: str, argv: list[str], run_dir: str) -> tuple[int, dict[str, str]]:
+    """Exit code and file digests of one ``fedscil run`` on tree's source."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "fedscil.cli", "run", *argv,
+                           "--out", run_dir, "--quiet"],
+                          cwd=os.path.dirname(run_dir), env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, digests(run_dir)
+
+
+def compare(name: str, a: tuple[int, dict], b: tuple[int, dict]) -> str:
+    """One report line: ``same`` or ``DIFF``, the run, and what differs."""
+    (rc_a, files_a), (rc_b, files_b) = a, b
+    moved = sorted(f for f in files_a.keys() | files_b.keys()
+                   if files_a.get(f) != files_b.get(f))
+    if rc_a == rc_b and not moved:
+        return f"same  {name}: exit {rc_a}, {len(files_a)} files"
+    what = [f"exit {rc_a} -> {rc_b}"] if rc_a != rc_b else []
+    return f"DIFF  {name}: " + ", ".join(what + moved)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="source tree holding src/fedscil")
+    parser.add_argument("change", help="source tree holding src/fedscil")
+    parser.add_argument("--quick", action="store_true",
+                        help="cut the epochs of the desk runs")
+    parser.add_argument("--only", action="append", metavar="NAME",
+                        help="run only this run of the matrix (repeatable)")
+    args = parser.parse_args(argv)
+    runs = matrix(args.quick)
+    names = args.only or list(runs)
+    unknown = [name for name in names if name not in runs]
+    if unknown:
+        parser.error(f"no run named {', '.join(unknown)}; "
+                     f"the matrix holds {', '.join(runs)}")
+    for tree in (args.parent, args.change):
+        if not os.path.isdir(os.path.join(tree, "src", "fedscil")):
+            parser.error(f"{tree} holds no src/fedscil")
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names:
+            sides = []
+            for side, tree in (("parent", args.parent), ("change", args.change)):
+                os.makedirs(os.path.join(tmp, side), exist_ok=True)
+                sides.append(run(tree, runs[name], os.path.join(tmp, side, name)))
+            lines.append(compare(name, *sides))
+            print(lines[-1], flush=True)
+    same = sum(line.startswith("same") for line in lines)
+    print(f"{same} of {len(lines)} runs the same")
+    return 0 if same == len(lines) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

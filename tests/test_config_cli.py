@@ -475,6 +475,18 @@ def test_a_one_row_base_session_exits_one_before_the_manifest(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_degenerate_dirichlet_draw_exits_one_before_the_manifest(tmp_path, capsys):
+    """The client shards are drawn before the run directory is claimed, so a
+    Dirichlet draw that is not a distribution leaves no directory behind."""
+    out = tmp_path / "out"
+    rc = main(["run", "--preset", "desk", "--set", "alpha=1e308", "--out", str(out),
+               "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == ("configuration error: alpha=1e+308: the "
+                                       "Dirichlet draw is not a distribution\n")
+    assert not out.exists()
+
+
 def test_a_pool_without_a_class_names_its_session_and_round(tmp_path, capsys):
     """Eight banked samples cannot condition on ten new classes, so the
     accuracy matrix of the head rule has a class without samples."""

@@ -4,8 +4,10 @@ Every training step runs through ``autodiff.Replay``, which records a step
 on the graph once per tuple of input shapes and replays it as array code.
 The references in ``oracles`` (``graph_generator_session``,
 ``graph_run_local``, ``graph_local_step``, ``graph_train_base``) build and
-differentiate every step on the graph. Every comparison is np.array_equal,
-over everything a loop trains or banks.
+differentiate every step on the graph. A replayed client step takes a
+(k, replay term) pair; its graph reference states the objective a second
+time, through ``losses.client_loss`` for the replay rule. Every comparison
+is np.array_equal, over everything a loop trains or banks.
 """
 import copy
 
@@ -25,9 +27,9 @@ from fedscil.losses import cross_entropy, student_loss
 from fedscil.generation import ReplayBuffer, SyntheticPool
 from fedscil.models import ConditionalGenerator, ModelStack, make_student
 from fedscil.orchestrator import _train_base
-from oracles import (client_optimizer, distill_loss, graph_generator_session,
-                     graph_local_step, graph_run_local, graph_train_base,
-                     nagr_loss)
+from oracles import (client_optimizer, distill_loss, distill_term,
+                     graph_generator_session, graph_local_step, graph_run_local,
+                     graph_train_base, nagr_loss, nagr_term)
 
 IN_DIM, SESSION, CLASSES = 6, 2, 2
 ENVELOPE = (-np.ones(IN_DIM), np.ones(IN_DIM))
@@ -286,15 +288,18 @@ def test_local_steps_of_every_shape_replay_like_the_graph(run):
     weights = LossWeights(k=0.0 if rule == "finetune" else 0.7, beta=0.5,
                           kl_temperature=2.0)
     teacher = _classifier(1, seed + 7)
-    loss_fn = (distill_loss(teacher, weights, BASE) if rule == "distill"
-               else nagr_loss(weights, BASE))
+    if rule == "distill":
+        objective, loss_fn = (distill_term(teacher, weights, BASE),
+                              distill_loss(teacher, weights, BASE))
+    else:
+        objective, loss_fn = nagr_term(weights, BASE), nagr_loss(weights, BASE)
     cfg = ClientConfig(replay_loss=mode, **CLIENT)
     replayed = _classifier(heads, seed)
     graph = replayed.clone()
     opts = [client_optimizer(model, cfg) for model in (replayed, graph)]
     rng = np.random.default_rng(seed)
     with frozen(teacher.parameters()):
-        replay = client._local_step(replayed, opts[0], cfg, BASE, loss_fn)
+        replay = client._local_step(replayed, opts[0], cfg, BASE, *objective)
         for new, old in batches:
             inputs = [rng.standard_normal((new, IN_DIM)),
                       rng.integers(0, replayed.classes_seen, size=new)]
@@ -389,8 +394,8 @@ def _client_step(mode: str | None):
     model = _classifier(2, 0)
     cfg = ClientConfig(replay_loss=mode or "subset", **CLIENT)
     opt = client_optimizer(model, cfg)
-    loss_fn = nagr_loss(LossWeights(k=0.7 if mode else 0.0, beta=0.5), BASE)
-    replay = client._local_step(model, opt, cfg, BASE, loss_fn)
+    objective = nagr_term(LossWeights(k=0.7 if mode else 0.0, beta=0.5), BASE)
+    replay = client._local_step(model, opt, cfg, BASE, *objective)
     rng = np.random.default_rng(2)
 
     def draw(labels):

@@ -14,13 +14,16 @@ each desk config, its Configuration table gives each key's default and
 allowed values as the config dataclasses declare them, and its Layout block
 names every module of the package. A method is its two rules, so only the
 orchestrator looks them up, and the README's Methods table lists every
-method."""
+method. The client step states the local objective and one method builds a
+head block, each once. ``tests/same_outputs.py`` compares two source trees'
+outputs byte for byte, and must tell a changed tree from an unchanged one."""
 import ast
 import glob
 import importlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -143,6 +146,43 @@ def test_only_seeding_derives_a_run_stream():
     assert calls == []
 
 
+class _CallSites(ast.NodeVisitor):
+    """The qualified function (``Class.method``, ``outer.inner``, or
+    ``<module>``) around each call, keyed by the called name."""
+
+    def __init__(self):
+        self.scope: list[str] = []
+        self.sites: dict[str, set[str]] = {}
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
+
+    def visit_Call(self, node):
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        self.sites.setdefault(name, set()).add(".".join(self.scope) or "<module>")
+        self.generic_visit(node)
+
+
+def test_one_method_builds_a_head_block_and_no_module_calls_client_loss():
+    """Every head grows through ``Classifier.append_head_block``, the one
+    function that calls ``HeadBlock(``. No module calls ``client_loss``: the
+    local objective is stated once, in ``client._local_step``, and
+    ``losses.client_loss`` is the tests' second statement of it."""
+    builders, callers = [], []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "fedscil", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            sites = _CallSites()
+            sites.visit(ast.parse(fh.read(), path))
+        module = os.path.basename(path)
+        builders += [f"{module}:{f}" for f in sorted(sites.sites.get("HeadBlock", ()))]
+        callers += [f"{module}:{f}" for f in sorted(sites.sites.get("client_loss", ()))]
+    assert (builders, callers) == (["models.py:Classifier.append_head_block"], [])
+
+
 def _is_string_or_strings(node) -> bool:
     if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
         return bool(node.elts) and all(map(_is_string_or_strings, node.elts))
@@ -241,6 +281,36 @@ def test_traced_benchmark_run_reports_every_layer_metric(tmp_path):
     assert [name for name in expected if name not in result["layers"]] == []
     assert result["layers"]["generation.steps"] > 0
     assert result["layers"]["autodiff.nodes_per_backprop_generator"] > 0
+
+
+def test_same_outputs_matches_a_tree_and_names_the_files_a_change_moves(tmp_path):
+    """``tests/same_outputs.py`` finds a tree's quick finetune run the same as
+    itself, and names the checkpoints of a copy whose batch-norm epsilon
+    moved; the manifest and the empty synthetics stay the same."""
+    script = os.path.join(ROOT, "tests", "same_outputs.py")
+
+    def check(change) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, script, ROOT, str(change), "--quick",
+                               "--only", "finetune-seed0"],
+                              capture_output=True, text=True, timeout=300)
+
+    same = check(ROOT)
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert same.stdout.startswith("same  finetune-seed0: exit 0, ")
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    autodiff = tmp_path / "src" / "fedscil" / "autodiff.py"
+    text = autodiff.read_text(encoding="utf-8")
+    assert text.count("BN_EPSILON = 0.1, 1e-5\n") == 1
+    autodiff.write_text(text.replace("BN_EPSILON = 0.1, 1e-5\n",
+                                     "BN_EPSILON = 0.1, 2e-5\n"), encoding="utf-8")
+    moved = check(tmp_path)
+    assert moved.returncode == 1, moved.stdout + moved.stderr
+    line = moved.stdout.splitlines()[0]
+    assert line.startswith("DIFF  finetune-seed0: ")
+    named = line.split(": ", 1)[1].split(", ")
+    assert "checkpoints/session_0.ckpt" in named
+    assert "manifest.json" not in named and "synthetics.csv" not in named
 
 
 def test_a_desk_run_loads_neither_masked_arrays_nor_logging(tmp_path):
