@@ -2,9 +2,9 @@
 
 Inherited parameters (backbone, previously learned head columns, batch-norm
 running statistics) are combined by sample-count weighted averaging. The new
-session's head columns are combined class by class: each client's column is
-weighted by that client's accuracy on the synthetic samples of that class,
-so clients that never saw a class contribute little to its column.
+session's head columns are combined class by class, each client's column
+weighted by its sample-count share (the count rule) or by its accuracy on
+the synthetic samples of that class (the accuracy rule).
 """
 from __future__ import annotations
 
@@ -30,11 +30,7 @@ def _count_weights(counts: list[int] | Array, clients: int) -> Array:
         raise ContractError("need one sample count per client")
     if np.any(counts < 0):
         raise ContractError("sample counts must be >= 0")
-    total = counts.sum()
-    if total == 0:
-        warnings.warn("all client sample counts are zero; averaging uniformly")
-        return np.full(clients, 1.0 / clients)
-    return counts / total
+    return counts / counts.sum() if counts.any() else np.full(clients, 1.0 / clients)
 
 
 def _accumulate(arrays: list[Array], weights, mismatch: str) -> Array:
@@ -48,24 +44,19 @@ def _accumulate(arrays: list[Array], weights, mismatch: str) -> Array:
     return out
 
 
-def _weighted_state(models: list[Classifier], weights: Array,
-                    groups: tuple[str, ...] | None = None) -> dict[str, Array]:
+def aggregate_old(models: list[Classifier], counts) -> dict[str, Array]:
+    """Sample-count weighted average of every inherited tensor (backbone
+    weights and biases, batch-norm affine parameters and running statistics,
+    head columns of earlier sessions), as the name to array map that
+    assemble_global installs. All-zero counts average uniformly, with a warning.
+    """
+    weights = _count_weights(counts, len(models))
+    if not np.any(counts):
+        warnings.warn("all client sample counts are zero; averaging uniformly")
     per_model = [dict((n, a) for n, a, _ in m.state_entries()) for m in models]
     return {name: _accumulate([state[name] for state in per_model], weights,
                               f"client models disagree on shape of {name}")
-            for name, _, group in models[0].state_entries()
-            if groups is None or group in groups}
-
-
-def aggregate_old(models: list[Classifier], counts) -> dict[str, Array]:
-    """Sample-count weighted average of every inherited tensor.
-
-    Covers backbone weights and biases, batch-norm affine parameters and
-    running statistics, and head columns of earlier sessions. Returns a name
-    to array map; assemble_global installs it.
-    """
-    return _weighted_state(models, _count_weights(counts, len(models)),
-                           OLD_GROUPS)
+            for name, _, group in models[0].state_entries() if group in OLD_GROUPS}
 
 
 def eval_class_accuracy(model: Classifier, pool: SyntheticPool) -> Array:
@@ -126,8 +117,8 @@ def cswa_aggregate_new(blocks: list[tuple[Array, Array]],
     """Column-wise weighted combination of the clients' new head blocks.
 
     blocks[m] is client m's (weight, bias) for the session's columns and
-    weights[m] its per-column weights (a row of :func:`cswa_weights`); bias
-    entries are weighted exactly like their columns.
+    weights[m] its per-column weights (a row of :func:`cswa_weights`, or its
+    count share in every column); bias entries are weighted like their columns.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 2 or len(blocks) != weights.shape[0]:
@@ -141,6 +132,12 @@ def cswa_aggregate_new(blocks: list[tuple[Array, Array]],
             _accumulate([b for _, b in blocks], weights, mismatch))
 
 
+def _new_head(model: Classifier):
+    if not model.head_blocks:
+        raise ContractError("model has no head block to aggregate")
+    return model.head_blocks[-1].linear
+
+
 def assemble_global(template: Classifier, old_state: dict[str, Array],
                     new_block: tuple[Array, Array]) -> Classifier:
     """Build the next global model from aggregated parts.
@@ -150,7 +147,7 @@ def assemble_global(template: Classifier, old_state: dict[str, Array],
     last head block by new_block.
     """
     model = template.clone()
-    new_linear = model.head_blocks[-1].linear
+    new_linear = _new_head(model)
     new_names = {new_linear.weight.name, new_linear.bias.name}
     all_names = {name for name, _, _ in model.state_entries()}
     expected_old = all_names - new_names
@@ -168,9 +165,17 @@ def assemble_global(template: Classifier, old_state: dict[str, Array],
     return model
 
 
-def fedavg_full(models: list[Classifier], counts) -> Classifier:
-    """Sample-count weighted average of every tensor, the plain baseline."""
-    merged = _weighted_state(models, _count_weights(counts, len(models)))
-    model = models[0].clone()
-    model.load_state(merged)
-    return model
+def fedavg_full(models: list[Classifier], counts,
+                column_weights: Array | None = None) -> Classifier:
+    """FedAvg with per-client weights on the new head columns: inherited
+    tensors by sample count (:func:`aggregate_old`), the last head block by
+    column_weights, one row per client (:func:`cswa_aggregate_new`). Without
+    them each column takes the clients' count shares, as every tensor does."""
+    heads = [_new_head(m) for m in models]
+    old_state = aggregate_old(models, counts)
+    if column_weights is None:
+        shares = _count_weights(counts, len(models))
+        column_weights = np.repeat(shares[:, None], heads[0].out_dim, axis=1)
+    blocks = [(h.weight.value.data, h.bias.value.data) for h in heads]
+    return assemble_global(models[0], old_state,
+                           cswa_aggregate_new(blocks, column_weights))

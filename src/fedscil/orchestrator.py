@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import (aggregate_old, assemble_global, build_accuracy_matrix,
-                          cswa_aggregate_new, cswa_weights, fedavg_full)
+from .aggregation import build_accuracy_matrix, cswa_weights, fedavg_full
 from .autodiff import Optimizer, Replay
 from .client import (_epoch_batches, local_update_baseline_kd,
                      local_update_nagr)
@@ -211,15 +210,14 @@ def _check_pool(pool: SyntheticPool, where: str) -> None:
         raise NonFiniteError(f"non-finite synthetic pool after {where}")
 
 
-def _local_models(cfg: ExperimentConfig, local_rule: str | None,
+def _local_models(cfg: ExperimentConfig, local_rule: str | None, k: float,
                   sched: SessionSchedule, t: int, r: int, current: Classifier,
                   prev_global: Classifier, shards,
                   buffer: ReplayBuffer) -> tuple[list[Classifier], list[int]]:
-    """Each client's local update under the local rule. Without one, the
-    update is the replay call with no replay term on the empty buffer."""
+    """Each client's local update under the local rule, replay weight k."""
     data_t = sched.train_by_session[t]
     old_count = sched.session_range(t)[0]
-    weights = cfg.weights if local_rule else dataclasses.replace(cfg.weights, k=0.0)
+    weights = dataclasses.replace(cfg.weights, k=k)
     models, counts = [], []
     for m, shard in enumerate(shards):
         x, y = data_t.x[shard.indices], data_t.y[shard.indices]
@@ -246,7 +244,8 @@ def run_incremental_session(cfg: ExperimentConfig, sched: SessionSchedule,
     started = time.perf_counter()
     lo, hi = sched.session_range(t)
     local_rule, head_rule = METHODS[cfg.method]
-    if local_rule is not None:
+    k = cfg.weights.k if local_rule is not None else 0.0
+    if k > 0.0:  # only a replay term draws from the buffer
         try:
             buffer.require(range(0, lo))
         except BufferGapError as exc:
@@ -256,7 +255,7 @@ def run_incremental_session(cfg: ExperimentConfig, sched: SessionSchedule,
 
     generator = student = pool = None
     for r in range(cfg.rounds):
-        locals_, counts = _local_models(cfg, local_rule, sched, t, r, current,
+        locals_, counts = _local_models(cfg, local_rule, k, sched, t, r, current,
                                         prev_global, shards, buffer)
         if local_rule is not None:
             try:
@@ -275,12 +274,7 @@ def run_incremental_session(cfg: ExperimentConfig, sched: SessionSchedule,
             except PoolGapError as exc:
                 raise PoolGapError(f"{exc} in session {t}, round {r}") from None
             weights = cswa_weights(matrix, cfg.aggregation.cswa_mode)
-            blocks = [(m.head_blocks[-1].linear.weight.value.data,
-                       m.head_blocks[-1].linear.bias.value.data) for m in locals_]
-            current = assemble_global(locals_[0], aggregate_old(locals_, counts),
-                                      cswa_aggregate_new(blocks, weights))
-        else:
-            current = fedavg_full(locals_, counts)
+        current = fedavg_full(locals_, counts, weights)
         _check_finite(current, f"session {t}, round {r}, aggregation")
     audit = {"client_counts": counts,
              "accuracy_matrix": None if matrix is None else matrix.values.tolist(),

@@ -2,7 +2,9 @@
 
 - Aggregation: expected values are computed with einsum over stacked state
   arrays, a different code path from the per-client accumulation loops in
-  the package, so agreement is evidence rather than tautology.
+  the package, so agreement is evidence rather than tautology. The count
+  rule's whole-model average is kept as the exact reference for its path
+  through the per-column blend.
 - Fused autodiff nodes: the composed graphs the fused nodes replace, built
   from primitive ops. Under ``composed_graphs()`` the package runs on them,
   so a test can demand bit-identical values and gradients.
@@ -76,6 +78,25 @@ def zero_counts_warning(counts):
     if np.sum(counts) == 0:
         return pytest.warns(UserWarning, match="all client sample counts are zero")
     return nullcontext()
+
+
+def whole_model_fedavg(models: list[Classifier], counts) -> Classifier:
+    """The count rule as a whole-model average, apart from the column path
+    the package now shares with the accuracy rule: every tensor, the new
+    head block included, summed from zeros in client order, each client's
+    tensor times its sample-count share (uniform when every count is 0)."""
+    counts = np.asarray(counts, dtype=np.float64)
+    shares = (counts / counts.sum() if counts.sum() > 0
+              else np.full(len(models), 1.0 / len(models)))
+    states = [_state_map(m) for m in models]
+    merged = {}
+    for name, arr, _ in models[0].state_entries():
+        merged[name] = np.zeros_like(arr)
+        for share, state in zip(shares, states):
+            merged[name] += share * state[name]
+    model = models[0].clone()
+    model.load_state(merged)
+    return model
 
 
 def check_aggregation_against_dense(rng: np.random.Generator,

@@ -9,10 +9,12 @@ prints one line per run, naming each file that differs, and exits 0 when
 every run matches and 1 when one differs.
 
 The matrix: the five methods at seeds 0 and 7, ``sdd`` with two rounds and
-two clients, ``sdd_cswa_only`` with eight clients at alpha 0.3,
-``baseline_kd`` and ``sdd`` with the sliced replay loss, ``baseline_kd``
-with no replay term (all on the desk preset, with checkpoints and
-synthetics), and a rerun of the format-1 manifest in ``tests/data``.
+two clients, ``sdd_cswa_only`` (accuracy rule) and ``sdd_nagr_only`` (count
+rule) with eight clients at alpha 0.3, whose skewed shards leave some
+clients without a sample, ``baseline_kd`` and ``sdd`` with the sliced replay
+loss, ``baseline_kd`` with no replay term (all on the desk preset, with
+checkpoints and synthetics), and a rerun of the format-1 manifest in
+``tests/data``.
 ``--quick`` cuts the epochs of the desk runs; the rerun keeps its manifest's
 config. Pytest does not collect this file.
 """
@@ -44,8 +46,8 @@ def matrix(quick: bool) -> dict[str, list[str]]:
 
     runs = {f"{m}-seed{s}": desk(m, seed=s) for m in METHODS for s in (0, 7)}
     runs["sdd-rounds2-clients2"] = desk("sdd", "rounds=2", "clients=2")
-    runs["sdd_cswa_only-clients8-alpha0.3"] = desk("sdd_cswa_only", "clients=8",
-                                                   "alpha=0.3")
+    for method in ("sdd_cswa_only", "sdd_nagr_only"):
+        runs[f"{method}-clients8-alpha0.3"] = desk(method, "clients=8", "alpha=0.3")
     for method in ("baseline_kd", "sdd"):
         runs[f"{method}-sliced"] = desk(method, "client.replay_loss=sliced")
     runs["baseline_kd-k0"] = desk("baseline_kd", "weights.k=0")

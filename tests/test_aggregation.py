@@ -280,6 +280,15 @@ def test_assemble_global_block_shape_validation():
         assemble_global(model, old, (w[:, :0], b))
 
 
+def test_a_model_without_a_head_block_is_refused():
+    with pytest.raises(ContractError, match="^model has no head block to aggregate$"):
+        assemble_global(Classifier(4, 0, seed=0), {}, (np.zeros((64, 0)), np.zeros(0)))
+    headless = Classifier(in_dim=3, base_classes=0, seed=0, hidden=8, feature_dim=4)
+    for models in ([headless], [_expanded(), headless]):
+        with pytest.raises(ContractError, match="no head block"):
+            fedavg_full(models, [1] * len(models))
+
+
 def test_assemble_global_new_block_cannot_touch_old_logits(rng):
     model = _expanded(7)
     old, (w, b) = _own_parts(model)

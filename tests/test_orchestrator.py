@@ -9,6 +9,7 @@ import pytest
 from conftest import desk_config
 from fedscil import (Classifier, ReplayBuffer, aggregation, orchestrator,
                      run_experiment)
+from fedscil.cli import main
 from fedscil.config import METHODS
 from fedscil.data import LabeledDataset
 from fedscil.errors import BufferGapError, ConfigError, NonFiniteError
@@ -87,8 +88,9 @@ def test_single_client_collapses_cswa_to_plain_averaging(desk_base):
 def test_a_round_calls_only_its_rules_functions(method, monkeypatch):
     """Each client update goes through its local rule's trainer, the
     generator runs once per round exactly when there is a local rule, and
-    the head rule's functions run once per round: ``fedavg_full`` for count
-    weights, ``cswa_weights`` for accuracy weights."""
+    one ``fedavg_full`` call aggregates each round under either head rule:
+    with ``cswa_weights`` (once per round) as its column weights under the
+    accuracy rule, with none under the count rule."""
     cfg = light_config("clients=2", "rounds=2", method=method)
     sched = prepare_schedule(cfg)
     base = run_base_session(cfg, sched)
@@ -116,8 +118,13 @@ def test_a_round_calls_only_its_rules_functions(method, monkeypatch):
         "local_update_nagr": 0 if local_rule == "distill" else updates,
         "local_update_baseline_kd": updates if local_rule == "distill" else 0,
         "train_generator_session": cfg.rounds if local_rule else 0,
-        "fedavg_full": cfg.rounds if head_rule == "count" else 0,
+        "fedavg_full": cfg.rounds,
         "cswa_weights": cfg.rounds if head_rule == "cswa" else 0}
+    column_weights = [args[2] for args in calls["fedavg_full"]]
+    if head_rule == "cswa":
+        assert all(w.shape == (cfg.clients, 2) for w in column_weights)
+    else:
+        assert column_weights == [None] * cfg.rounds
     if local_rule is None:  # the replay call with no replay term
         assert all(args[4].k == 0.0 for args in calls["local_update_nagr"])
 
@@ -270,6 +277,41 @@ def test_replay_session_requires_a_seeded_buffer(desk_base):
                                 ReplayBuffer(10), parts[1])
 
 
+@pytest.mark.parametrize("k", [0.0, 0.5])
+def test_only_a_replay_weight_requires_buffer_coverage(desk_base, k):
+    """The buffer check runs exactly when a client step reads the buffer."""
+    cfg = dataclasses.replace(desk_base.cfg, clients=1, method="baseline_kd",
+                              weights=dataclasses.replace(desk_base.cfg.weights, k=k))
+    parts = prepare_partitions(cfg, desk_base.sched)
+    if k > 0:
+        with pytest.raises(BufferGapError, match="^replay buffer has no samples "
+                                                 "for class 0 before session 1$"):
+            run_incremental_session(cfg, desk_base.sched, 1, desk_base.base.model,
+                                    ReplayBuffer(10), parts[1])
+    else:
+        state = run_incremental_session(cfg, desk_base.sched, 1,
+                                        desk_base.base.model, ReplayBuffer(10),
+                                        parts[1])
+        assert state.metrics.classes_seen == 14
+
+
+def test_distillation_without_a_replay_weight_runs_like_finetune(tmp_path):
+    """Desk ``baseline_kd`` at ``weights.k=0`` never draws from the buffer,
+    so a class missing from it is no error, and every session's accuracies
+    are those of ``finetune``: its clients train on the session shots alone
+    and the count rule aggregates both."""
+    out = tmp_path / "k0"
+    rc = main(["run", "--preset", "desk", "--method", "baseline_kd",
+               "--set", "weights.k=0", "--out", str(out), "--quiet"])
+    assert rc == 0
+    records = [json.loads(line)
+               for line in (out / "metrics.jsonl").read_text().splitlines()]
+    finetune = run_experiment(desk_config(method="finetune"))
+    fields = ("overall", "old", "new", "per_class")
+    assert ([{f: r[f] for f in fields} for r in records]
+            == [{f: getattr(m, f) for f in fields} for m in finetune.sessions])
+
+
 def test_non_finite_base_training_stops_the_run_before_session_0(recwarn):
     sessions = []
     with pytest.raises(NonFiniteError, match="^non-finite model state after "
@@ -351,14 +393,16 @@ def test_non_finite_incremental_pool_names_the_session_and_round(monkeypatch):
 
 
 def test_non_finite_global_state_names_the_aggregation(monkeypatch):
+    """The one aggregation call serves both head rules."""
     fedavg_full = orchestrator.fedavg_full
 
-    def poisoned(models, counts):
-        model = fedavg_full(models, counts)
+    def poisoned(models, counts, column_weights):
+        model = fedavg_full(models, counts, column_weights)
         model.head_blocks[-1].linear.bias.value.data[0] = np.nan
         return model
 
     monkeypatch.setattr(orchestrator, "fedavg_full", poisoned)
-    with pytest.raises(NonFiniteError, match="^non-finite model state after "
-                                             "session 1, round 0, aggregation$"):
-        run_experiment(light_config(method="finetune"))
+    for method in ("finetune", "sdd"):
+        with pytest.raises(NonFiniteError, match="^non-finite model state after "
+                                                 "session 1, round 0, aggregation$"):
+            run_experiment(light_config(method=method))

@@ -10,7 +10,7 @@ from fedscil.autodiff import Optimizer
 from fedscil.data import LabeledDataset
 from fedscil.generation import ReplayBuffer, SyntheticPool, relabel
 
-from oracles import LoopOptimizer, zero_counts_warning
+from oracles import LoopOptimizer, whole_model_fedavg, zero_counts_warning
 
 GROUPS = ("backbone", "head_old", "head_new")
 
@@ -167,6 +167,44 @@ def test_aggregation_is_unchanged_when_counts_scale_by_a_power_of_two(case, powe
     for a, b in (old, full):
         for name in a:
             assert _same_bits(a[name], b[name]), name
+
+
+@st.composite
+def _multi_block_clients(draw):
+    """Perturbed copies of a classifier with 1-3 head blocks, and a sample
+    count per client: zeros mixed in, or every count zero."""
+    m = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    template = Classifier(in_dim=3, base_classes=draw(st.integers(1, 3)),
+                          seed=seed % 1000, hidden=4, feature_dim=3)
+    for session in range(1, draw(st.integers(1, 3))):
+        template.expand_head(session, draw(st.integers(1, 3)), seed=seed % 997)
+    clients = []
+    for _ in range(m):
+        client = template.clone()
+        for _, arr, _ in client.state_entries():
+            arr += rng.standard_normal(arr.shape)
+        clients.append(client)
+    counts = draw(st.just([0] * m)
+                  | st.lists(st.integers(0, 6), min_size=m, max_size=m))
+    return clients, counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(_multi_block_clients())
+def test_count_rule_column_path_equals_the_whole_model_average(case):
+    """The count rule's shares repeated over the new columns give the whole
+    model average exactly, and all-zero counts warn once."""
+    clients, counts = case
+    with zero_counts_warning(counts) as caught:
+        got = _states(fedavg_full(clients, counts))
+    if caught is not None:
+        assert len(caught) == 1
+    want = _states(whole_model_fedavg(clients, counts))
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
 
 
 @settings(max_examples=200, deadline=None)
