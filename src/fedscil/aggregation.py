@@ -49,11 +49,18 @@ def aggregate_old(models: list[Classifier], counts) -> dict[str, Array]:
     weights and biases, batch-norm affine parameters and running statistics,
     head columns of earlier sessions), as the name to array map that
     assemble_global installs. All-zero counts average uniformly, with a warning.
+    Client models must hold the same tensors, by name.
     """
     weights = _count_weights(counts, len(models))
     if not np.any(counts):
         warnings.warn("all client sample counts are zero; averaging uniformly")
     per_model = [dict((n, a) for n, a, _ in m.state_entries()) for m in models]
+    for m, state in enumerate(per_model[1:], 1):
+        odd = sorted(state.keys() ^ per_model[0].keys())
+        if odd:
+            has, lacks = (m, 0) if odd[0] in state else (0, m)
+            raise ContractError(f"client {lacks} has no tensor {odd[0]}, "
+                                f"client {has} has")
     return {name: _accumulate([state[name] for state in per_model], weights,
                               f"client models disagree on shape of {name}")
             for name, _, group in models[0].state_entries() if group in OLD_GROUPS}
@@ -133,9 +140,9 @@ def cswa_aggregate_new(blocks: list[tuple[Array, Array]],
 
 
 def _new_head(model: Classifier):
-    if not model.head_blocks:
+    if not model.heads:
         raise ContractError("model has no head block to aggregate")
-    return model.head_blocks[-1].linear
+    return list(model.heads.values())[-1]
 
 
 def assemble_global(template: Classifier, old_state: dict[str, Array],

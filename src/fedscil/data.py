@@ -3,7 +3,7 @@ non-IID client partitioner."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,16 +208,6 @@ def build_schedule(splits: DatasetSplits, base_classes: int, sessions: int,
         class_count=classes, envelope_low=low, envelope_high=high)
 
 
-@dataclass
-class ClientShard:
-    client_id: int
-    indices: Array
-
-    @property
-    def count(self) -> int:
-        return int(self.indices.shape[0])
-
-
 def _largest_remainder(fractions: Array, total: int) -> Array:
     """Integer counts summing to total; ties go to the lower client id."""
     raw = fractions * total
@@ -232,8 +222,9 @@ def _largest_remainder(fractions: Array, total: int) -> Array:
 
 
 def dirichlet_partition(data: LabeledDataset, clients: int, alpha: float,
-                        seed: int) -> list[ClientShard]:
-    """Per-class Dirichlet split of a session's training data.
+                        seed: int) -> list[Array]:
+    """Per-class Dirichlet split of a session's training data: one sorted
+    array of row indices per client, the client id being its list index.
 
     For every class, client proportions are drawn from Dir(alpha * 1_M) and
     converted to integer counts by largest remainder, so the shards are an
@@ -258,20 +249,16 @@ def dirichlet_partition(data: LabeledDataset, clients: int, alpha: float,
         offsets = np.cumsum(counts)[:-1]
         for m, chunk in enumerate(np.split(idx, offsets)):
             per_client[m].append(chunk)
-    shards = []
-    for m in range(clients):
-        merged = (np.concatenate(per_client[m]) if per_client[m]
-                  else np.empty(0, dtype=np.int64))
-        shards.append(ClientShard(m, np.sort(merged)))
-    return shards
+    return [np.sort(np.concatenate(chunks)) if chunks
+            else np.empty(0, dtype=np.int64) for chunks in per_client]
 
 
-def partition_summary(data: LabeledDataset, shards: list[ClientShard]) -> dict:
+def partition_summary(data: LabeledDataset, shards: list[Array]) -> dict:
     """JSON-ready view of one session's shard assignment."""
     out = {"total_samples": len(data), "clients": []}
-    for shard in shards:
-        counts = np.bincount(data.y[shard.indices])
+    for m, shard in enumerate(shards):
+        counts = np.bincount(data.y[shard])
         hist = {int(c): int(counts[c]) for c in np.flatnonzero(counts)}
         out["clients"].append(
-            {"client": shard.client_id, "samples": shard.count, "per_class": hist})
+            {"client": m, "samples": len(shard), "per_class": hist})
     return out

@@ -16,7 +16,7 @@ and pushed into the replay buffer.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

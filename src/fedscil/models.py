@@ -4,7 +4,6 @@ generator training."""
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,18 +89,13 @@ class _Backbone:
                 for p in fc.parameters() + bn.parameters()]
 
 
-@dataclass
-class HeadBlock:
-    session: int
-    linear: Linear
-
-
 class Classifier:
     """Backbone plus a final layer whose columns are grouped by session.
 
-    Inherited blocks carry the ``head_old`` group tag, the block added for
-    the current session carries ``head_new``; ``expand_head`` retags before
-    appending. Column index equals class id under the schedule's remapping.
+    ``heads`` maps each session to its block of columns, in the order added.
+    Inherited blocks carry the ``head_old`` group tag, the current session's
+    block ``head_new``; ``expand_head`` retags before appending. Column index
+    equals class id under the schedule's remapping.
     """
 
     def __init__(self, in_dim: int, base_classes: int, seed: int,
@@ -109,7 +103,7 @@ class Classifier:
         rng = np.random.default_rng(seed)
         self.hidden = hidden
         self.backbone = _Backbone(in_dim, hidden, feature_dim, rng)
-        self.head_blocks: list[HeadBlock] = []
+        self.heads: dict[int, Linear] = {}
         if base_classes > 0:
             self.append_head_block(0, base_classes, rng)
 
@@ -123,14 +117,14 @@ class Classifier:
 
     @property
     def classes_seen(self) -> int:
-        return sum(b.linear.out_dim for b in self.head_blocks)
+        return sum(head.out_dim for head in self.heads.values())
 
     @property
     def session_map(self) -> dict[int, tuple[int, int]]:
         out, lo = {}, 0
-        for block in self.head_blocks:
-            out[block.session] = (lo, lo + block.linear.out_dim)
-            lo += block.linear.out_dim
+        for session, head in self.heads.items():
+            out[session] = (lo, lo + head.out_dim)
+            lo += head.out_dim
         return out
 
     def forward(self, x: Tensor | Array, mode: str = "eval",
@@ -141,10 +135,10 @@ class Classifier:
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ContractError(
                 f"expected input of shape (batch, {self.in_dim}), got {x.shape}")
-        blocks = (self.head_blocks if session is None
-                  else [self.session_block(session)])
+        heads = (self.heads.values() if session is None
+                 else [self.session_block(session)])
         h = self.backbone.forward(x, mode)
-        parts = [block.linear(h) for block in blocks]
+        parts = [head(h) for head in heads]
         return parts[0] if len(parts) == 1 else concat(parts, axis=1)
 
     def predict(self, x: Array, session: int | None = None) -> Array:
@@ -160,11 +154,10 @@ class Classifier:
                      for lo in range(0, len(x), PREDICT_CHUNK)]
         return np.concatenate(preds) if preds else np.empty(0, dtype=np.int64)
 
-    def session_block(self, session: int) -> HeadBlock:
-        for block in self.head_blocks:
-            if block.session == session:
-                return block
-        raise ContractError(f"model has no head block for session {session}")
+    def session_block(self, session: int) -> Linear:
+        if session not in self.heads:
+            raise ContractError(f"model has no head block for session {session}")
+        return self.heads[session]
 
     def expand_head(self, session: int, classes: int, seed: int) -> None:
         """Append a block of freshly initialized columns for a new session.
@@ -176,22 +169,24 @@ class Classifier:
             raise ContractError("cannot expand by a negative class count")
         if classes == 0:
             return
-        if self.head_blocks and session <= self.head_blocks[-1].session:
+        if self.heads and session <= list(self.heads)[-1]:
             raise ContractError(f"session {session} already present in head")
-        for block in self.head_blocks:
-            block.linear.weight.group = block.linear.bias.group = "head_old"
+        for head in self.heads.values():
+            head.weight.group = head.bias.group = "head_old"
         self.append_head_block(session, classes, np.random.default_rng(seed))
 
     def append_head_block(self, session: int, classes: int,
                           rng: np.random.Generator) -> None:
         """Append session's block of ``classes`` columns, tagged head_new."""
-        self.head_blocks.append(HeadBlock(session, Linear(
-            f"head.s{session}", self.feature_dim, classes, rng, "head_new")))
+        if session in self.heads:
+            raise ContractError(f"session {session} already has a head block")
+        self.heads[session] = Linear(f"head.s{session}", self.feature_dim,
+                                     classes, rng, "head_new")
 
     def parameters(self) -> list[Parameter]:
         out = self.backbone.parameters()
-        for block in self.head_blocks:
-            out.extend(block.linear.parameters())
+        for head in self.heads.values():
+            out.extend(head.parameters())
         return out
 
     def bn_layers(self) -> list[BatchNorm]:
@@ -223,7 +218,7 @@ class Classifier:
             "in_dim": self.in_dim,
             "hidden": self.hidden,
             "feature_dim": self.feature_dim,
-            "head": [[b.session, b.linear.out_dim] for b in self.head_blocks],
+            "head": [[s, head.out_dim] for s, head in self.heads.items()],
             "groups": {p.name: p.group for p in self.parameters()},
             "session_map": {str(s): list(v) for s, v in self.session_map.items()},
         }
@@ -253,7 +248,7 @@ def _session_arrays(model: Classifier, session: int) -> list[tuple[str, Array]]:
         out += [(p.name, p.value.data) for p in fc.parameters() + bn.parameters()]
         out += [(name, arr) for name, arr, _ in bn.stat_entries()]
     out += [(p.name, p.value.data)
-            for p in model.session_block(session).linear.parameters()]
+            for p in model.session_block(session).parameters()]
     return out
 
 

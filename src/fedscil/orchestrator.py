@@ -220,7 +220,7 @@ def _local_models(cfg: ExperimentConfig, local_rule: str | None, k: float,
     weights = dataclasses.replace(cfg.weights, k=k)
     models, counts = [], []
     for m, shard in enumerate(shards):
-        x, y = data_t.x[shard.indices], data_t.y[shard.indices]
+        x, y = data_t.x[shard], data_t.y[shard]
         seed = stream_seed(cfg, "client", t, r, m)
         if local_rule == "distill":
             local, n = local_update_baseline_kd(current, prev_global, x, y,

@@ -12,12 +12,11 @@ import hashlib
 
 import numpy as np
 
-from fedscil import (ClientConfig, LossWeights, Parameter, Tensor,
-                     bn_stat_loss, client_loss, cross_entropy,
-                     generator_entropy_loss, generator_fidelity_loss,
-                     generator_total_loss, grad, info_entropy,
-                     make_student, noise_robust_loss, replay_loss_subset,
-                     reverse_cross_entropy, student_loss,
+from fedscil import (LossWeights, Parameter, Tensor, bn_stat_loss,
+                     client_loss, cross_entropy, generator_entropy_loss,
+                     generator_fidelity_loss, generator_total_loss, grad,
+                     info_entropy, make_student, noise_robust_loss,
+                     replay_loss_subset, reverse_cross_entropy, student_loss,
                      transferability_loss)
 from fedscil.autodiff import (batch_statistics, batchnorm_forward,
                               BatchNormState, col_slice, concat, gather_rows,

@@ -140,8 +140,8 @@ def check_aggregation_against_dense(rng: np.random.Generator,
         if new > 1 and trial % 3 == 0:
             matrix_values[:, int(rng.integers(0, new))] = 0.0
         matrix = AccuracyMatrix(matrix_values)
-        blocks = [(c.head_blocks[-1].linear.weight.value.data,
-                   c.head_blocks[-1].linear.bias.value.data) for c in clients]
+        blocks = [(c.heads[1].weight.value.data, c.heads[1].bias.value.data)
+                  for c in clients]
         for mode in ("normalized", "paper_exact"):
             dense = _dense_weights(matrix_values, mode)
             assert np.allclose(cswa_weights(matrix, mode), dense, atol=atol)
@@ -157,7 +157,7 @@ def check_aggregation_against_dense(rng: np.random.Generator,
         w_out, b_out = cswa_aggregate_new(blocks, cswa_weights(matrix, "normalized"))
         merged_model = assemble_global(clients[0], old, (w_out, b_out))
         final = _state_map(merged_model)
-        head = merged_model.head_blocks[-1].linear
+        head = merged_model.heads[1]
         for name, value in old.items():
             assert np.array_equal(final[name], value), name
         assert np.array_equal(final[head.weight.name], w_out)
@@ -301,7 +301,7 @@ def captured_forward(model: Classifier, x: Tensor):
         stats.append(autodiff.batch_statistics(h))
         h = autodiff.batchnorm_forward(h, bn.gamma.value, bn.beta.value,
                                        bn.state, "eval").relu()
-    parts = [block.linear(h) for block in model.head_blocks]
+    parts = [head(h) for head in model.heads.values()]
     logits = parts[0] if len(parts) == 1 else concat(parts, axis=1)
     return logits, stats
 

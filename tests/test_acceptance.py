@@ -3,10 +3,11 @@
 Criteria 1-3 and 7 are exact or statistical oracles; 4-6 are
 direction-of-effect reproductions on the calibrated desk configuration;
 8 is the byte-level determinism contract. Runtime is dominated by the
-25-run method sweep of criterion 4 (a few minutes on one core).
+25-run method sweep of criterion 4 (a few minutes on one core), whose seed-0
+sdd and finetune runs also check the README's Quick-start table.
 """
 import dataclasses
-import json
+import os
 import time
 
 import numpy as np
@@ -20,6 +21,7 @@ from fedscil.cli import main
 from fedscil.data import dirichlet_partition, make_blobs
 from fedscil.generation import (teacher_confidence, teacher_pool_entropy)
 from fedscil.orchestrator import prepare_schedule, run_base_session
+from fedscil.reporting import compare_table, render_text
 from fedscil.seeding import derive_seed
 from gradcheck import TOL, run_suite
 from oracles import check_aggregation_against_dense
@@ -121,6 +123,22 @@ def test_criterion_4_direction_of_effect(capsys, sweep):
              f"slowest run {slowest:.0f}s < 300s")
 
 
+def test_readme_quick_start_table_is_the_seed_0_desk_runs(sweep):
+    """The README's Quick-start table is ``fedscil compare`` of the sweep's
+    seed-0 sdd and finetune runs: every per-session, Average, Improvement
+    and delta figure matches them at two decimals."""
+    runs = []
+    for method in ("sdd", "finetune"):
+        result = next(r for r, _ in sweep[method] if r.seed == 0)
+        runs.append((f"{method}-seed0-{result.run_id}",
+                     [{"overall": m.overall} for m in result.sessions]))
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+              encoding="utf-8") as fh:
+        text = fh.read()
+    quick = text[text.index("## Quick start"):text.index("## Methods")]
+    assert f"```\n{render_text(*compare_table(runs))}\n```" in quick
+
+
 def test_criterion_5_noise_robust_replay(capsys):
     def mean_avg(extra):
         accs = []
@@ -176,7 +194,7 @@ def test_criterion_7_partitioner_statistics(capsys):
     exact = True
 
     def check_exact(shards):
-        merged = np.sort(np.concatenate([s.indices for s in shards]))
+        merged = np.sort(np.concatenate(shards))
         return np.array_equal(merged, np.arange(len(data)))
 
     worst_dev = 0.0
@@ -184,8 +202,8 @@ def test_criterion_7_partitioner_statistics(capsys):
         shards = dirichlet_partition(data, 5, 1000.0, seed)
         exact &= check_exact(shards)
         for s in shards:
-            if s.count:
-                props = np.bincount(data.y[s.indices], minlength=5) / s.count
+            if len(s):
+                props = np.bincount(data.y[s], minlength=5) / len(s)
                 worst_dev = max(worst_dev, float(np.max(np.abs(props - prior))))
 
     concentrated = total = 0
@@ -194,11 +212,11 @@ def test_criterion_7_partitioner_statistics(capsys):
         exact &= check_exact(shards)
         for s in shards:
             total += 1
-            if s.count == 0:
+            if len(s) == 0:
                 concentrated += 1
                 continue
-            counts = np.sort(np.bincount(data.y[s.indices], minlength=5))[::-1]
-            if counts[:2].sum() / s.count >= 0.7:
+            counts = np.sort(np.bincount(data.y[s], minlength=5))[::-1]
+            if counts[:2].sum() / len(s) >= 0.7:
                 concentrated += 1
     fraction = concentrated / total
     ok = worst_dev <= 0.10 and fraction >= 0.8 and exact

@@ -85,6 +85,22 @@ def test_aggregate_old_shape_mismatch():
         fedavg_full([a, b], [1, 1])
 
 
+def test_client_models_with_different_tensors_are_refused():
+    """Heads for sessions 0, 1 and 2 on one client and for 0 and 2 on the
+    other: the refusal names the missing tensor and the client that lacks
+    it, whichever client comes first."""
+    a = _expanded()
+    a.expand_head(2, 1, seed=3)
+    b = Classifier(in_dim=3, base_classes=2, seed=0, hidden=8, feature_dim=4)
+    b.expand_head(2, 1, seed=3)
+    with pytest.raises(ContractError, match="^client 1 has no tensor "
+                                            "head.s1.bias, client 0 has$"):
+        fedavg_full([a, b], [1, 1])
+    with pytest.raises(ContractError, match="^client 0 has no tensor "
+                                            "head.s1.bias, client 1 has$"):
+        aggregate_old([b, a], [1, 1])
+
+
 # -- plain full average -----------------------------------------------------------------
 
 def test_fedavg_single_client_identity():
@@ -244,7 +260,7 @@ def test_cswa_aggregate_shape_validation(rng):
 # -- assembly -----------------------------------------------------------------------------------
 
 def _own_parts(model: Classifier):
-    head = model.head_blocks[-1].linear
+    head = model.heads[1]
     new_names = {head.weight.name, head.bias.name}
     old = {name: arr.copy() for name, arr, _ in model.state_entries()
            if name not in new_names}

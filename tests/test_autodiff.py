@@ -1,13 +1,16 @@
 """Gradient engine, batch norm, optimizers."""
+import re
+
 import numpy as np
 import pytest
 
-from fedscil import Classifier, Parameter, Tensor, autodiff, backprop, grad
+from fedscil import (Classifier, Parameter, Tensor, autodiff, backprop, grad,
+                     losses)
 from fedscil.autodiff import (BatchNormState, Optimizer, batch_statistics, batchnorm_forward, col_slice,
                               concat, gather_rows, linear, one_hot, row_slice)
 from fedscil.errors import ContractError, DegenerateBatchError
 
-from gradcheck import TOL, run_suite
+from gradcheck import CASES, TOL, case_rng, run_suite
 from oracles import captured_forward, l2_norm
 
 
@@ -100,6 +103,33 @@ def test_every_op_and_loss_matches_finite_differences():
     worst = run_suite(instances=20, tol=TOL)
     assert len(worst) >= 20
     assert max(worst.values()) <= TOL
+
+
+def test_every_op_forward_and_backward_runs_in_a_gradient_case(monkeypatch):
+    """An op is the forward and backward it passes to ``_apply``, so the
+    module-level ``_*_fw`` and ``_*_bw`` functions of ``autodiff`` and
+    ``losses`` list every op. Each must run in some case of the gradient
+    suite. ``losses`` imports ``_apply`` by name, so both copies are patched."""
+    ran, apply = set(), autodiff._apply
+
+    def counted(fn):
+        def call(*args):
+            ran.add(f"{fn.__module__}.{fn.__name__}")
+            return fn(*args)
+        return None if fn is None else call
+
+    def counting_apply(fw, bw, parents, *static):
+        return apply(counted(fw), counted(bw), parents, *static)
+
+    for module in (autodiff, losses):
+        monkeypatch.setattr(module, "_apply", counting_apply)
+    for name, make in CASES:
+        build_loss, params = make(case_rng(name, 0))
+        grad(build_loss(), params)
+    ops = {f"{module.__name__}.{name}" for module in (autodiff, losses)
+           for name, fn in vars(module).items()
+           if re.fullmatch(r"_\w+_[fb]w", name) and fn.__module__ == module.__name__}
+    assert len(ops) > 30 and sorted(ops - ran) == []
 
 
 # -- batch normalization --------------------------------------------------------

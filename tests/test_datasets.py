@@ -166,7 +166,7 @@ def test_csv_rejects_empty_file(tmp_path):
 # -- partitioner --------------------------------------------------------------------
 
 def _flat_sorted(shards):
-    parts = [s.indices for s in shards if s.count]
+    parts = [s for s in shards if len(s)]
     return np.sort(np.concatenate(parts)) if parts else np.empty(0, np.int64)
 
 
@@ -174,7 +174,7 @@ def test_partition_single_client_gets_everything():
     data = tiny_splits().train
     shards = dirichlet_partition(data, clients=1, alpha=1.0, seed=0)
     assert len(shards) == 1
-    assert np.array_equal(shards[0].indices, np.arange(len(data)))
+    assert np.array_equal(shards[0], np.arange(len(data)))
 
 
 def test_partition_is_exact_for_many_settings():
@@ -183,7 +183,7 @@ def test_partition_is_exact_for_many_settings():
         for clients in (2, 3, 5):
             for seed in range(3):
                 shards = dirichlet_partition(data, clients, alpha, seed)
-                assert sum(s.count for s in shards) == len(data)
+                assert sum(len(s) for s in shards) == len(data)
                 assert np.array_equal(_flat_sorted(shards), np.arange(len(data)))
 
 
@@ -191,7 +191,7 @@ def test_partition_determinism():
     data = tiny_splits().train
     a = dirichlet_partition(data, 3, 0.5, seed=4)
     b = dirichlet_partition(data, 3, 0.5, seed=4)
-    assert all(np.array_equal(x.indices, y.indices) for x, y in zip(a, b))
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_partition_rejects_bad_alpha():
@@ -214,7 +214,7 @@ def test_partition_refuses_a_draw_that_is_not_a_distribution():
         dirichlet_partition(data, 3, 1e308, seed=0)
     # a uniform draw: 4, 3 and 3 rows of each class, the spare row to client 0
     shards = dirichlet_partition(data, 3, 1e300, seed=0)
-    assert [s.count for s in shards] == [16, 12, 12]
+    assert [len(s) for s in shards] == [16, 12, 12]
 
 
 def _five_class_data():
@@ -228,9 +228,9 @@ def test_partition_high_alpha_approaches_uniform_proportions():
     for seed in range(20):
         shards = dirichlet_partition(data, 5, 1000.0, seed)
         for s in shards:
-            if s.count == 0:
+            if len(s) == 0:
                 continue
-            props = np.bincount(data.y[s.indices], minlength=5) / s.count
+            props = np.bincount(data.y[s], minlength=5) / len(s)
             assert np.max(np.abs(props - prior)) <= 0.10
 
 
@@ -241,11 +241,11 @@ def test_partition_low_alpha_concentrates_classes():
     for seed in range(20):
         for s in dirichlet_partition(data, 5, 0.05, seed):
             total += 1
-            if s.count == 0:
+            if len(s) == 0:
                 concentrated += 1  # vacuously from <= 2 classes
                 continue
-            counts = np.sort(np.bincount(data.y[s.indices], minlength=5))[::-1]
-            if counts[:2].sum() / s.count >= 0.7:
+            counts = np.sort(np.bincount(data.y[s], minlength=5))[::-1]
+            if counts[:2].sum() / len(s) >= 0.7:
                 concentrated += 1
     assert concentrated / total >= 0.8
 

@@ -22,7 +22,7 @@ def _bias_teacher(bias, seed: int = 0) -> Classifier:
     """A 2-class model whose logits equal a fixed bias row for every input."""
     model = Classifier(in_dim=3, base_classes=2, seed=seed, hidden=8,
                        feature_dim=4)
-    head = model.head_blocks[0].linear
+    head = model.heads[0]
     head.weight.value.data[:] = 0.0
     head.bias.value.data[:] = bias
     return model
@@ -86,8 +86,8 @@ def test_stack_reads_teachers_and_opponent_when_built_and_loaded(rng):
     as_built = teacher.clone()
     # the stack keeps copies: moving a teacher afterwards changes nothing,
     # moving the opponent shows once its slot is loaded again
-    teacher.head_blocks[0].linear.bias.value.data += 1.0
-    student.head_blocks[0].linear.bias.value.data += 1.0
+    teacher.heads[0].bias.value.data += 1.0
+    student.heads[0].bias.value.data += 1.0
     state = student.bn_layers()[0].state
     state.running_var = state.running_var * 2.0
     before = stack.forward(x)[1].data

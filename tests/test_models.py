@@ -4,15 +4,15 @@ import zipfile
 import numpy as np
 import pytest
 
-from fedscil import Classifier, ConditionalGenerator, Tensor, make_student
+from fedscil import Classifier, ConditionalGenerator, make_student
 from fedscil.checkpoint import load_state, save_state
 from fedscil.errors import ContractError
 
 
 def _zero_head(model: Classifier) -> None:
-    for block in model.head_blocks:
-        block.linear.weight.value.data[:] = 0.0
-        block.linear.bias.value.data[:] = 0.0
+    for head in model.heads.values():
+        head.weight.value.data[:] = 0.0
+        head.bias.value.data[:] = 0.0
 
 
 # -- classifier forward ----------------------------------------------------------
@@ -57,7 +57,7 @@ def test_expand_by_zero_is_identity():
     model = Classifier(in_dim=4, base_classes=3, seed=0)
     model.expand_head(1, 0, seed=9)
     assert model.classes_seen == 3
-    assert len(model.head_blocks) == 1
+    assert len(model.heads) == 1
 
 
 def test_expand_head_appends_and_preserves_old_columns(rng):
@@ -72,10 +72,10 @@ def test_expand_head_appends_and_preserves_old_columns(rng):
 
 def test_expand_head_retags_groups():
     model = Classifier(in_dim=4, base_classes=3, seed=0)
-    assert model.head_blocks[0].linear.weight.group == "head_new"
+    assert model.heads[0].weight.group == "head_new"
     model.expand_head(1, 2, seed=9)
-    assert model.head_blocks[0].linear.weight.group == "head_old"
-    assert model.head_blocks[1].linear.weight.group == "head_new"
+    assert model.heads[0].weight.group == "head_old"
+    assert model.heads[1].weight.group == "head_new"
 
 
 def test_expand_head_rejects_duplicate_session():
@@ -85,6 +85,15 @@ def test_expand_head_rejects_duplicate_session():
         model.expand_head(1, 2, seed=10)
     with pytest.raises(ContractError):
         model.expand_head(2, -1, seed=10)
+
+
+def test_append_head_block_refuses_a_session_that_has_one(rng):
+    """The session map never overwrites a block: the first one stays."""
+    model = Classifier(in_dim=4, base_classes=3, seed=0)
+    first = model.heads[0]
+    with pytest.raises(ContractError, match="^session 0 already has a head block$"):
+        model.append_head_block(0, 2, rng)
+    assert model.heads == {0: first} and model.classes_seen == 3
 
 
 # -- session slices ----------------------------------------------------------------
@@ -114,10 +123,10 @@ def test_logits_slice_rejects_unknown_session(rng):
 def test_clone_is_independent(rng):
     model = Classifier(in_dim=4, base_classes=3, seed=0)
     twin = model.clone()
-    twin.head_blocks[0].linear.weight.value.data[:] = 7.0
+    twin.heads[0].weight.value.data[:] = 7.0
     twin.bn_layers()[0].state.running_mean[:] = 5.0
-    assert not np.array_equal(model.head_blocks[0].linear.weight.value.data,
-                              twin.head_blocks[0].linear.weight.value.data)
+    assert not np.array_equal(model.heads[0].weight.value.data,
+                              twin.heads[0].weight.value.data)
     assert not np.array_equal(model.bn_layers()[0].state.running_mean,
                               twin.bn_layers()[0].state.running_mean)
 

@@ -15,8 +15,9 @@ allowed values as the config dataclasses declare them, and its Layout block
 names every module of the package. A method is its two rules, so only the
 orchestrator looks them up, and the README's Methods table lists every
 method. The client step states the local objective and one method builds a
-head block, each once. ``tests/same_outputs.py`` compares two source trees'
-outputs byte for byte, and must tell a changed tree from an unchanged one."""
+head block, each once, and no module imports a name it never reads.
+``tests/same_outputs.py`` compares two source trees' outputs byte for byte,
+and must tell a changed tree from an unchanged one."""
 import ast
 import glob
 import importlib
@@ -146,9 +147,35 @@ def test_only_seeding_derives_a_run_stream():
     assert calls == []
 
 
+def test_no_module_imports_a_name_it_never_reads():
+    """Every name a package module imports is read somewhere in it, or, in
+    ``__init__.py``, listed in ``__all__``."""
+    unread = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "fedscil", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        imported, read = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.split(".")[0], node.lineno)
+                                for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["__all__"]):
+                read.update(ast.literal_eval(node.value))
+        unread += [f"{os.path.basename(path)}:{line} {name}"
+                   for name, line in imported.items() if name not in read]
+    assert unread == []
+
+
 class _CallSites(ast.NodeVisitor):
     """The qualified function (``Class.method``, ``outer.inner``, or
-    ``<module>``) around each call, keyed by the called name."""
+    ``<module>``) around each call, keyed by the called name; a ``Linear``
+    named ``head.*`` is keyed ``Linear(head.*)``, a store into a ``.heads``
+    map ``heads[]=``."""
 
     def __init__(self):
         self.scope: list[str] = []
@@ -163,24 +190,47 @@ class _CallSites(ast.NodeVisitor):
 
     def visit_Call(self, node):
         name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name == "Linear" and node.args and _names_a_head(node.args[0]):
+            name = "Linear(head.*)"
+        self._record(name, node)
+
+    def visit_Subscript(self, node):
+        if (isinstance(node.ctx, ast.Store)
+                and getattr(node.value, "attr", None) == "heads"):
+            self._record("heads[]=", node)
+        else:
+            self.generic_visit(node)
+
+    def _record(self, name, node):
         self.sites.setdefault(name, set()).add(".".join(self.scope) or "<module>")
         self.generic_visit(node)
 
 
+def _names_a_head(node) -> bool:
+    """Whether a parameter prefix, a plain or f-string, starts ``head.``."""
+    if isinstance(node, ast.JoinedStr) and node.values:
+        node = node.values[0]
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.startswith("head."))
+
+
 def test_one_method_builds_a_head_block_and_no_module_calls_client_loss():
     """Every head grows through ``Classifier.append_head_block``, the one
-    function that calls ``HeadBlock(``. No module calls ``client_loss``: the
-    local objective is stated once, in ``client._local_step``, and
+    function that builds a ``Linear`` named ``head.*`` and the one that
+    stores into a ``heads`` map. No module calls ``client_loss``: the local
+    objective is stated once, in ``client._local_step``, and
     ``losses.client_loss`` is the tests' second statement of it."""
-    builders, callers = [], []
+    found = {"Linear(head.*)": [], "heads[]=": [], "client_loss": []}
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "fedscil", "*.py"))):
         with open(path, encoding="utf-8") as fh:
             sites = _CallSites()
             sites.visit(ast.parse(fh.read(), path))
         module = os.path.basename(path)
-        builders += [f"{module}:{f}" for f in sorted(sites.sites.get("HeadBlock", ()))]
-        callers += [f"{module}:{f}" for f in sorted(sites.sites.get("client_loss", ()))]
-    assert (builders, callers) == (["models.py:Classifier.append_head_block"], [])
+        for name, where in found.items():
+            where += [f"{module}:{f}" for f in sorted(sites.sites.get(name, ()))]
+    builder = ["models.py:Classifier.append_head_block"]
+    assert found == {"Linear(head.*)": builder, "heads[]=": builder,
+                     "client_loss": []}
 
 
 def _is_string_or_strings(node) -> bool:
