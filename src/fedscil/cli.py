@@ -21,6 +21,7 @@ import dataclasses
 import json
 import os
 import sys
+from importlib.util import find_spec
 from itertools import product
 
 from . import __version__
@@ -289,6 +290,12 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # No run needs OpenSSL: without _hashlib, hashlib and hmac (which
+    # numpy.random imports through secrets) bind Python's built-in hashes,
+    # whose SHA-256 digests are the same. Blocking it before either is
+    # imported keeps libcrypto, about 3.3 MB resident, out of the process.
+    if "_hashlib" not in sys.modules and (find_spec("_sha2") or find_spec("_sha256")):
+        sys.modules["_hashlib"] = None
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

@@ -11,7 +11,6 @@ it by a stable path, and ``seeding.seed_streams`` lists every path a run draws.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -252,5 +251,6 @@ def from_flat_dict(items: dict[str, object]) -> ExperimentConfig:
 def run_id(cfg: ExperimentConfig) -> str:
     """Deterministic id of the experiment: a digest of its flat config,
     which holds no output switch."""
+    import hashlib  # here, so that cli.main can keep OpenSSL out first
     blob = json.dumps(to_flat_dict(cfg), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]

@@ -35,10 +35,15 @@ def load_run_metrics(path: str) -> list[dict]:
         raise ContractError(f"no metrics file at {path}")
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
                 records.append(json.loads(line))
+            except ValueError:  # a partial last line of an interrupted run
+                raise ContractError(f"{path}: line {number}: not a JSON record") from None
+            if not isinstance(records[-1], dict) or "session" not in records[-1]:
+                raise ContractError(f"{path}: line {number}: no session field")
     if not records:
         raise ContractError(f"metrics file {path} is empty")
     records.sort(key=lambda r: r["session"])

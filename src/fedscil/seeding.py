@@ -12,7 +12,6 @@ orchestrator draws through :func:`stream_seed`, the manifest records
 """
 from __future__ import annotations
 
-import hashlib
 from itertools import product
 
 from .errors import ContractError
@@ -20,6 +19,7 @@ from .errors import ContractError
 
 def derive_seed(master: int, *path: int | str) -> int:
     """Map (master, path) to a stable 63-bit seed."""
+    import hashlib  # here, so that cli.main can keep OpenSSL out first
     token = repr((int(master),) + tuple(path)).encode("utf-8")
     digest = hashlib.sha256(token).digest()
     return int.from_bytes(digest[:8], "little") >> 1

@@ -16,25 +16,63 @@ loss, ``baseline_kd`` with no replay term (all on the desk preset, with
 checkpoints and synthetics), and a rerun of the format-1 manifest in
 ``tests/data``.
 ``--quick`` cuts the epochs of the desk runs to 4 base, 3 client and 2
-generator epochs; at 2 client epochs the eight-client ``sdd_cswa_only``
-run stops on a replay-buffer gap and compares only the files written
-before it. The rerun keeps its manifest's config. Pytest does not collect
-this file.
+generator epochs, and every quick run completes. The rerun keeps its
+manifest's config.
+
+``OUTPUTS`` is the determinism contract across CPUs: the portable files
+hold the same bytes under every BLAS core and numpy SIMD level, while the
+kernel-bound ones hold floats that follow the kernels
+:func:`kernel_fingerprint` names. A differing file is reported with its
+kind. Pytest does not collect this file; the tests import it.
 """
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import hashlib
 import os
 import subprocess
 import sys
 import tempfile
+from fnmatch import fnmatch
 
 FORMAT1 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                        "format1", "manifest.json")
 METHODS = ("finetune", "baseline_kd", "sdd", "sdd_nagr_only", "sdd_cswa_only")
 QUICK = ("base.epochs=4", "client.epochs=3", "generator.epochs=2")
 UNCOMPARED = "timings.jsonl"
+# every file a run writes but the timings, by kind (fnmatch patterns)
+OUTPUTS = {"portable": ("manifest.json", "metrics.jsonl", "summary.csv"),
+           "kernel-bound": ("checkpoints/*", "synthetics.csv")}
+
+
+def output_kind(rel: str) -> str:
+    """``portable`` or ``kernel-bound`` for a run file, ``unlisted`` if neither."""
+    return next((kind for kind, patterns in OUTPUTS.items()
+                 if any(fnmatch(rel, pattern) for pattern in patterns)), "unlisted")
+
+
+def kernel_fingerprint() -> dict[str, str]:
+    """numpy's float64 ``exp`` and ``log`` dispatch targets and OpenBLAS's
+    selected core, ``unknown`` where this numpy or its BLAS does not say."""
+    import numpy as np
+    try:
+        from numpy.lib.introspect import opt_func_info
+        info = opt_func_info(func_name="^(exp|log)$", signature="^float64$")
+        out = {f"numpy.{name}": info[name]["dd"]["current"] for name in ("exp", "log")}
+    except (ImportError, KeyError):
+        out = {"numpy.exp": "unknown", "numpy.log": "unknown"}
+    out["openblas.core"] = "unknown"
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        try:  # numpy has loaded the library, so this returns its handle
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        out["openblas.core"] = corename().decode()
+    return out
 
 
 def matrix(quick: bool) -> dict[str, list[str]]:
@@ -83,14 +121,16 @@ def run(tree: str, argv: list[str], run_dir: str) -> tuple[int, dict[str, str]]:
 
 
 def compare(name: str, a: tuple[int, dict], b: tuple[int, dict]) -> str:
-    """One report line: ``same`` or ``DIFF``, the run, and what differs."""
+    """One report line: ``same`` or ``DIFF``, the run, and what differs,
+    each file with its kind."""
     (rc_a, files_a), (rc_b, files_b) = a, b
     moved = sorted(f for f in files_a.keys() | files_b.keys()
                    if files_a.get(f) != files_b.get(f))
     if rc_a == rc_b and not moved:
         return f"same  {name}: exit {rc_a}, {len(files_a)} files"
     what = [f"exit {rc_a} -> {rc_b}"] if rc_a != rc_b else []
-    return f"DIFF  {name}: " + ", ".join(what + moved)
+    return f"DIFF  {name}: " + ", ".join(
+        what + [f"{rel} ({output_kind(rel)})" for rel in moved])
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,25 +1,30 @@
 """Config assembly, the dotted-key file format, and the CLI surface."""
 import csv
-import hashlib
+import importlib.util
 import json
 import os
 import re
+import subprocess
+import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fedscil import Classifier, ExperimentConfig, build_config
+from fedscil import Classifier, ExperimentConfig, build_config, cli
 from fedscil.checkpoint import load_state
 from fedscil.cli import main
 from fedscil.config import from_flat_dict, run_id, to_flat_dict
 from fedscil.errors import ConfigError
 from fedscil.fields import leaves
 from fedscil.orchestrator import prepare_schedule
+from same_outputs import digests, kernel_fingerprint, output_kind
 
 # a light sdd run of LIGHT_FILE that the format-1 CLI wrote with
 # --save-checkpoints --export-synthetics: its manifest, metrics.jsonl and
-# summary.csv, and the sha256 of its checkpoints and synthetics.csv
+# summary.csv, the sha256 of its checkpoints and synthetics.csv, and the
+# kernel fingerprint those digests were made under
 FORMAT1 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "format1")
 
 LIGHT_FILE = """\
@@ -772,6 +777,24 @@ def test_compare_validation(tmp_path, capsys):
     assert main(["report", str(tmp_path / "missing.jsonl")]) == 2
 
 
+@pytest.mark.parametrize("command", ["report", "compare"])
+@pytest.mark.parametrize("last, message", [
+    (lambda line: line[:len(line) // 2], "line 2: not a JSON record"),
+    (lambda line: "[1, 2]\n", "line 2: no session field"),
+    (lambda line: json.dumps({"overall": 0.5}) + "\n", "line 2: no session field"),
+], ids=["cut off", "not an object", "no session"])
+def test_a_truncated_metrics_file_names_its_path_and_line(tmp_path, capsys,
+                                                          command, last, message):
+    """An interrupted run's metrics.jsonl can end in a partial line; report
+    and compare exit 2 naming the file and the 1-based line."""
+    path = tmp_path / "metrics.jsonl"
+    _write_metrics(path, [0.5, 0.3])
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(lines[0] + last(lines[1]), encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: ContractError: {path}: {message}\n"
+
+
 def test_checkpoints_and_synthetics_export(first_run, tmp_path):
     out = tmp_path / "ckpt-run"
     rc = main(["run", "--config", str(first_run.config), "--quiet",
@@ -828,20 +851,78 @@ def test_output_switches_are_not_config_keys(first_run, tmp_path, capsys):
 
 def test_format_1_manifest_reruns_byte_for_byte(tmp_path):
     """A format-1 rerun keeps the recorded run id, which hashed the switch
-    keys, and writes the outputs its artifacts name: the same manifest,
-    metrics.jsonl, summary.csv, checkpoints and synthetics.csv bytes."""
+    keys, and writes the outputs its artifacts name. The portable files
+    (manifest, metrics.jsonl, summary.csv) are the recorded bytes on any
+    kernel. The checkpoints' and synthetics.csv's digests hold the floats of
+    the kernels in kernel.json, so they are compared only where this
+    machine's kernel fingerprint is the same."""
     out = tmp_path / "rerun"
     assert main(["run", "--from-manifest", os.path.join(FORMAT1, "manifest.json"),
                  "--out", str(out), "--quiet"]) == 0
-    for name in ("manifest.json", "metrics.jsonl", "summary.csv"):
+    written = digests(str(out))
+    with open(os.path.join(FORMAT1, "outputs.sha256"), encoding="utf-8") as fh:
+        recorded = dict(reversed(line.split()) for line in fh)
+    portable = sorted(rel for rel in written if output_kind(rel) == "portable")
+    assert portable == ["manifest.json", "metrics.jsonl", "summary.csv"]
+    assert sorted(written.keys() - portable) == sorted(recorded) == [
+        "checkpoints/session_0.ckpt", "checkpoints/session_1.ckpt", "synthetics.csv"]
+    assert {output_kind(rel) for rel in recorded} == {"kernel-bound"}
+    for name in portable:
         with open(os.path.join(FORMAT1, name), "rb") as fh:
             assert (out / name).read_bytes() == fh.read(), name
-    with open(os.path.join(FORMAT1, "outputs.sha256"), encoding="utf-8") as fh:
-        digests = dict(reversed(line.split()) for line in fh)
-    assert sorted(digests) == ["checkpoints/session_0.ckpt",
-                               "checkpoints/session_1.ckpt", "synthetics.csv"]
-    for name, digest in digests.items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    with open(os.path.join(FORMAT1, "kernel.json"), encoding="utf-8") as fh:
+        kernel = json.load(fh)
+    if (here := kernel_fingerprint()) != kernel:
+        warnings.warn(f"kernels {here} are not the recorded {kernel}: compared "
+                      f"the portable files only, skipped {', '.join(recorded)}")
+        return
+    for name, digest in recorded.items():
+        assert written[name] == digest, name
+
+
+def test_a_run_process_loads_no_openssl_and_writes_the_same_bytes(tmp_path):
+    """``main`` keeps ``_hashlib`` out of a fresh process, so its SHA-256
+    and numpy.random's hmac are Python's built-ins and no libcrypto is
+    mapped. The run's portable files equal those of the same run made in
+    this process, which hashes with OpenSSL: the digests are the same."""
+    pytest.importorskip("_hashlib")
+    argv = ["run", "--preset", "desk", "--method", "sdd", "--seed", "0", "--quiet"]
+    for item in ("data.sessions=1", "generator.epochs=1", "client.epochs=2"):
+        argv += ["--set", item]
+    script = ("import json, os, sys\nfrom fedscil.cli import main\n"
+              f"assert main({argv + ['--out', str(tmp_path / 'child')]!r}) == 0\n"
+              "maps = '/proc/self/maps'\n"
+              "crypto = ([line for line in open(maps) if 'libcrypto' in line]\n"
+              "          if os.path.exists(maps) else None)\n"
+              "print(json.dumps([repr(sys.modules.get('_hashlib')), crypto]))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    hashlib_module, crypto = json.loads(proc.stdout.splitlines()[-1])
+    assert hashlib_module == "None"
+    assert crypto in ([], None)
+    assert main(argv + ["--out", str(tmp_path / "here")]) == 0
+    for name in ("manifest.json", "metrics.jsonl", "summary.csv"):
+        assert ((tmp_path / "child" / name).read_bytes()
+                == (tmp_path / "here" / name).read_bytes()), name
+
+
+def test_main_blocks_openssl_only_before_it_loads_and_with_a_builtin_sha256(
+        monkeypatch, tmp_path):
+    """An imported ``_hashlib`` stays; without a built-in SHA-256 module
+    ``main`` leaves ``_hashlib`` importable; otherwise it blocks it."""
+    openssl = pytest.importorskip("_hashlib")
+    missing = str(tmp_path / "no-run")
+    assert main(["report", missing]) == 2
+    assert sys.modules["_hashlib"] is openssl
+    monkeypatch.delitem(sys.modules, "_hashlib")
+    monkeypatch.setattr(cli, "find_spec", lambda name: None)
+    assert main(["report", missing]) == 2
+    assert "_hashlib" not in sys.modules
+    monkeypatch.setattr(cli, "find_spec", importlib.util.find_spec)
+    assert main(["report", missing]) == 2
+    assert sys.modules["_hashlib"] is None
 
 
 @pytest.mark.parametrize("edit, message", [

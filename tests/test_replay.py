@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import desk_config
 from fedscil import Classifier, LossWeights, Tensor, client, train_generator_session
-from fedscil.autodiff import Optimizer, Replay, backprop, frozen
+from fedscil.autodiff import Optimizer, Replay, backprop, frozen, grad
 from fedscil.client import ClientConfig
 from fedscil.data import LabeledDataset
 from fedscil.errors import ContractError
@@ -27,6 +27,7 @@ from fedscil.losses import cross_entropy, student_loss
 from fedscil.generation import ReplayBuffer, SyntheticPool
 from fedscil.models import ConditionalGenerator, ModelStack, make_student
 from fedscil.orchestrator import _train_base
+from gradcheck import CASES as GRADIENT_CASES, case_rng
 from oracles import (client_optimizer, distill_loss, distill_term,
                      graph_generator_session, graph_local_step, graph_run_local,
                      graph_train_base, nagr_loss, nagr_term)
@@ -458,3 +459,27 @@ def test_a_step_that_raises_changes_no_state(name, call):
     with pytest.raises(ContractError):
         replay(*draw(wrong))
     _assert_unchanged(before, state())
+
+
+# -- every gradient case as a replayed step ------------------------------------
+
+
+@pytest.mark.parametrize("name, make", GRADIENT_CASES, ids=[n for n, _ in GRADIENT_CASES])
+def test_every_gradient_case_replays_like_the_graph(name, make):
+    """Each case of the gradient suite as a ``Replay`` step under a rate-0
+    optimizer: one recording call, then two replayed calls, each after every
+    parameter is scaled, so an array made from one outside an op would
+    replay stale. Each replayed call's gradients equal ``grad`` on a freshly
+    built graph bit for bit; with the gradient suite's op coverage, every
+    ``_*_fw``/``_*_bw`` op replays in some case."""
+    build_loss, params = make(case_rng(name, 0))
+    opt = Optimizer(params, "sgd_momentum", {p.group: 0.0 for p in params})
+    replay = Replay(lambda: [(build_loss(), opt)])
+    replay()
+    for _ in range(2):
+        for p in params:
+            p.value.data = p.value.data * 1.25
+        replay()
+        graph = grad(build_loss(), params)
+        for p in params:
+            assert np.array_equal(p.grad, graph[p.name]), p.name

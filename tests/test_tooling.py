@@ -336,7 +336,8 @@ def test_traced_benchmark_run_reports_every_layer_metric(tmp_path):
 def test_same_outputs_matches_a_tree_and_names_the_files_a_change_moves(tmp_path):
     """``tests/same_outputs.py`` finds a tree's quick finetune run the same as
     itself, and names the checkpoints of a copy whose batch-norm epsilon
-    moved; the manifest and the empty synthetics stay the same."""
+    moved, each file with its kind; the manifest and the empty synthetics
+    stay the same."""
     script = os.path.join(ROOT, "tests", "same_outputs.py")
 
     def check(change) -> subprocess.CompletedProcess:
@@ -358,9 +359,10 @@ def test_same_outputs_matches_a_tree_and_names_the_files_a_change_moves(tmp_path
     assert moved.returncode == 1, moved.stdout + moved.stderr
     line = moved.stdout.splitlines()[0]
     assert line.startswith("DIFF  finetune-seed0: ")
-    named = line.split(": ", 1)[1].split(", ")
-    assert "checkpoints/session_0.ckpt" in named
+    named = dict(item[:-1].split(" (") for item in line.split(": ", 1)[1].split(", "))
+    assert named["checkpoints/session_0.ckpt"] == "kernel-bound"
     assert "manifest.json" not in named and "synthetics.csv" not in named
+    assert set(named.values()) <= {"portable", "kernel-bound"}
 
 
 def test_a_desk_run_loads_neither_masked_arrays_nor_logging(tmp_path):
