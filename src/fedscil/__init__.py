@@ -9,7 +9,7 @@ benchmark import; everything else imports from its submodule.
 __version__ = "0.1.0"
 
 from .autodiff import Parameter, Tensor, backprop, grad
-from .client import ClientConfig, local_update_baseline_kd, local_update_nagr
+from .client import local_update_baseline_kd, local_update_nagr
 from .config import ExperimentConfig, build_config
 from .data import (LabeledDataset, build_schedule, dirichlet_partition,
                    load_csv_dataset, make_blobs, partition_summary)
@@ -25,7 +25,7 @@ from .orchestrator import run_experiment
 
 __all__ = [
     "Parameter", "Tensor", "backprop", "grad",
-    "ClientConfig", "local_update_baseline_kd", "local_update_nagr",
+    "local_update_baseline_kd", "local_update_nagr",
     "ExperimentConfig", "build_config",
     "LabeledDataset", "build_schedule", "dirichlet_partition",
     "load_csv_dataset", "make_blobs", "partition_summary",

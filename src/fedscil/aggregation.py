@@ -150,25 +150,15 @@ def assemble_global(template: Classifier, old_state: dict[str, Array],
     """Build the next global model from aggregated parts.
 
     The template provides the architecture (any client model works). Every
-    tensor must be covered exactly once: inherited tensors by old_state, the
-    last head block by new_block.
+    tensor must be covered exactly once, inherited tensors by old_state and
+    the last head block by new_block; :meth:`Classifier.load_state` checks it.
     """
     model = template.clone()
-    new_linear = _new_head(model)
-    new_names = {new_linear.weight.name, new_linear.bias.name}
-    all_names = {name for name, _, _ in model.state_entries()}
-    expected_old = all_names - new_names
-    if set(old_state) != expected_old:
-        missing = sorted(expected_old - set(old_state))
-        extra = sorted(set(old_state) - expected_old)
-        raise ContractError(f"old state mismatch; missing={missing} extra={extra}")
-    w, b = new_block
-    if w.shape != new_linear.weight.value.shape or b.shape != new_linear.bias.value.shape:
-        raise ContractError("new block shape does not match the template head")
-    arrays = dict(old_state)
-    arrays[new_linear.weight.name] = w
-    arrays[new_linear.bias.name] = b
-    model.load_state(arrays)
+    head = _new_head(model)
+    new = dict(zip((head.weight.name, head.bias.name), new_block))
+    if held := sorted(new.keys() & old_state.keys()):
+        raise ContractError(f"old state holds a new head tensor: {', '.join(held)}")
+    model.load_state({**old_state, **new})
     return model
 
 

@@ -159,6 +159,8 @@ def _read_manifest(path: str) -> tuple[ExperimentConfig, str, dict, dict]:
                                       f"got {json.dumps(legacy[key])}")
             if not isinstance(rid, str):
                 raise ConfigError(f"run_id: expected a string, got {json.dumps(rid)}")
+        if missing := sorted(to_flat_dict(ExperimentConfig()).keys() - items.keys()):
+            raise ConfigError(f"config lacks {', '.join(missing)}")
         cfg = from_flat_dict(items)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None

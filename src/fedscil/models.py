@@ -199,14 +199,18 @@ class Classifier:
         return entries
 
     def load_state(self, arrays: dict[str, Array]) -> None:
-        expected = {name for name, _, _ in self.state_entries()}
-        if expected != set(arrays):
-            missing = sorted(expected - set(arrays))
-            extra = sorted(set(arrays) - expected)
+        """Install copies of a state naming exactly this model's tensors, each
+        of its own shape; a refused state changes nothing."""
+        own = {name: arr.shape for name, arr, _ in self.state_entries()}
+        if own.keys() != arrays.keys():
+            missing = sorted(own.keys() - arrays.keys())
+            extra = sorted(arrays.keys() - own.keys())
             raise ContractError(f"state mismatch; missing={missing} extra={extra}")
+        for name, shape in own.items():
+            if np.shape(arrays[name]) != shape:
+                raise ContractError(f"shape mismatch for {name}: "
+                                    f"{np.shape(arrays[name])}, expected {shape}")
         for p in self.parameters():
-            if p.value.data.shape != arrays[p.name].shape:
-                raise ContractError(f"shape mismatch for {p.name}")
             p.value.data = arrays[p.name].copy()
         for bn in self.bn_layers():
             bn.state.running_mean = arrays[f"{bn.prefix}.running_mean"].copy()

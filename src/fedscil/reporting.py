@@ -28,26 +28,35 @@ SUMMARY_FIELDS = ("run_id", "method", "seed", "alpha", "sessions",
 
 
 def load_run_metrics(path: str) -> list[dict]:
-    """Session records from a metrics file or a run directory holding one."""
+    """Records of sessions 0..T from a metrics file or a run directory holding one."""
     if os.path.isdir(path):
         path = os.path.join(path, METRICS_FILENAME)
     if not os.path.isfile(path):
         raise ContractError(f"no metrics file at {path}")
-    records = []
+    numbered = []
     with open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
+            where = f"{path}: line {number}"
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except ValueError:  # a partial last line of an interrupted run
-                raise ContractError(f"{path}: line {number}: not a JSON record") from None
-            if not isinstance(records[-1], dict) or "session" not in records[-1]:
-                raise ContractError(f"{path}: line {number}: no session field")
-    if not records:
+                raise ContractError(f"{where}: not a JSON record") from None
+            if not isinstance(record, dict) or "session" not in record:
+                raise ContractError(f"{where}: no session field")
+            if type(record["session"]) is not int:
+                raise ContractError(f"{where}: session is not an integer")
+            if type(acc := record.get("overall")) not in (int, float) or not 0 <= acc <= 1:
+                raise ContractError(f"{where}: overall is not a number in [0, 1]")
+            numbered.append((record["session"], where, record))
+    if not numbered:
         raise ContractError(f"metrics file {path} is empty")
-    records.sort(key=lambda r: r["session"])
-    return records
+    numbered.sort(key=lambda item: item[0])  # stable: repeats keep file order
+    for expected, (session, where, _) in enumerate(numbered):
+        if session != expected:  # a gap or a repeat
+            raise ContractError(f"{where}: session {session}, expected {expected}")
+    return [record for _, _, record in numbered]
 
 
 def run_label(path: str, records: list[dict]) -> str:

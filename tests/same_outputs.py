@@ -5,8 +5,9 @@
 Runs the acceptance matrix once with each tree's ``src/`` on PYTHONPATH and
 BLAS on one thread, then compares, run by run, the exit code and the sha256
 of every file the run writes, except the wall-clock ``timings.jsonl``. It
-prints one line per run, naming each file that differs, and exits 0 when
-every run matches and 1 when one differs.
+prints one line per run, naming each file that differs, then the count of
+runs the same and each tree's ``src/fedscil/*.py`` line count, and exits 0
+when every run matches and 1 when one differs.
 
 The matrix: the five methods at seeds 0 and 7, ``sdd`` with two rounds and
 two clients, ``sdd_cswa_only`` (accuracy rule) and ``sdd_nagr_only`` (count
@@ -133,6 +134,15 @@ def compare(name: str, a: tuple[int, dict], b: tuple[int, dict]) -> str:
         what + [f"{rel} ({output_kind(rel)})" for rel in moved])
 
 
+def src_lines(tree: str) -> int:
+    """Lines of ``src/fedscil/*.py`` in tree, as ``cat ... | wc -l`` counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "fedscil", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="source tree holding src/fedscil")
@@ -162,6 +172,7 @@ def main(argv: list[str] | None = None) -> int:
             print(lines[-1], flush=True)
     same = sum(line.startswith("same") for line in lines)
     print(f"{same} of {len(lines)} runs the same")
+    print(f"src lines: {src_lines(args.parent)} -> {src_lines(args.change)}")
     return 0 if same == len(lines) else 1
 
 

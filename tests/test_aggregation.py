@@ -287,6 +287,10 @@ def test_assemble_global_key_validation():
     extra["bogus"] = np.zeros(1)
     with pytest.raises(ContractError, match="extra"):
         assemble_global(model, extra, block)
+    holds_new = dict(old, **{"head.s1.bias": block[1]})
+    with pytest.raises(ContractError,
+                       match="^old state holds a new head tensor: head.s1.bias$"):
+        assemble_global(model, holds_new, block)
 
 
 def test_assemble_global_block_shape_validation():

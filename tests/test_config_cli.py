@@ -388,6 +388,21 @@ def test_from_manifest_rejects_a_value_of_the_wrong_type(first_run, tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
+def test_from_manifest_rejects_a_config_missing_a_key(first_run, tmp_path, capsys):
+    """Each missing key would otherwise take its default and rerun another
+    experiment under the recorded one's name."""
+    manifest = json.loads((first_run.dir / "manifest.json").read_text())
+    del manifest["config"]["seed"], manifest["config"]["base.epochs"]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    rc = main(["run", "--from-manifest", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert f"{path}: config lacks base.epochs, seed" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_flat_dict_numbers_take_their_field_type():
     cfg = from_flat_dict({"alpha": 2, "base.decay_milestones": [1, 0.5],
                           "clients": 4})
@@ -777,16 +792,36 @@ def test_compare_validation(tmp_path, capsys):
     assert main(["report", str(tmp_path / "missing.jsonl")]) == 2
 
 
+def _edited(line: str, **fields) -> str:
+    """line's record with fields replaced, or dropped where given None."""
+    record = {**json.loads(line), **fields}
+    return json.dumps({k: v for k, v in record.items() if v is not None}) + "\n"
+
+
 @pytest.mark.parametrize("command", ["report", "compare"])
 @pytest.mark.parametrize("last, message", [
     (lambda line: line[:len(line) // 2], "line 2: not a JSON record"),
     (lambda line: "[1, 2]\n", "line 2: no session field"),
     (lambda line: json.dumps({"overall": 0.5}) + "\n", "line 2: no session field"),
-], ids=["cut off", "not an object", "no session"])
+    (lambda line: _edited(line, session="1"), "line 2: session is not an integer"),
+    (lambda line: _edited(line, session=False), "line 2: session is not an integer"),
+    (lambda line: _edited(line, overall=None),
+     "line 2: overall is not a number in [0, 1]"),
+    (lambda line: _edited(line, overall="0.8"),
+     "line 2: overall is not a number in [0, 1]"),
+    (lambda line: _edited(line, overall=1.5),
+     "line 2: overall is not a number in [0, 1]"),
+    (lambda line: line + _edited(line, session=3), "line 3: session 3, expected 2"),
+    (lambda line: line + line, "line 3: session 0, expected 1"),
+], ids=["cut off", "not an object", "no session", "session a string",
+        "session a bool", "no overall", "overall a string", "overall above 1",
+        "session gap", "session repeat"])
 def test_a_truncated_metrics_file_names_its_path_and_line(tmp_path, capsys,
                                                           command, last, message):
-    """An interrupted run's metrics.jsonl can end in a partial line; report
-    and compare exit 2 naming the file and the 1-based line."""
+    """An interrupted run's metrics.jsonl can end in a partial line, and a
+    hand-edited one can hold anything; report and compare exit 2 naming the
+    file and the 1-based line. The file lists sessions 1, 0; a third line of
+    session 3 leaves a gap, and a second session 0 repeats one."""
     path = tmp_path / "metrics.jsonl"
     _write_metrics(path, [0.5, 0.3])
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -934,8 +969,10 @@ def test_main_blocks_openssl_only_before_it_loads_and_with_a_builtin_sha256(
     (lambda m: m.pop("run_id"), "run_id: expected a string, got null"),
     (lambda m: m.pop("artifacts"), "no artifacts object"),
     (lambda m: m.update(format=2), "unknown config key: export_synthetics"),
+    (lambda m: m["config"].pop("base.epochs"), "config lacks base.epochs"),
 ], ids=["switch not a bool", "switch missing", "run id not a string",
-        "run id missing", "no artifacts", "switch key in format 2"])
+        "run id missing", "no artifacts", "switch key in format 2",
+        "config key missing"])
 def test_from_manifest_rejects_a_bad_format_1_field(tmp_path, capsys, edit, message):
     with open(os.path.join(FORMAT1, "manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)

@@ -1,4 +1,5 @@
 """Classifier head growth, the conditional generator, and checkpoints."""
+import re
 import zipfile
 
 import numpy as np
@@ -149,6 +150,35 @@ def test_load_state_rejects_mismatched_names():
     state.pop(next(iter(state)))
     with pytest.raises(ContractError):
         model.load_state(state)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("backbone.bn2.running_var", None),
+    ("bogus", np.zeros(1)),
+    ("head.s1.bias", np.zeros(3)),  # the last parameter installed
+    ("backbone.bn1.running_var", np.ones((1, 64))),  # would broadcast
+], ids=["missing name", "extra name", "late parameter shape",
+        "running statistic shape"])
+def test_a_refused_state_is_named_and_changes_nothing(name, value):
+    """load_state names the tensor it refuses, and runs every check before
+    it installs the first one: after a refusal every state entry holds its
+    old bytes. A (1, 64) running statistic of a 64-channel layer would
+    broadcast through the forward, so its shape is checked like a
+    parameter's."""
+    model = Classifier(in_dim=4, base_classes=3, seed=0)
+    model.expand_head(1, 2, seed=1)
+    before = [(n, arr.copy()) for n, arr, _ in model.state_entries()]
+    state = {n: arr + 1.0 for n, arr in before}
+    if value is None:
+        del state[name]
+    else:
+        state[name] = value
+    with pytest.raises(ContractError, match=re.escape(name)):
+        model.load_state(state)
+    after = model.state_entries()
+    assert [n for n, _, _ in after] == [n for n, _ in before]
+    for (n, old), (_, new, _) in zip(before, after):
+        assert old.dtype == new.dtype and old.tobytes() == new.tobytes(), n
 
 
 def test_state_entries_cover_running_stats():

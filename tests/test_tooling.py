@@ -15,7 +15,8 @@ allowed values as the config dataclasses declare them, and its Layout block
 names every module of the package. A method is its two rules, so only the
 orchestrator looks them up, and the README's Methods table lists every
 method. The client step states the local objective and one method builds a
-head block, each once, and no module imports a name it never reads.
+head block, each once, and no module imports a name it never reads; the
+package root re-exports only the names imported from it.
 ``tests/same_outputs.py`` compares two source trees' outputs byte for byte,
 and must tell a changed tree from an unchanged one."""
 import ast
@@ -169,6 +170,26 @@ def test_no_module_imports_a_name_it_never_reads():
         unread += [f"{os.path.basename(path)}:{line} {name}"
                    for name, line in imported.items() if name not in read]
     assert unread == []
+
+
+def test_the_package_root_reexports_only_what_is_imported_from_it():
+    """Every name in ``fedscil.__all__`` but ``__version__`` is imported from
+    the package root by a test, a benchmark module or a README
+    ``from fedscil import`` line; any other name imports from its submodule."""
+    import fedscil
+    imported = set()
+    for path in (glob.glob(os.path.join(ROOT, "tests", "*.py"))
+                 + glob.glob(os.path.join(ROOT, "perfbench", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        imported.update(a.name for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom)
+                        and node.module == "fedscil" and not node.level
+                        for a in node.names)
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        for names in re.findall(r"^from fedscil import (\([^)]*\)|.*)$", fh.read(), re.M):
+            imported.update(re.findall(r"\w+", names))
+    assert sorted(set(fedscil.__all__) - {"__version__"} - imported) == []
 
 
 class _CallSites(ast.NodeVisitor):
@@ -335,9 +356,9 @@ def test_traced_benchmark_run_reports_every_layer_metric(tmp_path):
 
 def test_same_outputs_matches_a_tree_and_names_the_files_a_change_moves(tmp_path):
     """``tests/same_outputs.py`` finds a tree's quick finetune run the same as
-    itself, and names the checkpoints of a copy whose batch-norm epsilon
-    moved, each file with its kind; the manifest and the empty synthetics
-    stay the same."""
+    itself, with as many source lines, and names the checkpoints of a copy
+    whose batch-norm epsilon moved, each file with its kind; the manifest and
+    the empty synthetics stay the same."""
     script = os.path.join(ROOT, "tests", "same_outputs.py")
 
     def check(change) -> subprocess.CompletedProcess:
@@ -348,6 +369,7 @@ def test_same_outputs_matches_a_tree_and_names_the_files_a_change_moves(tmp_path
     same = check(ROOT)
     assert same.returncode == 0, same.stdout + same.stderr
     assert same.stdout.startswith("same  finetune-seed0: exit 0, ")
+    assert re.fullmatch(r"src lines: (\d+) -> \1", same.stdout.splitlines()[-1])
     shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     autodiff = tmp_path / "src" / "fedscil" / "autodiff.py"
