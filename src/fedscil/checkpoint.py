@@ -56,7 +56,8 @@ def save_state(path, entries: Iterable[tuple[str, Array, str]],
 
 
 def load_state(path) -> tuple[dict[str, Array], dict[str, str], dict]:
-    """Returns (name -> array, name -> group, extra)."""
+    """Returns (name -> array, name -> group, extra); a repeated name, or a
+    blob missing or not of its shape's size, is a ContractError."""
     with zipfile.ZipFile(path, "r") as zf:
         manifest = json.loads(zf.read("manifest.json"))
         if manifest.get("format_version") != FORMAT_VERSION:
@@ -64,8 +65,14 @@ def load_state(path) -> tuple[dict[str, Array], dict[str, str], dict]:
         arrays: dict[str, Array] = {}
         groups: dict[str, str] = {}
         for record in manifest["entries"]:
-            raw = zf.read(record["file"])
-            arr = np.frombuffer(raw, dtype="<f8").reshape(record["shape"]).copy()
-            arrays[record["name"]] = arr
-            groups[record["name"]] = record["group"]
+            name, member, shape = record["name"], record["file"], record["shape"]
+            if name in arrays:
+                raise ContractError(f"{path}: entry {name} is repeated")
+            if member not in zf.namelist():
+                raise ContractError(f"{path}: entry {name} has no member {member}")
+            raw = zf.read(member)
+            if len(raw) != 8 * int(np.prod(shape)):
+                raise ContractError(f"{path}: entry {name}: {len(raw)} bytes, shape {shape}")
+            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            groups[name] = record["group"]
     return arrays, groups, manifest.get("extra", {})

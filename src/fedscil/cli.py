@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one experiment")
     _config_flags(p_run)
     p_run.add_argument("--from-manifest", metavar="PATH",
-                       help="rerun exactly the config recorded in a manifest")
+                       help="rerun exactly the config of a manifest or a run directory")
     p_run.add_argument("--out", help="run directory (default derived from the "
                                      "config under the run root)")
     p_run.add_argument("--save-checkpoints", action="store_true",
@@ -101,6 +101,8 @@ def _load_config(args) -> ExperimentConfig:
 def _claim_run_dir(cfg: ExperimentConfig, rid: str, out: str | None) -> str:
     """Pick a directory that does not already hold a manifest."""
     if out:
+        if os.path.exists(out) and not os.path.isdir(out):
+            raise ConfigError(f"--out {out} is a file, not a run directory")
         if os.path.isfile(os.path.join(out, MANIFEST_FILENAME)):
             raise ConfigError(f"{out} already contains a manifest; "
                               "a run directory holds exactly one run")
@@ -135,8 +137,11 @@ def _metrics_record(rid: str, cfg: ExperimentConfig, sm) -> dict:
 
 
 def _read_manifest(path: str) -> tuple[ExperimentConfig, str, dict, dict]:
-    """(config, run id, artifact map, format-1 switch keys) of a manifest, or
-    a ConfigError naming the file. Only a format-2 rerun recomputes its id."""
+    """(config, run id, artifact map, format-1 switch keys) of a manifest or a
+    run directory's manifest, or a ConfigError naming the file. Only a
+    format-2 rerun recomputes its id."""
+    if os.path.isdir(path):
+        path = os.path.join(path, MANIFEST_FILENAME)
     with open(path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)

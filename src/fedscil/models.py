@@ -92,10 +92,10 @@ class _Backbone:
 class Classifier:
     """Backbone plus a final layer whose columns are grouped by session.
 
-    ``heads`` maps each session to its block of columns, in the order added.
-    Inherited blocks carry the ``head_old`` group tag, the current session's
-    block ``head_new``; ``expand_head`` retags before appending. Column index
-    equals class id under the schedule's remapping.
+    ``heads`` maps each session to its block of columns, in session order.
+    Inherited blocks carry the ``head_old`` group tag, the last block
+    ``head_new``; ``append_head_block`` states both. Column index equals
+    class id under the schedule's remapping.
     """
 
     def __init__(self, in_dim: int, base_classes: int, seed: int,
@@ -160,26 +160,24 @@ class Classifier:
         return self.heads[session]
 
     def expand_head(self, session: int, classes: int, seed: int) -> None:
-        """Append a block of freshly initialized columns for a new session.
-
-        Existing blocks are retagged head_old. Expanding by zero classes
-        leaves the model unchanged.
+        """Append a block of freshly initialized columns for a new session
+        (see :meth:`append_head_block`). Expanding by zero classes leaves
+        the model unchanged.
         """
         if classes < 0:
             raise ContractError("cannot expand by a negative class count")
-        if classes == 0:
-            return
-        if self.heads and session <= list(self.heads)[-1]:
-            raise ContractError(f"session {session} already present in head")
-        for head in self.heads.values():
-            head.weight.group = head.bias.group = "head_old"
-        self.append_head_block(session, classes, np.random.default_rng(seed))
+        if classes > 0:
+            self.append_head_block(session, classes, np.random.default_rng(seed))
 
     def append_head_block(self, session: int, classes: int,
                           rng: np.random.Generator) -> None:
-        """Append session's block of ``classes`` columns, tagged head_new."""
-        if session in self.heads:
-            raise ContractError(f"session {session} already has a head block")
+        """Append session's block of ``classes`` columns, tagged head_new,
+        and retag every earlier block head_old. A session that does not come
+        after the last block's is refused before anything changes."""
+        if self.heads and session <= (last := list(self.heads)[-1]):
+            raise ContractError(f"session {session} does not follow session {last}")
+        for head in self.heads.values():
+            head.weight.group = head.bias.group = "head_old"
         self.heads[session] = Linear(f"head.s{session}", self.feature_dim,
                                      classes, rng, "head_new")
 
@@ -234,8 +232,6 @@ class Classifier:
         rng = np.random.default_rng(0)
         for session, width in arch["head"]:
             model.append_head_block(session, width, rng)
-        for p in model.parameters():
-            p.group = arch["groups"][p.name]
         return model
 
     def clone(self) -> "Classifier":

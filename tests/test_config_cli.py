@@ -325,16 +325,30 @@ def test_from_manifest_rejects_config_flags(first_run, capsys):
 
 
 def test_from_manifest_reproduces_metrics_bytes(first_run, tmp_path, capsys):
-    out = tmp_path / "replay"
-    rc = main(["run", "--from-manifest", str(first_run.dir / "manifest.json"),
-               "--out", str(out)])
-    assert rc == 0
-    assert (out / "metrics.jsonl").read_bytes() == \
-        (first_run.dir / "metrics.jsonl").read_bytes()
-    stdout = capsys.readouterr().out
-    assert "session 0:" in stdout
-    assert "Average" in stdout
-    assert "run directory:" in stdout
+    """From the manifest file or from the run directory that holds it, as
+    ``report`` and ``compare`` take either."""
+    for name, source in [("file", first_run.dir / "manifest.json"),
+                         ("dir", first_run.dir)]:
+        out = tmp_path / name
+        rc = main(["run", "--from-manifest", str(source), "--out", str(out)])
+        assert rc == 0, name
+        assert (out / "metrics.jsonl").read_bytes() == \
+            (first_run.dir / "metrics.jsonl").read_bytes()
+        stdout = capsys.readouterr().out
+        assert "session 0:" in stdout
+        assert "Average" in stdout
+        assert "run directory:" in stdout
+
+
+def test_out_naming_a_file_is_a_configuration_error(first_run, tmp_path, capsys):
+    """A bad argument, refused before anything is written."""
+    path = tmp_path / "taken"
+    path.write_text("keep\n")
+    rc = main(["run", "--config", str(first_run.config), "--out", str(path)])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        f"configuration error: --out {path} is a file, not a run directory\n"
+    assert path.read_text() == "keep\n" and os.listdir(tmp_path) == ["taken"]
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -1,4 +1,5 @@
 """Classifier head growth, the conditional generator, and checkpoints."""
+import json
 import re
 import zipfile
 
@@ -92,9 +93,49 @@ def test_append_head_block_refuses_a_session_that_has_one(rng):
     """The session map never overwrites a block: the first one stays."""
     model = Classifier(in_dim=4, base_classes=3, seed=0)
     first = model.heads[0]
-    with pytest.raises(ContractError, match="^session 0 already has a head block$"):
+    with pytest.raises(ContractError, match="^session 0 does not follow session 0$"):
         model.append_head_block(0, 2, rng)
     assert model.heads == {0: first} and model.classes_seen == 3
+
+
+def _tags(model: Classifier) -> list[tuple[str, str]]:
+    return [(name, group) for name, _, group in model.state_entries()]
+
+
+def test_append_head_block_refuses_a_session_before_the_last(rng):
+    """Blocks stay in session order, so the last block is the new session's
+    and a column index equals its class id; a refusal changes nothing."""
+    model = Classifier(in_dim=4, base_classes=3, seed=0)
+    model.append_head_block(2, 2, rng)
+    heads, tags = dict(model.heads), _tags(model)
+    with pytest.raises(ContractError, match="^session 1 does not follow session 2$"):
+        model.append_head_block(1, 2, rng)
+    assert model.heads == heads and _tags(model) == tags
+    assert model.session_map == {0: (0, 3), 2: (3, 5)}
+
+
+def test_from_arch_refuses_an_out_of_order_head():
+    model = Classifier(in_dim=4, base_classes=3, seed=0)
+    model.expand_head(1, 2, seed=1)
+    arch = {**model.arch(), "head": [[1, 2], [0, 3]]}
+    with pytest.raises(ContractError, match="^session 0 does not follow session 1$"):
+        Classifier.from_arch(arch)
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda groups: groups.update({"head.s0.weight": "head_new"}),
+    lambda groups: groups.update({"head.s1.bias": "bogus"}),
+    lambda groups: groups.pop("head.s1.weight"),
+    lambda groups: groups.clear(),
+], ids=["old block tagged new", "unknown tag", "missing tag", "no tags"])
+def test_from_arch_takes_tags_from_block_position(tamper):
+    """The head list alone fixes every tag: earlier blocks head_old, the last
+    head_new. The recorded groups map is written but never read."""
+    model = Classifier(in_dim=4, base_classes=3, seed=0)
+    model.expand_head(1, 2, seed=1)
+    arch = model.arch()
+    tamper(arch["groups"])
+    assert _tags(Classifier.from_arch(arch)) == _tags(model)
 
 
 # -- session slices ----------------------------------------------------------------
@@ -205,6 +246,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, rng):
     assert np.array_equal(rebuilt.forward(x, mode="eval").data,
                           model.forward(x, mode="eval").data)
     assert rebuilt.session_map == model.session_map
+    assert _tags(rebuilt) == _tags(model)
 
 
 def test_checkpoint_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
@@ -222,6 +264,40 @@ def test_checkpoint_rejects_duplicate_names(tmp_path):
     entries = [("w", np.ones(2), "backbone"), ("w", np.zeros(2), "backbone")]
     with pytest.raises(ContractError):
         save_state(tmp_path / "dup.ckpt", entries)
+
+
+_BLOB = "data/0000.bin"  # backbone.fc1.weight, shape (4, 5)
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda members, entries: members.update({_BLOB: members[_BLOB][:-8]}),
+     "entry backbone.fc1.weight: 152 bytes, shape [4, 5]"),
+    (lambda members, entries: members.update({_BLOB: members[_BLOB][:-3]}),
+     "entry backbone.fc1.weight: 157 bytes, shape [4, 5]"),
+    (lambda members, entries: members.pop(_BLOB),
+     "entry backbone.fc1.weight has no member data/0000.bin"),
+    (lambda members, entries: entries[1].update(name=entries[0]["name"]),
+     "entry backbone.fc1.weight is repeated"),
+], ids=["blob cut by 8 bytes", "blob cut by 3 bytes", "missing blob",
+        "repeated name"])
+def test_checkpoint_reader_refuses_a_damaged_archive(tmp_path, damage, message):
+    """A checkpoint rewritten member by member: a blob whose size does not fit
+    its shape, a blob that is gone, or a name that repeats is refused with the
+    file and the entry named, where numpy or zipfile would raise its own error
+    or the last of two entries would silently win."""
+    path = tmp_path / "model.ckpt"
+    save_state(path, Classifier(in_dim=4, base_classes=3, seed=0,
+                                hidden=5, feature_dim=2).state_entries())
+    with zipfile.ZipFile(path) as zf:
+        members = {name: zf.read(name) for name in zf.namelist()}
+    manifest = json.loads(members.pop("manifest.json"))
+    damage(members, manifest["entries"])
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr("manifest.json", json.dumps(manifest))
+        for name, raw in members.items():
+            zf.writestr(name, raw)
+    with pytest.raises(ContractError, match=re.escape(f"{path}: {message}")):
+        load_state(path)
 
 
 # -- conditional generator -------------------------------------------------------------

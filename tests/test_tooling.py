@@ -18,10 +18,12 @@ method. The client step states the local objective and one method builds a
 head block, each once, and no module imports a name it never reads; the
 package root re-exports only the names imported from it.
 ``tests/same_outputs.py`` compares two source trees' outputs byte for byte,
-and must tell a changed tree from an unchanged one."""
+and must tell a changed tree from an unchanged one; each mutation in
+``tests/mutants.py`` must apply to exactly one place."""
 import ast
 import glob
 import importlib
+import importlib.util
 import json
 import os
 import re
@@ -196,7 +198,7 @@ class _CallSites(ast.NodeVisitor):
     """The qualified function (``Class.method``, ``outer.inner``, or
     ``<module>``) around each call, keyed by the called name; a ``Linear``
     named ``head.*`` is keyed ``Linear(head.*)``, a store into a ``.heads``
-    map ``heads[]=``."""
+    map ``heads[]=``, a store to a ``.group`` attribute ``.group=``."""
 
     def __init__(self):
         self.scope: list[str] = []
@@ -222,6 +224,12 @@ class _CallSites(ast.NodeVisitor):
         else:
             self.generic_visit(node)
 
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Store) and node.attr == "group":
+            self._record(".group=", node)
+        else:
+            self.generic_visit(node)
+
     def _record(self, name, node):
         self.sites.setdefault(name, set()).add(".".join(self.scope) or "<module>")
         self.generic_visit(node)
@@ -237,11 +245,14 @@ def _names_a_head(node) -> bool:
 
 def test_one_method_builds_a_head_block_and_no_module_calls_client_loss():
     """Every head grows through ``Classifier.append_head_block``, the one
-    function that builds a ``Linear`` named ``head.*`` and the one that
-    stores into a ``heads`` map. No module calls ``client_loss``: the local
-    objective is stated once, in ``client._local_step``, and
-    ``losses.client_loss`` is the tests' second statement of it."""
-    found = {"Linear(head.*)": [], "heads[]=": [], "client_loss": []}
+    function that builds a ``Linear`` named ``head.*``, the one that stores
+    into a ``heads`` map, and the one that stores a parameter's group tag, so
+    a head's order and tags are stated once. No module calls
+    ``client_loss``: the local objective is stated once, in
+    ``client._local_step``, and ``losses.client_loss`` is the tests' second
+    statement of it."""
+    found = {"Linear(head.*)": [], "heads[]=": [], ".group=": [],
+             "client_loss": []}
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "fedscil", "*.py"))):
         with open(path, encoding="utf-8") as fh:
             sites = _CallSites()
@@ -251,7 +262,7 @@ def test_one_method_builds_a_head_block_and_no_module_calls_client_loss():
             where += [f"{module}:{f}" for f in sorted(sites.sites.get(name, ()))]
     builder = ["models.py:Classifier.append_head_block"]
     assert found == {"Linear(head.*)": builder, "heads[]=": builder,
-                     "client_loss": []}
+                     ".group=": builder, "client_loss": []}
 
 
 def _is_string_or_strings(node) -> bool:
@@ -385,6 +396,25 @@ def test_same_outputs_matches_a_tree_and_names_the_files_a_change_moves(tmp_path
     assert named["checkpoints/session_0.ckpt"] == "kernel-bound"
     assert "manifest.json" not in named and "synthetics.csv" not in named
     assert set(named.values()) <= {"portable", "kernel-bound"}
+
+
+def test_every_mutant_edits_one_place_and_names_tests_that_exist():
+    """Each entry of ``tests/mutants.py`` finds its old text exactly once in
+    its file, leaves a file that still parses, and names tests defined in
+    their files; running the mutants themselves stays outside Tier-1."""
+    spec = importlib.util.spec_from_file_location(
+        "mutants", os.path.join(ROOT, "tests", "mutants.py"))
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for mutant in mutants.MUTANTS:
+        # raises unless the old text occurs exactly once
+        ast.parse(mutants.mutated_source(mutant), mutant.path)
+        for node_id in mutant.tests:
+            path, name = node_id.split("::")
+            with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+                defined = re.search(rf"^def {name.split('[')[0]}\(", fh.read(), re.M)
+            assert defined, f"{mutant.name}: {node_id}"
 
 
 def test_a_desk_run_loads_neither_masked_arrays_nor_logging(tmp_path):
