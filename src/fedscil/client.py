@@ -12,35 +12,15 @@ every column in ``replay_loss`` "subset" mode, only the old-class columns in
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import (Optimizer, Replay, Tensor, col_slice,
                        concat, frozen, row_slice)
+from .config import ClientConfig, LossWeights
 from .errors import ContractError
-from .fields import check_fields, ranged
 from .generation import ReplayBuffer
-from .losses import (LossWeights, cross_entropy, distillation_loss_subset,
-                     replay_loss_subset)
+from .losses import cross_entropy, distillation_loss_subset, replay_loss_subset
 from .models import Classifier
-
-
-@dataclass
-class ClientConfig:
-    epochs: int = ranged(15, "[1, inf)")
-    batch_size_new: int = ranged(8, "[1, inf)")
-    batch_size_replay: int = ranged(8, "[1, inf)")
-    lr_backbone_and_old: float = ranged(1e-4, "[0, inf)")
-    lr_new_head: float = ranged(0.1, "[0, inf)")
-    momentum: float = ranged(0.9, "[0, 1)")
-    replay_loss: str = ranged("subset", ("subset", "sliced"))
-
-    def validate(self) -> None:
-        check_fields(self, "client.")
-        if self.lr_backbone_and_old > self.lr_new_head:
-            raise ContractError("client.lr_backbone_and_old must be <= "
-                                "client.lr_new_head")
 
 
 def _epoch_batches(n: int, size: int, rng: np.random.Generator) -> list[np.ndarray]:

@@ -1,9 +1,14 @@
 """Experiment configuration: dataclasses, presets, and the config file format.
 
+Every config key is declared here, with its default and its allowed values
+(``ranged(default, allowed)``): interval text such as ``"[1, inf)"`` or
+``"(0, 1]"``, or a tuple of choices. An open ``inf)`` end refuses infinities,
+NaN fails every comparison, so every interval refuses it, and a tuple value
+is checked element by element. This module imports no training module.
+
 Config files are plain text, one ``dotted.key = value`` per line, ``#``
 comments allowed. Values are coerced to the type of the field they target;
-tuples are comma-separated. Each field declares its allowed values beside
-its default (``fields.ranged``). Precedence, lowest to highest: dataclass
+tuples are comma-separated. Precedence, lowest to highest: dataclass
 defaults, preset, config file, command-line overrides.
 
 A run has one master seed (``seed``); every component stream is derived from
@@ -12,13 +17,48 @@ it by a stable path, and ``seeding.seed_streams`` lists every path a run draws.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
-from .client import ClientConfig
 from .errors import ConfigError, ContractError
-from .fields import check_fields, leaves, ranged
-from .generation import GenLabConfig
-from .losses import LossWeights
+
+
+def ranged(default, allowed):
+    """A dataclass field with a default and its allowed values."""
+    return field(default=default, metadata={"allowed": allowed})
+
+
+def leaves(obj, prefix: str = "") -> dict:
+    """Each dotted leaf key of a config tree -> (owner object, field)."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            out.update(leaves(value, f"{prefix}{f.name}."))
+        else:
+            out[prefix + f.name] = (obj, f)
+    return out
+
+
+def _inside(value, allowed) -> bool:
+    if isinstance(allowed, tuple):
+        return value in allowed
+    if isinstance(value, tuple):
+        return all(_inside(v, allowed) for v in value)
+    lo, hi = map(float, allowed[1:-1].split(","))
+    return ((value > lo if allowed[0] == "(" else value >= lo)
+            and (value < hi if allowed[-1] == ")" else value <= hi))
+
+
+def check_fields(obj, prefix: str = "") -> None:
+    """ContractError, naming the dotted key, for the first leaf outside its
+    allowed values."""
+    for key, (owner, f) in leaves(obj, prefix).items():
+        allowed = f.metadata.get("allowed")
+        if allowed is not None and not _inside(getattr(owner, f.name), allowed):
+            raise ContractError(f"{key} must be one of {', '.join(allowed)}"
+                                if isinstance(allowed, tuple)
+                                else f"{key} must be in {allowed}")
+
 
 # method -> (local rule, head rule). The local rule adds a replay term to the
 # clients' cross-entropy: None (session data only), "replay" (noise-aware
@@ -70,6 +110,58 @@ class ModelConfig:
 @dataclass
 class AggregationConfig:
     cswa_mode: str = ranged("normalized", ("normalized", "paper_exact"))
+
+
+@dataclass
+class ClientConfig:
+    epochs: int = ranged(15, "[1, inf)")
+    batch_size_new: int = ranged(8, "[1, inf)")
+    batch_size_replay: int = ranged(8, "[1, inf)")
+    lr_backbone_and_old: float = ranged(1e-4, "[0, inf)")
+    lr_new_head: float = ranged(0.1, "[0, inf)")
+    momentum: float = ranged(0.9, "[0, 1)")
+    replay_loss: str = ranged("subset", ("subset", "sliced"))
+
+    def validate(self) -> None:
+        check_fields(self, "client.")
+        if self.lr_backbone_and_old > self.lr_new_head:
+            raise ContractError("client.lr_backbone_and_old must be <= "
+                                "client.lr_new_head")
+
+
+@dataclass
+class LossWeights:
+    """Scalar knobs shared by client training and generator training."""
+
+    alpha: float = ranged(1.0, "[0, inf)")    # forward CE weight on replay data
+    beta: float = ranged(1.0, "[0, inf)")     # reverse CE weight on replay data
+    k: float = ranged(1.0, "[0, inf)")        # replay weight in the client objective
+    lambda1: float = ranged(1.0, "[0, inf)")  # generator: fidelity
+    lambda2: float = ranged(1.0, "[0, inf)")  # generator: prediction entropy
+    lambda3: float = ranged(1.0, "[0, inf)")  # generator: batch-norm statistics
+    lambda4: float = ranged(1.0, "[0, inf)")  # generator: teacher-student disagreement
+    rce_log_zero: float = ranged(-4.0, "(-inf, 0)")
+    kl_temperature: float = ranged(1.0, "(0, inf)")
+
+    def validate(self) -> None:
+        check_fields(self, "weights.")
+
+
+@dataclass
+class GenLabConfig:
+    epochs: int = ranged(100, "[1, inf)")
+    rounds_per_epoch: int = ranged(50, "[1, inf)")
+    batch_size: int = ranged(64, "[2, inf)")  # batch norm needs two samples
+    noise_dim: int = ranged(16, "[1, inf)")
+    hidden: int = ranged(64, "[1, inf)")
+    gen_lr: float = ranged(1e-3, "(0, inf)")
+    student_lr: float = ranged(0.2, "[0, inf)")
+    student_momentum: float = ranged(0.9, "[0, 1)")
+    bank_per_epoch: int = ranged(64, "[2, inf)")
+    buffer_capacity: int = ranged(200, "[1, inf)")
+
+    def validate(self) -> None:
+        check_fields(self, "generator.")
 
 
 @dataclass
@@ -148,8 +240,10 @@ def _coerce(dotted: str, raw: str, current):
 
 
 def read_config_file(path) -> dict[str, str]:
-    """Parse a dotted key=value file into an ordered mapping."""
+    """Parse a dotted key=value file into an ordered mapping; a key may
+    appear once."""
     out: dict[str, str] = {}
+    first: dict[str, int] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             stripped = line.split("#", 1)[0].strip()
@@ -157,8 +251,11 @@ def read_config_file(path) -> dict[str, str]:
                 continue
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = stripped.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in stripped.split("=", 1))
+            if key in first:
+                raise ConfigError(f"{path}:{lineno}: {key} already set on line "
+                                  f"{first[key]}")
+            first[key], out[key] = lineno, value
     return out
 
 

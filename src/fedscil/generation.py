@@ -21,32 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Optimizer, Replay, frozen
+from .config import GenLabConfig, LossWeights
 from .errors import BufferGapError, ContractError, EmptyBufferError, NonFiniteError
-from .fields import check_fields, ranged
-from .losses import (LossWeights, bn_stat_loss, generator_entropy_loss,
+from .losses import (bn_stat_loss, generator_entropy_loss,
                      generator_fidelity_loss, generator_total_loss,
                      info_entropy, student_loss, transferability_loss)
 from .models import Classifier, ConditionalGenerator, ModelStack, make_student
 from .seeding import derive_seed
 
 Array = np.ndarray
-
-
-@dataclass
-class GenLabConfig:
-    epochs: int = ranged(100, "[1, inf)")
-    rounds_per_epoch: int = ranged(50, "[1, inf)")
-    batch_size: int = ranged(64, "[2, inf)")  # batch norm needs two samples
-    noise_dim: int = ranged(16, "[1, inf)")
-    hidden: int = ranged(64, "[1, inf)")
-    gen_lr: float = ranged(1e-3, "(0, inf)")
-    student_lr: float = ranged(0.2, "[0, inf)")
-    student_momentum: float = ranged(0.9, "[0, 1)")
-    bank_per_epoch: int = ranged(64, "[2, inf)")
-    buffer_capacity: int = ranged(200, "[1, inf)")
-
-    def validate(self) -> None:
-        check_fields(self, "generator.")
 
 
 @dataclass

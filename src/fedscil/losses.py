@@ -15,32 +15,12 @@ All losses are batch means and return scalar graph tensors. Conventions:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import (Array, Tensor, _apply, _check_range, _log_fw, _softmax_bw,
                        _softmax_fw, _wrap, col_slice, gather_rows, one_hot)
+from .config import LossWeights
 from .errors import ContractError
-from .fields import check_fields, ranged
-
-
-@dataclass
-class LossWeights:
-    """Scalar knobs shared by client training and generator training."""
-
-    alpha: float = ranged(1.0, "[0, inf)")    # forward CE weight on replay data
-    beta: float = ranged(1.0, "[0, inf)")     # reverse CE weight on replay data
-    k: float = ranged(1.0, "[0, inf)")        # replay weight in the client objective
-    lambda1: float = ranged(1.0, "[0, inf)")  # generator: fidelity
-    lambda2: float = ranged(1.0, "[0, inf)")  # generator: prediction entropy
-    lambda3: float = ranged(1.0, "[0, inf)")  # generator: batch-norm statistics
-    lambda4: float = ranged(1.0, "[0, inf)")  # generator: teacher-student disagreement
-    rce_log_zero: float = ranged(-4.0, "(-inf, 0)")
-    kl_temperature: float = ranged(1.0, "(0, inf)")
-
-    def validate(self) -> None:
-        check_fields(self, "weights.")
 
 
 def _check_batch(logits: Tensor, labels: Array) -> Array:

@@ -29,7 +29,7 @@ from .config import METHODS, ExperimentConfig, run_id, validate_config
 from .data import (DatasetSplits, LabeledDataset, SessionSchedule,
                    build_schedule, dirichlet_partition, load_csv_dataset,
                    make_blobs, partition_summary)
-from .errors import BufferGapError, NonFiniteError, PoolGapError
+from .errors import BufferGapError, ConfigError, NonFiniteError, PoolGapError
 from .generation import (ReplayBuffer, SyntheticPool, relabel,
                          train_generator_session)
 from .losses import cross_entropy
@@ -75,6 +75,9 @@ def prepare_data(cfg: ExperimentConfig) -> DatasetSplits:
     if d.csv_train:
         train = load_csv_dataset(d.csv_train, d.classes)
         test = load_csv_dataset(d.csv_test, d.classes)
+        if train.x.shape[1] != test.x.shape[1]:
+            raise ConfigError(f"{d.csv_train}: {train.x.shape[1]} features, but "
+                              f"{d.csv_test} has {test.x.shape[1]}")
         return DatasetSplits(train, test)
     return make_blobs(d.classes, d.dim, d.per_class_train, d.per_class_test,
                       d.spread, stream_seed(cfg, "data"))

@@ -44,8 +44,13 @@ class Mutant(NamedTuple):
 
 MODELS = "src/fedscil/models.py"
 CHECKPOINT = "src/fedscil/checkpoint.py"
+AUTODIFF = "src/fedscil/autodiff.py"
+GENERATION = "src/fedscil/generation.py"
 T_MODELS = "tests/test_models.py::"
 T_CLI = "tests/test_config_cli.py::"
+T_FUSED = "tests/test_fused.py::"
+T_REPLAY = "tests/test_replay.py::"
+T_PROPERTIES = "tests/test_properties.py::"
 
 MUTANTS = [
     Mutant("head-order-check-dropped", MODELS,
@@ -105,6 +110,52 @@ MUTANTS = [
            "        if os.path.exists(out) and not os.path.isdir(out):\n",
            "        if False:\n",
            (T_CLI + "test_out_naming_a_file_is_a_configuration_error",)),
+    Mutant("opponent-slot-not-loaded", GENERATION,
+           "            stack.load_opponent()\n", "            pass\n",
+           (T_FUSED + "test_generator_session_matches_composed_graph[0.2-0.7]",
+            T_REPLAY + "test_replayed_session_matches_the_graph_at_every_step"
+            "[3 teachers]")),
+    Mutant("model-mean-reversed", AUTODIFF,
+           "np.add.reduce(ins[0][:count], axis=0)",
+           "np.add.reduce(ins[0][:count][::-1], axis=0)",
+           (T_FUSED + "test_generator_step_matches_composed_graph[0.0]",)),
+    Mutant("optimizer-updates-in-place", AUTODIFF,
+           "            p.value.data = new[lo:hi].reshape(shape)\n",
+           "            p.value.data[...] = new[lo:hi].reshape(shape)\n",
+           (T_PROPERTIES + "test_flat_step_matches_the_per_parameter_loop",
+            T_PROPERTIES + "test_flat_step_matches_the_loop_as_groups_switch_"
+            "on_and_off")),
+    Mutant("schedule-parents-reversed", AUTODIFF,
+           "            for p in node._parents:\n"
+           "                if p.requires_grad and p not in seen:\n",
+           "            for p in reversed(node._parents):\n"
+           "                if p.requires_grad and p not in seen:\n",
+           (T_FUSED + "test_generator_step_matches_composed_graph[0.7]",)),
+    Mutant("replay-keyed-on-row-count", AUTODIFF,
+           "            shapes = tuple(a.shape for a in inputs)\n",
+           "            shapes = inputs[0].shape[:1]\n",
+           (T_REPLAY + "test_a_second_shape_records_its_own_schedule_and_both_replay_"
+            "like_the_graph",)),
+    Mutant("replay-undo-dropped", AUTODIFF,
+           "                state.running_mean, state.running_var = mean, var\n",
+           "                pass\n",
+           (T_REPLAY + "test_a_step_that_raises_changes_no_state[recording-base]",
+            T_REPLAY + "test_a_step_that_raises_changes_no_state"
+            "[replayed-client, subset]")),
+    Mutant("count-shares-by-reciprocal", "src/fedscil/aggregation.py",
+           "counts / counts.sum() if", "counts * (1 / counts.sum()) if",
+           (T_PROPERTIES + "test_count_rule_column_path_equals_the_whole_"
+            "model_average",)),
+    Mutant("noisy-flip-leaves-its-span", GENERATION,
+           "labels[i] = lo + (labels[i] - lo + shift) % span",
+           "labels[i] = labels[i] + shift",
+           (T_PROPERTIES + "test_noisy_buffer_keeps_labels_in_their_session",)),
+    Mutant("repeated-config-key-accepted", "src/fedscil/config.py",
+           "            if key in first:\n", "            if False:\n",
+           (T_CLI + "test_config_file_parsing",)),
+    Mutant("csv-feature-counts-unchecked", "src/fedscil/orchestrator.py",
+           "        if train.x.shape[1] != test.x.shape[1]:\n", "        if False:\n",
+           (T_CLI + "test_csv_dataset_faults_exit_one[feature counts differ]",)),
 ]
 
 

@@ -20,11 +20,13 @@ checkpoints and synthetics), and a rerun of the format-1 manifest in
 generator epochs, and every quick run completes. The rerun keeps its
 manifest's config.
 
-``OUTPUTS`` is the determinism contract across CPUs: the portable files
-hold the same bytes under every BLAS core and numpy SIMD level, while the
-kernel-bound ones hold floats that follow the kernels
-:func:`kernel_fingerprint` names. A differing file is reported with its
-kind. Pytest does not collect this file; the tests import it.
+``OUTPUTS`` is the determinism contract across the kernels one machine can
+be forced to use: the portable files hold the same bytes under every BLAS
+core and numpy SIMD level tried, while the kernel-bound ones hold floats
+that follow the kernels :func:`kernel_fingerprint` names. Other machines
+have written other portable bytes, for reasons not yet known. A differing
+file is reported with its kind. Pytest does not collect this file; the
+tests import it.
 """
 from __future__ import annotations
 

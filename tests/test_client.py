@@ -7,7 +7,7 @@ from fedscil import (Classifier, LossWeights, cross_entropy,
                      local_update_baseline_kd, local_update_nagr,
                      replay_loss_subset, student_loss)
 from fedscil.autodiff import col_slice, grad, row_slice
-from fedscil.client import ClientConfig
+from fedscil.config import ClientConfig
 from fedscil.errors import ContractError
 from fedscil.generation import ReplayBuffer, SyntheticPool
 from fedscil.losses import distillation_loss_subset

@@ -15,9 +15,8 @@ import pytest
 from fedscil import Classifier, ExperimentConfig, build_config, cli
 from fedscil.checkpoint import load_state
 from fedscil.cli import main
-from fedscil.config import from_flat_dict, run_id, to_flat_dict
+from fedscil.config import from_flat_dict, leaves, run_id, to_flat_dict
 from fedscil.errors import ConfigError
-from fedscil.fields import leaves
 from fedscil.orchestrator import prepare_schedule
 from same_outputs import digests, kernel_fingerprint, output_kind
 
@@ -183,9 +182,13 @@ def test_config_file_parsing(tmp_path):
     assert cfg.base.epochs == 8          # inline comment stripped
 
     bad = tmp_path / "bad.cfg"
-    bad.write_text("data.dim = 4\ndata.spread\n")
-    with pytest.raises(ConfigError, match=":2:"):
-        build_config(bad)
+    for text, message in [
+            ("data.dim = 4\ndata.spread\n", ":2: expected 'key = value'"),
+            ("seed = 3\n\nseed = 4\n", ":3: seed already set on line 1"),
+            ("preset = desk\npreset = desk\n", ":2: preset already set on line 1")]:
+        bad.write_text(text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(bad) + message)}$"):
+            build_config(bad)
 
 
 def test_explicit_preset_argument_beats_file_preset(tmp_path):
@@ -552,6 +555,8 @@ def test_missing_csv_exits_two(run_root, tmp_path, capsys):
     ("0.1,0.2,0\n0.3,1\n", "row 2: 2 fields, expected 3"),
     ("0.1,0.2,0\nnan,0.3,1\n", "row 2: non-finite field"),
     ("0.1,0.2,0\n0.3,0.4,1\n0.5,-inf,2\n", "row 3: non-finite field"),
+    pytest.param("0.1,0.2,0.3,0\n0.4,0.5,0.6,1\n", "3 features, but {test} has 2",
+                 id="feature counts differ"),
 ])
 def test_csv_dataset_faults_exit_one(run_root, tmp_path, capsys, rows, message):
     train = tmp_path / "train.csv"
@@ -565,7 +570,7 @@ def test_csv_dataset_faults_exit_one(run_root, tmp_path, capsys, rows, message):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
-    assert f"{train}: {message}" in err
+    assert f"{train}: {message.format(test=test)}" in err
     assert not (out / "manifest.json").exists()
 
 

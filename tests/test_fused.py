@@ -11,8 +11,8 @@ from fedscil import (Classifier, ConditionalGenerator, LossWeights, Parameter,
                      train_generator_session)
 from fedscil.autodiff import (BatchNormState, batch_statistics, batchnorm_forward,
                               col_slice, frozen, row_slice, scaled_tanh)
+from fedscil.config import GenLabConfig
 from fedscil.errors import ContractError
-from fedscil.generation import GenLabConfig
 from fedscil.models import ModelStack, make_student
 from oracles import (bn_running_stats, captured_forward,
                      composed_batch_statistics, composed_batchnorm,

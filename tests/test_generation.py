@@ -10,10 +10,10 @@ from fedscil import (Classifier, LossWeights, ReplayBuffer, Tensor,
                      train_generator_session)
 from fedscil import autodiff
 from fedscil.autodiff import Parameter, grad
+from fedscil.config import GenLabConfig
 from fedscil.errors import (BufferGapError, ContractError, EmptyBufferError,
                             NonFiniteError)
-from fedscil.generation import (GenLabConfig, SyntheticPool,
-                                export_synthetics_csv, relabel,
+from fedscil.generation import (SyntheticPool, export_synthetics_csv, relabel,
                                 teacher_confidence, teacher_pool_entropy)
 from fedscil.models import ConditionalGenerator, ModelStack, make_student
 

@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 from conftest import desk_config
 from fedscil import Classifier, LossWeights, Tensor, client, train_generator_session
 from fedscil.autodiff import Optimizer, Replay, backprop, frozen, grad
-from fedscil.client import ClientConfig
+from fedscil.config import ClientConfig, GenLabConfig
 from fedscil.data import LabeledDataset
 from fedscil.errors import ContractError
-from fedscil.generation import GenLabConfig, generator_loss
+from fedscil.generation import generator_loss
 from fedscil.losses import cross_entropy, student_loss
 from fedscil.generation import ReplayBuffer, SyntheticPool
 from fedscil.models import ConditionalGenerator, ModelStack, make_student

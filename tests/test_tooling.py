@@ -12,11 +12,12 @@ every run stream is drawn from the seed table of ``seeding``. The README's
 Quick-start table names its runs by run id, which must stay the digest of
 each desk config, its Configuration table gives each key's default and
 allowed values as the config dataclasses declare them, and its Layout block
-names every module of the package. A method is its two rules, so only the
-orchestrator looks them up, and the README's Methods table lists every
-method. The client step states the local objective and one method builds a
-head block, each once, and no module imports a name it never reads; the
-package root re-exports only the names imported from it.
+names every module of the package and no other. ``config.py`` declares
+the config schema and imports no training module. A method is its two
+rules, so only the orchestrator looks them up, and the README's Methods
+table lists every method. The client step states the local objective and
+one method builds a head block, each once, and no module imports a name it
+never reads; the package root re-exports only the names imported from it.
 ``tests/same_outputs.py`` compares two source trees' outputs byte for byte,
 and must tell a changed tree from an unchanged one; each mutation in
 ``tests/mutants.py`` must apply to exactly one place."""
@@ -38,8 +39,7 @@ import numpy as np  # noqa: E402
 from tracer import TARGETS, graph_nodes  # noqa: E402
 
 from fedscil import Classifier, Tensor, build_config  # noqa: E402
-from fedscil.config import ExperimentConfig, run_id  # noqa: E402
-from fedscil.fields import leaves  # noqa: E402
+from fedscil.config import ExperimentConfig, leaves, run_id  # noqa: E402
 from fedscil.generation import generator_loss  # noqa: E402
 from fedscil.losses import student_loss  # noqa: E402
 from fedscil.models import ConditionalGenerator, ModelStack, make_student  # noqa: E402
@@ -104,14 +104,30 @@ def test_readme_configuration_table_is_the_schema():
 
 
 def test_readme_layout_lists_every_module():
-    """Every module of the package but ``__init__.py`` has a line in the
-    README's Layout block."""
+    """The README's Layout block has a line for every module of the package
+    but ``__init__.py``, and for no module that does not exist."""
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         text = fh.read()
-    layout = set(re.findall(r"^  (\w+\.py) ", text[text.index("## Layout"):], re.M))
+    layout = re.findall(r"^  (\w+\.py) ", text[text.index("## Layout"):], re.M)
     modules = {os.path.basename(path) for path in
                glob.glob(os.path.join(ROOT, "src", "fedscil", "*.py"))}
-    assert sorted(modules - {"__init__.py"} - layout) == []
+    assert sorted(layout) == sorted(modules - {"__init__.py"})
+
+
+def test_config_imports_no_package_module_but_errors():
+    """``config.py`` declares every config key and imports no training
+    module: of the package, it reads only ``errors``."""
+    path = os.path.join(ROOT, "src", "fedscil", "config.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [a.name for a in node.names]
+            imported += [("fedscil." if node.level else "") + n for n in names]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+    assert [m for m in imported if m.split(".")[0] == "fedscil"] == ["fedscil.errors"]
 
 
 def test_only_autodiff_calls_backprop_or_an_optimizer_step():
