@@ -173,6 +173,6 @@ def fedavg_full(models: list[Classifier], counts,
     if column_weights is None:
         shares = _count_weights(counts, len(models))
         column_weights = np.repeat(shares[:, None], heads[0].out_dim, axis=1)
-    blocks = [(h.weight.value.data, h.bias.value.data) for h in heads]
+    blocks = [(h.weight.data, h.bias.data) for h in heads]
     return assemble_global(models[0], old_state,
                            cswa_aggregate_new(blocks, column_weights))

@@ -52,14 +52,13 @@ Numerical conventions, all of which tests rely on:
   clamp point.
 - softmax is row-wise and max-stabilized.
 - batch normalization in train mode normalizes by the batch mean and
-  biased variance and always updates the running statistics, plain arrays,
-  by EMA with ``running = (1 - m) * running + m * batch``, m = BN_MOMENTUM;
-  eval mode reads them and updates nothing.
+  biased variance and always updates the running statistics, rebinding
+  their tensors' data to the EMA ``running = (1 - m) * running + m * batch``,
+  m = BN_MOMENTUM; eval mode reads them and updates nothing.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
@@ -76,14 +75,14 @@ LOG_CLAMP = 1e-12
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 BN_MOMENTUM, BN_EPSILON = 0.1, 1e-5
 
-# Parameter group tags. bn_stats labels running statistics in checkpoints and
-# aggregation; no trainable parameter carries it.
+# Parameter group tags. bn_stats labels running statistics, the parameters
+# that need no gradient; no trainable parameter carries it.
 PARAM_GROUPS = ("backbone", "head_old", "head_new", "bn_stats")
 
 # the op calls of a step being recorded by Replay; None outside
 _tape: list | None = None
-# (state, running mean, running var) before each train-mode batch norm of a
-# Replay call, restored if the call raises; None outside
+# ((running mean, running var), their data) before each train-mode batch norm
+# of a Replay call, restored if the call raises; None outside
 _undo: list | None = None
 
 
@@ -478,19 +477,17 @@ def _backward(schedule: list, grads: dict, value: Callable) -> dict:
     return grads
 
 
-@dataclass
-class Parameter:
-    """A named trainable tensor tagged with its aggregation group."""
+class Parameter(Tensor):
+    """A named model tensor tagged with its aggregation group; it needs a
+    gradient unless it is a running statistic (group bn_stats)."""
 
-    name: str
-    value: Tensor
-    group: str
-    grad: Array | None = None
+    __slots__ = ("name", "group", "grad")
 
-    def __post_init__(self):
-        if self.group not in PARAM_GROUPS:
-            raise ContractError(f"unknown parameter group {self.group!r}")
-        self.value.requires_grad = True
+    def __init__(self, name: str, array, group: str):
+        if group not in PARAM_GROUPS:
+            raise ContractError(f"unknown parameter group {group!r}")
+        super().__init__(array, group != "bn_stats")
+        self.name, self.group, self.grad = name, group, None
 
 
 def grad(loss: Tensor, params: Sequence[Parameter]) -> dict[str, Array]:
@@ -498,8 +495,8 @@ def grad(loss: Tensor, params: Sequence[Parameter]) -> dict[str, Array]:
     parameter values are left untouched."""
     grads = _backward(_schedule(loss), {loss: np.ones_like(loss.data)},
                       attrgetter("data"))
-    return {p.name: grads[p.value] if p.value in grads
-            else np.zeros_like(p.value.data) for p in params}
+    return {p.name: grads[p] if p in grads else np.zeros_like(p.data)
+            for p in params}
 
 
 def backprop(loss: Tensor, params: Sequence[Parameter]) -> None:
@@ -517,15 +514,15 @@ def frozen(params: Iterable[Parameter]):
     constants, so no gradient is computed for them. Each parameter's
     trainability is restored on exit, whatever it was before.
     """
-    saved = [(p.value, p.value.requires_grad) for p in params]
-    for value, _ in saved:
-        value.requires_grad = False
+    saved = [(p, p.requires_grad) for p in params]
+    for p, _ in saved:
+        p.requires_grad = False
     try:
         yield
     finally:
         # reversed, so a parameter listed twice gets its first saved flag
-        for value, flag in reversed(saved):
-            value.requires_grad = flag
+        for p, flag in reversed(saved):
+            p.requires_grad = flag
 
 
 # -- recording and replay -------------------------------------------------------
@@ -553,8 +550,8 @@ class Replay:
                 return self._record(shapes, inputs)
             return self._replay(self.records[shapes], inputs)
         except BaseException:
-            for state, mean, var in reversed(undo):
-                state.running_mean, state.running_var = mean, var
+            for (mean, var), data in reversed(undo):
+                mean.data, var.data = data
             raise
         finally:
             _undo = None
@@ -577,7 +574,7 @@ class Replay:
         for (loss, _, opt, slots), walk in zip(roots, walks):
             grads = _backward(walk, {loss: np.ones_like(vals[loss])}, vals.__getitem__)
             for p, slot in zip(opt.params, slots):
-                p.grad = grads[slot] if slot in grads else np.zeros_like(p.value.data)
+                p.grad = grads[slot] if slot in grads else np.zeros_like(p.data)
             opt.step()
         return [vals[loss] for loss, _, _, _ in roots]
 
@@ -615,7 +612,7 @@ class Replay:
             (slots[id(loss)],
              [(slots[id(node)], bw, needs, [slots[id(p)] for p in parents])
               for node, bw, _, needs, parents in _schedule(loss)],
-             opt, [slots.get(id(p.value)) for p in opt.params])
+             opt, [slots.get(id(p)) for p in opt.params])
             for loss, opt in roots]
         for loss, opt in roots:
             backprop(loss, opt.params)
@@ -625,14 +622,6 @@ class Replay:
 
 
 # -- batch normalization ------------------------------------------------------
-
-
-@dataclass
-class BatchNormState:
-    """Running statistics of one batch-norm layer."""
-
-    running_mean: Array
-    running_var: Array
 
 
 def _batch_sum(a: Array, stacked: bool) -> Array:
@@ -688,10 +677,11 @@ def _bn_train_fw(ins, state):
     std = np.sqrt(var + BN_EPSILON)
     normed = centered / std
     m = BN_MOMENTUM
+    running_mean, running_var = state
     if _undo is not None:
-        _undo.append((state, state.running_mean, state.running_var))
-    state.running_mean = (1.0 - m) * state.running_mean + m * mu
-    state.running_var = (1.0 - m) * state.running_var + m * var
+        _undo.append((state, (running_mean.data, running_var.data)))
+    running_mean.data = (1.0 - m) * running_mean.data + m * mu
+    running_var.data = (1.0 - m) * running_var.data + m * var
     return gamma * normed + beta, (gamma, centered, std, normed, stacked)
 
 
@@ -711,8 +701,8 @@ def _bn_train_bw(g, s, needs):
 
 def _bn_eval_fw(ins, state):
     x, gamma, beta = ins
-    inv = 1.0 / np.sqrt(state.running_var + BN_EPSILON)
-    normed = (x - state.running_mean) * inv
+    inv = 1.0 / np.sqrt(state[1].data + BN_EPSILON)
+    normed = (x - state[0].data) * inv
     return gamma * normed + beta, (gamma, inv, normed, x.ndim == 3)
 
 
@@ -727,11 +717,12 @@ _BN = {"train": (_bn_train_fw, _bn_train_bw), "eval": (_bn_eval_fw, _bn_eval_bw)
 
 
 def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
-                      state: BatchNormState, mode: str) -> Tensor:
+                      state: tuple[Tensor, Tensor], mode: str) -> Tensor:
     """Batch normalization as one fused node over x, gamma and beta.
 
-    Train mode normalizes by the batch statistics, carries the gradient
-    through them, and EMA-updates the running statistics; eval mode
+    ``state`` is the (running mean, running variance) pair. Train mode
+    normalizes by the batch statistics, carries the gradient through them,
+    and EMA-updates the running statistics; eval mode
     normalizes by the running statistics and computes no batch statistics
     (a loss that reads them takes them from :func:`batch_statistics`).
 
@@ -744,7 +735,7 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     if x.ndim not in (2, 3):
         raise ContractError("batchnorm expects a (batch, channels) or "
                             "(models, batch, channels) tensor")
-    if x.shape[-1] != state.running_mean.shape[-1]:
+    if x.shape[-1] != state[0].shape[-1]:
         raise ContractError("channel count does not match running statistics")
     if mode == "train" and x.shape[-2] < 2:
         raise DegenerateBatchError("batch statistics need at least 2 samples")
@@ -790,8 +781,8 @@ class Optimizer:
         for p in self.params:
             if p.group not in self.rates:
                 raise ContractError(f"no learning rate for group {p.group!r}")
-            self._spans.append((size, size + p.value.data.size, p.value.data.shape))
-            size += p.value.data.size
+            self._spans.append((size, size + p.size, p.shape))
+            size += p.size
         if kind == "sgd_momentum":
             self._vel = np.zeros(size)
         else:
@@ -817,7 +808,7 @@ class Optimizer:
                           np.repeat(rates, [hi - lo for lo, hi, _ in self._spans]))
         self._t += 1
         g = np.concatenate([p.grad for p in self.params], axis=None)
-        x = np.concatenate([p.value.data for p in self.params], axis=None)
+        x = np.concatenate([p.data for p in self.params], axis=None)
         if g.size != x.size:
             raise ContractError("gradients do not match their parameters' sizes")
         if self.kind == "sgd_momentum":
@@ -830,4 +821,4 @@ class Optimizer:
             v_hat = self._v / (1 - ADAM_BETA2 ** self._t)
             new = x - self._rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
         for p, (lo, hi, shape) in zip(self.params, self._spans):
-            p.value.data = new[lo:hi].reshape(shape)
+            p.data = new[lo:hi].reshape(shape)

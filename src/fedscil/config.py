@@ -244,18 +244,22 @@ def read_config_file(path) -> dict[str, str]:
     appear once."""
     out: dict[str, str] = {}
     first: dict[str, int] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in stripped.split("=", 1))
-            if key in first:
-                raise ConfigError(f"{path}:{lineno}: {key} already set on line "
-                                  f"{first[key]}")
-            first[key], out[key] = lineno, value
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: not UTF-8 text") from None
+    for lineno, line in enumerate(text.split("\n"), 1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in first:
+            raise ConfigError(f"{path}:{lineno}: {key} already set on line "
+                              f"{first[key]}")
+        first[key], out[key] = lineno, value
     return out
 
 

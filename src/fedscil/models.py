@@ -7,9 +7,9 @@ import copy
 
 import numpy as np
 
-from .autodiff import (Array, BatchNormState, Parameter, Tensor, _wrap,
-                       batch_statistics, batchnorm_forward, concat, frozen,
-                       linear, model_mean, model_slot, one_hot, scaled_tanh)
+from .autodiff import (Array, Parameter, Tensor, _wrap, batch_statistics,
+                       batchnorm_forward, concat, frozen, linear, model_mean,
+                       model_slot, one_hot, scaled_tanh)
 from .errors import ContractError
 
 # rows per forward in Classifier.predict
@@ -27,14 +27,12 @@ class Linear:
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.weight = Parameter(f"{prefix}.weight",
-                                Tensor(_uniform_init(rng, in_dim, (in_dim, out_dim))),
-                                group)
-        self.bias = Parameter(f"{prefix}.bias",
-                              Tensor(_uniform_init(rng, in_dim, (out_dim,))),
+                                _uniform_init(rng, in_dim, (in_dim, out_dim)), group)
+        self.bias = Parameter(f"{prefix}.bias", _uniform_init(rng, in_dim, (out_dim,)),
                               group)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return linear(x, self.weight.value, self.bias.value)
+        return linear(x, self.weight, self.bias)
 
     def parameters(self) -> list[Parameter]:
         return [self.weight, self.bias]
@@ -42,21 +40,19 @@ class Linear:
 
 class BatchNorm:
     def __init__(self, prefix: str, channels: int):
-        self.prefix = prefix
-        self.gamma = Parameter(f"{prefix}.gamma", Tensor(np.ones(channels)), "backbone")
-        self.beta = Parameter(f"{prefix}.beta", Tensor(np.zeros(channels)), "backbone")
-        self.state = BatchNormState(np.zeros(channels), np.ones(channels))
+        self.gamma = Parameter(f"{prefix}.gamma", np.ones(channels), "backbone")
+        self.beta = Parameter(f"{prefix}.beta", np.zeros(channels), "backbone")
+        self.running_mean = Parameter(f"{prefix}.running_mean", np.zeros(channels),
+                                      "bn_stats")
+        self.running_var = Parameter(f"{prefix}.running_var", np.ones(channels),
+                                     "bn_stats")
 
     def __call__(self, x: Tensor, mode: str) -> Tensor:
-        return batchnorm_forward(x, self.gamma.value, self.beta.value,
-                                 self.state, mode)
+        return batchnorm_forward(x, self.gamma, self.beta,
+                                 (self.running_mean, self.running_var), mode)
 
     def parameters(self) -> list[Parameter]:
         return [self.gamma, self.beta]
-
-    def stat_entries(self) -> list[tuple[str, Array, str]]:
-        return [(f"{self.prefix}.running_mean", self.state.running_mean, "bn_stats"),
-                (f"{self.prefix}.running_var", self.state.running_var, "bn_stats")]
 
 
 class _Backbone:
@@ -190,16 +186,20 @@ class Classifier:
     def bn_layers(self) -> list[BatchNorm]:
         return self.backbone.bn_layers()
 
+    def tensors(self) -> list[Parameter]:
+        """The model's state, in checkpoint order: the parameters, then each
+        batch-norm layer's running mean and variance."""
+        return self.parameters() + [t for bn in self.bn_layers()
+                                    for t in (bn.running_mean, bn.running_var)]
+
     def state_entries(self) -> list[tuple[str, Array, str]]:
-        entries = [(p.name, p.value.data, p.group) for p in self.parameters()]
-        for bn in self.bn_layers():
-            entries.extend(bn.stat_entries())
-        return entries
+        return [(t.name, t.data, t.group) for t in self.tensors()]
 
     def load_state(self, arrays: dict[str, Array]) -> None:
         """Install copies of a state naming exactly this model's tensors, each
         of its own shape; a refused state changes nothing."""
-        own = {name: arr.shape for name, arr, _ in self.state_entries()}
+        tensors = self.tensors()
+        own = {t.name: t.shape for t in tensors}
         if own.keys() != arrays.keys():
             missing = sorted(own.keys() - arrays.keys())
             extra = sorted(arrays.keys() - own.keys())
@@ -208,11 +208,8 @@ class Classifier:
             if np.shape(arrays[name]) != shape:
                 raise ContractError(f"shape mismatch for {name}: "
                                     f"{np.shape(arrays[name])}, expected {shape}")
-        for p in self.parameters():
-            p.value.data = arrays[p.name].copy()
-        for bn in self.bn_layers():
-            bn.state.running_mean = arrays[f"{bn.prefix}.running_mean"].copy()
-            bn.state.running_var = arrays[f"{bn.prefix}.running_var"].copy()
+        for t in tensors:
+            t.data = arrays[t.name].copy()
 
     def arch(self) -> dict:
         return {
@@ -243,13 +240,11 @@ def _session_arrays(model: Classifier, session: int) -> list[tuple[str, Array]]:
     """Everything an eval-mode forward over one session's head reads, in
     stack order: per backbone layer the weight, bias, gamma, beta and running
     statistics, then the session block's weight and bias."""
-    out = []
-    for fc, bn in model.backbone.blocks():
-        out += [(p.name, p.value.data) for p in fc.parameters() + bn.parameters()]
-        out += [(name, arr) for name, arr, _ in bn.stat_entries()]
-    out += [(p.name, p.value.data)
-            for p in model.session_block(session).parameters()]
-    return out
+    tensors = [t for fc, bn in model.backbone.blocks()
+               for t in (*fc.parameters(), *bn.parameters(), bn.running_mean,
+                         bn.running_var)]
+    return [(t.name, t.data)
+            for t in tensors + model.session_block(session).parameters()]
 
 
 class ModelStack:
@@ -284,7 +279,7 @@ class ModelStack:
         for k in range(0, len(self._slots) - 2, 6):
             w, b, gamma, beta, mean, var = self._slots[k:k + 6]
             self._layers.append((Tensor(w), Tensor(b), Tensor(gamma), Tensor(beta),
-                                 BatchNormState(mean, var)))
+                                 (Tensor(mean), Tensor(var))))
         self._head = (Tensor(self._slots[-2]), Tensor(self._slots[-1]))
 
     def load_opponent(self) -> None:
@@ -298,8 +293,7 @@ class ModelStack:
     def running_stats(self) -> list[tuple[Array, Array]]:
         """Per layer, the teachers' running mean and variance."""
         m = len(self.teachers)
-        return [(state.running_mean[:m], state.running_var[:m])
-                for *_, state in self._layers]
+        return [(mean.data[:m], var.data[:m]) for *_, (mean, var) in self._layers]
 
     def forward(self, x: Tensor | Array, capture_bn: bool = False):
         """One eval-mode pass of every slot: (ensemble, opponent, stats).

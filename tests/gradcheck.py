@@ -19,7 +19,7 @@ from fedscil import (LossWeights, Parameter, Tensor, bn_stat_loss,
                      replay_loss_subset, reverse_cross_entropy, student_loss,
                      transferability_loss)
 from fedscil.autodiff import (batch_statistics, batchnorm_forward,
-                              BatchNormState, col_slice, concat, gather_rows,
+                              col_slice, concat, gather_rows,
                               linear, row_slice, scaled_tanh)
 from fedscil.losses import distillation_loss_subset
 from fedscil.models import Classifier, ConditionalGenerator, ModelStack
@@ -38,7 +38,7 @@ def away_from_zero(rng: np.random.Generator, shape, margin: float = 0.05):
 
 
 def _param(name: str, data) -> Parameter:
-    return Parameter(name, Tensor(np.asarray(data, dtype=np.float64)), "backbone")
+    return Parameter(name, np.asarray(data, dtype=np.float64), "backbone")
 
 
 def relative_error(ad, fd) -> float:
@@ -51,7 +51,7 @@ def relative_error(ad, fd) -> float:
 def fd_gradient(build_loss, param: Parameter, rng: np.random.Generator,
                 step: float = STEP):
     """Central differences at up to MAX_PROBES entries of one parameter."""
-    flat = param.value.data.reshape(-1)
+    flat = param.data.reshape(-1)
     n = flat.shape[0]
     if n <= MAX_PROBES:
         probes = np.arange(n)
@@ -66,7 +66,7 @@ def fd_gradient(build_loss, param: Parameter, rng: np.random.Generator,
         lo = float(build_loss().data)
         flat[i] = keep
         out[i] = (hi - lo) / (2.0 * step)
-    return out.reshape(param.value.data.shape), probes
+    return out.reshape(param.data.shape), probes
 
 
 def check_case(build_loss, params, rng: np.random.Generator,
@@ -97,8 +97,8 @@ def _case_arithmetic(rng):
     c = _param("p2", rng.uniform(0.5, 1.5, (1, 4)))  # broadcast divisor, > 0
 
     def build():
-        t = (a.value + b.value) * 2.0 - (a.value - 1.5) * b.value
-        t = div(t, c.value) + (-a.value)
+        t = (a + b) * 2.0 - (a - 1.5) * b
+        t = div(t, c) + (-a)
         return t.sum()
 
     return build, [a, b, c]
@@ -107,7 +107,7 @@ def _case_arithmetic(rng):
 def _case_matmul(rng):
     a = _param("p0", rng.uniform(-1, 1, (3, 4)))
     b = _param("p1", rng.uniform(-1, 1, (4, 2)))
-    return (lambda: matmul(a.value, b.value).sum()), [a, b]
+    return (lambda: matmul(a, b).sum()), [a, b]
 
 
 def _case_linear(rng):
@@ -115,7 +115,7 @@ def _case_linear(rng):
     w = _param("p1", rng.uniform(-1, 1, (3, 2)))
     b = _param("p2", rng.uniform(-1, 1, (2,)))
     target = Tensor(rng.uniform(-1, 1, (4, 2)))
-    return (lambda: (linear(x.value, w.value, b.value) * target).sum()), [x, w, b]
+    return (lambda: (linear(x, w, b) * target).sum()), [x, w, b]
 
 
 def _case_linear_stacked_shared_input(rng):
@@ -124,7 +124,7 @@ def _case_linear_stacked_shared_input(rng):
     w = _param("p1", rng.uniform(-1, 1, (3, 3, 2)))
     b = _param("p2", rng.uniform(-1, 1, (3, 1, 2)))
     target = Tensor(rng.uniform(-1, 1, (3, 4, 2)))
-    return (lambda: (linear(x.value, w.value, b.value) * target).sum()), [x, w, b]
+    return (lambda: (linear(x, w, b) * target).sum()), [x, w, b]
 
 
 def _case_linear_stacked_input(rng):
@@ -133,7 +133,7 @@ def _case_linear_stacked_input(rng):
     w = _param("p1", rng.uniform(-1, 1, (3, 3, 2)))
     b = _param("p2", rng.uniform(-1, 1, (3, 1, 2)))
     target = Tensor(rng.uniform(-1, 1, (3, 4, 2)))
-    return (lambda: (linear(x.value, w.value, b.value) * target).sum()), [x, w, b]
+    return (lambda: (linear(x, w, b) * target).sum()), [x, w, b]
 
 
 def _case_concat_slices(rng):
@@ -142,7 +142,7 @@ def _case_concat_slices(rng):
     w = Tensor(rng.uniform(-1, 1, (3, 5)))
 
     def build():
-        joined = concat([a.value, b.value], axis=1)
+        joined = concat([a, b], axis=1)
         kept = col_slice(joined, 1, 4) * col_slice(w, 1, 4)
         rows = row_slice(kept, 0, 2)
         return rows.sum() + col_slice(joined, 0, 1).mean()
@@ -153,32 +153,32 @@ def _case_concat_slices(rng):
 def _case_gather(rng):
     a = _param("p0", rng.uniform(-1, 1, (5, 4)))
     idx = rng.integers(0, 4, size=5)
-    return (lambda: (gather_rows(a.value, idx) * gather_rows(a.value, idx)).sum()), [a]
+    return (lambda: (gather_rows(a, idx) * gather_rows(a, idx)).sum()), [a]
 
 
 def _case_relu_tanh(rng):
     a = _param("p0", away_from_zero(rng, (4, 3)))
-    return (lambda: (a.value.relu() + tanh(a.value)).sum()), [a]
+    return (lambda: (a.relu() + tanh(a)).sum()), [a]
 
 
 def _case_scaled_tanh(rng):
     a = _param("p0", rng.uniform(-2, 2, (4, 3)))
     half, mid = rng.uniform(0.1, 2.0, 3), rng.uniform(-1, 1, 3)
     w = Tensor(rng.uniform(-1, 1, (4, 3)))
-    return (lambda: (scaled_tanh(a.value, half, mid) * w).sum()), [a]
+    return (lambda: (scaled_tanh(a, half, mid) * w).sum()), [a]
 
 
 def _case_sqrt_log(rng):
     a = _param("p0", rng.uniform(0.2, 2.0, (3, 3)))
-    return (lambda: (sqrt(a.value) + a.value.log()).mean()), [a]
+    return (lambda: (sqrt(a) + a.log()).mean()), [a]
 
 
 def _case_reductions(rng):
     a = _param("p0", rng.uniform(-1, 1, (3, 4)))
 
     def build():
-        return (a.value.sum(axis=0) * a.value.mean(axis=0)).sum() \
-            + a.value.mean(axis=1).sum() + a.value.mean() + a.value.sum()
+        return (a.sum(axis=0) * a.mean(axis=0)).sum() \
+            + a.mean(axis=1).sum() + a.mean() + a.sum()
 
     return build, [a]
 
@@ -186,24 +186,24 @@ def _case_reductions(rng):
 def _case_softmax(rng):
     a = _param("p0", rng.uniform(-2, 2, (4, 3)))
     w = Tensor(rng.uniform(-1, 1, (4, 3)))
-    return (lambda: (a.value.softmax() * w).sum()), [a]
+    return (lambda: (a.softmax() * w).sum()), [a]
 
 
 def _case_l2_norm(rng):
     a = _param("p0", rng.uniform(0.1, 1.0, (5,)) * np.sign(rng.uniform(-1, 1, 5)))
-    return (lambda: l2_norm(a.value)), [a]
+    return (lambda: l2_norm(a)), [a]
 
 
 def _case_batchnorm_train(rng):
     x = _param("p0", rng.uniform(-1, 1, (6, 3)))
     gamma = _param("p1", rng.uniform(0.5, 1.5, (3,)))
     beta = _param("p2", rng.uniform(-0.5, 0.5, (3,)))
-    state = BatchNormState(rng.uniform(-0.5, 0.5, 3), rng.uniform(0.5, 1.5, 3))
+    state = (Tensor(rng.uniform(-0.5, 0.5, 3)), Tensor(rng.uniform(0.5, 1.5, 3)))
     w = Tensor(rng.uniform(-1, 1, (6, 3)))
 
     def build():
-        y = batchnorm_forward(x.value, gamma.value, beta.value, state, "train")
-        mu, var = batch_statistics(x.value)
+        y = batchnorm_forward(x, gamma, beta, state, "train")
+        mu, var = batch_statistics(x)
         return (y * w).sum() + mu.sum() + var.sum()
 
     return build, [x, gamma, beta]
@@ -213,10 +213,10 @@ def _case_batchnorm_eval(rng):
     x = _param("p0", rng.uniform(-1, 1, (4, 3)))
     gamma = _param("p1", rng.uniform(0.5, 1.5, (3,)))
     beta = _param("p2", rng.uniform(-0.5, 0.5, (3,)))
-    state = BatchNormState(rng.uniform(-0.5, 0.5, 3), rng.uniform(0.5, 1.5, 3))
+    state = (Tensor(rng.uniform(-0.5, 0.5, 3)), Tensor(rng.uniform(0.5, 1.5, 3)))
 
     def build():
-        y = batchnorm_forward(x.value, gamma.value, beta.value, state, "eval")
+        y = batchnorm_forward(x, gamma, beta, state, "eval")
         return (y * y).mean()
 
     return build, [x, gamma, beta]
@@ -227,12 +227,12 @@ def _case_batchnorm_eval_statistics(rng):
     x = _param("p0", rng.uniform(-1, 1, (5, 3)))
     gamma = _param("p1", rng.uniform(0.5, 1.5, (3,)))
     beta = _param("p2", rng.uniform(-0.5, 0.5, (3,)))
-    state = BatchNormState(rng.uniform(-0.5, 0.5, 3), rng.uniform(0.5, 1.5, 3))
+    state = (Tensor(rng.uniform(-0.5, 0.5, 3)), Tensor(rng.uniform(0.5, 1.5, 3)))
     w = Tensor(rng.uniform(-1, 1, (5, 3)))
 
     def build():
-        y = batchnorm_forward(x.value, gamma.value, beta.value, state, "eval")
-        mu, var = batch_statistics(x.value)
+        y = batchnorm_forward(x, gamma, beta, state, "eval")
+        mu, var = batch_statistics(x)
         return (y * w).sum() + (mu * mu).sum() + (var * var).sum()
 
     return build, [x, gamma, beta]
@@ -244,14 +244,14 @@ def _case_batchnorm_eval_stacked_statistics(rng):
     x = _param("p0", rng.uniform(-1, 1, (3, 5, 4)))
     gamma = _param("p1", rng.uniform(0.5, 1.5, (3, 1, 4)))
     beta = _param("p2", rng.uniform(-0.5, 0.5, (3, 1, 4)))
-    state = BatchNormState(rng.uniform(-0.5, 0.5, (3, 1, 4)),
-                           rng.uniform(0.5, 1.5, (3, 1, 4)))
+    state = (Tensor(rng.uniform(-0.5, 0.5, (3, 1, 4))),
+             Tensor(rng.uniform(0.5, 1.5, (3, 1, 4))))
     running = [(rng.uniform(-0.5, 0.5, (2, 1, 4)), rng.uniform(0.5, 1.5, (2, 1, 4)))]
     w = Tensor(rng.uniform(-1, 1, (3, 5, 4)))
 
     def build():
-        y = batchnorm_forward(x.value, gamma.value, beta.value, state, "eval")
-        mu, var = batch_statistics(x.value, 2)
+        y = batchnorm_forward(x, gamma, beta, state, "eval")
+        mu, var = batch_statistics(x, 2)
         return (y * w).sum() + bn_stat_loss([(mu, var)], running)
 
     return build, [x, gamma, beta]
@@ -271,7 +271,7 @@ def _case_teacher_ensemble(rng):
     y = rng.integers(0, 2, size=6)
 
     def build():
-        ensemble, opponent, stats = stack.forward(x.value, capture_bn=True)
+        ensemble, opponent, stats = stack.forward(x, capture_bn=True)
         return (cross_entropy(ensemble, y) + cross_entropy(opponent, y)
                 + bn_stat_loss(stats, stack.running_stats()))
 
@@ -281,25 +281,25 @@ def _case_teacher_ensemble(rng):
 def _case_cross_entropy(rng):
     logits = _param("p0", rng.uniform(-2, 2, (5, 4)))
     y = rng.integers(0, 4, size=5)
-    return (lambda: cross_entropy(logits.value, y)), [logits]
+    return (lambda: cross_entropy(logits, y)), [logits]
 
 
 def _case_reverse_cross_entropy(rng):
     logits = _param("p0", rng.uniform(-2, 2, (5, 4)))
     y = rng.integers(0, 4, size=5)
-    return (lambda: reverse_cross_entropy(logits.value.softmax(), y)), [logits]
+    return (lambda: reverse_cross_entropy(logits.softmax(), y)), [logits]
 
 
 def _case_noise_robust(rng):
     logits = _param("p0", rng.uniform(-2, 2, (5, 4)))
     y = rng.integers(0, 4, size=5)
-    return (lambda: noise_robust_loss(logits.value, y, 0.7, 1.3)), [logits]
+    return (lambda: noise_robust_loss(logits, y, 0.7, 1.3)), [logits]
 
 
 def _case_replay_subset(rng):
     logits = _param("p0", rng.uniform(-2, 2, (5, 6)))
     y = rng.integers(0, 4, size=5)  # old classes are columns 0..3
-    return (lambda: replay_loss_subset(logits.value, y, 4, 0.5, 2.0)), [logits]
+    return (lambda: replay_loss_subset(logits, y, 4, 0.5, 2.0)), [logits]
 
 
 def _case_client_loss(rng):
@@ -310,7 +310,7 @@ def _case_client_loss(rng):
     weights = LossWeights(alpha=0.5, beta=2.0, k=1.5)
 
     def build():
-        return client_loss(new_logits.value, y_new, replay_logits.value,
+        return client_loss(new_logits, y_new, replay_logits,
                            y_old, weights, old_count=4)
 
     return build, [new_logits, replay_logits]
@@ -318,18 +318,18 @@ def _case_client_loss(rng):
 
 def _case_info_entropy(rng):
     logits = _param("p0", rng.uniform(-2, 2, (4, 5)))
-    return (lambda: info_entropy(logits.value.softmax())), [logits]
+    return (lambda: info_entropy(logits.softmax())), [logits]
 
 
 def _case_generator_fidelity(rng):
     logits = _param("p0", rng.uniform(-2, 2, (5, 3)))
     y = rng.integers(0, 3, size=5)
-    return (lambda: generator_fidelity_loss(logits.value, y)), [logits]
+    return (lambda: generator_fidelity_loss(logits, y)), [logits]
 
 
 def _case_generator_entropy(rng):
     logits = _param("p0", rng.uniform(-2, 2, (5, 3)))
-    return (lambda: generator_entropy_loss(logits.value)), [logits]
+    return (lambda: generator_entropy_loss(logits)), [logits]
 
 
 def _case_bn_stat_loss(rng):
@@ -342,7 +342,7 @@ def _case_bn_stat_loss(rng):
                (rng.uniform(-1, 1, (2, 4)), rng.uniform(0.5, 1.5, (2, 4)))]
 
     def build():
-        stats = [(mu1.value, var1.value), (mu2.value, var2.value)]
+        stats = [(mu1, var1), (mu2, var2)]
         return bn_stat_loss(stats, running)
 
     return build, [mu1, var1, mu2, var2]
@@ -351,13 +351,13 @@ def _case_bn_stat_loss(rng):
 def _case_student_loss(rng):
     t = _param("p0", rng.uniform(-2, 2, (4, 3)))
     s = _param("p1", rng.uniform(-2, 2, (4, 3)))
-    return (lambda: student_loss(t.value, s.value, temperature=2.0)), [t, s]
+    return (lambda: student_loss(t, s, temperature=2.0)), [t, s]
 
 
 def _case_distillation_subset(rng):
     t = _param("p0", rng.uniform(-2, 2, (4, 3)))
     s = _param("p1", rng.uniform(-2, 2, (4, 5)))  # 3 old + 2 new columns
-    return (lambda: distillation_loss_subset(t.value, s.value, 3, 2.0)), [t, s]
+    return (lambda: distillation_loss_subset(t, s, 3, 2.0)), [t, s]
 
 
 def _separated_logits(rng, shape):
@@ -371,7 +371,7 @@ def _separated_logits(rng, shape):
 def _case_transferability(rng):
     t = _param("p0", _separated_logits(rng, (5, 3)))
     s = _param("p1", _separated_logits(rng, (5, 3)))
-    return (lambda: transferability_loss(t.value, s.value, 1.5)), [t, s]
+    return (lambda: transferability_loss(t, s, 1.5)), [t, s]
 
 
 def _case_generator_total(rng):
@@ -384,10 +384,10 @@ def _case_generator_total(rng):
     weights = LossWeights(lambda1=2.0, lambda2=0.5, lambda3=1.5, lambda4=0.7)
 
     def build():
-        fidelity = generator_fidelity_loss(logits.value, y)
-        entropy = generator_entropy_loss(logits.value)
-        stats = bn_stat_loss([(mu.value, Tensor(np.ones((1, 3))))], running)
-        disagreement = transferability_loss(teacher, s.value)
+        fidelity = generator_fidelity_loss(logits, y)
+        entropy = generator_entropy_loss(logits)
+        stats = bn_stat_loss([(mu, Tensor(np.ones((1, 3))))], running)
+        disagreement = transferability_loss(teacher, s)
         return generator_total_loss(fidelity, entropy, stats, disagreement, weights)
 
     return build, [logits, s, mu]
@@ -401,8 +401,8 @@ def _case_generator_total_float_terms(rng):
     weights = LossWeights(lambda1=2.0, lambda2=0.5, lambda3=0.0, lambda4=0.0)
 
     def build():
-        return generator_total_loss(generator_fidelity_loss(logits.value, y),
-                                    generator_entropy_loss(logits.value),
+        return generator_total_loss(generator_fidelity_loss(logits, y),
+                                    generator_entropy_loss(logits),
                                     0.0, 0.0, weights)
 
     return build, [logits]

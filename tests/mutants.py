@@ -80,6 +80,22 @@ MUTANTS = [
            "if np.size(arrays[name]) != np.prod(shape):",
            (T_MODELS + "test_a_refused_state_is_named_and_changes_nothing"
             "[running statistic shape]",)),
+    Mutant("load-state-installs-parameters-only", MODELS,
+           "        for t in tensors:\n            t.data = arrays[t.name].copy()\n",
+           "        for t in self.parameters():\n"
+           "            t.data = arrays[t.name].copy()\n",
+           ("tests/test_aggregation.py::test_fedavg_opposite_states_cancel",
+            T_MODELS + "test_state_round_trip_is_exact")),
+    Mutant("statistics-before-parameters", MODELS,
+           "        return self.parameters() + [t for bn in self.bn_layers()\n"
+           "                                    for t in (bn.running_mean, "
+           "bn.running_var)]\n",
+           "        return [t for bn in self.bn_layers()\n"
+           "                for t in (bn.running_mean, bn.running_var)] "
+           "+ self.parameters()\n",
+           (T_MODELS + "test_checkpoint_reader_refuses_a_damaged_archive[missing blob]",
+            T_MODELS + "test_checkpoint_reader_refuses_a_damaged_archive"
+            "[repeated name]")),
     Mutant("checkpoint-repeat-check-dropped", CHECKPOINT,
            "            if name in arrays:\n", "            if False:\n",
            (T_MODELS + "test_checkpoint_reader_refuses_a_damaged_archive"
@@ -120,8 +136,8 @@ MUTANTS = [
            "np.add.reduce(ins[0][:count][::-1], axis=0)",
            (T_FUSED + "test_generator_step_matches_composed_graph[0.0]",)),
     Mutant("optimizer-updates-in-place", AUTODIFF,
-           "            p.value.data = new[lo:hi].reshape(shape)\n",
-           "            p.value.data[...] = new[lo:hi].reshape(shape)\n",
+           "            p.data = new[lo:hi].reshape(shape)\n",
+           "            p.data[...] = new[lo:hi].reshape(shape)\n",
            (T_PROPERTIES + "test_flat_step_matches_the_per_parameter_loop",
             T_PROPERTIES + "test_flat_step_matches_the_loop_as_groups_switch_"
             "on_and_off")),
@@ -137,7 +153,7 @@ MUTANTS = [
            (T_REPLAY + "test_a_second_shape_records_its_own_schedule_and_both_replay_"
             "like_the_graph",)),
     Mutant("replay-undo-dropped", AUTODIFF,
-           "                state.running_mean, state.running_var = mean, var\n",
+           "                mean.data, var.data = data\n",
            "                pass\n",
            (T_REPLAY + "test_a_step_that_raises_changes_no_state[recording-base]",
             T_REPLAY + "test_a_step_that_raises_changes_no_state"
@@ -151,11 +167,18 @@ MUTANTS = [
            "labels[i] = labels[i] + shift",
            (T_PROPERTIES + "test_noisy_buffer_keeps_labels_in_their_session",)),
     Mutant("repeated-config-key-accepted", "src/fedscil/config.py",
-           "            if key in first:\n", "            if False:\n",
+           "        if key in first:\n", "        if False:\n",
            (T_CLI + "test_config_file_parsing",)),
     Mutant("csv-feature-counts-unchecked", "src/fedscil/orchestrator.py",
            "        if train.x.shape[1] != test.x.shape[1]:\n", "        if False:\n",
            (T_CLI + "test_csv_dataset_faults_exit_one[feature counts differ]",)),
+    Mutant("label-only-csv-rows-accepted", "src/fedscil/data.py",
+           "            if len(values) < 2:\n", "            if False:\n",
+           (T_CLI + "test_label_only_csv_rows_exit_one",)),
+    Mutant("config-file-bytes-replaced", "src/fedscil/config.py",
+           'with open(path, encoding="utf-8") as fh:',
+           'with open(path, encoding="utf-8", errors="replace") as fh:',
+           (T_CLI + "test_config_file_parsing",)),
 ]
 
 

@@ -26,7 +26,7 @@ from fedscil import Classifier, autodiff, client, generation, losses
 from fedscil.aggregation import (AccuracyMatrix, aggregate_old,
                                  assemble_global, cswa_aggregate_new,
                                  cswa_weights, fedavg_full)
-from fedscil.autodiff import (BatchNormState, Tensor, _apply, _ufunc_fw,
+from fedscil.autodiff import (Tensor, _apply, _ufunc_fw,
                               _unbroadcast, col_slice, concat, gather_rows)
 from fedscil.errors import ContractError, DegenerateBatchError
 from fedscil.models import ConditionalGenerator, ModelStack, make_student
@@ -140,7 +140,7 @@ def check_aggregation_against_dense(rng: np.random.Generator,
         if new > 1 and trial % 3 == 0:
             matrix_values[:, int(rng.integers(0, new))] = 0.0
         matrix = AccuracyMatrix(matrix_values)
-        blocks = [(c.heads[1].weight.value.data, c.heads[1].bias.value.data)
+        blocks = [(c.heads[1].weight.data, c.heads[1].bias.data)
                   for c in clients]
         for mode in ("normalized", "paper_exact"):
             dense = _dense_weights(matrix_values, mode)
@@ -257,7 +257,7 @@ def composed_batch_statistics(x: Tensor):
 
 
 def composed_batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
-                       state: BatchNormState, mode: str) -> Tensor:
+                       state: tuple[Tensor, Tensor], mode: str) -> Tensor:
     """Batch norm from primitive ops; train mode normalizes by the one
     centered node that the variance also reads."""
     if mode not in ("train", "eval"):
@@ -268,16 +268,16 @@ def composed_batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
         mu, centered, var = _composed_moments(x)
         normed = div(centered, sqrt(var + autodiff.BN_EPSILON))
         m = autodiff.BN_MOMENTUM
-        state.running_mean = (1.0 - m) * state.running_mean + m * mu.data
-        state.running_var = (1.0 - m) * state.running_var + m * var.data
+        state[0].data = (1.0 - m) * state[0].data + m * mu.data
+        state[1].data = (1.0 - m) * state[1].data + m * var.data
     else:
-        inv = 1.0 / np.sqrt(state.running_var + autodiff.BN_EPSILON)
-        normed = (x - Tensor(state.running_mean)) * Tensor(inv)
+        inv = 1.0 / np.sqrt(state[1].data + autodiff.BN_EPSILON)
+        normed = (x - Tensor(state[0].data)) * Tensor(inv)
     return gamma * normed + beta
 
 
 def bn_running_stats(model: Classifier) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [(bn.state.running_mean, bn.state.running_var)
+    return [(bn.running_mean.data, bn.running_var.data)
             for bn in model.bn_layers()]
 
 
@@ -299,8 +299,8 @@ def captured_forward(model: Classifier, x: Tensor):
         h = fc(h)
         # looked up at call time, so composed_graphs() can substitute them
         stats.append(autodiff.batch_statistics(h))
-        h = autodiff.batchnorm_forward(h, bn.gamma.value, bn.beta.value,
-                                       bn.state, "eval").relu()
+        h = autodiff.batchnorm_forward(h, bn.gamma, bn.beta, (bn.running_mean,
+                                       bn.running_var), "eval").relu()
     parts = [head(h) for head in model.heads.values()]
     logits = parts[0] if len(parts) == 1 else concat(parts, axis=1)
     return logits, stats
@@ -604,7 +604,7 @@ class LoopOptimizer:
                 v = self._vel.get(p.name)
                 v = g if v is None else self.momentum * v + g
                 self._vel[p.name] = v
-                p.value.data = p.value.data - rate * v
+                p.data = p.data - rate * v
             else:
                 m = self._m.get(p.name, 0.0) * b1 + (1 - b1) * g
                 v = self._v.get(p.name, 0.0) * b2 + (1 - b2) * g * g
@@ -612,4 +612,4 @@ class LoopOptimizer:
                 self._v[p.name] = v
                 m_hat = m / (1 - b1 ** self._t)
                 v_hat = v / (1 - b2 ** self._t)
-                p.value.data = p.value.data - rate * m_hat / (np.sqrt(v_hat) + eps)
+                p.data = p.data - rate * m_hat / (np.sqrt(v_hat) + eps)

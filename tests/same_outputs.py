@@ -48,6 +48,16 @@ UNCOMPARED = "timings.jsonl"
 # every file a run writes but the timings, by kind (fnmatch patterns)
 OUTPUTS = {"portable": ("manifest.json", "metrics.jsonl", "summary.csv"),
            "kernel-bound": ("checkpoints/*", "synthetics.csv")}
+# BLAS on one thread, in every child process before it imports numpy
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+              "MKL_NUM_THREADS": "1"}
+
+
+def one_thread() -> None:
+    """Put ONE_THREAD into this process's environment: a pool worker's
+    initializer, which runs before the worker imports numpy (this module
+    imports numpy only inside :func:`kernel_fingerprint`)."""
+    os.environ.update(ONE_THREAD)
 
 
 def output_kind(rel: str) -> str:
@@ -115,7 +125,7 @@ def digests(run_dir: str) -> dict[str, str]:
 def run(tree: str, argv: list[str], run_dir: str) -> tuple[int, dict[str, str]]:
     """Exit code and file digests of one ``fedscil run`` on tree's source."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+               **ONE_THREAD)
     proc = subprocess.run([sys.executable, "-m", "fedscil.cli", "run", *argv,
                            "--out", run_dir, "--quiet"],
                           cwd=os.path.dirname(run_dir), env=env,

@@ -4,11 +4,16 @@ Criteria 1-3 and 7 are exact or statistical oracles; 4-6 are
 direction-of-effect reproductions on the calibrated desk configuration;
 8 is the byte-level determinism contract. Runtime is dominated by the
 25-run method sweep of criterion 4 (a few minutes on one core), whose seed-0
-sdd and finetune runs also check the README's Quick-start table.
+sdd and finetune runs also check the README's Quick-start table. The sweep's
+and criterion 5's desk runs are independent, so they run in up to two worker
+processes (see ``desk_pool``).
 """
 import dataclasses
+import multiprocessing
 import os
 import time
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,6 +30,7 @@ from fedscil.reporting import compare_table, render_text
 from fedscil.seeding import derive_seed
 from gradcheck import TOL, run_suite
 from oracles import check_aggregation_against_dense
+from same_outputs import one_thread
 
 SWEEP_METHODS = ("sdd", "baseline_kd", "sdd_nagr_only", "sdd_cswa_only",
                  "finetune")
@@ -37,18 +43,34 @@ def _verdict(capsys, n: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {n}: {detail}"
 
 
+def _desk_run(method: str, seed: int, *sets: str):
+    """One desk run in a pool worker: its result and its own wall time. A
+    fedscil UserWarning is an error, as pyproject.toml makes it in pytest."""
+    warnings.filterwarnings("error", category=UserWarning, module="fedscil")
+    started = time.perf_counter()
+    result = run_experiment(desk_config(*sets, method=method, seed=seed))
+    return result, time.perf_counter() - started
+
+
 @pytest.fixture(scope="module")
-def sweep():
-    """Full desk runs for every method over five seeds, with wall times."""
-    out = {}
-    for method in SWEEP_METHODS:
-        runs = []
-        for seed in SWEEP_SEEDS:
-            started = time.perf_counter()
-            result = run_experiment(desk_config(method=method, seed=seed))
-            runs.append((result, time.perf_counter() - started))
-        out[method] = runs
-    return out
+def desk_pool():
+    """At most two spawned workers, never more than the cores; each puts
+    BLAS on one thread before it imports numpy. Forking after OpenBLAS has
+    started its threads can hang."""
+    with ProcessPoolExecutor(max_workers=min(2, os.cpu_count() or 1),
+                             mp_context=multiprocessing.get_context("spawn"),
+                             initializer=one_thread) as pool:
+        yield pool
+
+
+@pytest.fixture(scope="module")
+def sweep(desk_pool):
+    """Full desk runs for every method over five seeds, with wall times,
+    collected by (method, seed)."""
+    runs = {(method, seed): desk_pool.submit(_desk_run, method, seed)
+            for method in SWEEP_METHODS for seed in SWEEP_SEEDS}
+    return {method: [runs[method, seed].result() for seed in SWEEP_SEEDS]
+            for method in SWEEP_METHODS}
 
 
 def _mean_avg_pct(runs) -> float:
@@ -139,16 +161,18 @@ def test_readme_quick_start_table_is_the_seed_0_desk_runs(sweep):
     assert f"```\n{render_text(*compare_table(runs))}\n```" in quick
 
 
-def test_criterion_5_noise_robust_replay(capsys):
-    def mean_avg(extra):
-        accs = []
-        for seed in SWEEP_SEEDS:
-            cfg = desk_config("replay_label_noise=0.3", *extra, seed=seed)
-            accs.append(run_experiment(cfg).average_accuracy)
-        return 100.0 * float(np.mean(accs))
+def test_criterion_5_noise_robust_replay(capsys, desk_pool):
+    arms = {"robust": (), "plain": ("weights.beta=0",)}
+    runs = {(arm, seed): desk_pool.submit(_desk_run, "sdd", seed,
+                                          "replay_label_noise=0.3", *sets)
+            for arm, sets in arms.items() for seed in SWEEP_SEEDS}
 
-    robust = mean_avg(())
-    plain = mean_avg(("weights.beta=0",))
+    def mean_avg(arm):
+        return 100.0 * float(np.mean([runs[arm, seed].result()[0].average_accuracy
+                                      for seed in SWEEP_SEEDS]))
+
+    robust = mean_avg("robust")
+    plain = mean_avg("plain")
     ok = robust >= plain
     _verdict(capsys, 5, ok,
              "30% of replay pseudo-labels flipped: symmetric ce+rce replay "

@@ -264,7 +264,7 @@ def _own_parts(model: Classifier):
     new_names = {head.weight.name, head.bias.name}
     old = {name: arr.copy() for name, arr, _ in model.state_entries()
            if name not in new_names}
-    return old, (head.weight.value.data.copy(), head.bias.value.data.copy())
+    return old, (head.weight.data.copy(), head.bias.data.copy())
 
 
 def test_assemble_global_round_trips_own_parts():

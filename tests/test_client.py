@@ -33,7 +33,7 @@ def _shard(rng, n: int = 8):
 
 
 def _params(model: Classifier) -> dict[str, np.ndarray]:
-    return {p.name: p.value.data.copy() for p in model.parameters()}
+    return {p.name: p.data.copy() for p in model.parameters()}
 
 
 def test_client_config_validation():
@@ -61,7 +61,7 @@ def test_zero_backbone_rate_freezes_old_groups(rng):
     assert n == 8
     moved = set()
     for p in trained.parameters():
-        same = p.value.data.tobytes() == before[p.name].tobytes()
+        same = p.data.tobytes() == before[p.name].tobytes()
         if p.group in ("backbone", "head_old"):
             assert same, f"{p.name} moved despite zero rate"
         elif not same:
@@ -89,7 +89,7 @@ def test_empty_shard_returns_unchanged_clone(rng):
     assert trained is not model
     assert _params(trained).keys() == _params(model).keys()
     for p, q in zip(model.parameters(), trained.parameters()):
-        assert np.array_equal(p.value.data, q.value.data)
+        assert np.array_equal(p.data, q.data)
 
 
 def test_singleton_shard_trains_without_degenerate_batch(rng):
@@ -98,7 +98,7 @@ def test_singleton_shard_trains_without_degenerate_batch(rng):
     trained, n = local_update_nagr(model, x, y, None, LossWeights(k=0.0),
                                    _fast_cfg(), 4, seed=3)
     assert n == 1
-    assert any(not np.array_equal(p.value.data, q.value.data)
+    assert any(not np.array_equal(p.data, q.data)
                for p, q in zip(model.parameters(), trained.parameters()))
 
 
@@ -155,8 +155,8 @@ def test_baseline_kd_teacher_builds_no_graph_and_is_left_as_it_was(rng,
     model = _expanded_model()
     prev = Classifier(in_dim=4, base_classes=4, seed=9, hidden=16,
                       feature_dim=8)
-    prev.parameters()[0].value.requires_grad = False
-    flags = [p.value.requires_grad for p in prev.parameters()]
+    prev.parameters()[0].requires_grad = False
+    flags = [p.requires_grad for p in prev.parameters()]
     values = _params(prev)
     buffer = _old_class_buffer(rng)
     outputs = []
@@ -172,10 +172,10 @@ def test_baseline_kd_teacher_builds_no_graph_and_is_left_as_it_was(rng,
         model, prev, x, y, buffer, LossWeights(k=1.0),
         _fast_cfg(replay_loss=replay_loss), 4, seed=5)
     assert outputs and not any(out.requires_grad for out in outputs)
-    assert [p.value.requires_grad for p in prev.parameters()] == flags
+    assert [p.requires_grad for p in prev.parameters()] == flags
     after = _params(prev)
     assert all(np.array_equal(values[k], after[k]) for k in values)
-    assert all(p.value.requires_grad for p in trained.parameters())
+    assert all(p.requires_grad for p in trained.parameters())
 
 
 def _old_class_buffer(rng) -> ReplayBuffer:
@@ -206,7 +206,7 @@ def _one_step(model, x, y, buffer, cfg, weights, seed, replay_term):
     grads = grad(loss, ref.parameters())
     rates = {"backbone": cfg.lr_backbone_and_old,
              "head_old": cfg.lr_backbone_and_old, "head_new": cfg.lr_new_head}
-    return {p.name: p.value.data - rates[p.group] * grads[p.name]
+    return {p.name: p.data - rates[p.group] * grads[p.name]
             for p in ref.parameters()}
 
 

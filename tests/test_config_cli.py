@@ -185,8 +185,9 @@ def test_config_file_parsing(tmp_path):
     for text, message in [
             ("data.dim = 4\ndata.spread\n", ":2: expected 'key = value'"),
             ("seed = 3\n\nseed = 4\n", ":3: seed already set on line 1"),
-            ("preset = desk\npreset = desk\n", ":2: preset already set on line 1")]:
-        bad.write_text(text)
+            ("preset = desk\npreset = desk\n", ":2: preset already set on line 1"),
+            ("seed = 3\n# caf\xe9\n", ": not UTF-8 text")]:
+        bad.write_text(text, encoding="latin-1")
         with pytest.raises(ConfigError, match=f"^{re.escape(str(bad) + message)}$"):
             build_config(bad)
 
@@ -571,6 +572,21 @@ def test_csv_dataset_faults_exit_one(run_root, tmp_path, capsys, rows, message):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert f"{train}: {message.format(test=test)}" in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_label_only_csv_rows_exit_one(run_root, tmp_path, capsys):
+    """Splits whose rows hold a label and no feature are refused before a
+    manifest; they used to train a zero-width model until it overflowed."""
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    train.write_text("".join(f"{c}\n" for c in range(20) for _ in range(6)))
+    test.write_text("".join(f"{c}\n" for c in range(20)))
+    out = tmp_path / "out"
+    rc = main(["run", "--preset", "desk", "--method", "finetune",
+               "--set", f"data.csv_train={train}", "--set", f"data.csv_test={test}",
+               "--set", "data.classes=20", "--quiet", "--out", str(out)])
+    assert rc == 1
+    assert f"{train}: row 1: no feature field" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 

@@ -9,7 +9,7 @@ import pytest
 from fedscil import (Classifier, ConditionalGenerator, LossWeights, Parameter,
                      Tensor, bn_stat_loss, client_loss, generation, grad, losses,
                      train_generator_session)
-from fedscil.autodiff import (BatchNormState, batch_statistics, batchnorm_forward,
+from fedscil.autodiff import (batch_statistics, batchnorm_forward,
                               col_slice, frozen, row_slice, scaled_tanh)
 from fedscil.config import GenLabConfig
 from fedscil.errors import ContractError
@@ -41,8 +41,8 @@ def _teachers(n: int = 3, widths: tuple = SMALL) -> list[Classifier]:
         model.expand_head(SESSION, CLASSES, seed=30 + m)
         rng = np.random.default_rng(40 + m)
         for bn in model.bn_layers():
-            bn.state.running_mean = rng.uniform(-0.5, 0.5, bn.state.running_mean.shape)
-            bn.state.running_var = rng.uniform(0.5, 1.5, bn.state.running_var.shape)
+            bn.running_mean.data = rng.uniform(-0.5, 0.5, bn.running_mean.shape)
+            bn.running_var.data = rng.uniform(0.5, 1.5, bn.running_var.shape)
         out.append(model)
     return out
 
@@ -81,7 +81,7 @@ def _generator_step(teachers: int, weights: LossWeights, widths: tuple):
     s_loss = losses.student_loss(ensemble.detach(), logits,
                                  weights.kl_temperature)
     stu_grads = grad(s_loss, student.parameters())
-    running_after = [bn.state.running_mean for bn in student.bn_layers()]
+    running_after = [bn.running_mean.data for bn in student.bn_layers()]
     return (loss.data, fake.data, ensemble.data, gen_grads, s_loss.data,
             stu_grads, running_after)
 
@@ -127,13 +127,13 @@ def _check_stacked_pass(teachers: int, session: int):
     teacher_models = _teachers(teachers)
     opponent = make_student(IN_DIM, 4 if session == 0 else CLASSES, session,
                             seed=6, hidden=12, feature_dim=10)
-    x = Parameter("x", Tensor(np.random.default_rng(8).standard_normal((9, IN_DIM))),
+    x = Parameter("x", np.random.default_rng(8).standard_normal((9, IN_DIM)),
                   "backbone")
     stack = ModelStack(teacher_models, session, opponent)
-    ensemble, opp, stats = stack.forward(x.value, capture_bn=True)
-    ref, ref_stats = composed_teacher_logits(x.value, teacher_models, session,
+    ensemble, opp, stats = stack.forward(x, capture_bn=True)
+    ref, ref_stats = composed_teacher_logits(x, teacher_models, session,
                                              capture_bn=True)
-    ref_opp, ref_opp_stats = captured_forward(opponent, x.value)
+    ref_opp, ref_opp_stats = captured_forward(opponent, x)
     assert np.array_equal(ensemble.data, ref.data)
     assert np.array_equal(opp.data, ref_opp.data)
     # statistics of the teachers only: no loss reads the opponent's
@@ -173,8 +173,8 @@ def test_generator_session_matches_composed_graph(student_lr, lambda4):
         generator, student, pool = session_loop(
             teacher_models, SESSION, (8, 10), (-np.ones(IN_DIM), np.ones(IN_DIM)),
             cfg, weights, 3, student=student)
-        return ([p.value.data for p in generator.parameters()],
-                [p.value.data for p in student.parameters()],
+        return ([p.data for p in generator.parameters()],
+                [p.data for p in student.parameters()],
                 [a for pair in bn_running_stats(student) for a in pair],
                 [pool.samples])
 
@@ -185,7 +185,7 @@ def test_generator_session_matches_composed_graph(student_lr, lambda4):
         assert len(part_a) == len(part_b)
         for a, b in zip(part_a, part_b):
             assert np.array_equal(a, b)
-    initial = [p.value.data for p in _models(3)[2].parameters()]
+    initial = [p.data for p in _models(3)[2].parameters()]
     moved = [not np.array_equal(a, b) for a, b in zip(initial, fused[1])]
     assert any(moved) == (student_lr > 0)
 
@@ -251,23 +251,23 @@ def test_client_loss_matches_composed_graph(mode):
 @pytest.mark.parametrize("mode", ["train", "eval"])
 def test_batchnorm_matches_composed_graph(mode):
     rng = np.random.default_rng(11)
-    x = Parameter("x", Tensor(rng.standard_normal((9, 5)) * 2.0 + 1.0), "backbone")
-    gamma = Parameter("gamma", Tensor(rng.uniform(0.5, 1.5, 5)), "backbone")
-    beta = Parameter("beta", Tensor(rng.uniform(-0.5, 0.5, 5)), "backbone")
+    x = Parameter("x", rng.standard_normal((9, 5)) * 2.0 + 1.0, "backbone")
+    gamma = Parameter("gamma", rng.uniform(0.5, 1.5, 5), "backbone")
+    beta = Parameter("beta", rng.uniform(-0.5, 0.5, 5), "backbone")
     w = Tensor(rng.standard_normal((9, 5)))
     target = rng.uniform(0.5, 1.5, 5)
     params = [x, gamma, beta]
 
     def run(bn, statistics):
-        state = BatchNormState(rng.uniform(-0.5, 0.5, 5), rng.uniform(0.5, 1.5, 5))
-        y = bn(x.value, gamma.value, beta.value, state, mode)
-        mu, var = statistics(x.value)
+        state = (Tensor(rng.uniform(-0.5, 0.5, 5)), Tensor(rng.uniform(0.5, 1.5, 5)))
+        y = bn(x, gamma, beta, state, mode)
+        mu, var = statistics(x)
         loss = (y * w).sum()
         if mode == "eval":
             # only teachers consume the statistics, and they run in eval mode
             loss = loss + (mu * mu).sum() + ((var - Tensor(target)) * w).sum()
-        return (y.data, mu.data, var.data, state.running_mean,
-                state.running_var, grad(loss, params))
+        return (y.data, mu.data, var.data, state[0].data,
+                state[1].data, grad(loss, params))
 
     rng_state = rng.bit_generator.state
     fused = run(batchnorm_forward, batch_statistics)
@@ -293,11 +293,11 @@ LOSS_PAIRS = {
 @pytest.mark.parametrize("name", sorted(LOSS_PAIRS))
 def test_fused_loss_matches_composed_graph(name):
     rng = np.random.default_rng(12)
-    t = Parameter("t", Tensor(rng.uniform(-3, 3, (13, 5))), "backbone")
-    s = Parameter("s", Tensor(rng.uniform(-3, 3, (13, 5))), "backbone")
+    t = Parameter("t", rng.uniform(-3, 3, (13, 5)), "backbone")
+    s = Parameter("s", rng.uniform(-3, 3, (13, 5)), "backbone")
     y = rng.integers(0, 5, size=13)
     fused, composed = LOSS_PAIRS[name]
-    a, b = fused(t.value, s.value, y), composed(t.value, s.value, y)
+    a, b = fused(t, s, y), composed(t, s, y)
     assert np.array_equal(a.data, b.data)
     _assert_grads_equal(grad(a * 0.7, [t, s]), grad(b * 0.7, [t, s]))
 
@@ -309,11 +309,11 @@ def test_distillation_subset_matches_composed_graph(new_columns):
     for _ in range(25):
         n, old = int(rng.integers(1, 20)), int(rng.integers(1, 7))
         temperature = float(rng.uniform(0.5, 3.0))
-        t = Parameter("t", Tensor(rng.uniform(-4, 4, (n, old))), "backbone")
-        s = Parameter("s", Tensor(rng.uniform(-4, 4, (n, old + new_columns))),
+        t = Parameter("t", rng.uniform(-4, 4, (n, old)), "backbone")
+        s = Parameter("s", rng.uniform(-4, 4, (n, old + new_columns)),
                       "backbone")
-        a = losses.distillation_loss_subset(t.value, s.value, old, temperature)
-        b = composed_distillation_loss_subset(t.value, s.value, old,
+        a = losses.distillation_loss_subset(t, s, old, temperature)
+        b = composed_distillation_loss_subset(t, s, old,
                                               temperature)
         assert np.array_equal(a.data, b.data)
         _assert_grads_equal(grad(a * 0.7, [t, s]), grad(b * 0.7, [t, s]))
@@ -333,16 +333,16 @@ def test_generator_total_matches_composed_graph(tensors):
                           lambda3=1.3 if tensors[2] else 0.0,
                           lambda4=0.3 if tensors[3] else 0.0)
     for _ in range(20):
-        t = Parameter("t", Tensor(rng.uniform(-3, 3, (7, 3))), "backbone")
-        s = Parameter("s", Tensor(rng.uniform(-3, 3, (7, 3))), "backbone")
+        t = Parameter("t", rng.uniform(-3, 3, (7, 3)), "backbone")
+        s = Parameter("s", rng.uniform(-3, 3, (7, 3)), "backbone")
         y = rng.integers(0, 3, size=7)
 
         def terms():
             # every term reads t, so the walk sums four gradients into it
-            built = [losses.cross_entropy(t.value, y),
-                     losses.generator_entropy_loss(t.value),
-                     (t.value * s.value).mean(),
-                     losses.transferability_loss(t.value, s.value, 1.5)]
+            built = [losses.cross_entropy(t, y),
+                     losses.generator_entropy_loss(t),
+                     (t * s).mean(),
+                     losses.transferability_loss(t, s, 1.5)]
             return [term if keep else 0.0 for term, keep in zip(built, tensors)]
 
         a = losses.generator_total_loss(*terms(), weights)
@@ -356,43 +356,43 @@ def test_generator_total_matches_composed_graph(tensors):
 def test_generator_output_matches_composed_graph():
     rng = np.random.default_rng(16)
     for _ in range(20):
-        pre = Parameter("pre", Tensor(rng.uniform(-4, 4, (9, 5))), "backbone")
+        pre = Parameter("pre", rng.uniform(-4, 4, (9, 5)), "backbone")
         low = rng.uniform(-3, 0, 5)
         high = low + rng.uniform(0, 3, 5)
         half, mid = (high - low) / 2.0, (high + low) / 2.0
         w = Tensor(rng.standard_normal((9, 5)))
-        a = scaled_tanh(pre.value, half, mid)
-        b = composed_scaled_tanh(pre.value, half, mid)
+        a = scaled_tanh(pre, half, mid)
+        b = composed_scaled_tanh(pre, half, mid)
         assert np.array_equal(a.data, b.data)
         _assert_grads_equal(grad((a * w).sum(), [pre]), grad((b * w).sum(), [pre]))
 
 
 def test_frozen_restores_trainability_exactly():
-    a = Parameter("a", Tensor(np.ones(2)), "backbone")
-    b = Parameter("b", Tensor(np.ones(2)), "backbone")
-    b.value.requires_grad = False
+    a = Parameter("a", np.ones(2), "backbone")
+    b = Parameter("b", np.ones(2), "backbone")
+    b.requires_grad = False
     with frozen([a, b, a]):
-        assert not a.value.requires_grad and not b.value.requires_grad
-        loss = (a.value * Tensor(np.array([1.0, 2.0]))).sum()
+        assert not a.requires_grad and not b.requires_grad
+        loss = (a * Tensor(np.array([1.0, 2.0]))).sum()
         assert not loss.requires_grad
-    assert a.value.requires_grad and not b.value.requires_grad
+    assert a.requires_grad and not b.requires_grad
     with pytest.raises(RuntimeError):
         with frozen([a]):
             raise RuntimeError("boom")
-    assert a.value.requires_grad
+    assert a.requires_grad
 
 
 def test_generator_session_leaves_trainability_as_it_was():
     teachers = _teachers(2)
     student = make_student(IN_DIM, CLASSES, SESSION, seed=6, hidden=12,
                            feature_dim=10)
-    student.parameters()[0].value.requires_grad = False
+    student.parameters()[0].requires_grad = False
     models = teachers + [student]
-    before = [[p.value.requires_grad for p in m.parameters()] for m in models]
+    before = [[p.requires_grad for p in m.parameters()] for m in models]
     cfg = GenLabConfig(epochs=1, rounds_per_epoch=2, batch_size=8, noise_dim=4,
                        hidden=12, bank_per_epoch=8)
     train_generator_session(teachers, SESSION, (8, 10),
                             (-np.ones(IN_DIM), np.ones(IN_DIM)), cfg,
                             LossWeights(), 3, student=student)
-    after = [[p.value.requires_grad for p in m.parameters()] for m in models]
+    after = [[p.requires_grad for p in m.parameters()] for m in models]
     assert after == before

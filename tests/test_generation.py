@@ -23,8 +23,8 @@ def _bias_teacher(bias, seed: int = 0) -> Classifier:
     model = Classifier(in_dim=3, base_classes=2, seed=seed, hidden=8,
                        feature_dim=4)
     head = model.heads[0]
-    head.weight.value.data[:] = 0.0
-    head.bias.value.data[:] = bias
+    head.weight.data[:] = 0.0
+    head.bias.data[:] = bias
     return model
 
 
@@ -72,8 +72,8 @@ def test_teacher_logits_requires_a_teacher(rng):
 
 def test_teacher_logits_gradient_reaches_input(rng):
     model = _toy_teacher()
-    x = Parameter("x", Tensor(rng.standard_normal((3, 4))), "backbone")
-    ensemble, opponent, stats = ModelStack([model], 0).forward(x.value)
+    x = Parameter("x", rng.standard_normal((3, 4)), "backbone")
+    ensemble, opponent, stats = ModelStack([model], 0).forward(x)
     assert opponent is None and stats is None
     grads = grad(ensemble.sum(), [x])
     assert float(np.abs(grads["x"]).sum()) > 0
@@ -86,10 +86,10 @@ def test_stack_reads_teachers_and_opponent_when_built_and_loaded(rng):
     as_built = teacher.clone()
     # the stack keeps copies: moving a teacher afterwards changes nothing,
     # moving the opponent shows once its slot is loaded again
-    teacher.heads[0].bias.value.data += 1.0
-    student.heads[0].bias.value.data += 1.0
-    state = student.bn_layers()[0].state
-    state.running_var = state.running_var * 2.0
+    teacher.heads[0].bias.data += 1.0
+    student.heads[0].bias.data += 1.0
+    running_var = student.bn_layers()[0].running_var
+    running_var.data = running_var.data * 2.0
     before = stack.forward(x)[1].data
     stack.load_opponent()
     ensemble, opponent, _ = stack.forward(x)

@@ -42,10 +42,10 @@ def test_predict_is_the_argmax_of_one_unchunked_forward(rng, rows, session):
 
 def test_predict_restores_every_trainability_flag(rng):
     model = _expanded_model()
-    model.heads[0].weight.value.requires_grad = False
-    before = [p.value.requires_grad for p in model.parameters()]
+    model.heads[0].weight.requires_grad = False
+    before = [p.requires_grad for p in model.parameters()]
     model.predict(rng.standard_normal((PREDICT_CHUNK + 3, IN_DIM)))
-    assert [p.value.requires_grad for p in model.parameters()] == before
+    assert [p.requires_grad for p in model.parameters()] == before
     assert before.count(False) == 1
 
 

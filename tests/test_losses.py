@@ -174,10 +174,10 @@ def test_client_loss_sliced_mode(rng):
 
 
 def test_noise_robust_loss_is_the_replay_objective_over_every_column(rng):
-    logits = Parameter("l", Tensor(rng.standard_normal((7, 4))), "backbone")
+    logits = Parameter("l", rng.standard_normal((7, 4)), "backbone")
     y = rng.integers(0, 4, size=7)
-    a = noise_robust_loss(logits.value, y, 0.6, 1.7, -3.0)
-    b = replay_loss_subset(logits.value, y, 4, 0.6, 1.7, -3.0)
+    a = noise_robust_loss(logits, y, 0.6, 1.7, -3.0)
+    b = replay_loss_subset(logits, y, 4, 0.6, 1.7, -3.0)
     assert np.array_equal(a.data, b.data)
     assert np.array_equal(grad(a, [logits])["l"], grad(b, [logits])["l"])
 

@@ -13,8 +13,8 @@ from fedscil.errors import ContractError
 
 def _zero_head(model: Classifier) -> None:
     for head in model.heads.values():
-        head.weight.value.data[:] = 0.0
-        head.bias.value.data[:] = 0.0
+        head.weight.data[:] = 0.0
+        head.bias.data[:] = 0.0
 
 
 # -- classifier forward ----------------------------------------------------------
@@ -43,14 +43,14 @@ def test_forward_validates_input_shape():
 
 def test_eval_forward_leaves_running_stats_untouched(rng):
     model = Classifier(in_dim=4, base_classes=2, seed=0)
-    before = [(bn.state.running_mean.copy(), bn.state.running_var.copy())
+    before = [(bn.running_mean.data.copy(), bn.running_var.data.copy())
               for bn in model.bn_layers()]
     model.forward(rng.standard_normal((8, 4)), mode="eval")
     for bn, (m, v) in zip(model.bn_layers(), before):
-        assert np.array_equal(bn.state.running_mean, m)
-        assert np.array_equal(bn.state.running_var, v)
+        assert np.array_equal(bn.running_mean.data, m)
+        assert np.array_equal(bn.running_var.data, v)
     model.forward(rng.standard_normal((8, 4)), mode="train")
-    assert not np.array_equal(model.bn_layers()[0].state.running_mean, before[0][0])
+    assert not np.array_equal(model.bn_layers()[0].running_mean.data, before[0][0])
 
 
 # -- head expansion ---------------------------------------------------------------
@@ -165,17 +165,19 @@ def test_logits_slice_rejects_unknown_session(rng):
 def test_clone_is_independent(rng):
     model = Classifier(in_dim=4, base_classes=3, seed=0)
     twin = model.clone()
-    twin.heads[0].weight.value.data[:] = 7.0
-    twin.bn_layers()[0].state.running_mean[:] = 5.0
-    assert not np.array_equal(model.heads[0].weight.value.data,
-                              twin.heads[0].weight.value.data)
-    assert not np.array_equal(model.bn_layers()[0].state.running_mean,
-                              twin.bn_layers()[0].state.running_mean)
+    twin.heads[0].weight.data[:] = 7.0
+    twin.bn_layers()[0].running_mean.data[:] = 5.0
+    assert not np.array_equal(model.heads[0].weight.data,
+                              twin.heads[0].weight.data)
+    assert not np.array_equal(model.bn_layers()[0].running_mean.data,
+                              twin.bn_layers()[0].running_mean.data)
 
 
 def test_state_round_trip_is_exact(rng):
     model = Classifier(in_dim=4, base_classes=3, seed=0)
     model.expand_head(1, 2, seed=1)
+    # move the running statistics off a fresh model's, so they must travel
+    model.forward(rng.standard_normal((5, 4)), mode="train")
     state = {name: arr.copy() for name, arr, _ in model.state_entries()}
     other = Classifier(in_dim=4, base_classes=3, seed=99)
     other.expand_head(1, 2, seed=98)
@@ -353,7 +355,7 @@ def test_generator_parameters_keep_their_names_order_and_draws():
         expected[f"gen.{bn}.gamma"] = np.ones(64)
         expected[f"gen.{bn}.beta"] = np.zeros(64)
     for p in gen.parameters():
-        assert np.array_equal(p.value.data, expected[p.name]), p.name
+        assert np.array_equal(p.data, expected[p.name]), p.name
 
 
 def test_generator_validation(rng):

@@ -223,8 +223,8 @@ def test_evaluate_hand_check(rng):
     model = Classifier(in_dim=3, base_classes=2, seed=0, hidden=8,
                        feature_dim=4)
     head = model.heads[0]
-    head.weight.value.data[:] = 0.0
-    head.bias.value.data[:] = [1.0, 0.0]   # constant class-0 predictor
+    head.weight.data[:] = 0.0
+    head.bias.data[:] = [1.0, 0.0]   # constant class-0 predictor
     ds = LabeledDataset(rng.standard_normal((6, 3)),
                         np.array([0, 0, 0, 1, 1, 0]), 2)
     overall, old, new, per_class = evaluate(model, ds, 1)
@@ -398,7 +398,7 @@ def test_non_finite_global_state_names_the_aggregation(monkeypatch):
 
     def poisoned(models, counts, column_weights):
         model = fedavg_full(models, counts, column_weights)
-        model.heads[1].bias.value.data[0] = np.nan
+        model.heads[1].bias.data[0] = np.nan
         return model
 
     monkeypatch.setattr(orchestrator, "fedavg_full", poisoned)

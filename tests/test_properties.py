@@ -40,7 +40,7 @@ def check_flat_step_against_loop(kind: str, shapes, groups, rates: dict,
     values = [_draw(rng, shape) for shape in shapes]
 
     def make(opt_class):
-        params = [Parameter(f"p{i}", Tensor(value.copy()), group)
+        params = [Parameter(f"p{i}", value.copy(), group)
                   for i, (value, group) in enumerate(zip(values, groups))]
         return params, opt_class(params, kind, rates, momentum)
 
@@ -51,14 +51,14 @@ def check_flat_step_against_loop(kind: str, shapes, groups, rates: dict,
             flat.set_rate(group, rate)
             loop.set_rate(group, rate)
         for a, b in zip(flat_params, loop_params):
-            a.grad = _draw(rng, a.value.shape)
+            a.grad = _draw(rng, a.shape)
             b.grad = a.grad.copy()
-        taken = [p.value.data for p in flat_params]
+        taken = [p.data for p in flat_params]
         copies = [a.copy() for a in taken]
         flat.step()
         loop.step()
         for a, b in zip(flat_params, loop_params):
-            assert _same_bits(a.value.data, b.value.data), a.name
+            assert _same_bits(a.data, b.data), a.name
         for a, b in zip(taken, copies):
             assert _same_bits(a, b)
 
@@ -145,7 +145,7 @@ def test_aggregation_does_not_depend_on_client_order(case):
         assert a.keys() == b.keys()
         for name in a:
             assert np.allclose(a[name], b[name], rtol=0, atol=1e-12), name
-    blocks = [(c.heads[1].weight.value.data, c.heads[1].bias.value.data)
+    blocks = [(c.heads[1].weight.data, c.heads[1].bias.data)
               for c in clients]
     for mode in ("normalized", "paper_exact"):
         w, b = cswa_aggregate_new(blocks, cswa_weights(AccuracyMatrix(accuracy), mode))
@@ -335,7 +335,7 @@ def test_relabel_is_idempotent_and_keeps_samples_and_conditions(seed, new, n):
                        feature_dim=4)
     model.expand_head(1, new, seed=seed % 991)
     for p in model.parameters():
-        p.value.data = p.value.data + rng.standard_normal(p.value.shape)
+        p.data = p.data + rng.standard_normal(p.shape)
     samples = rng.standard_normal((n, 3)) * 3.0
     condition = rng.integers(2, 2 + new, size=n)
     pool = SyntheticPool(1, 2, 2 + new, samples.copy(), condition.copy())

@@ -48,8 +48,8 @@ def _teachers(n: int) -> list[Classifier]:
         model.expand_head(SESSION, CLASSES, seed=30 + m)
         rng = np.random.default_rng(40 + m)
         for bn in model.bn_layers():
-            bn.state.running_mean = rng.uniform(-0.5, 0.5, bn.state.running_mean.shape)
-            bn.state.running_var = rng.uniform(0.5, 1.5, bn.state.running_var.shape)
+            bn.running_mean.data = rng.uniform(-0.5, 0.5, bn.running_mean.shape)
+            bn.running_var.data = rng.uniform(0.5, 1.5, bn.running_var.shape)
         out.append(model)
     return out
 
@@ -63,9 +63,9 @@ def _session(loop, teachers: int, cfg: GenLabConfig, weights: LossWeights,
         generator, student, pool = loop(models, SESSION, (8, 10), ENVELOPE, cfg,
                                         weights, 3, generator=generator,
                                         student=student)
-        out += [p.value.data for p in generator.parameters() + student.parameters()]
+        out += [p.data for p in generator.parameters() + student.parameters()]
         for bn in generator.body.bn_layers() + student.bn_layers():
-            out += [bn.state.running_mean, bn.state.running_var]
+            out += [bn.running_mean.data, bn.running_var.data]
         out += [pool.samples, pool.condition]
     return out
 
@@ -100,8 +100,8 @@ def _state_of(bns, opts):
     and fields, and the batch-norm layers' running statistics."""
 
     def state():
-        out = [p.value.data for opt in opts for p in opt.params]
-        out += [a for bn in bns for a in (bn.state.running_mean, bn.state.running_var)]
+        out = [p.data for opt in opts for p in opt.params]
+        out += [a for bn in bns for a in (bn.running_mean.data, bn.running_var.data)]
         for opt in opts:
             out += [v for k, v in sorted(vars(opt).items()) if k != "params"]
         return copy.deepcopy(out)
@@ -185,7 +185,7 @@ def _trained(step, draw, sizes, replayed: bool) -> list[np.ndarray]:
     run = Replay(with_params) if replayed else on_the_graph
     for size in sizes:
         run(*draw(size))
-        values += [p.value.data for p in params]
+        values += [p.data for p in params]
     return values
 
 
@@ -253,8 +253,8 @@ def _classifier(heads: int, seed: int) -> Classifier:
         model.expand_head(1, WAY, seed=seed + 1)
     rng = np.random.default_rng(seed)
     for bn in model.bn_layers():
-        bn.state.running_mean = rng.uniform(-0.5, 0.5, bn.state.running_mean.shape)
-        bn.state.running_var = rng.uniform(0.5, 1.5, bn.state.running_var.shape)
+        bn.running_mean.data = rng.uniform(-0.5, 0.5, bn.running_mean.shape)
+        bn.running_var.data = rng.uniform(0.5, 1.5, bn.running_var.shape)
     return model
 
 
@@ -478,7 +478,7 @@ def test_every_gradient_case_replays_like_the_graph(name, make):
     replay()
     for _ in range(2):
         for p in params:
-            p.value.data = p.value.data * 1.25
+            p.data = p.data * 1.25
         replay()
         graph = grad(build_loss(), params)
         for p in params:

@@ -262,8 +262,9 @@ def _names_a_head(node) -> bool:
 def test_one_method_builds_a_head_block_and_no_module_calls_client_loss():
     """Every head grows through ``Classifier.append_head_block``, the one
     function that builds a ``Linear`` named ``head.*``, the one that stores
-    into a ``heads`` map, and the one that stores a parameter's group tag, so
-    a head's order and tags are stated once. No module calls
+    into a ``heads`` map, and the one that retags a parameter (besides
+    ``Parameter``'s constructor, which stores the tag it is given), so a
+    head's order and tags are stated once. No module calls
     ``client_loss``: the local objective is stated once, in
     ``client._local_step``, and ``losses.client_loss`` is the tests' second
     statement of it."""
@@ -278,7 +279,8 @@ def test_one_method_builds_a_head_block_and_no_module_calls_client_loss():
             where += [f"{module}:{f}" for f in sorted(sites.sites.get(name, ()))]
     builder = ["models.py:Classifier.append_head_block"]
     assert found == {"Linear(head.*)": builder, "heads[]=": builder,
-                     ".group=": builder, "client_loss": []}
+                     ".group=": ["autodiff.py:Parameter.__init__", *builder],
+                     "client_loss": []}
 
 
 def _is_string_or_strings(node) -> bool:
