@@ -149,11 +149,11 @@ def assemble_global(template: Classifier, old_state: dict[str, Array],
                     new_block: tuple[Array, Array]) -> Classifier:
     """Build the next global model from aggregated parts.
 
-    The template provides the architecture (any client model works). Every
+    The template gives only its architecture (any client model works). Every
     tensor must be covered exactly once, inherited tensors by old_state and
     the last head block by new_block; :meth:`Classifier.load_state` checks it.
     """
-    model = template.clone()
+    model = Classifier.from_arch(template.arch())
     head = _new_head(model)
     new = dict(zip((head.weight.name, head.bias.name), new_block))
     if held := sorted(new.keys() & old_state.keys()):

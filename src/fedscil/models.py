@@ -3,8 +3,6 @@ session, a label-conditioned generator, and the student used during
 generator training."""
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from .autodiff import (Array, Parameter, Tensor, _wrap, batch_statistics,
@@ -232,19 +230,20 @@ class Classifier:
         return model
 
     def clone(self) -> "Classifier":
-        """Independent deep copy; training the copy never touches the original."""
-        return copy.deepcopy(self)
+        """A fresh model holding copies of this one's tensors; no gradient
+        or frozen flag travels, and training the copy leaves this one as is."""
+        model = self.from_arch(self.arch())
+        model.load_state({t.name: t.data for t in self.tensors()})
+        return model
 
 
-def _session_arrays(model: Classifier, session: int) -> list[tuple[str, Array]]:
+def _session_tensors(model: Classifier, session: int) -> list[Parameter]:
     """Everything an eval-mode forward over one session's head reads, in
     stack order: per backbone layer the weight, bias, gamma, beta and running
     statistics, then the session block's weight and bias."""
-    tensors = [t for fc, bn in model.backbone.blocks()
-               for t in (*fc.parameters(), *bn.parameters(), bn.running_mean,
-                         bn.running_var)]
-    return [(t.name, t.data)
-            for t in tensors + model.session_block(session).parameters()]
+    return [t for fc, bn in model.backbone.blocks()
+            for t in (*fc.parameters(), *bn.parameters(), bn.running_mean,
+                      bn.running_var)] + model.session_block(session).parameters()
 
 
 class ModelStack:
@@ -266,34 +265,32 @@ class ModelStack:
         self.session = session
         self.opponent = opponent
         models = self.teachers + ([] if opponent is None else [opponent])
-        arrays = [_session_arrays(model, session) for model in models]
-        for i, model_arrays in enumerate(arrays):
-            for (name, arr), (_, ref) in zip(model_arrays, arrays[0]):
-                if arr.shape != ref.shape:
+        columns = [_session_tensors(model, session) for model in models]
+        for i, tensors in enumerate(columns):
+            for t, ref in zip(tensors, columns[0]):
+                if t.shape != ref.shape:
                     who = f"teacher {i}" if i < len(teachers) else "the opponent"
-                    raise ContractError(f"{who}: {name} has shape {arr.shape}, "
+                    raise ContractError(f"{who}: {t.name} has shape {t.shape}, "
                                         f"teacher 0 has {ref.shape}")
-        self._slots = [np.stack([np.atleast_2d(arr) for _, arr in column])
-                       for column in zip(*arrays)]
-        self._layers = []
-        for k in range(0, len(self._slots) - 2, 6):
-            w, b, gamma, beta, mean, var = self._slots[k:k + 6]
-            self._layers.append((Tensor(w), Tensor(b), Tensor(gamma), Tensor(beta),
-                                 (Tensor(mean), Tensor(var))))
-        self._head = (Tensor(self._slots[-2]), Tensor(self._slots[-1]))
+        self._slots = [Tensor(np.stack([np.atleast_2d(t.data) for t in column]))
+                       for column in zip(*columns)]
+        # the opponent's own tensors, read again at each load_opponent
+        self._opponent_tensors = [] if opponent is None else columns[-1]
+
+    def _layers(self) -> list[list[Tensor]]:
+        """Per backbone layer: weight, bias, gamma, beta, mean and var slots."""
+        return [self._slots[k:k + 6] for k in range(0, len(self._slots) - 2, 6)]
 
     def load_opponent(self) -> None:
         """Copy the opponent's current parameters and running statistics
         into its slot; a stack without an opponent has nothing to copy."""
-        if self.opponent is not None:
-            for slot, (_, arr) in zip(self._slots,
-                                      _session_arrays(self.opponent, self.session)):
-                slot[-1] = arr
+        for slot, t in zip(self._slots, self._opponent_tensors):
+            slot.data[-1] = t.data
 
     def running_stats(self) -> list[tuple[Array, Array]]:
         """Per layer, the teachers' running mean and variance."""
         m = len(self.teachers)
-        return [(mean.data[:m], var.data[:m]) for *_, (mean, var) in self._layers]
+        return [(mean.data[:m], var.data[:m]) for *_, mean, var in self._layers()]
 
     def forward(self, x: Tensor | Array, capture_bn: bool = False):
         """One eval-mode pass of every slot: (ensemble, opponent, stats).
@@ -305,12 +302,12 @@ class ModelStack:
         teachers = len(self.teachers)
         stats: list | None = [] if capture_bn else None
         h = _wrap(x)
-        for w, b, gamma, beta, state in self._layers:
+        for w, b, gamma, beta, mean, var in self._layers():
             h = linear(h, w, b)
             if capture_bn:
                 stats.append(batch_statistics(h, teachers))
-            h = batchnorm_forward(h, gamma, beta, state, "eval").relu()
-        logits = linear(h, *self._head)
+            h = batchnorm_forward(h, gamma, beta, (mean, var), "eval").relu()
+        logits = linear(h, *self._slots[-2:])
         ensemble = model_mean(logits, teachers)
         opponent = None if self.opponent is None else model_slot(logits, teachers)
         return ensemble, opponent, stats

@@ -30,8 +30,9 @@ from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # what the listed tests read: the package, the tests, pytest's config, and
-# the benchmark tracer and README that test modules import or read
-COPIED = ("src", "tests", "perfbench", "pyproject.toml", "README.md")
+# the benchmark, its tracer and the README that test modules import or read
+COPIED = ("src", "tests", "perfbench", "pyproject.toml", "README.md",
+          "BENCHMARK.json")
 
 
 class Mutant(NamedTuple):
@@ -96,6 +97,30 @@ MUTANTS = [
            (T_MODELS + "test_checkpoint_reader_refuses_a_damaged_archive[missing blob]",
             T_MODELS + "test_checkpoint_reader_refuses_a_damaged_archive"
             "[repeated name]")),
+    Mutant("clone-keeps-fresh-tensors", MODELS,
+           "        model.load_state({t.name: t.data for t in self.tensors()})\n",
+           "",
+           (T_MODELS + "test_clone_is_independent",
+            T_MODELS + "test_a_clone_takes_no_gradient_and_no_frozen_flag"
+            "[inside frozen]")),
+    Mutant("opponent-statistics-not-loaded", MODELS,
+           "            slot.data[-1] = t.data\n",
+           "            if t.group != \"bn_stats\":\n"
+           "                slot.data[-1] = t.data\n",
+           ("tests/test_generation.py::test_stack_reads_teachers_and_opponent_"
+            "when_built_and_loaded",)),
+    Mutant("opponent-arrays-taken-once", MODELS,
+           "        self._opponent_tensors = [] if opponent is None else columns[-1]\n",
+           "        self._opponent_tensors = [] if opponent is None else [\n"
+           "            Tensor(t.data) for t in columns[-1]]\n",
+           ("tests/test_generation.py::test_stack_reads_teachers_and_opponent_"
+            "when_built_and_loaded",
+            T_FUSED + "test_generator_session_matches_composed_graph[0.2-0.7]")),
+    Mutant("global-assembled-in-template", "src/fedscil/aggregation.py",
+           "    model = Classifier.from_arch(template.arch())\n",
+           "    model = template\n",
+           ("tests/test_aggregation.py::test_assemble_global_leaves_the_template_"
+            "as_it_was",)),
     Mutant("checkpoint-repeat-check-dropped", CHECKPOINT,
            "            if name in arrays:\n", "            if False:\n",
            (T_MODELS + "test_checkpoint_reader_refuses_a_damaged_archive"

@@ -276,6 +276,19 @@ def test_assemble_global_round_trips_own_parts():
         assert np.array_equal(arr, state[name]), name
 
 
+def test_assemble_global_leaves_the_template_as_it_was():
+    model = _expanded(6)
+    old, (w, b) = _own_parts(model)
+    before = {name: arr.copy() for name, arr, _ in model.state_entries()}
+    rebuilt = assemble_global(model, {n: a + 1.0 for n, a in old.items()},
+                              (w + 1.0, b + 1.0))
+    assert rebuilt is not model
+    for name, arr, _ in model.state_entries():
+        assert np.array_equal(arr, before[name]), name
+    for name, arr, _ in rebuilt.state_entries():
+        assert np.array_equal(arr, before[name] + 1.0), name
+
+
 def test_assemble_global_key_validation():
     model = _expanded(6)
     old, block = _own_parts(model)

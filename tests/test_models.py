@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fedscil import Classifier, ConditionalGenerator, make_student
+from fedscil.autodiff import Optimizer, backprop, frozen
 from fedscil.checkpoint import load_state, save_state
 from fedscil.errors import ContractError
 
@@ -162,15 +163,44 @@ def test_logits_slice_rejects_unknown_session(rng):
 
 # -- clone and state ----------------------------------------------------------------
 
+def _entries_bytes(model: Classifier) -> list:
+    return [(name, group, arr.dtype, arr.shape, arr.tobytes())
+            for name, arr, group in model.state_entries()]
+
+
 def test_clone_is_independent(rng):
     model = Classifier(in_dim=4, base_classes=3, seed=0)
+    model.expand_head(1, 2, seed=1)
+    # move the running statistics off a fresh model's, so they must travel
+    model.forward(rng.standard_normal((5, 4)), mode="train")
     twin = model.clone()
+    assert _entries_bytes(twin) == _entries_bytes(model)
     twin.heads[0].weight.data[:] = 7.0
     twin.bn_layers()[0].running_mean.data[:] = 5.0
     assert not np.array_equal(model.heads[0].weight.data,
                               twin.heads[0].weight.data)
     assert not np.array_equal(model.bn_layers()[0].running_mean.data,
                               twin.bn_layers()[0].running_mean.data)
+
+
+@pytest.mark.parametrize("made", ["after a training step", "inside frozen"])
+def test_a_clone_takes_no_gradient_and_no_frozen_flag(rng, made):
+    model = Classifier(in_dim=4, base_classes=3, seed=0)
+    model.expand_head(1, 2, seed=1)
+    params = model.parameters()
+    if made == "inside frozen":
+        with frozen(params):
+            twin = model.clone()
+    else:
+        backprop(model.forward(rng.standard_normal((5, 4)), mode="train").sum(),
+                 params)
+        Optimizer(params, "sgd_momentum", {"backbone": 0.1, "head_old": 0.1,
+                                           "head_new": 0.1}, 0.9).step()
+        assert all(p.grad is not None for p in params)
+        twin = model.clone()
+    assert all(p.requires_grad and p.grad is None for p in twin.parameters())
+    assert not any(t.requires_grad for t in twin.tensors()[len(params):])
+    assert _entries_bytes(twin) == _entries_bytes(model)
 
 
 def test_state_round_trip_is_exact(rng):
